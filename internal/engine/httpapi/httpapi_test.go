@@ -447,4 +447,34 @@ func TestGoldenResponses(t *testing.T) {
 		}
 	}
 	checkGolden(t, "events_done.golden.ndjson", lines.Bytes())
+
+	// Monte Carlo: a one-kernel, one-triad, one-rep job keeps every body
+	// (including the raw event stream) deterministic.
+	checkGolden(t, "mc_error_not_found.golden.json", fetchBody(t, http.MethodGet, ts.URL+"/v1/mc/mc-999999", ""))
+	checkGolden(t, "mc_error_bad_request.golden.json", fetchBody(t, http.MethodPost, ts.URL+"/v1/mc", `{"kernels":["nope"]}`))
+	mcBody := `{"kernels":["fir"],"samples":1,"policy":"triads","triads":[{"tclk":1,"vdd":0.6,"vbb":0}]}`
+	checkGolden(t, "mc_submit.golden.json", fetchBody(t, http.MethodPost, ts.URL+"/v1/mc", mcBody))
+	waitMCDone(t, ts, "mc-000001")
+	checkGolden(t, "mc_status_done.golden.json", fetchBody(t, http.MethodGet, ts.URL+"/v1/mc/mc-000001", ""))
+	checkGolden(t, "mc_results.golden.json", fetchBody(t, http.MethodGet, ts.URL+"/v1/mc/mc-000001/results", ""))
+	checkGolden(t, "mc_events_done.golden.ndjson", fetchBody(t, http.MethodGet, ts.URL+"/v1/mc/mc-000001/events", ""))
+}
+
+func waitMCDone(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		var job engine.MCJob
+		getJSON(t, ts.URL+"/v1/mc/"+id, http.StatusOK, &job)
+		switch job.Status {
+		case engine.StatusDone:
+			return
+		case engine.StatusFailed, engine.StatusCanceled:
+			t.Fatalf("mc job ended %s: %s", job.Status, job.Error)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("mc job still %s after 60s", job.Status)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }

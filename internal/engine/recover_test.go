@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -516,5 +517,111 @@ func TestJournalFaultsDegradeToNonDurable(t *testing.T) {
 	}
 	if e.JournalErrors() == 0 {
 		t.Fatal("faulted journal writes were not counted")
+	}
+}
+
+// TestJournalFixtureReplay is the upgrade-safety check: it replays a
+// journal directory written by an earlier engine build and never
+// regenerated. testdata/journal holds a done sweep (s-000001), a
+// canceled sweep (s-000002), a done Monte Carlo job (mc-000001), an
+// unfinished streaming sweep with per-point records (s-000003) and an
+// unfinished Monte Carlo job with one journaled cell (mc-000002).
+// Replay compacts in place, so the test works on a copy.
+func TestJournalFixtureReplay(t *testing.T) {
+	jdir := t.TempDir()
+	src := filepath.Join("testdata", "journal")
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		data, err := os.ReadFile(filepath.Join(src, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(jdir, ent.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := newDurableEngine(t, jdir, t.TempDir(), 2)
+	fresh := newTestEngine(t, Options{Workers: 2})
+
+	freshSweep := func(req Request) []OperatorResult {
+		t.Helper()
+		id, err := fresh.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, err := fresh.Wait(t.Context(), id)
+		if err != nil || sw.Status != StatusDone {
+			t.Fatalf("fresh sweep: %v status=%v", err, sw.Status)
+		}
+		return normOperators(sw.Results)
+	}
+
+	done, ok := e.Get("s-000001")
+	if !ok || done.Status != StatusDone {
+		t.Fatalf("s-000001: ok=%v status=%v, want done", ok, done.Status)
+	}
+	if !reflect.DeepEqual(normOperators(done.Results), freshSweep(done.Request)) {
+		t.Error("s-000001: replayed results differ from a fresh run")
+	}
+	if sw, ok := e.Get("s-000002"); !ok || sw.Status != StatusCanceled || sw.Results != nil {
+		t.Errorf("s-000002: ok=%v status=%v results=%d, want canceled without results", ok, sw.Status, len(sw.Results))
+	}
+	mcDone, ok := e.GetMC("mc-000001")
+	if !ok || mcDone.Status != StatusDone {
+		t.Fatalf("mc-000001: ok=%v status=%v, want done", ok, mcDone.Status)
+	}
+	if !reflect.DeepEqual(mcDone.Points, runMCJob(t, fresh, mcDone.Request).Points) {
+		t.Error("mc-000001: replayed points differ from a fresh run")
+	}
+
+	resumed, err := e.Wait(t.Context(), "s-000003")
+	if err != nil || resumed.Status != StatusDone {
+		t.Fatalf("s-000003: %v status=%v (%s), want resumed to done", err, resumed.Status, resumed.Error)
+	}
+	if !reflect.DeepEqual(normOperators(resumed.Results), freshSweep(resumed.Request)) {
+		t.Error("s-000003: resumed results differ from a fresh run")
+	}
+	mcResumed, err := e.WaitMC(t.Context(), "mc-000002")
+	if err != nil || mcResumed.Status != StatusDone {
+		t.Fatalf("mc-000002: %v status=%v (%s), want resumed to done", err, mcResumed.Status, mcResumed.Error)
+	}
+	if !reflect.DeepEqual(mcResumed.Points, runMCJob(t, fresh, mcResumed.Request).Points) {
+		t.Error("mc-000002: resumed points differ from a fresh run")
+	}
+	if mcResumed.Progress.CacheHits != 1 {
+		t.Errorf("mc-000002: %d cells served from the journal, want 1", mcResumed.Progress.CacheHits)
+	}
+
+	type entry struct {
+		id, kind  string
+		status    Status
+		recovered bool
+	}
+	var got []entry
+	for _, j := range e.Jobs() {
+		got = append(got, entry{j.ID, j.Kind, j.Status, j.Recovered})
+	}
+	want := []entry{
+		{"s-000001", JobKindSweep, StatusDone, true},
+		{"s-000002", JobKindSweep, StatusCanceled, true},
+		{"s-000003", JobKindSweep, StatusDone, true},
+		{"mc-000001", JobKindMC, StatusDone, true},
+		{"mc-000002", JobKindMC, StatusDone, true},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Jobs() = %+v, want %+v", got, want)
+	}
+
+	if id, err := e.Submit(done.Request); err != nil || id != "s-000004" {
+		t.Errorf("next sweep id %q (%v), want s-000004", id, err)
+	}
+	if id, err := e.SubmitMC(mcDone.Request); err != nil || id != "mc-000003" {
+		t.Errorf("next mc id %q (%v), want mc-000003", id, err)
+	}
+	if n := e.JournalErrors(); n != 0 {
+		t.Errorf("replay counted %d journal errors, want 0", n)
 	}
 }
