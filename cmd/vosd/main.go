@@ -84,7 +84,7 @@ func main() {
 		modelDir    = flag.String("models", "", "export trained error models as JSON into DIR (vosmodel store format)")
 		peers       = flag.String("peers", "", "comma-separated peer vosd URLs (joins a cluster)")
 		advertise   = flag.String("advertise", "", "this node's URL as peers reach it (required with -peers)")
-		tenantQuota = flag.Int("tenant-quota", 0, "max in-flight sweeps per tenant (0 = unlimited)")
+		tenantQuota = flag.Int("tenant-quota", 0, "max in-flight jobs (sweeps + mc) per tenant (0 = unlimited)")
 		logJSON     = flag.Bool("log-json", false, "write one JSON request-log line per request to stderr")
 	)
 	flag.Parse()

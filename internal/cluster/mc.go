@@ -1,7 +1,7 @@
 package cluster
 
-// Monte Carlo sharding: the Planner is also the engine's MCSharder.
-// Where sweep sharding routes whole electrical point groups to their
+// Monte Carlo sharding: the Planner's RunMCPoint half of
+// engine.Sharder. Where sweep sharding routes whole electrical point groups to their
 // ring owners (cache coalescing), Monte Carlo sharding splits one
 // point's rep range [0, reps) into contiguous sub-ranges across the
 // live membership (throughput scaling): rep seeds derive from the job
@@ -12,17 +12,13 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/triad"
 	"repro/vos"
 )
-
-var _ engine.MCSharder = (*Planner)(nil)
 
 // mcPointKey is a Monte Carlo cell's position on the ring: a
 // content-derived hash of the job parameters that define its results.
@@ -35,7 +31,7 @@ func mcPointKey(req engine.MCRequest, kernel string, tr triad.Triad) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// RunMCPoint implements engine.MCSharder: split the point's reps into
+// RunMCPoint implements engine.Sharder: split the point's reps into
 // one contiguous range per live member (ring-ownership order, local
 // node always included), run the ranges concurrently — remote ranges as
 // rep-range sub-jobs through the vos SDK, with the local engine as the
@@ -127,9 +123,9 @@ func (p *Planner) RunMCPoint(ctx context.Context, req engine.MCRequest, kernel s
 }
 
 // runShardMC runs one rep range on a remote member as a single-cell
-// rep-range sub-job, returning its partial point. Failures are recorded
-// on the member's breaker and returned to the caller, which falls back
-// to local execution for the range.
+// rep-range sub-job, returning its partial point. Failures (recorded on
+// the member's breaker by followShard) are returned to the caller, which
+// falls back to local execution for the range.
 func (p *Planner) runShardMC(ctx context.Context, req engine.MCRequest, kernel string, tr triad.Triad,
 	lo, hi int, member string) (*engine.MCPoint, error) {
 	pr := p.peers.get(member)
@@ -144,141 +140,38 @@ func (p *Planner) runShardMC(ctx context.Context, req engine.MCRequest, kernel s
 		Triads(vos.Triad(tr)).
 		RepRange(lo, hi).
 		Lease(p.shardLease())
-	pt, err := p.shardMCJob(ctx, pr, spec)
+	var point *vos.MCPoint
+	err := followShard(ctx, p, pr, shardCalls[vos.MCResult, vos.MCEvent]{
+		kind:    "mc shard",
+		submit:  func(ctx context.Context) (string, error) { return pr.remote.SubmitMC(ctx, spec) },
+		events:  pr.remote.MCEvents,
+		status:  pr.remote.MCStatus,
+		results: pr.remote.MCResults,
+		cancel:  pr.remote.CancelMC,
+		event: func(ev vos.MCEvent) (string, string) {
+			if ev.Type == vos.EventPoint && ev.Point != nil {
+				point = ev.Point
+			}
+			if ev.Type == vos.EventDone && point == nil {
+				return "", "" // the point event was dropped: the stream ends, the salvage fetches
+			}
+			return ev.Type, ev.Error
+		},
+		state: func(r *vos.MCResult) (string, string, vos.Progress) { return r.Status, r.Error, r.Progress },
+		fetched: func(id string, r *vos.MCResult) error {
+			if len(r.Points) != 1 {
+				return fmt.Errorf("cluster: mc shard %s on %s returned %d points, want 1", id, pr.url, len(r.Points))
+			}
+			point = &r.Points[0]
+			return nil
+		},
+	})
 	if err != nil {
-		pr.br.failure(err)
 		return nil, err
 	}
-	pr.br.success()
 	var out engine.MCPoint
-	if err := reencodeMC(pt, &out); err != nil {
+	if err := reencode(point, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
-}
-
-// shardMCJob submits one sub-job to the peer and follows it to
-// completion: the event stream while it flows (bounded by the stall
-// timeout between events), the polling salvage when the stream drops.
-// Mirrors runShardSweep's failure discipline; the payload is the
-// sub-job's single partial point.
-func (p *Planner) shardMCJob(ctx context.Context, pr *peer, spec *vos.MCSpec) (*vos.MCPoint, error) {
-	sctx, cancel := context.WithTimeout(ctx, p.callTimeout)
-	id, err := pr.remote.SubmitMC(sctx, spec)
-	cancel()
-	if err != nil {
-		return nil, err
-	}
-	clean := false
-	defer func() {
-		if !clean {
-			cctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			pr.remote.CancelMC(cctx, id)
-			cancel()
-		}
-	}()
-
-	var point *vos.MCPoint
-	ectx, ecancel := context.WithCancel(ctx)
-	defer ecancel()
-	ch, err := pr.remote.MCEvents(ectx, id)
-	if err == nil {
-		idle := time.NewTimer(p.stallTimeout)
-		defer idle.Stop()
-	stream:
-		for {
-			select {
-			case ev, ok := <-ch:
-				if !ok {
-					break stream // dropped stream: try the polling salvage
-				}
-				if !idle.Stop() {
-					<-idle.C
-				}
-				idle.Reset(p.stallTimeout)
-				if ev.Type == vos.EventPoint && ev.Point != nil {
-					point = ev.Point
-				}
-				if ev.Terminal() {
-					if ev.Type != vos.EventDone {
-						return nil, fmt.Errorf("cluster: mc shard %s on %s: %s: %s", id, pr.url, ev.Type, ev.Error)
-					}
-					if point != nil {
-						clean = true
-						return point, nil
-					}
-					break stream // done but the point event was dropped: fetch results
-				}
-			case <-idle.C:
-				ecancel()
-				break stream
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-	}
-
-	// Polling salvage: require Completed to keep advancing within each
-	// stall window. A sub-job is one cell, so this mostly guards against
-	// a peer that died between submit and stream.
-	res, err := p.pollShardMC(ctx, pr, id)
-	if err != nil {
-		return nil, err
-	}
-	if res.Status != vos.StatusDone {
-		return nil, fmt.Errorf("cluster: mc shard %s on %s: %s: %s", id, pr.url, res.Status, res.Error)
-	}
-	rctx, rcancel := context.WithTimeout(ctx, p.callTimeout)
-	full, err := pr.remote.MCResults(rctx, id)
-	rcancel()
-	if err != nil {
-		return nil, err
-	}
-	if len(full.Points) != 1 {
-		return nil, fmt.Errorf("cluster: mc shard %s on %s returned %d points, want 1", id, pr.url, len(full.Points))
-	}
-	clean = true
-	return &full.Points[0], nil
-}
-
-// pollShardMC polls a sub-job's status until a terminal state, with the
-// same call/stall bounding as pollShard.
-func (p *Planner) pollShardMC(ctx context.Context, pr *peer, id string) (*vos.MCResult, error) {
-	const pollInterval = 250 * time.Millisecond
-	lastCompleted := -1
-	stallDeadline := time.Now().Add(p.stallTimeout)
-	for {
-		sctx, cancel := context.WithTimeout(ctx, p.callTimeout)
-		res, err := pr.remote.MCStatus(sctx, id)
-		cancel()
-		if err != nil {
-			return nil, err
-		}
-		switch res.Status {
-		case vos.StatusDone, vos.StatusFailed, vos.StatusCanceled:
-			return res, nil
-		}
-		if res.Progress.Completed > lastCompleted {
-			lastCompleted = res.Progress.Completed
-			stallDeadline = time.Now().Add(p.stallTimeout)
-		} else if time.Now().After(stallDeadline) {
-			return nil, fmt.Errorf("cluster: mc shard %s on %s stalled at %d/%d points for %v",
-				id, pr.url, res.Progress.Completed, res.Progress.TotalPoints, p.stallTimeout)
-		}
-		select {
-		case <-time.After(pollInterval):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// reencodeMC converts between the SDK and engine Monte Carlo point
-// types through their shared JSON shape.
-func reencodeMC(in, out any) error {
-	data, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(data, out)
 }

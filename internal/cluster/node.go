@@ -39,8 +39,9 @@ type NodeOptions struct {
 	// CacheFanOut caps peers consulted per cache miss; ≤0 selects the
 	// PeerCacheOptions default.
 	CacheFanOut int
-	// TenantQuota caps in-flight sweeps per tenant; ≤0 disables. Shard
-	// sub-sweeps (the cluster-internal tenant) are exempt.
+	// TenantQuota caps in-flight jobs (sweeps and Monte Carlo jobs
+	// together) per tenant; ≤0 disables. Shard sub-jobs (the
+	// cluster-internal tenant) are exempt.
 	TenantQuota int
 	// AccessLog, when non-nil, receives one JSON request-log line per
 	// completed request (httpapi.AccessEntry).

@@ -225,18 +225,14 @@ func (p *Planner) dispatch(ctx context.Context, plan *engine.OperatorPlan, membe
 		if len(idxs) == 0 {
 			return // not one of ours (or a duplicate delivery)
 		}
-		ps, err := toSummary(pt)
-		if err != nil {
+		var ps engine.PointSummary
+		if err := reencode(pt, &ps); err != nil {
 			return // leave it pending; the remainder is re-dispatched
 		}
 		pending[tr] = idxs[1:]
 		yield(idxs[0], ps)
 	}
-	if err := p.runShardSweep(ctx, pr, plan.Config, trs, onPoint); err != nil {
-		pr.br.failure(err)
-	} else {
-		pr.br.success()
-	}
+	_ = p.runShardSweep(ctx, pr, plan.Config, trs, onPoint) // on failure its points stay pending
 	remaining := make(map[int]bool)
 	for _, idxs := range pending {
 		for _, ti := range idxs {
@@ -254,41 +250,105 @@ func (p *Planner) dispatch(ctx context.Context, plan *engine.OperatorPlan, membe
 	}
 }
 
-// runShardSweep submits one explicit-triad sub-sweep to the peer and
-// consumes its event stream, calling onPoint for every point event. A
-// stream that ends without a terminal event (the connection dropped,
-// not the sweep) is salvaged through the polling path before the peer
-// is declared failed: the shard may have finished fine.
+// runShardSweep runs one explicit-triad sub-sweep on the peer, calling
+// onPoint for every point event it streams — or, when the stream was
+// lost, for every point of its fetched results.
+func (p *Planner) runShardSweep(ctx context.Context, pr *peer, cfg charz.Config,
+	trs []vos.Triad, onPoint func(*vos.Point)) error {
+	spec := shardSpec(cfg, trs).Lease(p.shardLease())
+	return followShard(ctx, p, pr, shardCalls[vos.Result, vos.Event]{
+		kind:    "shard",
+		submit:  func(ctx context.Context) (string, error) { return pr.remote.Submit(ctx, spec) },
+		events:  pr.remote.Events,
+		status:  pr.remote.Status,
+		results: pr.remote.Results,
+		cancel:  pr.remote.Cancel,
+		event: func(ev vos.Event) (string, string) {
+			if ev.Type == vos.EventPoint && ev.Point != nil {
+				onPoint(ev.Point)
+			}
+			return ev.Type, ev.Error
+		},
+		state: func(r *vos.Result) (string, string, vos.Progress) { return r.Status, r.Error, r.Progress },
+		fetched: func(_ string, r *vos.Result) error {
+			for i := range r.Operators {
+				for j := range r.Operators[i].Points {
+					onPoint(&r.Operators[i].Points[j])
+				}
+			}
+			return nil
+		},
+	})
+}
+
+// shardCalls is one job kind's share of a shard sub-job: the peer calls
+// that drive it and readers for its wire types (S the snapshot, E the
+// event).
+type shardCalls[S, E any] struct {
+	// kind names the sub-job in errors.
+	kind    string
+	submit  func(context.Context) (string, error)
+	events  func(context.Context, string) (<-chan E, error)
+	status  func(context.Context, string) (*S, error)
+	results func(context.Context, string) (*S, error)
+	cancel  func(context.Context, string) error
+	// event hands an event's point, if any, to the caller and returns
+	// the event's type and failure message — no type for a done event
+	// that arrived without every point, which leaves the fetch to the
+	// salvage. state reads a snapshot's status, failure message and
+	// progress; fetched takes the results a salvage fetched.
+	event   func(E) (typ, msg string)
+	state   func(*S) (status, msg string, p vos.Progress)
+	fetched func(id string, full *S) error
+}
+
+// followShard submits one sub-job to the peer and follows it to
+// completion: the event stream while it flows, then — when the stream
+// ends without a terminal event (the connection dropped, not the job)
+// or stalls — the polling salvage, before the peer is declared failed:
+// the shard may have finished fine. A sub-job the salvage finds done has
+// its results fetched.
 //
 // Every unary RPC is bounded by the planner's call timeout, and both
 // the stream and the polling salvage are bounded by the stall timeout:
 // a shard that stops producing observable progress is canceled and the
-// error re-routes its remainder — a slow-but-alive peer must degrade
-// into a failover, never an indefinite wedge of the whole fan-out.
-func (p *Planner) runShardSweep(ctx context.Context, pr *peer, cfg charz.Config,
-	trs []vos.Triad, onPoint func(*vos.Point)) error {
-	id, err := p.callSubmit(ctx, pr, shardSpec(cfg, trs).Lease(p.shardLease()))
+// error re-routes its work — a slow-but-alive peer must degrade into a
+// failover, never an indefinite wedge of the whole fan-out. The outcome
+// is recorded on the peer's breaker.
+func followShard[S, E any](ctx context.Context, p *Planner, pr *peer, c shardCalls[S, E]) (err error) {
+	defer func() {
+		if err != nil {
+			pr.br.failure(err)
+		} else {
+			pr.br.success()
+		}
+	}()
+	sctx, cancel := context.WithTimeout(ctx, p.callTimeout)
+	id, err := c.submit(sctx)
+	cancel()
 	if err != nil {
 		return err
 	}
 	// On any non-clean exit — coordinator death or a declared stall —
-	// stop the shard too: an orphaned sub-sweep would keep burning the
+	// stop the shard too: an orphaned sub-job would keep burning the
 	// peer's pool.
 	clean := false
 	defer func() {
 		if !clean {
 			cctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			pr.remote.Cancel(cctx, id)
+			c.cancel(cctx, id)
 			cancel()
 		}
 	}()
+	failed := func(status, msg string) error {
+		return fmt.Errorf("cluster: %s %s on %s: %s: %s", c.kind, id, pr.url, status, msg)
+	}
 
 	// Stream under its own cancel so an idle-stream stall can abandon
-	// the connection without killing the coordinating sweep.
-	sctx, scancel := context.WithCancel(ctx)
-	defer scancel()
-	ch, err := pr.remote.Events(sctx, id)
-	if err == nil {
+	// the connection without killing the coordinating job.
+	ectx, ecancel := context.WithCancel(ctx)
+	defer ecancel()
+	if ch, err := c.events(ectx, id); err == nil {
 		idle := time.NewTimer(p.stallTimeout)
 		defer idle.Stop()
 	stream:
@@ -302,21 +362,18 @@ func (p *Planner) runShardSweep(ctx context.Context, pr *peer, cfg charz.Config,
 					<-idle.C
 				}
 				idle.Reset(p.stallTimeout)
-				if ev.Type == vos.EventPoint && ev.Point != nil {
-					onPoint(ev.Point)
-				}
-				if ev.Terminal() {
-					if ev.Type != vos.EventDone {
-						return fmt.Errorf("cluster: shard %s on %s: %s: %s", id, pr.url, ev.Type, ev.Error)
-					}
+				switch typ, msg := c.event(ev); typ {
+				case vos.EventDone:
 					clean = true
 					return nil
+				case vos.EventFailed, vos.EventCanceled:
+					return failed(typ, msg)
 				}
 			case <-idle.C:
 				// No event within the stall budget. Abandon the stream
-				// and let the polling salvage decide whether the sweep
+				// and let the polling salvage decide whether the job
 				// itself (not just the connection) is stuck.
-				scancel()
+				ecancel()
 				break stream
 			case <-ctx.Done():
 				return ctx.Err()
@@ -324,72 +381,47 @@ func (p *Planner) runShardSweep(ctx context.Context, pr *peer, cfg charz.Config,
 		}
 	}
 
-	// Polling salvage: the stream is gone but the shard may be alive —
-	// or even already done. Poll status with bounded calls, requiring
+	// Polling salvage: poll status with bounded calls, requiring
 	// Completed to keep advancing within each stall window.
-	res, err := p.pollShard(ctx, pr, id)
-	if err != nil {
-		return err
-	}
-	if res.Status != vos.StatusDone {
-		return fmt.Errorf("cluster: shard %s on %s: %s: %s", id, pr.url, res.Status, res.Error)
-	}
-	rctx, rcancel := context.WithTimeout(ctx, p.callTimeout)
-	full, err := pr.remote.Results(rctx, id)
-	rcancel()
-	if err != nil {
-		return err
-	}
-	for i := range full.Operators {
-		pts := full.Operators[i].Points
-		for j := range pts {
-			onPoint(&pts[j])
-		}
-	}
-	clean = true
-	return nil
-}
-
-// callSubmit submits the shard spec under the planner's call timeout.
-func (p *Planner) callSubmit(ctx context.Context, pr *peer, spec *vos.Spec) (string, error) {
-	sctx, cancel := context.WithTimeout(ctx, p.callTimeout)
-	defer cancel()
-	return pr.remote.Submit(sctx, spec)
-}
-
-// pollShard polls a shard's status until it reaches a terminal state,
-// bounding each poll by the call timeout and the shard's overall lack
-// of progress by the stall timeout: every time Completed advances the
-// stall clock resets; when it stops advancing for a full window the
-// shard is declared stalled.
-func (p *Planner) pollShard(ctx context.Context, pr *peer, id string) (*vos.Result, error) {
 	const pollInterval = 250 * time.Millisecond
-	lastCompleted := -1
-	stallDeadline := time.Now().Add(p.stallTimeout)
+	lastCompleted, stallDeadline := -1, time.Now().Add(p.stallTimeout)
 	for {
 		sctx, cancel := context.WithTimeout(ctx, p.callTimeout)
-		res, err := pr.remote.Status(sctx, id)
+		res, err := c.status(sctx, id)
 		cancel()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		switch res.Status {
-		case vos.StatusDone, vos.StatusFailed, vos.StatusCanceled:
-			return res, nil
+		status, msg, prog := c.state(res)
+		if status == vos.StatusDone {
+			break
 		}
-		if res.Progress.Completed > lastCompleted {
-			lastCompleted = res.Progress.Completed
-			stallDeadline = time.Now().Add(p.stallTimeout)
+		if status == vos.StatusFailed || status == vos.StatusCanceled {
+			return failed(status, msg)
+		}
+		if prog.Completed > lastCompleted {
+			lastCompleted, stallDeadline = prog.Completed, time.Now().Add(p.stallTimeout)
 		} else if time.Now().After(stallDeadline) {
-			return nil, fmt.Errorf("cluster: shard %s on %s stalled at %d/%d points for %v",
-				id, pr.url, res.Progress.Completed, res.Progress.TotalPoints, p.stallTimeout)
+			return fmt.Errorf("cluster: %s %s on %s stalled at %d/%d points for %v",
+				c.kind, id, pr.url, prog.Completed, prog.TotalPoints, p.stallTimeout)
 		}
 		select {
 		case <-time.After(pollInterval):
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
+	rctx, rcancel := context.WithTimeout(ctx, p.callTimeout)
+	full, err := c.results(rctx, id)
+	rcancel()
+	if err != nil {
+		return err
+	}
+	if err := c.fetched(id, full); err != nil {
+		return err
+	}
+	clean = true
+	return nil
 }
 
 // shardLease is the coordinator lease stamped on every shard sub-job:
@@ -439,18 +471,14 @@ func groupKey(plan *engine.OperatorPlan, idxs []int) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// toSummary converts a shard's streamed point into the engine's point
-// summary. The types share their JSON shape by construction; Efficiency
+// reencode converts between the SDK's and the engine's point types
+// through their shared JSON shape. A streamed sweep point's Efficiency
 // is whatever the shard knew (zero mid-stream) and is recomputed by the
 // coordinator's fold over the full operator.
-func toSummary(pt *vos.Point) (engine.PointSummary, error) {
-	data, err := json.Marshal(pt)
+func reencode(in, out any) error {
+	data, err := json.Marshal(in)
 	if err != nil {
-		return engine.PointSummary{}, err
+		return err
 	}
-	var ps engine.PointSummary
-	if err := json.Unmarshal(data, &ps); err != nil {
-		return engine.PointSummary{}, err
-	}
-	return ps, nil
+	return json.Unmarshal(data, out)
 }

@@ -6,6 +6,14 @@
 // cache (memory + JSON-on-disk). Every frontend — cmd/voschar, cmd/vosd,
 // the benchmarks — runs its sweeps through one Engine, so each operating
 // point of the paper's evaluation is simulated at most once per cache.
+//
+// Sweeps and Monte Carlo jobs are two kinds of one job kernel (job.go):
+// a single registry implementation owns the job record and event log,
+// submission and IDs, retention, lookup, cancellation, leases and the
+// journal's records, replay and restore for every kind. A kind supplies
+// only a jobKind — its request and wire types, ID prefix, journal fields
+// and run function — so adding one costs a request type and a run
+// function, not another lifecycle.
 package engine
 
 import (
@@ -102,9 +110,9 @@ type Engine struct {
 	cancel context.CancelFunc
 	jobs   chan func()
 	wg     sync.WaitGroup
-	// sweepWg tracks runSweep goroutines so Close can wait for full
-	// quiescence, not just the worker pool.
-	sweepWg sync.WaitGroup
+	// jobWg tracks job goroutines (and journal replay) so Close can wait
+	// for full quiescence, not just the worker pool.
+	jobWg sync.WaitGroup
 
 	// preps memoizes synthesized operators by prepKey.
 	preps sync.Map // string -> *prepEntry
@@ -127,15 +135,13 @@ type Engine struct {
 	// ride-alongs from per-triad cache hits.
 	groupedPoints atomic.Uint64
 
-	// sweep registry (sweep.go) and Monte Carlo job registry (mc.go) —
-	// separate ID spaces under one lock. closed gates Submit/SubmitMC so
+	// The sweep and Monte Carlo job registries (job.go) — separate ID
+	// spaces under one lock. closed gates submission and re-adoption so
 	// no job goroutine can start once Close begins waiting.
-	sweepMu sync.Mutex
-	sweeps  map[string]*sweepState
-	seq     uint64
-	mcs     map[string]*mcState
-	mcSeq   uint64
-	closed  bool
+	jobsMu sync.Mutex
+	sweeps *registry[Request, []OperatorResult, Sweep, SweepEvent]
+	mcs    *registry[MCRequest, []MCPoint, MCJob, MCEvent]
+	closed bool
 
 	// Durability (recover.go): the write-ahead journal, the RW lock
 	// that serializes compaction snapshots against appenders, the
@@ -205,10 +211,10 @@ func New(opts Options) (*Engine, error) {
 		cancel:   cancel,
 		jobs:     make(chan func()),
 		inflight: make(map[string]*flight),
-		sweeps:   make(map[string]*sweepState),
-		mcs:      make(map[string]*mcState),
 		readyCh:  make(chan struct{}),
 	}
+	e.sweeps = newRegistry(e, e.sweepKind())
+	e.mcs = newRegistry(e, e.mcKind())
 	for i := 0; i < e.workers; i++ {
 		e.wg.Add(1)
 		go func() {
@@ -246,7 +252,7 @@ func New(opts Options) (*Engine, error) {
 		// Replay in the background so the daemon can bind its listener
 		// and answer readiness probes while a large journal rebuilds;
 		// Submit and job lookups refuse with ErrRecovering until then.
-		e.sweepWg.Add(1)
+		e.jobWg.Add(1)
 		go e.runRecovery(payloads, opts.RecoveryGate)
 	} else {
 		close(e.readyCh)
@@ -260,16 +266,19 @@ func New(opts Options) (*Engine, error) {
 // same directory; call StartDrain first for the graceful variant of the
 // same path.
 func (e *Engine) Close() {
-	e.sweepMu.Lock()
+	e.jobsMu.Lock()
 	e.closed = true
-	e.sweepMu.Unlock()
+	e.jobsMu.Unlock()
 	e.cancel()
-	e.sweepWg.Wait()
+	e.jobWg.Wait()
 	e.wg.Wait()
 	if e.journal != nil {
 		e.journal.Close()
 	}
 }
+
+// registries lists every job kind's registry, sweeps first.
+func (e *Engine) registries() []jobRegistry { return []jobRegistry{e.sweeps, e.mcs} }
 
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return e.workers }
@@ -288,7 +297,9 @@ func (e *Engine) CacheStats() CacheStats {
 func (e *Engine) Executions() uint64 { return e.executions.Load() }
 
 // exec runs f on a pool worker and waits for it, honoring both the
-// caller's context and engine shutdown while queued.
+// caller's context and engine shutdown while queued. Once a worker took
+// f, exec waits for it to return even through shutdown: callers read
+// what f wrote, and Close waits for the worker anyway.
 func (e *Engine) exec(ctx context.Context, f func()) error {
 	done := make(chan struct{})
 	job := func() {
@@ -302,12 +313,8 @@ func (e *Engine) exec(ctx context.Context, f func()) error {
 	case <-e.ctx.Done():
 		return ErrClosed
 	}
-	select {
-	case <-done:
-		return nil
-	case <-e.ctx.Done():
-		return ErrClosed
-	}
+	<-done
+	return nil
 }
 
 // Prepare implements charz.Runner: synthesized operators are memoized by

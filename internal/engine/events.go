@@ -1,9 +1,9 @@
 package engine
 
-// Sweep event streaming: every sweep publishes incremental per-point
-// progress to any number of subscribers. The daemon's NDJSON endpoint
-// (internal/engine/httpapi) and the vos SDK's Events channel are both
-// thin adapters over this seam.
+// Job event streaming: every job publishes incremental per-point
+// progress to any number of subscribers (see registry.subscribe). The
+// daemon's NDJSON endpoints (internal/engine/httpapi) and the vos SDK's
+// event channels are both thin adapters over this seam.
 
 // Event types carried by SweepEvent.Type. A stream is a sequence of
 // progress/point events followed by exactly one terminal event (done,
@@ -73,99 +73,3 @@ func terminalEventType(s Status) string {
 // the terminal event so even a subscriber that stops draining entirely
 // still sees the stream's ending.
 const eventBuffer = 4096
-
-type subscriber struct {
-	ch chan SweepEvent
-}
-
-// Subscribe returns the sweep's event channel: first a replay of every
-// event published so far (the per-point history is retained for the
-// sweep's lifetime), then the live tail. The channel is closed after the
-// terminal event; the returned cancel function releases the subscription
-// early (it is safe to call after the close, and must be called
-// eventually). Because of the replay, a subscriber joining at any time —
-// even after the sweep finished — sees at least one point event per
-// completed operator before the terminal event.
-func (e *Engine) Subscribe(id string) (<-chan SweepEvent, func(), bool) {
-	e.sweepMu.Lock()
-	st, ok := e.sweeps[id]
-	e.sweepMu.Unlock()
-	if !ok {
-		return nil, nil, false
-	}
-	st.touch()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	// Size the buffer for the whole stream: replayed history + points
-	// still outstanding + slack for progress transitions and the
-	// terminal event.
-	capacity := len(st.history) + (st.snap.Progress.TotalPoints - st.snap.Progress.Completed) + 8
-	if capacity < eventBuffer {
-		capacity = eventBuffer
-	}
-	sub := &subscriber{ch: make(chan SweepEvent, capacity)}
-	if len(st.history) == 0 {
-		// Nothing published yet (the sweep is still planning): open the
-		// stream with a snapshot so subscribers always see the current
-		// state immediately.
-		sub.ch <- st.eventLocked(EventProgress)
-	}
-	for _, ev := range st.history {
-		sub.ch <- ev
-	}
-	if terminal(st.snap.Status) {
-		close(sub.ch)
-		return sub.ch, func() {}, true
-	}
-	if st.subs == nil {
-		st.subs = make(map[*subscriber]struct{})
-	}
-	st.subs[sub] = struct{}{}
-	cancel := func() {
-		st.mu.Lock()
-		if _, live := st.subs[sub]; live {
-			delete(st.subs, sub)
-			close(sub.ch)
-		}
-		st.mu.Unlock()
-	}
-	return sub.ch, cancel, true
-}
-
-// eventLocked builds an event skeleton from the current snapshot.
-// Callers hold st.mu.
-func (st *sweepState) eventLocked(typ string) SweepEvent {
-	return SweepEvent{
-		Type:     typ,
-		SweepID:  st.snap.ID,
-		Status:   st.snap.Status,
-		Progress: st.snap.Progress,
-		Error:    st.snap.Error,
-	}
-}
-
-// publishLocked records an event in the sweep's replayable history and
-// fans it out to the live subscribers. The history intentionally keeps
-// its own copy of each point (the results array is mutated after the
-// fact — efficiency back-fill — and snapshot-copied per Get, so sharing
-// would race); it lives as long as the sweep's registry entry, which
-// maxRetainedSweeps bounds. Non-terminal events keep one buffer slot
-// free and are dropped for subscribers that fell behind (see
-// eventBuffer for when that can happen and why it is recoverable); the
-// terminal event takes the reserved slot (guaranteed free) and closes
-// every channel. Callers hold st.mu, which serializes all publication.
-func (st *sweepState) publishLocked(ev SweepEvent) {
-	st.history = append(st.history, ev)
-	last := terminal(ev.Status)
-	for sub := range st.subs {
-		if last {
-			sub.ch <- ev // reserved slot: cannot block
-			close(sub.ch)
-			delete(st.subs, sub)
-			continue
-		}
-		if len(sub.ch) < cap(sub.ch)-1 {
-			sub.ch <- ev
-		}
-	}
-}

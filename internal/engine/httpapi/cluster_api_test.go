@@ -214,6 +214,47 @@ func TestTenantQuota(t *testing.T) {
 	doReq(t, http.MethodDelete, ts.URL+"/v1/sweeps/"+id3, "").Body.Close()
 }
 
+// TestTenantQuotaSpansKinds checks that sweeps and Monte Carlo jobs
+// draw from one in-flight budget: with quota 1, a tenant holding a
+// running job of either kind is refused a job of the other kind.
+func TestTenantQuotaSpansKinds(t *testing.T) {
+	ts := newOptServer(t, WithTenantQuota(1))
+	bigMC := `{"kernels":["fir"],"samples":100000000,"policy":"triads","triads":[{"tclk":4,"vdd":0.9,"vbb":0}]}`
+	smallMC := `{"kernels":["fir"],"samples":1,"policy":"triads","triads":[{"tclk":4,"vdd":0.9,"vbb":0}]}`
+	smallSweep := `{"widths":[4],"patterns":20}`
+
+	submitAs := func(tenant, path, body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Vos-Tenant", tenant)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sr SubmitResponse
+		json.NewDecoder(resp.Body).Decode(&sr)
+		return resp.StatusCode, sr.ID
+	}
+	for _, c := range []struct{ tenant, holdPath, hold, tryPath, try string }{
+		{"alice", "/v1/mc", bigMC, "/v1/sweeps", smallSweep},
+		{"bob", "/v1/sweeps", bigSweepBody, "/v1/mc", smallMC},
+	} {
+		status, id := submitAs(c.tenant, c.holdPath, c.hold)
+		if status != http.StatusAccepted {
+			t.Fatalf("%s: first submit to %s: status %d", c.tenant, c.holdPath, status)
+		}
+		if status, _ := submitAs(c.tenant, c.tryPath, c.try); status != http.StatusTooManyRequests {
+			t.Errorf("%s: submit to %s with a job from %s in flight: status %d, want 429",
+				c.tenant, c.tryPath, c.holdPath, status)
+		}
+		doReq(t, http.MethodDelete, ts.URL+c.holdPath+"/"+id, "").Body.Close()
+	}
+}
+
 func waitTerminal(t *testing.T, ts *httptest.Server, id string) {
 	t.Helper()
 	for i := 0; i < 1000; i++ {

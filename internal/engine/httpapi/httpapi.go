@@ -53,7 +53,7 @@ type ErrorEnvelope struct {
 	Error ErrorInfo `json:"error"`
 }
 
-// SubmitResponse is the 202 body of POST /v1/sweeps.
+// SubmitResponse is the 202 body of POST /v1/sweeps and POST /v1/mc.
 type SubmitResponse struct {
 	ID string `json:"id"`
 }
@@ -109,14 +109,14 @@ func WithClusterStatus(status func() any) Option {
 }
 
 // WithTenantQuota caps the number of in-flight (pending or running)
-// sweeps per tenant; submissions beyond the cap are rejected with a 429
-// quota_exceeded envelope. Tenants are named by the X-Vos-Tenant
-// request header (missing or empty means "default"); the header is
-// self-declared, so this is cooperative fair-use accounting, not
-// authentication. n <= 0 disables the quota. The exempt tenants bypass
-// the cap entirely — the cluster layer exempts its shard-dispatch
-// tenant so a coordinator's fan-out is never throttled by the very
-// sweep that spawned it.
+// jobs — sweeps and Monte Carlo jobs together — per tenant; submissions
+// beyond the cap are rejected with a 429 quota_exceeded envelope.
+// Tenants are named by the X-Vos-Tenant request header (missing or empty
+// means "default"); the header is self-declared, so this is cooperative
+// fair-use accounting, not authentication. n <= 0 disables the quota.
+// The exempt tenants bypass the cap entirely — the cluster layer exempts
+// its shard-dispatch tenant so a coordinator's fan-out is never
+// throttled by the very job that spawned it.
 func WithTenantQuota(n int, exempt ...string) Option {
 	return func(s *server) {
 		if n <= 0 {
@@ -156,13 +156,17 @@ func New(eng *engine.Engine, opts ...Option) http.Handler {
 		opt(s)
 	}
 	m := http.NewServeMux()
-	m.HandleFunc("POST /v1/sweeps", s.submitSweep)
+	mountJobs(s, m, "/v1/sweeps", jobRoutes[engine.Request, engine.Sweep, engine.SweepEvent]{
+		noun: "sweep", submit: eng.Submit, get: eng.Get, subscribe: eng.Subscribe, cancel: eng.Cancel,
+		info:       engine.Sweep.Info,
+		statusOnly: func(sw engine.Sweep) engine.Sweep { sw.Results = nil; return sw },
+	})
 	m.HandleFunc("GET /v1/sweeps", s.listSweeps)
-	m.HandleFunc("GET /v1/sweeps/{id}", s.getSweep)
-	m.HandleFunc("GET /v1/sweeps/{id}/results", s.getResults)
-	m.HandleFunc("GET /v1/sweeps/{id}/events", s.sweepEvents)
-	m.HandleFunc("DELETE /v1/sweeps/{id}", s.cancelSweep)
-	s.registerMC(m)
+	mountJobs(s, m, "/v1/mc", jobRoutes[engine.MCRequest, engine.MCJob, engine.MCEvent]{
+		noun: "mc job", submit: eng.SubmitMC, get: eng.GetMC, subscribe: eng.SubscribeMC, cancel: eng.CancelMC,
+		info:       engine.MCJob.Info,
+		statusOnly: func(job engine.MCJob) engine.MCJob { job.Points = nil; return job },
+	})
 	m.HandleFunc("GET /v1/cache/stats", s.cacheStats)
 	m.HandleFunc("GET /v1/cache/entries/{key}", s.getCacheEntry)
 	m.HandleFunc("PUT /v1/cache/entries/{key}", s.putCacheEntry)
@@ -231,9 +235,11 @@ type server struct {
 	store         CacheStore
 	clusterStatus func() any
 	quota         *tenantQuota
+	// lookups resolve the job IDs of each mounted kind (see mountJobs).
+	lookups []func(id string) (engine.JobInfo, bool)
 }
 
-// tenantQuota tracks each tenant's in-flight sweep ids. The mutex spans
+// tenantQuota tracks each tenant's in-flight job ids. The mutex spans
 // the count-check and the submission, so concurrent submissions cannot
 // overshoot the cap.
 type tenantQuota struct {
@@ -244,15 +250,15 @@ type tenantQuota struct {
 }
 
 // admit checks the tenant against the cap and, when within it, runs
-// submit and records the returned id. Terminal sweeps are pruned on
-// every check, so the registry tracks only live work.
-func (q *tenantQuota) admit(tenant string, statusOf func(id string) (engine.Status, bool),
+// submit and records the returned id. Terminal jobs are pruned on every
+// check, so the registry tracks only live work.
+func (q *tenantQuota) admit(tenant string, lookup func(id string) (engine.JobInfo, bool),
 	submit func() (string, error)) (string, error, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	kept := q.live[tenant][:0]
 	for _, id := range q.live[tenant] {
-		if st, ok := statusOf(id); ok && !(st == engine.StatusDone || st == engine.StatusFailed || st == engine.StatusCanceled) {
+		if job, ok := lookup(id); ok && !(job.Status == engine.StatusDone || job.Status == engine.StatusFailed || job.Status == engine.StatusCanceled) {
 			kept = append(kept, id)
 		}
 	}
@@ -295,40 +301,6 @@ func Tenant(r *http.Request) string {
 	return "default"
 }
 
-func (s *server) submitSweep(w http.ResponseWriter, r *http.Request) {
-	var req engine.Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "decode request: %v", err)
-		return
-	}
-	submit := func() (string, error) { return s.eng.Submit(req) }
-	var id string
-	var err error
-	if s.quota != nil && !s.quota.exempt[Tenant(r)] {
-		tenant := Tenant(r)
-		statusOf := func(id string) (engine.Status, bool) {
-			sw, ok := s.eng.Get(id)
-			return sw.Status, ok
-		}
-		var admitted bool
-		id, err, admitted = s.quota.admit(tenant, statusOf, submit)
-		if !admitted {
-			writeError(w, http.StatusTooManyRequests, CodeQuotaExceeded,
-				"tenant %q already has %d in-flight sweeps", tenant, s.quota.max)
-			return
-		}
-	} else {
-		id, err = submit()
-	}
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: id})
-}
-
 // writeSubmitError maps a Submit/SubmitMC failure to the envelope. The
 // lifecycle refusals are retryable and say so with a Retry-After header:
 // recovery typically completes in seconds, and a draining daemon's
@@ -361,94 +333,14 @@ func (s *server) unknownID(w http.ResponseWriter, kind, id string) {
 	writeError(w, http.StatusNotFound, CodeNotFound, "unknown %s %q", kind, id)
 }
 
-// statusOnly strips the (potentially large) results from a sweep snapshot
-// for the status and list endpoints.
-func statusOnly(sw engine.Sweep) engine.Sweep {
-	sw.Results = nil
-	return sw
-}
-
+// listSweeps answers GET /v1/sweeps with every sweep's status, results
+// stripped.
 func (s *server) listSweeps(w http.ResponseWriter, r *http.Request) {
 	sweeps := s.eng.List()
 	for i := range sweeps {
-		sweeps[i] = statusOnly(sweeps[i])
+		sweeps[i].Results = nil
 	}
 	writeJSON(w, http.StatusOK, sweeps)
-}
-
-func (s *server) getSweep(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.eng.Get(r.PathValue("id"))
-	if !ok {
-		s.unknownID(w, "sweep", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, statusOnly(sw))
-}
-
-func (s *server) getResults(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.eng.Get(r.PathValue("id"))
-	if !ok {
-		s.unknownID(w, "sweep", r.PathValue("id"))
-		return
-	}
-	switch sw.Status {
-	case engine.StatusDone:
-		writeJSON(w, http.StatusOK, sw)
-	case engine.StatusFailed:
-		writeError(w, http.StatusGone, CodeSweepFailed, "sweep %s failed: %s", sw.ID, sw.Error)
-	case engine.StatusCanceled:
-		writeError(w, http.StatusGone, CodeSweepCanceled, "sweep %s canceled: %s", sw.ID, sw.Error)
-	default:
-		writeError(w, http.StatusConflict, CodeSweepRunning,
-			"sweep %s is %s (%d/%d points); poll again or stream /events",
-			sw.ID, sw.Status, sw.Progress.Completed, sw.Progress.TotalPoints)
-	}
-}
-
-// sweepEvents streams the sweep's event feed as NDJSON (one JSON object
-// per line, application/x-ndjson) until the terminal event, flushing
-// after every event so clients see points as they complete. The stream
-// always begins with a snapshot event, so subscribing to a finished
-// sweep yields exactly its terminal event.
-func (s *server) sweepEvents(w http.ResponseWriter, r *http.Request) {
-	ch, cancel, ok := s.eng.Subscribe(r.PathValue("id"))
-	if !ok {
-		s.unknownID(w, "sweep", r.PathValue("id"))
-		return
-	}
-	defer cancel()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				return
-			}
-			if err := enc.Encode(ev); err != nil {
-				return // client went away
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func (s *server) cancelSweep(w http.ResponseWriter, r *http.Request) {
-	switch err := s.eng.Cancel(r.PathValue("id")); {
-	case err == nil:
-		w.WriteHeader(http.StatusNoContent)
-	case errors.Is(err, engine.ErrAlreadyDone):
-		writeError(w, http.StatusConflict, CodeAlreadyDone, "%v", err)
-	default:
-		s.unknownID(w, "sweep", r.PathValue("id"))
-	}
 }
 
 func (s *server) cacheStats(w http.ResponseWriter, r *http.Request) {

@@ -16,7 +16,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -216,271 +215,79 @@ type MCEvent struct {
 	Error string `json:"error,omitempty"`
 }
 
-// MCSharder distributes one Monte Carlo point's rep range across a
-// cluster. The engine offers every full-range point of a clustered
-// job; the implementation splits [0, reps) into contiguous ranges,
-// dispatches them as rep-range sub-jobs to ring members (falling back
-// to runLocal for its own share and for ranges whose owner fails), and
-// returns the merged point. runLocal computes [lo, hi) on the local
-// pool and is safe for concurrent calls.
-type MCSharder interface {
-	RunMCPoint(ctx context.Context, req MCRequest, kernel string, tr triad.Triad, reps int,
-		runLocal func(lo, hi int) (*MCPoint, error)) (*MCPoint, error)
+// Info returns the snapshot's lifecycle fields.
+func (j MCJob) Info() JobInfo {
+	return JobInfo{ID: j.ID, Kind: JobKindMC, Status: j.Status, Error: j.Error, Created: j.Created,
+		Started: j.Started, Finished: j.Finished, Progress: j.Progress}
 }
 
-// mcState is the engine-internal mutable job record, mirroring
-// sweepState (same lock discipline: mu serializes snapshot updates and
-// event publication).
-type mcState struct {
-	mu      sync.Mutex
-	snap    MCJob
-	cancel  context.CancelFunc
-	done    chan struct{}
-	subs    map[*mcSubscriber]struct{}
-	history []MCEvent
-	// recovered marks states rebuilt from the journal; lastTouch is the
-	// lease clock (see leaseReaper). cells holds completed cell payloads
-	// by cell index — prefilled from the journal on re-adoption (runMC
-	// serves them without recomputation) and maintained while a
-	// journaled job runs, because MC reps are not cached anywhere else
-	// and compaction snapshots need them. All under mu.
-	recovered bool
-	lastTouch time.Time
-	cells     map[int]*MCPoint
-}
+type mcJob = job[MCRequest, []MCPoint, MCJob, MCEvent]
 
-type mcSubscriber struct {
-	ch chan MCEvent
-}
-
-func (s *mcState) update(f func(*MCJob)) {
-	s.mu.Lock()
-	f(&s.snap)
-	s.mu.Unlock()
-}
-
-func (s *mcState) eventLocked(typ string) MCEvent {
-	return MCEvent{
-		Type:     typ,
-		JobID:    s.snap.ID,
-		Status:   s.snap.Status,
-		Progress: s.snap.Progress,
-		Error:    s.snap.Error,
+// mcKind is the Monte Carlo job kind: IDs "mc-000001", …, journal
+// records "mc.*" with each completed cell on its own point record.
+func (e *Engine) mcKind() *jobKind[MCRequest, []MCPoint, MCJob, MCEvent] {
+	return &jobKind[MCRequest, []MCPoint, MCJob, MCEvent]{
+		name: JobKindMC, prefix: "mc-", noun: "mc job",
+		normalize: (*MCRequest).normalize,
+		leaseSec:  func(r *MCRequest) int { return r.LeaseSec },
+		run:       e.runMC,
+		snapshot: func(h *JobInfo, req MCRequest, out []MCPoint) MCJob {
+			return MCJob{ID: h.ID, Request: req, Status: h.Status, Error: h.Error, Created: h.Created,
+				Started: h.Started, Finished: h.Finished, Progress: h.Progress,
+				Points: append([]MCPoint(nil), out...)}
+		},
+		event: func(h *JobInfo, typ string) MCEvent {
+			return MCEvent{Type: typ, JobID: h.ID, Status: h.Status, Progress: h.Progress, Error: h.Error}
+		},
+		pointEvents: func(h *JobInfo, out []MCPoint) []MCEvent {
+			evs := make([]MCEvent, len(out))
+			for i, p := range out {
+				evs[i] = MCEvent{Type: EventPoint, JobID: h.ID, Status: h.Status, Progress: h.Progress, Point: &p}
+			}
+			return evs
+		},
+		walReq: func(w *walRec) **MCRequest { return &w.MCReq },
+		fromCells: func(cells []*MCPoint) []MCPoint {
+			out := make([]MCPoint, len(cells))
+			for i, c := range cells {
+				out[i] = *c
+			}
+			return out
+		},
 	}
-}
-
-func (s *mcState) publishLocked(ev MCEvent) {
-	s.history = append(s.history, ev)
-	last := terminal(ev.Status)
-	for sub := range s.subs {
-		if last {
-			sub.ch <- ev // reserved slot: cannot block
-			close(sub.ch)
-			delete(s.subs, sub)
-			continue
-		}
-		if len(sub.ch) < cap(sub.ch)-1 {
-			sub.ch <- ev
-		}
-	}
-}
-
-func (s *mcState) updateAndPublish(f func(*MCJob), decorate func(*MCEvent)) {
-	s.mu.Lock()
-	f(&s.snap)
-	typ := EventProgress
-	if terminal(s.snap.Status) {
-		typ = terminalEventType(s.snap.Status)
-	}
-	ev := s.eventLocked(typ)
-	if decorate != nil {
-		decorate(&ev)
-	}
-	s.publishLocked(ev)
-	s.mu.Unlock()
-}
-
-func (s *mcState) snapshot() MCJob {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.snap
-	out.Points = append([]MCPoint(nil), s.snap.Points...)
-	return out
 }
 
 // SubmitMC registers a Monte Carlo job and starts it asynchronously,
 // returning its ID. During journal replay it refuses with
 // ErrRecovering, after StartDrain with ErrDraining.
-func (e *Engine) SubmitMC(req MCRequest) (string, error) {
-	if err := req.normalize(); err != nil {
-		return "", err
-	}
-	switch e.life.Load() {
-	case lifeRecovering:
-		return "", ErrRecovering
-	case lifeDraining:
-		return "", ErrDraining
-	}
-	ctx, cancel := context.WithCancel(e.ctx)
-	e.sweepMu.Lock()
-	if e.closed {
-		e.sweepMu.Unlock()
-		cancel()
-		return "", ErrClosed
-	}
-	e.sweepWg.Add(1)
-	e.mcSeq++
-	id := fmt.Sprintf("mc-%06d", e.mcSeq)
-	st := &mcState{
-		snap:      MCJob{ID: id, Request: req, Status: StatusPending, Created: time.Now()},
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		lastTouch: time.Now(),
-	}
-	e.mcs[id] = st
-	e.pruneMCLocked()
-	e.sweepMu.Unlock()
-	e.journalMCAccept(st)
-	go func() {
-		defer e.sweepWg.Done()
-		e.runMC(ctx, st)
-	}()
-	return id, nil
-}
-
-// pruneMCLocked evicts the oldest finished jobs beyond the retention
-// cap (shared with sweeps: maxRetainedSweeps). Running jobs and
-// finished jobs with a live events subscriber are never evicted —
-// matching pruneSweepsLocked. Callers hold sweepMu.
-func (e *Engine) pruneMCLocked() {
-	if len(e.mcs) <= maxRetainedSweeps {
-		return
-	}
-	ids := make([]string, 0, len(e.mcs))
-	for id := range e.mcs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		if len(e.mcs) <= maxRetainedSweeps {
-			return
-		}
-		st := e.mcs[id]
-		select {
-		case <-st.done:
-			st.mu.Lock()
-			live := len(st.subs) > 0
-			st.mu.Unlock()
-			if !live {
-				delete(e.mcs, id)
-			}
-		default:
-		}
-	}
-}
+func (e *Engine) SubmitMC(req MCRequest) (string, error) { return e.mcs.submit(req) }
 
 // MCJobCount returns the number of Monte Carlo jobs ever submitted to
 // this engine, including cluster rep-range sub-jobs (tests use it to
 // confirm a job was actually distributed).
 func (e *Engine) MCJobCount() uint64 {
-	e.sweepMu.Lock()
-	defer e.sweepMu.Unlock()
-	return e.mcSeq
+	e.jobsMu.Lock()
+	defer e.jobsMu.Unlock()
+	return e.mcs.seq
 }
 
 // GetMC returns a snapshot of the job with the given ID. A lookup
 // counts as an observation for the job's coordinator lease, if any.
-func (e *Engine) GetMC(id string) (MCJob, bool) {
-	e.sweepMu.Lock()
-	st, ok := e.mcs[id]
-	e.sweepMu.Unlock()
-	if !ok {
-		return MCJob{}, false
-	}
-	st.touch()
-	return st.snapshot(), true
-}
+func (e *Engine) GetMC(id string) (MCJob, bool) { return e.mcs.get(id) }
 
 // CancelMC cancels a pending or running job. Like Cancel, it returns
 // ErrUnknownJob for an unknown ID and ErrAlreadyDone for a job already
 // in a terminal state.
-func (e *Engine) CancelMC(id string) error {
-	e.sweepMu.Lock()
-	st, ok := e.mcs[id]
-	e.sweepMu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: mc job %q", ErrUnknownJob, id)
-	}
-	st.mu.Lock()
-	finished := terminal(st.snap.Status)
-	st.mu.Unlock()
-	if finished {
-		return fmt.Errorf("%w: mc job %q", ErrAlreadyDone, id)
-	}
-	st.cancel()
-	return nil
-}
+func (e *Engine) CancelMC(id string) error { return e.mcs.cancelJob(id) }
 
 // WaitMC blocks until the job finishes (any terminal status) or the
 // context is canceled, returning the final snapshot.
-func (e *Engine) WaitMC(ctx context.Context, id string) (MCJob, error) {
-	e.sweepMu.Lock()
-	st, ok := e.mcs[id]
-	e.sweepMu.Unlock()
-	if !ok {
-		return MCJob{}, fmt.Errorf("engine: unknown mc job %q", id)
-	}
-	st.touch()
-	select {
-	case <-st.done:
-		return st.snapshot(), nil
-	case <-ctx.Done():
-		return st.snapshot(), ctx.Err()
-	}
-}
+func (e *Engine) WaitMC(ctx context.Context, id string) (MCJob, error) { return e.mcs.wait(ctx, id) }
 
 // SubscribeMC returns the job's event channel: a replay of every event
 // published so far, then the live tail, closed after the terminal
 // event. Semantics match Subscribe (sweeps) exactly.
-func (e *Engine) SubscribeMC(id string) (<-chan MCEvent, func(), bool) {
-	e.sweepMu.Lock()
-	st, ok := e.mcs[id]
-	e.sweepMu.Unlock()
-	if !ok {
-		return nil, nil, false
-	}
-	st.touch()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	capacity := len(st.history) + (st.snap.Progress.TotalPoints - st.snap.Progress.Completed) + 8
-	if capacity < eventBuffer {
-		capacity = eventBuffer
-	}
-	sub := &mcSubscriber{ch: make(chan MCEvent, capacity)}
-	if len(st.history) == 0 {
-		sub.ch <- st.eventLocked(EventProgress)
-	}
-	for _, ev := range st.history {
-		sub.ch <- ev
-	}
-	if terminal(st.snap.Status) {
-		close(sub.ch)
-		return sub.ch, func() {}, true
-	}
-	if st.subs == nil {
-		st.subs = make(map[*mcSubscriber]struct{})
-	}
-	st.subs[sub] = struct{}{}
-	cancel := func() {
-		st.mu.Lock()
-		if _, live := st.subs[sub]; live {
-			delete(st.subs, sub)
-			close(sub.ch)
-		}
-		st.mu.Unlock()
-	}
-	return sub.ch, cancel, true
-}
+func (e *Engine) SubscribeMC(id string) (<-chan MCEvent, func(), bool) { return e.mcs.subscribe(id) }
 
 // kernelSeed folds a kernel name into a job seed so each kernel of a
 // job draws from an independent deterministic stream.
@@ -507,11 +314,8 @@ const mcChunkReps = 32
 // runMC executes one job: prepare the operator, expand the (kernel ×
 // triad) grid, fan cells out (to the cluster when sharded, the local
 // pool otherwise), fold results.
-func (e *Engine) runMC(ctx context.Context, st *mcState) {
-	defer close(st.done)
-	defer st.cancel()
-
-	req := st.snapshot().Request
+func (e *Engine) runMC(ctx context.Context, j *mcJob) ([]MCPoint, error) {
+	req := j.req
 	cfg := charz.Config{
 		Arch:     mustArch(req.Arch),
 		Width:    apps.Word,
@@ -521,8 +325,7 @@ func (e *Engine) runMC(ctx context.Context, st *mcState) {
 	}
 	prep, err := e.Prepare(ctx, cfg)
 	if err != nil {
-		e.finishMC(st, err)
-		return
+		return nil, err
 	}
 	trs := req.Triads
 	if req.Policy != PolicyExplicit {
@@ -539,104 +342,59 @@ func (e *Engine) runMC(ctx context.Context, st *mcState) {
 			cells = append(cells, cell{kernel: k, tr: tr})
 		}
 	}
-	st.updateAndPublish(func(j *MCJob) {
-		j.Status = StatusRunning
-		j.Started = time.Now()
-		j.Progress.TotalPoints = len(cells)
-	}, nil)
+	j.running(len(cells))
 
 	points := make([]MCPoint, len(cells))
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			st.cancel()
-		}
-		errMu.Unlock()
-	}
-	sharder, _ := e.sharder.(MCSharder)
-	for ci := range cells {
-		c := cells[ci]
-		wg.Add(1)
-		go func(ci int, c cell) {
-			defer wg.Done()
+	tasks := make([]func() error, len(cells))
+	for ci, c := range cells {
+		tasks[ci] = func() error {
 			// A cell already journaled by a previous incarnation of this
 			// job (crash recovery) is served from the replayed payload —
 			// reps are recomputed nowhere.
-			st.mu.Lock()
-			cached := st.cells[ci]
-			st.mu.Unlock()
-			if cached != nil {
-				pt := *cached
-				points[ci] = pt
-				st.updateAndPublish(func(j *MCJob) {
-					j.Progress.Completed++
-					j.Progress.CacheHits++
-				}, func(ev *MCEvent) {
-					ev.Type = EventPoint
-					p := pt
-					ev.Point = &p
-				})
-				return
-			}
-			reps := MCReps(req.Samples, c.kernel)
-			runLocal := func(lo, hi int) (*MCPoint, error) {
-				return e.runMCRange(ctx, prep, &req, c.kernel, c.tr, lo, hi)
-			}
-			var pt *MCPoint
-			var err error
-			if sharder != nil && req.RepHi == 0 {
-				pt, err = sharder.RunMCPoint(ctx, req, c.kernel.Name, c.tr, reps, runLocal)
-			} else {
-				lo, hi := 0, reps
-				if req.RepHi > 0 {
-					lo, hi = req.RepLo, req.RepHi
-					if hi > reps {
-						hi = reps
-					}
-					if lo >= hi {
-						err = fmt.Errorf("engine: mc rep range [%d, %d) outside [0, %d)", req.RepLo, req.RepHi, reps)
-					}
+			j.mu.Lock()
+			pt := j.cells[ci]
+			j.mu.Unlock()
+			cached := pt != nil
+			if !cached {
+				var err error
+				if pt, err = e.runCell(ctx, prep, &req, c.kernel, c.tr); err != nil {
+					return err
 				}
-				if err == nil {
-					pt, err = runLocal(lo, hi)
-				}
-			}
-			if err != nil {
-				fail(err)
-				return
+				e.mcs.journalCell(j, ci, pt)
 			}
 			points[ci] = *pt
-			if e.journal != nil {
-				st.mu.Lock()
-				if st.cells == nil {
-					st.cells = make(map[int]*MCPoint)
-				}
-				cp := *pt
-				st.cells[ci] = &cp
-				st.mu.Unlock()
-				e.journalMCPoint(st.snap.ID, ci, pt)
-			}
-			st.updateAndPublish(func(j *MCJob) {
-				j.Progress.Completed++
-				j.Progress.Executed++
-			}, func(ev *MCEvent) {
-				ev.Type = EventPoint
+			j.point(cached, func(ev *MCEvent) {
 				p := *pt
-				ev.Point = &p
+				ev.Type, ev.Point = EventPoint, &p
 			})
-		}(ci, c)
+			return nil
+		}
 	}
-	wg.Wait()
-	if firstErr != nil {
-		e.finishMC(st, firstErr)
-		return
+	if err := j.fanOut(tasks); err != nil {
+		return nil, err
 	}
-	st.update(func(j *MCJob) { j.Points = points })
-	e.finishMC(st, nil)
+	return points, nil
+}
+
+// runCell computes one (kernel, triad) cell: through the sharder for a
+// full-range point of a clustered engine, on the local pool otherwise.
+func (e *Engine) runCell(ctx context.Context, prep *charz.Prepared, req *MCRequest,
+	k apps.MCKernel, tr triad.Triad) (*MCPoint, error) {
+	reps := MCReps(req.Samples, k)
+	runLocal := func(lo, hi int) (*MCPoint, error) {
+		return e.runMCRange(ctx, prep, req, k, tr, lo, hi)
+	}
+	if e.sharder != nil && req.RepHi == 0 {
+		return e.sharder.RunMCPoint(ctx, *req, k.Name, tr, reps, runLocal)
+	}
+	lo, hi := 0, reps
+	if req.RepHi > 0 {
+		lo, hi = req.RepLo, min(req.RepHi, reps)
+		if lo >= hi {
+			return nil, fmt.Errorf("engine: mc rep range [%d, %d) outside [0, %d)", req.RepLo, req.RepHi, reps)
+		}
+	}
+	return runLocal(lo, hi)
 }
 
 // mustArch resolves a pre-validated architecture name.
@@ -814,27 +572,4 @@ func MergeMCPartials(parts []*MCPoint) *MCPoint {
 		out.RepLo, out.RepHi = 0, 0
 	}
 	return out
-}
-
-// finishMC finalizes the job snapshot and publishes the terminal event.
-// Status derivation matches finishSweep: the first error decides between
-// failed and canceled, with engine shutdown counting as cancellation.
-func (e *Engine) finishMC(st *mcState, err error) {
-	st.updateAndPublish(func(j *MCJob) {
-		j.Finished = time.Now()
-		switch {
-		case err == nil:
-			j.Status = StatusDone
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded), errors.Is(err, ErrClosed):
-			j.Status = StatusCanceled
-			j.Error = err.Error()
-		default:
-			j.Status = StatusFailed
-			j.Error = err.Error()
-		}
-	}, nil)
-	// Persist the terminal state — unless the cancellation is the engine
-	// shutting down, in which case the journal entry stays unfinished and
-	// the next boot resumes the job (recover.go).
-	e.journalMCEnd(st)
 }

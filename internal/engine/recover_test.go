@@ -412,58 +412,40 @@ func TestLeaseReaping(t *testing.T) {
 func TestPruneRetainsLiveSubscribers(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1})
 
-	e.sweepMu.Lock()
-	defer e.sweepMu.Unlock()
-	for i := 1; i <= maxRetainedSweeps+2; i++ {
-		st := &sweepState{
-			snap:   Sweep{ID: fmt.Sprintf("s-%06d", i), Status: StatusDone},
+	e.jobsMu.Lock()
+	defer e.jobsMu.Unlock()
+	r := e.sweeps
+	for i := 1; i <= maxRetainedJobs+2; i++ {
+		j := &sweepJob{
+			head:   JobInfo{ID: fmt.Sprintf("s-%06d", i), Status: StatusDone},
 			cancel: func() {},
 			done:   make(chan struct{}),
 		}
-		close(st.done)
-		e.sweeps[st.snap.ID] = st
+		close(j.done)
+		r.jobs[j.head.ID] = j
 	}
-	oldest := e.sweeps["s-000001"]
-	sub := &subscriber{ch: make(chan SweepEvent, 1)}
-	oldest.subs = map[*subscriber]struct{}{sub: {}}
+	oldest := r.jobs["s-000001"]
+	sub := make(chan SweepEvent, 1)
+	oldest.subs = map[chan SweepEvent]struct{}{sub: {}}
 
-	e.pruneSweepsLocked()
-	if _, ok := e.sweeps["s-000001"]; !ok {
+	r.pruneLocked()
+	if _, ok := r.jobs["s-000001"]; !ok {
 		t.Fatal("prune evicted a finished sweep with a live subscriber")
 	}
-	if len(e.sweeps) != maxRetainedSweeps {
-		t.Fatalf("%d sweeps retained, want %d (prune must skip past the live one)", len(e.sweeps), maxRetainedSweeps)
+	if len(r.jobs) != maxRetainedJobs {
+		t.Fatalf("%d sweeps retained, want %d (prune must skip past the live one)", len(r.jobs), maxRetainedJobs)
 	}
 
 	// Once the stream is released the cap applies normally again.
 	delete(oldest.subs, sub)
-	st := &sweepState{snap: Sweep{ID: "s-z"}, cancel: func() {}, done: make(chan struct{})}
-	st.snap.Status = StatusDone
-	close(st.done)
-	e.sweeps[st.snap.ID] = st
-	e.pruneSweepsLocked()
-	if _, ok := e.sweeps["s-000001"]; ok {
+	j := &sweepJob{head: JobInfo{ID: "s-z"}, cancel: func() {}, done: make(chan struct{})}
+	j.head.Status = StatusDone
+	close(j.done)
+	r.jobs[j.head.ID] = j
+	r.pruneLocked()
+	if _, ok := r.jobs["s-000001"]; ok {
 		t.Fatal("released sweep survived the next prune")
 	}
-
-	// Mirror on the Monte Carlo registry.
-	for i := 1; i <= maxRetainedSweeps+2; i++ {
-		st := &mcState{
-			snap:   MCJob{ID: fmt.Sprintf("mc-%06d", i), Status: StatusDone},
-			cancel: func() {},
-			done:   make(chan struct{}),
-		}
-		close(st.done)
-		e.mcs[st.snap.ID] = st
-	}
-	mcOldest := e.mcs["mc-000001"]
-	mcSub := &mcSubscriber{ch: make(chan MCEvent, 1)}
-	mcOldest.subs = map[*mcSubscriber]struct{}{mcSub: {}}
-	e.pruneMCLocked()
-	if _, ok := e.mcs["mc-000001"]; !ok {
-		t.Fatal("prune evicted a finished mc job with a live subscriber")
-	}
-	delete(mcOldest.subs, mcSub)
 }
 
 // TestCancelErrorCodes pins the cancel error surface both registries

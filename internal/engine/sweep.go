@@ -2,10 +2,7 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/charz"
@@ -288,23 +285,33 @@ func pointGroups(p *OperatorPlan, super bool) [][]int {
 	return groups
 }
 
-// Sharder distributes the point groups of one planned operator across a
-// cluster of engines. The engine consults it for every declarative
-// sweep; explicit-triad sweeps always run where they were submitted,
-// which is what terminates shard recursion — a shard sub-sweep is
-// explicit by construction, so the receiving node never re-shards it.
+// Sharder distributes work across a cluster of engines.
 //
-// RunOperator must arrange for every triad index of the plan to be
-// yielded exactly once: remotely computed points through yield, local
-// shares through runLocal (which executes one electrical group — one
-// groups element — on the local engine's cache/singleflight/pool path
-// and yields its points itself). It returns once every point has been
-// yielded, or with the first error; runLocal and yield are safe for
-// concurrent use.
+// RunOperator distributes the point groups of one planned operator. The
+// engine consults it for every declarative sweep; explicit-triad sweeps
+// always run where they were submitted, which is what terminates shard
+// recursion — a shard sub-sweep is explicit by construction, so the
+// receiving node never re-shards it. RunOperator must arrange for every
+// triad index of the plan to be yielded exactly once: remotely computed
+// points through yield, local shares through runLocal (which executes
+// one electrical group — one groups element — on the local engine's
+// cache/singleflight/pool path and yields its points itself). It returns
+// once every point has been yielded, or with the first error; runLocal
+// and yield are safe for concurrent use.
+//
+// RunMCPoint distributes one Monte Carlo point's rep range. The engine
+// offers every full-range point of a job; the implementation splits
+// [0, reps) into contiguous ranges, dispatches them as rep-range
+// sub-jobs (falling back to runLocal for its own share and for ranges
+// whose owner fails), and returns the merged point. runLocal computes
+// [lo, hi) on the local pool and is safe for concurrent calls. Rep-range
+// jobs are never offered, which terminates recursion the same way.
 type Sharder interface {
 	RunOperator(ctx context.Context, plan *OperatorPlan, groups [][]int,
 		runLocal func(idxs []int) error,
 		yield func(ti int, ps PointSummary)) error
+	RunMCPoint(ctx context.Context, req MCRequest, kernel string, tr triad.Triad, reps int,
+		runLocal func(lo, hi int) (*MCPoint, error)) (*MCPoint, error)
 }
 
 // Status is a sweep's lifecycle state.
@@ -376,239 +383,95 @@ type Sweep struct {
 	Results []OperatorResult `json:"results,omitempty"`
 }
 
-// sweepState is the engine-internal mutable job record.
-type sweepState struct {
-	mu     sync.Mutex
-	snap   Sweep
-	cancel context.CancelFunc
-	done   chan struct{}
-	// subs are the live event subscribers and history the sweep's full
-	// replayable event log (events.go); mu serializes snapshot updates
-	// and event publication, so every subscriber sees events in snapshot
-	// order.
-	subs    map[*subscriber]struct{}
-	history []SweepEvent
-	// recovered marks states rebuilt from the journal (recover.go);
-	// lastTouch is the lease clock — the last time anyone observed the
-	// job (see leaseReaper). Both under mu.
-	recovered bool
-	lastTouch time.Time
+// Info returns the snapshot's lifecycle fields.
+func (s Sweep) Info() JobInfo {
+	return JobInfo{ID: s.ID, Kind: JobKindSweep, Status: s.Status, Error: s.Error, Created: s.Created,
+		Started: s.Started, Finished: s.Finished, Progress: s.Progress}
 }
 
-func (s *sweepState) update(f func(*Sweep)) {
-	s.mu.Lock()
-	f(&s.snap)
-	s.mu.Unlock()
-}
+type sweepJob = job[Request, []OperatorResult, Sweep, SweepEvent]
 
-// updateAndPublish applies a snapshot mutation and emits the resulting
-// event to all subscribers in one critical section.
-func (s *sweepState) updateAndPublish(f func(*Sweep), decorate func(*SweepEvent)) {
-	s.mu.Lock()
-	f(&s.snap)
-	typ := EventProgress
-	if terminal(s.snap.Status) {
-		typ = terminalEventType(s.snap.Status)
+// sweepKind is the sweep job kind: IDs "s-000001", …, journal records
+// "sweep.*" with the results on the end record.
+func (e *Engine) sweepKind() *jobKind[Request, []OperatorResult, Sweep, SweepEvent] {
+	return &jobKind[Request, []OperatorResult, Sweep, SweepEvent]{
+		name: JobKindSweep, prefix: "s-", noun: "sweep",
+		normalize: (*Request).normalize,
+		leaseSec:  func(r *Request) int { return r.LeaseSec },
+		run:       e.runSweep,
+		snapshot: func(h *JobInfo, req Request, out []OperatorResult) Sweep {
+			return Sweep{ID: h.ID, Request: req, Status: h.Status, Error: h.Error, Created: h.Created,
+				Started: h.Started, Finished: h.Finished, Progress: h.Progress,
+				Results: append([]OperatorResult(nil), out...)}
+		},
+		event: func(h *JobInfo, typ string) SweepEvent {
+			return SweepEvent{Type: typ, SweepID: h.ID, Status: h.Status, Progress: h.Progress, Error: h.Error}
+		},
+		pointEvents: func(h *JobInfo, out []OperatorResult) []SweepEvent {
+			var evs []SweepEvent
+			for _, op := range out {
+				for _, p := range op.Points {
+					evs = append(evs, SweepEvent{Type: EventPoint, SweepID: h.ID, Status: h.Status,
+						Progress: h.Progress, Bench: op.Bench, Arch: op.Arch, Width: op.Width, Point: &p})
+				}
+			}
+			return evs
+		},
+		walReq: func(w *walRec) **Request { return &w.Req },
+		walOut: func(w *walRec) *[]OperatorResult { return &w.Results },
 	}
-	ev := s.eventLocked(typ)
-	if decorate != nil {
-		decorate(&ev)
-	}
-	s.publishLocked(ev)
-	s.mu.Unlock()
-}
-
-// snapshot deep-copies enough that callers can't race the runner.
-func (s *sweepState) snapshot() Sweep {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.snap
-	out.Results = append([]OperatorResult(nil), s.snap.Results...)
-	return out
 }
 
 // Submit registers a sweep and starts it asynchronously, returning its ID.
 // During journal replay it refuses with ErrRecovering, after StartDrain
 // with ErrDraining.
-func (e *Engine) Submit(req Request) (string, error) {
-	if err := req.normalize(); err != nil {
-		return "", err
-	}
-	switch e.life.Load() {
-	case lifeRecovering:
-		return "", ErrRecovering
-	case lifeDraining:
-		return "", ErrDraining
-	}
-	ctx, cancel := context.WithCancel(e.ctx)
-	e.sweepMu.Lock()
-	if e.closed {
-		e.sweepMu.Unlock()
-		cancel()
-		return "", ErrClosed
-	}
-	e.sweepWg.Add(1)
-	e.seq++
-	id := fmt.Sprintf("s-%06d", e.seq)
-	st := &sweepState{
-		snap:      Sweep{ID: id, Request: req, Status: StatusPending, Created: time.Now()},
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		lastTouch: time.Now(),
-	}
-	e.sweeps[id] = st
-	e.pruneSweepsLocked()
-	e.sweepMu.Unlock()
-	// Make acceptance durable before the job starts: once the caller
-	// holds the ID, a crash must not lose the job.
-	e.journalSweepAccept(st)
-	go func() {
-		defer e.sweepWg.Done()
-		e.runSweep(ctx, st)
-	}()
-	return id, nil
-}
-
-// maxRetainedSweeps bounds the registry: a long-running daemon would
-// otherwise accumulate every finished sweep's results forever.
-const maxRetainedSweeps = 256
-
-// pruneSweepsLocked evicts the oldest finished sweeps beyond the
-// retention cap. Running sweeps are never evicted, and neither is a
-// finished sweep that still has a live events subscriber — evicting it
-// would orphan the stream mid-replay. Callers hold sweepMu.
-func (e *Engine) pruneSweepsLocked() {
-	if len(e.sweeps) <= maxRetainedSweeps {
-		return
-	}
-	ids := make([]string, 0, len(e.sweeps))
-	for id := range e.sweeps {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids) // zero-padded sequence numbers: lexicographic = chronological
-	for _, id := range ids {
-		if len(e.sweeps) <= maxRetainedSweeps {
-			return
-		}
-		st := e.sweeps[id]
-		select {
-		case <-st.done:
-			st.mu.Lock()
-			live := len(st.subs) > 0
-			st.mu.Unlock()
-			if !live {
-				delete(e.sweeps, id)
-			}
-		default:
-		}
-	}
-}
+func (e *Engine) Submit(req Request) (string, error) { return e.sweeps.submit(req) }
 
 // Get returns a snapshot of the sweep with the given ID. A lookup
 // counts as an observation for the job's coordinator lease, if any.
-func (e *Engine) Get(id string) (Sweep, bool) {
-	e.sweepMu.Lock()
-	st, ok := e.sweeps[id]
-	e.sweepMu.Unlock()
-	if !ok {
-		return Sweep{}, false
-	}
-	st.touch()
-	return st.snapshot(), true
-}
+func (e *Engine) Get(id string) (Sweep, bool) { return e.sweeps.get(id) }
 
 // List returns snapshots of all sweeps, oldest first.
-func (e *Engine) List() []Sweep {
-	e.sweepMu.Lock()
-	states := make([]*sweepState, 0, len(e.sweeps))
-	for _, st := range e.sweeps {
-		states = append(states, st)
-	}
-	e.sweepMu.Unlock()
-	out := make([]Sweep, 0, len(states))
-	for _, st := range states {
-		out = append(out, st.snapshot())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+func (e *Engine) List() []Sweep { return e.sweeps.list() }
 
 // Cancel cancels a pending or running sweep. It returns ErrUnknownJob
 // for an ID the registry does not know and ErrAlreadyDone for a sweep
 // that already reached a terminal state; nil means the cancellation was
 // delivered.
-func (e *Engine) Cancel(id string) error {
-	e.sweepMu.Lock()
-	st, ok := e.sweeps[id]
-	e.sweepMu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: sweep %q", ErrUnknownJob, id)
-	}
-	st.mu.Lock()
-	finished := terminal(st.snap.Status)
-	st.mu.Unlock()
-	if finished {
-		return fmt.Errorf("%w: sweep %q", ErrAlreadyDone, id)
-	}
-	st.cancel()
-	return nil
-}
+func (e *Engine) Cancel(id string) error { return e.sweeps.cancelJob(id) }
 
 // Wait blocks until the sweep finishes (any terminal status) or the
 // context is canceled, returning the final snapshot.
-func (e *Engine) Wait(ctx context.Context, id string) (Sweep, error) {
-	e.sweepMu.Lock()
-	st, ok := e.sweeps[id]
-	e.sweepMu.Unlock()
-	if !ok {
-		return Sweep{}, fmt.Errorf("engine: unknown sweep %q", id)
-	}
-	st.touch()
-	select {
-	case <-st.done:
-		return st.snapshot(), nil
-	case <-ctx.Done():
-		return st.snapshot(), ctx.Err()
-	}
+func (e *Engine) Wait(ctx context.Context, id string) (Sweep, error) { return e.sweeps.wait(ctx, id) }
+
+// Subscribe returns the sweep's event channel: first a replay of every
+// event published so far (the per-point history is retained for the
+// sweep's lifetime), then the live tail. The channel is closed after the
+// terminal event; the returned cancel function releases the subscription
+// early (it is safe to call after the close, and must be called
+// eventually). Because of the replay, a subscriber joining at any time —
+// even after the sweep finished — sees at least one point event per
+// completed operator before the terminal event.
+func (e *Engine) Subscribe(id string) (<-chan SweepEvent, func(), bool) {
+	return e.sweeps.subscribe(id)
 }
 
 // runSweep executes one sweep: plan, fan the points out over the pool,
 // fold the results.
-func (e *Engine) runSweep(ctx context.Context, st *sweepState) {
-	defer close(st.done)
-	defer st.cancel()
-
-	req := st.snapshot().Request
+func (e *Engine) runSweep(ctx context.Context, j *sweepJob) ([]OperatorResult, error) {
+	req := j.req
 	plans, err := e.Plan(ctx, &req)
 	if err != nil {
-		e.finishSweep(st, err)
-		return
+		return nil, err
 	}
 	total := 0
 	for _, p := range plans {
 		total += len(p.Triads)
 	}
-	st.updateAndPublish(func(s *Sweep) {
-		s.Status = StatusRunning
-		s.Started = time.Now()
-		s.Progress.TotalPoints = total
-	}, nil)
+	j.running(total)
 
 	results := make([]OperatorResult, len(plans))
-	var wg sync.WaitGroup
-	var firstErr error
-	var errMu sync.Mutex
-	// fail records the first error and cancels the sweep context so the
-	// remaining points fail fast instead of burning the pool for a sweep
-	// that will be reported failed anyway.
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			st.cancel()
-		}
-		errMu.Unlock()
-	}
+	var tasks []func() error
 	for pi := range plans {
 		p := &plans[pi]
 		results[pi] = OperatorResult{
@@ -618,39 +481,17 @@ func (e *Engine) runSweep(ctx context.Context, st *sweepState) {
 			Report: p.Prep.Report,
 			Points: make([]PointSummary, len(p.Triads)),
 		}
-		// yield stores one completed point and publishes its event —
-		// the single funnel for locally simulated, cache-served and
-		// (in cluster mode) shard-streamed points, so the event stream
-		// and progress counters are shaped identically however a point
-		// was obtained. Concurrent yields write distinct Points indices
-		// and serialize publication on the sweep lock.
+		// yield stores one completed point and publishes its event — for
+		// locally simulated, cache-served and (in cluster mode)
+		// shard-streamed points alike. Concurrent yields write distinct
+		// Points indices and serialize publication on the job lock.
 		op := &results[pi]
-		plan := p
 		yield := func(ti int, ps PointSummary) {
 			op.Points[ti] = ps
-			st.updateAndPublish(func(s *Sweep) {
-				s.Progress.Completed++
-				if ps.FromCache {
-					s.Progress.CacheHits++
-				} else {
-					s.Progress.Executed++
-				}
-			}, func(ev *SweepEvent) {
-				ev.Type = EventPoint
-				ev.Bench = op.Bench
-				ev.Arch = op.Arch
-				ev.Width = op.Width
-				p := ps
-				ev.Point = &p
+			j.point(ps.FromCache, func(ev *SweepEvent) {
+				ev.Type, ev.Bench, ev.Arch, ev.Width = EventPoint, op.Bench, op.Arch, op.Width
+				ev.Point = &ps
 			})
-			// Journal the completion by cache key (outside the state
-			// lock): on replay the key re-verifies the cached bytes that
-			// make re-execution unnecessary.
-			if e.journal != nil {
-				if key, err := PointKey(plan.Config, plan.Triads[ti]); err == nil {
-					e.journalSweepPoint(st.snap.ID, key)
-				}
-			}
 		}
 		// Cluster mode: hand the whole operator to the sharder, which
 		// routes each electrical group to its ring owner and falls back
@@ -661,17 +502,8 @@ func (e *Engine) runSweep(ctx context.Context, st *sweepState) {
 		// further into cross-voltage super-groups.
 		if e.sharder != nil && req.Policy != PolicyExplicit {
 			groups := pointGroups(p, false)
-			wg.Add(1)
-			go func(pi int, groups [][]int, yield func(int, PointSummary)) {
-				defer wg.Done()
-				plan := &plans[pi]
-				runLocal := func(idxs []int) error {
-					return e.runGroupYield(ctx, plan, idxs, yield)
-				}
-				if err := e.sharder.RunOperator(ctx, plan, groups, runLocal, yield); err != nil {
-					fail(err)
-				}
-			}(pi, groups, yield)
+			runLocal := func(idxs []int) error { return e.runGroupYield(ctx, p, idxs, yield) }
+			tasks = append(tasks, func() error { return e.sharder.RunOperator(ctx, p, groups, runLocal, yield) })
 			continue
 		}
 		// One pool job per cross-voltage super-group when the trace path
@@ -679,19 +511,11 @@ func (e *Engine) runSweep(ctx context.Context, st *sweepState) {
 		// chains covering its 14 electrical points); per-point jobs
 		// otherwise.
 		for _, idxs := range pointGroups(p, true) {
-			wg.Add(1)
-			go func(pi int, idxs []int, yield func(int, PointSummary)) {
-				defer wg.Done()
-				if err := e.runGroupYield(ctx, &plans[pi], idxs, yield); err != nil {
-					fail(err)
-				}
-			}(pi, idxs, yield)
+			tasks = append(tasks, func() error { return e.runGroupYield(ctx, p, idxs, yield) })
 		}
 	}
-	wg.Wait()
-	if firstErr != nil {
-		e.finishSweep(st, firstErr)
-		return
+	if err := j.fanOut(tasks); err != nil {
+		return nil, err
 	}
 
 	// Efficiency is relative to each operator's first point — the nominal
@@ -709,31 +533,5 @@ func (e *Engine) runSweep(ctx context.Context, st *sweepState) {
 			func(i int) float64 { return pts[i].BER },
 			func(i int) float64 { return pts[i].EnergyPerOpFJ })
 	}
-	st.updateAndPublish(func(s *Sweep) {
-		s.Status = StatusDone
-		s.Finished = time.Now()
-		s.Results = results
-	}, nil)
-	e.journalSweepEnd(st)
-}
-
-// finishSweep records a terminal error state. The status is derived from
-// the first error itself, not from the sweep context: a simulation error
-// cancels the context to fail the remaining points fast, and that must
-// still be reported as failed, not canceled. Engine shutdown counts as
-// cancellation — the sweep was stopped, it did not break.
-func (e *Engine) finishSweep(st *sweepState, err error) {
-	status := StatusFailed
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrClosed) {
-		status = StatusCanceled
-	}
-	st.updateAndPublish(func(s *Sweep) {
-		s.Status = status
-		s.Error = err.Error()
-		s.Finished = time.Now()
-	}, nil)
-	// Persist the terminal state — unless the cancellation is the
-	// engine shutting down, in which case the journal entry stays
-	// unfinished and the next boot resumes the sweep (recover.go).
-	e.journalSweepEnd(st)
+	return results, nil
 }

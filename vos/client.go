@@ -90,6 +90,13 @@ func (e Event) Terminal() bool {
 	return e.Type == EventDone || e.Type == EventFailed || e.Type == EventCanceled
 }
 
+func (e Event) pointKey() string {
+	if e.Type != EventPoint || e.Point == nil {
+		return ""
+	}
+	return fmt.Sprintf("%s|%s|%d|%v", e.Bench, e.Arch, e.Width, e.Point.Triad)
+}
+
 // CacheStats reports the engine's content-addressed result cache
 // activity, plus the engine's lifetime simulation count.
 type CacheStats struct {

@@ -1,0 +1,295 @@
+package vos
+
+// The job bodies Local and Remote share between sweeps and Monte Carlo
+// jobs: each client method calls one of these over its kind's types.
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/url"
+	"time"
+
+	"repro/internal/engine"
+	"repro/internal/engine/httpapi"
+)
+
+// runJob is the synchronous path every Run method takes: submit (the id
+// and error passed in), wait, fetch the results.
+func runJob[S any](ctx context.Context, id string, err error,
+	wait, results func(context.Context, string) (*S, error)) (*S, error) {
+	if err != nil {
+		return nil, err
+	}
+	if _, err := wait(ctx, id); err != nil {
+		return nil, err
+	}
+	return results(ctx, id)
+}
+
+// convert re-encodes an engine wire value as its SDK type (see reencode).
+func convert[T any](in any) (*T, error) {
+	var out T
+	if err := reencode(in, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// localJobs is one job kind's engine surface, as Local's job bodies use
+// it: ES and EE are the engine's snapshot and event types, S and E the
+// SDK's.
+type localJobs[ES, EE, S, E any] struct {
+	// noun names one job in errors ("sweep", "mc job").
+	noun      string
+	get       func(string) (ES, bool)
+	wait      func(context.Context, string) (ES, error)
+	subscribe func(string) (<-chan EE, func(), bool)
+	cancel    func(string) error
+	// info reads a snapshot's lifecycle fields; strip drops its results.
+	info  func(ES) engine.JobInfo
+	strip func(ES) ES
+}
+
+func (k localJobs[ES, EE, S, E]) status(id string) (*S, error) {
+	snap, ok := k.get(id)
+	if !ok {
+		return nil, fmt.Errorf("%w %q", ErrNotFound, id)
+	}
+	return convert[S](k.strip(snap))
+}
+
+func (k localJobs[ES, EE, S, E]) waitFor(ctx context.Context, id string) (*S, error) {
+	snap, err := k.wait(ctx, id)
+	if err != nil {
+		if k.info(snap).ID == "" {
+			return nil, fmt.Errorf("%w %q", ErrNotFound, id)
+		}
+		return nil, err
+	}
+	return convert[S](k.strip(snap))
+}
+
+func (k localJobs[ES, EE, S, E]) results(id string) (*S, error) {
+	snap, ok := k.get(id)
+	if !ok {
+		return nil, fmt.Errorf("%w %q", ErrNotFound, id)
+	}
+	switch job := k.info(snap); job.Status {
+	case engine.StatusDone:
+		return convert[S](snap)
+	case engine.StatusFailed, engine.StatusCanceled:
+		return nil, &SweepError{ID: job.ID, Status: string(job.Status), Message: job.Error}
+	default:
+		return nil, fmt.Errorf("%w: %s %s is %s (%d/%d points)",
+			ErrNotDone, k.noun, job.ID, job.Status, job.Progress.Completed, job.Progress.TotalPoints)
+	}
+}
+
+func (k localJobs[ES, EE, S, E]) events(ctx context.Context, id string) (<-chan E, error) {
+	ch, cancel, ok := k.subscribe(id)
+	if !ok {
+		return nil, fmt.Errorf("%w %q", ErrNotFound, id)
+	}
+	out := make(chan E, 16)
+	go func() {
+		defer close(out)
+		defer cancel()
+		for {
+			select {
+			case ev, open := <-ch:
+				if !open {
+					return
+				}
+				e, err := convert[E](ev)
+				if err != nil {
+					return
+				}
+				select {
+				case out <- *e:
+				case <-ctx.Done():
+					return
+				}
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	return out, nil
+}
+
+func (k localJobs[ES, EE, S, E]) cancelJob(id string) error {
+	switch err := k.cancel(id); {
+	case err == nil:
+		return nil
+	case errors.Is(err, engine.ErrAlreadyDone):
+		return fmt.Errorf("%w: %s %q", ErrAlreadyDone, k.noun, id)
+	default:
+		return fmt.Errorf("%w %q", ErrNotFound, id)
+	}
+}
+
+// jobResult is what Remote's job bodies need of a snapshot type
+// (Result, MCResult).
+type jobResult interface{ jobStatus() string }
+
+// jobEvent is what they need of an event type (Event, MCEvent).
+type jobEvent interface {
+	Terminal() bool
+	// pointKey identifies the point of a point event; "" for any other
+	// event.
+	pointKey() string
+}
+
+// remoteJobs is one job kind's REST surface under base ("/v1/sweeps",
+// "/v1/mc"), as Remote's job bodies use it.
+type remoteJobs[S jobResult, E jobEvent] struct {
+	c    *Remote
+	base string
+}
+
+// submit validates the spec locally — a malformed one should not need a
+// network round trip to be diagnosed — and posts its request.
+func (k remoteJobs[S, E]) submit(ctx context.Context, invalid error, req any) (string, error) {
+	if invalid != nil {
+		return "", invalid
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		return "", err
+	}
+	var resp httpapi.SubmitResponse
+	if err := k.c.call(ctx, http.MethodPost, k.base, body, http.StatusAccepted, &resp); err != nil {
+		return "", err
+	}
+	return resp.ID, nil
+}
+
+func (k remoteJobs[S, E]) status(ctx context.Context, id string) (*S, error) {
+	var r S
+	if err := k.c.call(ctx, http.MethodGet, k.base+"/"+url.PathEscape(id), nil, http.StatusOK, &r); err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
+// wait implements Remote.Wait and Remote.WaitMC.
+func (k remoteJobs[S, E]) wait(ctx context.Context, id string) (*S, error) {
+	if ch, err := k.events(ctx, id); err == nil {
+		for ev := range ch {
+			if ev.Terminal() {
+				break
+			}
+		}
+		// Drained (terminal seen, or the stream dropped): the polling
+		// loop below resolves the final status either way.
+	} else if errors.Is(err, ErrNotFound) {
+		return nil, err
+	}
+	ticker := time.NewTicker(k.c.poll)
+	defer ticker.Stop()
+	for {
+		r, err := k.status(ctx, id)
+		switch {
+		case err == nil:
+			switch (*r).jobStatus() {
+			case StatusDone, StatusFailed, StatusCanceled:
+				return r, nil
+			}
+		case !k.c.reconnect, errors.Is(err, ErrNotFound):
+			return nil, err
+		}
+		select {
+		case <-ticker.C:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+}
+
+func (k remoteJobs[S, E]) results(ctx context.Context, id string) (*S, error) {
+	var r S
+	if err := k.c.call(ctx, http.MethodGet, k.base+"/"+url.PathEscape(id)+"/results", nil, http.StatusOK, &r); err != nil {
+		// The error envelope does not echo the job id; stamp it so
+		// *SweepError carries the same fields on both transports.
+		var swErr *SweepError
+		if errors.As(err, &swErr) && swErr.ID == "" {
+			swErr.ID = id
+		}
+		return nil, err
+	}
+	return &r, nil
+}
+
+// events implements Remote.Events and Remote.MCEvents: a reconnected
+// stream is forwarded past what was already delivered (forwardEvents).
+func (k remoteJobs[S, E]) events(ctx context.Context, id string) (<-chan E, error) {
+	path := k.base + "/" + url.PathEscape(id) + "/events"
+	resp, err := k.c.openStream(ctx, path)
+	if err != nil {
+		return nil, err
+	}
+	out := make(chan E, 16)
+	go func() {
+		defer close(out)
+		delivered := make(map[string]int)
+		for replay := false; ; replay = true {
+			if forwardEvents(ctx, resp, out, delivered, replay) || !k.c.reconnect {
+				return
+			}
+			if resp = k.c.reopenStream(ctx, path); resp == nil {
+				return
+			}
+		}
+	}()
+	return out, nil
+}
+
+// forwardEvents drains one stream connection into out, reporting whether
+// the stream completed (terminal event delivered or consumer gone). A
+// reopened connection (replay) starts over with the job's whole history:
+// of its point events, the first delivered[key] with each point key were
+// delivered before and are skipped — so a job that lists one point twice
+// still streams it twice — and its bare progress events are dropped.
+func forwardEvents[E jobEvent](ctx context.Context, resp *http.Response, out chan<- E,
+	delivered map[string]int, replay bool) bool {
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+	seen := make(map[string]int)
+	for sc.Scan() {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		var ev E
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return true
+		}
+		if key := ev.pointKey(); key != "" {
+			if seen[key]++; seen[key] <= delivered[key] {
+				continue
+			}
+			delivered[key]++
+		} else if replay && !ev.Terminal() {
+			continue
+		}
+		select {
+		case out <- ev:
+		case <-ctx.Done():
+			return true
+		}
+		if ev.Terminal() {
+			return true
+		}
+	}
+	return false
+}
+
+func (k remoteJobs[S, E]) cancel(ctx context.Context, id string) error {
+	return k.c.call(ctx, http.MethodDelete, k.base+"/"+url.PathEscape(id), nil, http.StatusNoContent, nil)
+}

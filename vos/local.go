@@ -3,7 +3,6 @@ package vos
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"repro/internal/charz"
@@ -31,7 +30,9 @@ type LocalOptions struct {
 // Local is the in-process Client: it owns a sweep engine (worker pool +
 // content-addressed result cache) and runs every sweep in this process.
 type Local struct {
-	eng *engine.Engine
+	eng    *engine.Engine
+	sweeps localJobs[engine.Sweep, engine.SweepEvent, Result, Event]
+	mcs    localJobs[engine.MCJob, engine.MCEvent, MCResult, MCEvent]
 }
 
 var _ Client = (*Local)(nil)
@@ -50,7 +51,19 @@ func NewLocal(opts LocalOptions) (*Local, error) {
 			return nil, err
 		}
 	}
-	return &Local{eng: eng}, nil
+	return &Local{
+		eng: eng,
+		sweeps: localJobs[engine.Sweep, engine.SweepEvent, Result, Event]{
+			noun: "sweep", get: eng.Get, wait: eng.Wait, subscribe: eng.Subscribe, cancel: eng.Cancel,
+			info:  engine.Sweep.Info,
+			strip: func(sw engine.Sweep) engine.Sweep { sw.Results = nil; return sw },
+		},
+		mcs: localJobs[engine.MCJob, engine.MCEvent, MCResult, MCEvent]{
+			noun: "mc job", get: eng.GetMC, wait: eng.WaitMC, subscribe: eng.SubscribeMC, cancel: eng.CancelMC,
+			info:  engine.MCJob.Info,
+			strip: func(job engine.MCJob) engine.MCJob { job.Points = nil; return job },
+		},
+	}, nil
 }
 
 // Close stops the engine, draining in-flight sweeps.
@@ -62,13 +75,7 @@ func (l *Local) Close() error {
 // Run implements Client.
 func (l *Local) Run(ctx context.Context, spec *Spec) (*Result, error) {
 	id, err := l.Submit(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := l.Wait(ctx, id); err != nil {
-		return nil, err
-	}
-	return l.Results(ctx, id)
+	return runJob(ctx, id, err, l.Wait, l.Results)
 }
 
 // Submit implements Client.
@@ -77,89 +84,23 @@ func (l *Local) Submit(_ context.Context, spec *Spec) (string, error) {
 }
 
 // Status implements Client.
-func (l *Local) Status(_ context.Context, id string) (*Result, error) {
-	sw, ok := l.eng.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrNotFound, id)
-	}
-	sw.Results = nil
-	return toResult(sw)
-}
+func (l *Local) Status(_ context.Context, id string) (*Result, error) { return l.sweeps.status(id) }
 
 // Wait implements Client.
 func (l *Local) Wait(ctx context.Context, id string) (*Result, error) {
-	sw, err := l.eng.Wait(ctx, id)
-	if err != nil {
-		if sw.ID == "" {
-			return nil, fmt.Errorf("%w %q", ErrNotFound, id)
-		}
-		return nil, err
-	}
-	sw.Results = nil
-	return toResult(sw)
+	return l.sweeps.waitFor(ctx, id)
 }
 
 // Results implements Client.
-func (l *Local) Results(_ context.Context, id string) (*Result, error) {
-	sw, ok := l.eng.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrNotFound, id)
-	}
-	switch sw.Status {
-	case engine.StatusDone:
-		return toResult(sw)
-	case engine.StatusFailed, engine.StatusCanceled:
-		return nil, &SweepError{ID: sw.ID, Status: string(sw.Status), Message: sw.Error}
-	default:
-		return nil, fmt.Errorf("%w: sweep %s is %s (%d/%d points)",
-			ErrNotDone, sw.ID, sw.Status, sw.Progress.Completed, sw.Progress.TotalPoints)
-	}
-}
+func (l *Local) Results(_ context.Context, id string) (*Result, error) { return l.sweeps.results(id) }
 
 // Events implements Client.
 func (l *Local) Events(ctx context.Context, id string) (<-chan Event, error) {
-	ch, cancel, ok := l.eng.Subscribe(id)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrNotFound, id)
-	}
-	out := make(chan Event, 16)
-	go func() {
-		defer close(out)
-		defer cancel()
-		for {
-			select {
-			case ev, open := <-ch:
-				if !open {
-					return
-				}
-				e, err := toEvent(ev)
-				if err != nil {
-					return
-				}
-				select {
-				case out <- e:
-				case <-ctx.Done():
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out, nil
+	return l.sweeps.events(ctx, id)
 }
 
 // Cancel implements Client.
-func (l *Local) Cancel(_ context.Context, id string) error {
-	switch err := l.eng.Cancel(id); {
-	case err == nil:
-		return nil
-	case errors.Is(err, engine.ErrAlreadyDone):
-		return fmt.Errorf("%w: sweep %q", ErrAlreadyDone, id)
-	default:
-		return fmt.Errorf("%w %q", ErrNotFound, id)
-	}
-}
+func (l *Local) Cancel(_ context.Context, id string) error { return l.sweeps.cancelJob(id) }
 
 // CacheStats implements Client.
 func (l *Local) CacheStats(_ context.Context) (*CacheStats, error) {
@@ -204,18 +145,4 @@ func reencode(in, out any) error {
 		return fmt.Errorf("vos: decode: %w", err)
 	}
 	return nil
-}
-
-func toResult(sw engine.Sweep) (*Result, error) {
-	var r Result
-	if err := reencode(sw, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-func toEvent(ev engine.SweepEvent) (Event, error) {
-	var e Event
-	err := reencode(ev, &e)
-	return e, err
 }

@@ -9,14 +9,8 @@ package vos
 // merge deterministically.
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"net/http"
-	"net/url"
 	"time"
 
 	"repro/internal/engine"
@@ -210,18 +204,21 @@ func (e MCEvent) Terminal() bool {
 	return e.Type == EventDone || e.Type == EventFailed || e.Type == EventCanceled
 }
 
+func (e MCEvent) pointKey() string {
+	if e.Type != EventPoint || e.Point == nil {
+		return ""
+	}
+	return fmt.Sprintf("%s|%v", e.Point.Kernel, e.Point.Triad)
+}
+
+func (r MCResult) jobStatus() string { return r.Status }
+
 // --- Local implementation ---
 
 // RunMC implements Client.
 func (l *Local) RunMC(ctx context.Context, spec *MCSpec) (*MCResult, error) {
 	id, err := l.SubmitMC(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := l.WaitMC(ctx, id); err != nil {
-		return nil, err
-	}
-	return l.MCResults(ctx, id)
+	return runJob(ctx, id, err, l.WaitMC, l.MCResults)
 }
 
 // SubmitMC implements Client.
@@ -230,186 +227,52 @@ func (l *Local) SubmitMC(_ context.Context, spec *MCSpec) (string, error) {
 }
 
 // MCStatus implements Client.
-func (l *Local) MCStatus(_ context.Context, id string) (*MCResult, error) {
-	job, ok := l.eng.GetMC(id)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrNotFound, id)
-	}
-	job.Points = nil
-	return toMCResult(job)
-}
+func (l *Local) MCStatus(_ context.Context, id string) (*MCResult, error) { return l.mcs.status(id) }
 
 // WaitMC implements Client.
 func (l *Local) WaitMC(ctx context.Context, id string) (*MCResult, error) {
-	job, err := l.eng.WaitMC(ctx, id)
-	if err != nil {
-		if job.ID == "" {
-			return nil, fmt.Errorf("%w %q", ErrNotFound, id)
-		}
-		return nil, err
-	}
-	job.Points = nil
-	return toMCResult(job)
+	return l.mcs.waitFor(ctx, id)
 }
 
 // MCResults implements Client.
-func (l *Local) MCResults(_ context.Context, id string) (*MCResult, error) {
-	job, ok := l.eng.GetMC(id)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrNotFound, id)
-	}
-	switch job.Status {
-	case engine.StatusDone:
-		return toMCResult(job)
-	case engine.StatusFailed, engine.StatusCanceled:
-		return nil, &SweepError{ID: job.ID, Status: string(job.Status), Message: job.Error}
-	default:
-		return nil, fmt.Errorf("%w: mc job %s is %s (%d/%d points)",
-			ErrNotDone, job.ID, job.Status, job.Progress.Completed, job.Progress.TotalPoints)
-	}
-}
+func (l *Local) MCResults(_ context.Context, id string) (*MCResult, error) { return l.mcs.results(id) }
 
 // MCEvents implements Client.
 func (l *Local) MCEvents(ctx context.Context, id string) (<-chan MCEvent, error) {
-	ch, cancel, ok := l.eng.SubscribeMC(id)
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrNotFound, id)
-	}
-	out := make(chan MCEvent, 16)
-	go func() {
-		defer close(out)
-		defer cancel()
-		for {
-			select {
-			case ev, open := <-ch:
-				if !open {
-					return
-				}
-				var e MCEvent
-				if err := reencode(ev, &e); err != nil {
-					return
-				}
-				select {
-				case out <- e:
-				case <-ctx.Done():
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out, nil
+	return l.mcs.events(ctx, id)
 }
 
 // CancelMC implements Client.
-func (l *Local) CancelMC(_ context.Context, id string) error {
-	switch err := l.eng.CancelMC(id); {
-	case err == nil:
-		return nil
-	case errors.Is(err, engine.ErrAlreadyDone):
-		return fmt.Errorf("%w: mc job %q", ErrAlreadyDone, id)
-	default:
-		return fmt.Errorf("%w %q", ErrNotFound, id)
-	}
-}
-
-func toMCResult(job engine.MCJob) (*MCResult, error) {
-	var r MCResult
-	if err := reencode(job, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
+func (l *Local) CancelMC(_ context.Context, id string) error { return l.mcs.cancelJob(id) }
 
 // --- Remote implementation ---
 
 // RunMC implements Client.
 func (c *Remote) RunMC(ctx context.Context, spec *MCSpec) (*MCResult, error) {
 	id, err := c.SubmitMC(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := c.WaitMC(ctx, id); err != nil {
-		return nil, err
-	}
-	return c.MCResults(ctx, id)
+	return runJob(ctx, id, err, c.WaitMC, c.MCResults)
 }
 
 // SubmitMC implements Client.
 func (c *Remote) SubmitMC(ctx context.Context, spec *MCSpec) (string, error) {
-	if err := spec.Validate(); err != nil {
-		return "", err
-	}
-	body, err := json.Marshal(spec.request())
-	if err != nil {
-		return "", err
-	}
-	var resp struct {
-		ID string `json:"id"`
-	}
-	if err := c.call(ctx, http.MethodPost, "/v1/mc", body, http.StatusAccepted, &resp); err != nil {
-		return "", err
-	}
-	return resp.ID, nil
+	return c.mcs.submit(ctx, spec.Validate(), spec.request())
 }
 
 // MCStatus implements Client.
 func (c *Remote) MCStatus(ctx context.Context, id string) (*MCResult, error) {
-	var r MCResult
-	if err := c.call(ctx, http.MethodGet, "/v1/mc/"+url.PathEscape(id), nil, http.StatusOK, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
+	return c.mcs.status(ctx, id)
 }
 
 // WaitMC implements Client: follow the event stream when available,
 // fall back to polling the status endpoint. Reconnect-mode semantics
 // match Wait: transient failures are retried, a 404 ends the wait.
 func (c *Remote) WaitMC(ctx context.Context, id string) (*MCResult, error) {
-	if ch, err := c.MCEvents(ctx, id); err == nil {
-		for ev := range ch {
-			if ev.Terminal() {
-				break
-			}
-		}
-		// Drained (terminal seen, or the stream dropped): the polling
-		// loop below resolves the final status either way.
-	} else if errors.Is(err, ErrNotFound) {
-		return nil, err
-	}
-	ticker := time.NewTicker(c.poll)
-	defer ticker.Stop()
-	for {
-		r, err := c.MCStatus(ctx, id)
-		switch {
-		case err == nil:
-			switch r.Status {
-			case StatusDone, StatusFailed, StatusCanceled:
-				return r, nil
-			}
-		case !c.reconnect, errors.Is(err, ErrNotFound):
-			return nil, err
-		}
-		select {
-		case <-ticker.C:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
+	return c.mcs.wait(ctx, id)
 }
 
 // MCResults implements Client.
 func (c *Remote) MCResults(ctx context.Context, id string) (*MCResult, error) {
-	var r MCResult
-	if err := c.call(ctx, http.MethodGet, "/v1/mc/"+url.PathEscape(id)+"/results", nil, http.StatusOK, &r); err != nil {
-		var swErr *SweepError
-		if errors.As(err, &swErr) && swErr.ID == "" {
-			swErr.ID = id
-		}
-		return nil, err
-	}
-	return &r, nil
+	return c.mcs.results(ctx, id)
 }
 
 // MCEvents implements Client: the job's NDJSON event stream, read line
@@ -418,67 +281,8 @@ func (c *Remote) MCResults(ctx context.Context, id string) (*MCResult, error) {
 // history, duplicate point events (keyed by kernel and triad) are
 // skipped.
 func (c *Remote) MCEvents(ctx context.Context, id string) (<-chan MCEvent, error) {
-	path := "/v1/mc/" + url.PathEscape(id) + "/events"
-	resp, err := c.openStream(ctx, path)
-	if err != nil {
-		return nil, err
-	}
-	out := make(chan MCEvent, 16)
-	go func() {
-		defer close(out)
-		seen := make(map[string]bool)
-		first := true
-		for {
-			done := forwardMCEvents(ctx, resp, out, seen, first)
-			if done || !c.reconnect {
-				return
-			}
-			first = false
-			if resp = c.reopenStream(ctx, path); resp == nil {
-				return
-			}
-		}
-	}()
-	return out, nil
-}
-
-// forwardMCEvents mirrors forwardSweepEvents for Monte Carlo streams.
-func forwardMCEvents(ctx context.Context, resp *http.Response, out chan<- MCEvent,
-	seen map[string]bool, first bool) bool {
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev MCEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return true
-		}
-		if ev.Type == EventPoint && ev.Point != nil {
-			key := fmt.Sprintf("%s|%v", ev.Point.Kernel, ev.Point.Triad)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-		} else if !first && !ev.Terminal() {
-			continue
-		}
-		select {
-		case out <- ev:
-		case <-ctx.Done():
-			return true
-		}
-		if ev.Terminal() {
-			return true
-		}
-	}
-	return false
+	return c.mcs.events(ctx, id)
 }
 
 // CancelMC implements Client.
-func (c *Remote) CancelMC(ctx context.Context, id string) error {
-	return c.call(ctx, http.MethodDelete, "/v1/mc/"+url.PathEscape(id), nil, http.StatusNoContent, nil)
-}
+func (c *Remote) CancelMC(ctx context.Context, id string) error { return c.mcs.cancel(ctx, id) }

@@ -1,7 +1,6 @@
 package vos
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -76,6 +75,8 @@ type Remote struct {
 	poll       time.Duration
 	tenant     string
 	reconnect  bool
+	sweeps     remoteJobs[Result, Event]
+	mcs        remoteJobs[MCResult, MCEvent]
 
 	// jitterMu guards rng: retries from concurrent calls draw from one
 	// seeded stream.
@@ -105,6 +106,8 @@ func NewRemote(baseURL string, opts RemoteOptions) (*Remote, error) {
 		tenant:     opts.Tenant,
 		reconnect:  opts.Reconnect,
 	}
+	r.sweeps = remoteJobs[Result, Event]{c: r, base: "/v1/sweeps"}
+	r.mcs = remoteJobs[MCResult, MCEvent]{c: r, base: "/v1/mc"}
 	if r.httpc == nil {
 		r.httpc = &http.Client{}
 	}
@@ -166,40 +169,17 @@ func (c *Remote) Close() error {
 // Run implements Client.
 func (c *Remote) Run(ctx context.Context, spec *Spec) (*Result, error) {
 	id, err := c.Submit(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := c.Wait(ctx, id); err != nil {
-		return nil, err
-	}
-	return c.Results(ctx, id)
+	return runJob(ctx, id, err, c.Wait, c.Results)
 }
 
 // Submit implements Client.
 func (c *Remote) Submit(ctx context.Context, spec *Spec) (string, error) {
-	// Validate locally first: a malformed Spec should not need a network
-	// round trip to be diagnosed.
-	if err := spec.Validate(); err != nil {
-		return "", err
-	}
-	body, err := json.Marshal(spec.request())
-	if err != nil {
-		return "", err
-	}
-	var resp httpapi.SubmitResponse
-	if err := c.call(ctx, http.MethodPost, "/v1/sweeps", body, http.StatusAccepted, &resp); err != nil {
-		return "", err
-	}
-	return resp.ID, nil
+	return c.sweeps.submit(ctx, spec.Validate(), spec.request())
 }
 
 // Status implements Client.
 func (c *Remote) Status(ctx context.Context, id string) (*Result, error) {
-	var r Result
-	if err := c.call(ctx, http.MethodGet, "/v1/sweeps/"+url.PathEscape(id), nil, http.StatusOK, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
+	return c.sweeps.status(ctx, id)
 }
 
 // Wait implements Client. It follows the event stream when available and
@@ -208,51 +188,12 @@ func (c *Remote) Status(ctx context.Context, id string) (*Result, error) {
 // 404, which a journaled daemon only sends once replay has finished and
 // the id is authoritatively unknown.
 func (c *Remote) Wait(ctx context.Context, id string) (*Result, error) {
-	if ch, err := c.Events(ctx, id); err == nil {
-		for ev := range ch {
-			if ev.Terminal() {
-				break
-			}
-		}
-		// Drained (terminal seen, or the stream dropped): the polling
-		// loop below resolves the final status either way.
-	} else if errors.Is(err, ErrNotFound) {
-		return nil, err
-	}
-	ticker := time.NewTicker(c.poll)
-	defer ticker.Stop()
-	for {
-		r, err := c.Status(ctx, id)
-		switch {
-		case err == nil:
-			switch r.Status {
-			case StatusDone, StatusFailed, StatusCanceled:
-				return r, nil
-			}
-		case !c.reconnect, errors.Is(err, ErrNotFound):
-			return nil, err
-		}
-		select {
-		case <-ticker.C:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
+	return c.sweeps.wait(ctx, id)
 }
 
 // Results implements Client.
 func (c *Remote) Results(ctx context.Context, id string) (*Result, error) {
-	var r Result
-	if err := c.call(ctx, http.MethodGet, "/v1/sweeps/"+url.PathEscape(id)+"/results", nil, http.StatusOK, &r); err != nil {
-		// The error envelope does not echo the sweep id; stamp it so
-		// *SweepError carries the same fields on both transports.
-		var swErr *SweepError
-		if errors.As(err, &swErr) && swErr.ID == "" {
-			swErr.ID = id
-		}
-		return nil, err
-	}
-	return &r, nil
+	return c.sweeps.results(ctx, id)
 }
 
 // openStream opens one NDJSON event stream, returning the live response
@@ -304,73 +245,11 @@ func (c *Remote) reopenStream(ctx context.Context, path string) *http.Response {
 // repeated, so consumers see each point exactly once and still get the
 // terminal event.
 func (c *Remote) Events(ctx context.Context, id string) (<-chan Event, error) {
-	path := "/v1/sweeps/" + url.PathEscape(id) + "/events"
-	resp, err := c.openStream(ctx, path)
-	if err != nil {
-		return nil, err
-	}
-	out := make(chan Event, 16)
-	go func() {
-		defer close(out)
-		seen := make(map[string]bool)
-		first := true
-		for {
-			done := forwardSweepEvents(ctx, resp, out, seen, first)
-			if done || !c.reconnect {
-				return
-			}
-			first = false
-			if resp = c.reopenStream(ctx, path); resp == nil {
-				return
-			}
-		}
-	}()
-	return out, nil
-}
-
-// forwardSweepEvents drains one stream connection into out, reporting
-// whether the stream completed (terminal event delivered or consumer
-// gone). On replayed connections (first == false) duplicate point
-// events and bare progress events are suppressed.
-func forwardSweepEvents(ctx context.Context, resp *http.Response, out chan<- Event,
-	seen map[string]bool, first bool) bool {
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return true
-		}
-		if ev.Type == EventPoint && ev.Point != nil {
-			key := fmt.Sprintf("%s|%s|%d|%v", ev.Bench, ev.Arch, ev.Width, ev.Point.Triad)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-		} else if !first && !ev.Terminal() {
-			continue
-		}
-		select {
-		case out <- ev:
-		case <-ctx.Done():
-			return true
-		}
-		if ev.Terminal() {
-			return true
-		}
-	}
-	return false
+	return c.sweeps.events(ctx, id)
 }
 
 // Cancel implements Client.
-func (c *Remote) Cancel(ctx context.Context, id string) error {
-	return c.call(ctx, http.MethodDelete, "/v1/sweeps/"+url.PathEscape(id), nil, http.StatusNoContent, nil)
-}
+func (c *Remote) Cancel(ctx context.Context, id string) error { return c.sweeps.cancel(ctx, id) }
 
 // CacheStats implements Client.
 func (c *Remote) CacheStats(ctx context.Context) (*CacheStats, error) {

@@ -128,6 +128,8 @@ type Result struct {
 	Operators []Operator `json:"results,omitempty"`
 }
 
+func (r Result) jobStatus() string { return r.Status }
+
 // Operator returns the result's operator for an architecture and width,
 // or nil if the sweep did not include it.
 func (r *Result) Operator(arch string, width int) *Operator {

@@ -3,9 +3,13 @@ package vos_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/carry"
 	"repro/internal/engine"
@@ -180,6 +184,71 @@ func TestEvents(t *testing.T) {
 			}
 		})
 	}
+
+	// An explicit sweep that lists one triad twice streams that point
+	// twice, on both transports and across a reconnect.
+	tr := vos.Triad{Tclk: 1, Vdd: 0.8}
+	countPoints := func(t *testing.T, cli vos.Client, id string) int {
+		t.Helper()
+		ch, err := cli.Events(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points, last := 0, vos.Event{}
+		for ev := range ch {
+			if ev.Type == vos.EventPoint {
+				points++
+			}
+			last = ev
+		}
+		if last.Type != vos.EventDone {
+			t.Fatalf("last event %+v, want done", last)
+		}
+		return points
+	}
+	for name, cli := range map[string]vos.Client{"local": newLocal(t), "remote": newRemote(t)} {
+		t.Run("duplicate-triad/"+name, func(t *testing.T) {
+			id, err := cli.Submit(ctx, testSpec().Triads(tr, tr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := countPoints(t, cli, id); n != 2 {
+				t.Fatalf("%d point events, want 2", n)
+			}
+		})
+	}
+	t.Run("duplicate-triad/reconnect", func(t *testing.T) {
+		// The first connection drops after one of the two point events;
+		// the replayed second connection repeats the whole history.
+		point := `{"type":"point","sweepId":"s-1","status":"running","bench":"4-bit RCA","arch":"RCA","width":4,` +
+			`"point":{"triad":{"tclk":1,"vdd":0.8,"vbb":0}}}`
+		var conns atomic.Int32
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /v1/sweeps/s-1/events", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			fmt.Fprintln(w, `{"type":"progress","sweepId":"s-1","status":"running"}`)
+			fmt.Fprintln(w, point)
+			if conns.Add(1) == 1 {
+				w.(http.Flusher).Flush()
+				panic(http.ErrAbortHandler)
+			}
+			fmt.Fprintln(w, point)
+			fmt.Fprintln(w, `{"type":"done","sweepId":"s-1","status":"done"}`)
+		})
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		cli, err := vos.NewRemote(ts.URL, vos.RemoteOptions{Reconnect: true, RetryBackoff: 5 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cli.Close() })
+		if n := countPoints(t, cli, "s-1"); n != 2 {
+			t.Fatalf("%d point events across the reconnect, want 2", n)
+		}
+		if n := conns.Load(); n != 2 {
+			t.Fatalf("%d stream connections, want 2", n)
+		}
+	})
 }
 
 // TestLocalAdder builds the hardware oracle at the characterized nominal
