@@ -865,112 +865,10 @@ func BenchmarkSimStepDenseBKA16(b *testing.B) {
 	}
 }
 
-// benchWordChunks prepares alternating (prev, cur) lane-image pairs from
-// a chained random pattern stream, the steady-state shape of the
-// characterization sweep's chunk loop.
-func benchWordChunks(nl *netlist.Netlist, mask uint64) [2][2][]uint64 {
-	pa, _ := nl.InputPort(synth.PortA)
-	pb, _ := nl.InputPort(synth.PortB)
-	rng := rand.New(rand.NewPCG(1, 1))
-	var pairs [2][2][]uint64
-	prevA, prevB := uint64(0), uint64(0)
-	for c := 0; c < 2; c++ {
-		prevW := make([]uint64, nl.NumNets())
-		curW := make([]uint64, nl.NumNets())
-		for k := 0; k < sim.WordLanes; k++ {
-			a, bb := rng.Uint64()&mask, rng.Uint64()&mask
-			netlist.AssignPortLane(prevW, pa, uint(k), prevA)
-			netlist.AssignPortLane(prevW, pb, uint(k), prevB)
-			netlist.AssignPortLane(curW, pa, uint(k), a)
-			netlist.AssignPortLane(curW, pb, uint(k), bb)
-			prevA, prevB = a, bb
-		}
-		pairs[c] = [2][]uint64{prevW, curW}
-	}
-	return pairs
-}
-
-// BenchmarkSimStepWordRCA8 measures the word engine's cost per 64-pattern
-// chunk at the same over-scaled operating point as the scalar SimStep
-// benches; the ns/pattern metric is the figure to compare against one
-// scalar StepDense.
-func BenchmarkSimStepWordRCA8(b *testing.B) {
-	lib := cell.Default28nmLVT()
-	proc := fdsoi.Default()
-	nl, _ := synth.RCA(synth.AdderConfig{Width: 8})
-	eng := sim.NewWord(nl, lib, proc, fdsoi.OperatingPoint{Vdd: 0.6, Vbb: 2})
-	pairs := benchWordChunks(nl, 0xff)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i&1]
-		if _, err := eng.StepWordChunk(p[0], p[1], 0.183); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sim.WordLanes), "ns/pattern")
-}
-
-// BenchmarkSimStepWordBKA16 is the 16-bit Brent-Kung variant.
-func BenchmarkSimStepWordBKA16(b *testing.B) {
-	lib := cell.Default28nmLVT()
-	proc := fdsoi.Default()
-	nl, _ := synth.BKA(synth.AdderConfig{Width: 16})
-	eng := sim.NewWord(nl, lib, proc, fdsoi.OperatingPoint{Vdd: 0.6, Vbb: 2})
-	pairs := benchWordChunks(nl, 0xffff)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i&1]
-		if _, err := eng.StepWordChunk(p[0], p[1], 0.2); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sim.WordLanes), "ns/pattern")
-}
-
-// benchTraceResample measures the trace path's per-pattern cost in the
-// grouped sweep's steady-state shape: one full-settle StepWordTrace per
-// chunk serving three clock periods by resampling — the three
-// aggressive clocks that share each electrical point of the Table III
-// grid. ns/pattern counts every resampled (pattern, clock) experiment,
-// directly comparable to the SimStepWord ns/pattern of one clock.
-func benchTraceResample(b *testing.B, nl *netlist.Netlist, mask uint64, tclks []float64) {
-	lib := cell.Default28nmLVT()
-	proc := fdsoi.Default()
-	eng := sim.NewWord(nl, lib, proc, fdsoi.OperatingPoint{Vdd: 0.6, Vbb: 2})
-	pairs := benchWordChunks(nl, mask)
-	psum, _ := nl.OutputPort(synth.PortSum)
-	pcout, _ := nl.OutputPort(synth.PortCout)
-	outNets := append(append([]netlist.NetID(nil), psum.Bits...), pcout.Bits...)
-	var sample sim.WordSample
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i&1]
-		trace, err := eng.StepWordTrace(p[0], p[1], outNets)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, tclk := range tclks {
-			if err := trace.Resample(tclk, &sample); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tclks)*sim.WordLanes), "ns/pattern")
-}
-
-func BenchmarkTraceResampleRCA8(b *testing.B) {
-	nl, _ := synth.RCA(synth.AdderConfig{Width: 8})
-	benchTraceResample(b, nl, 0xff, []float64{0.28, 0.19, 0.13})
-}
-
-func BenchmarkTraceResampleBKA16(b *testing.B) {
-	nl, _ := synth.BKA(synth.AdderConfig{Width: 16})
-	benchTraceResample(b, nl, 0xffff, []float64{0.52, 0.42, 0.31})
-}
-
 // benchWideChunks prepares alternating (prev, cur) K-word wide images
-// from the same chained random pattern stream as benchWordChunks, laid
-// out block-major (net*k+j) as StepWideChunk expects.
+// from a chained random pattern stream, the steady-state shape of the
+// characterization sweep's chunk loop, laid out block-major (net*k+j)
+// as StepWideChunk expects.
 func benchWideChunks(nl *netlist.Netlist, mask uint64, k int) [2][2][]uint64 {
 	pa, _ := nl.InputPort(synth.PortA)
 	pb, _ := nl.InputPort(synth.PortB)
@@ -1002,7 +900,9 @@ func benchWideChunks(nl *netlist.Netlist, mask uint64, k int) [2][2][]uint64 {
 }
 
 // benchSimStepWide measures the K-word wide engine's cost per K×64-pattern
-// chunk; ns/pattern is directly comparable to the SimStepWord benches.
+// chunk at the same over-scaled operating point as the scalar SimStep
+// benches; the ns/pattern metric is the figure to compare against one
+// scalar StepDense.
 // ReportAllocs pins the pooled-scratch contract: zero steady-state
 // allocations per chunk.
 func benchSimStepWide(b *testing.B, nl *netlist.Netlist, mask uint64, tclk float64) {

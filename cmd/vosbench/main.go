@@ -9,11 +9,11 @@
 //	vosbench [-bench REGEX] [-benchtime 1000x] [-out BENCH_sim.json]
 //	         [-pkg .] [-keep-going]
 //	         [-diff BASELINE.json]
-//	         [-diff-filter "^(SimStep|TraceResample|CrossVddResample|Fig8|MonteCarloPoint|ClusterWarmLookup|EngineWarmSweep)"]
+//	         [-diff-filter "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|ClusterWarmLookup|EngineWarmSweep)"]
 //	         [-diff-threshold 0.20] [-profile-regressed DIR]
 //
 // The default benchmark set covers the dense-state hot path: the per-step
-// (word and K-word wide), trace/resample, and cross-voltage retime
+// (scalar and K-word wide) and cross-voltage retime/resample
 // micro-benchmarks, the input-binding and batch-evaluation costs, the
 // Fig. 8-class sweeps (engine-backed and grouped-charz), the Monte Carlo
 // point rate on the calibrated model backend, the write-ahead journal's
@@ -80,7 +80,7 @@ type File struct {
 // iterations average the scheduler noise without multiplying the
 // in-process cluster setup).
 const (
-	defaultMicroBench = "SimStep|TraceResample|CrossVddResample|InputBinding|EvaluateScalar|EvaluateBatch|RCSimStep|JournalAppend"
+	defaultMicroBench = "SimStep|CrossVddResample|InputBinding|EvaluateScalar|EvaluateBatch|RCSimStep|JournalAppend"
 	defaultSweepBench = "Fig8|MonteCarloPoint"
 	defaultServeBench = "ClusterWarmLookup|EngineWarmSweep"
 	serveBenchtime    = "100x"
@@ -112,7 +112,7 @@ func main() {
 		// runs of identical code. The journal's code cost is gated
 		// through the journaled EngineWarmSweep/ClusterWarmLookup
 		// twins instead, where it is one term of a realistic op.
-		diffRe    = flag.String("diff-filter", "^(SimStep|TraceResample|CrossVddResample|Fig8|MonteCarloPoint|ClusterWarmLookup|EngineWarmSweep)", "benchmarks the -diff gate applies to")
+		diffRe    = flag.String("diff-filter", "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|ClusterWarmLookup|EngineWarmSweep)", "benchmarks the -diff gate applies to")
 		threshold = flag.Float64("diff-threshold", 0.20, "fractional ns/op regression that fails the -diff gate")
 		profDir   = flag.String("profile-regressed", "", "directory to write one cpuprofile per regressed benchmark when the -diff gate fails (uploaded as a CI artifact)")
 	)

@@ -2,7 +2,7 @@
 // for Error-Resilient Applications" (Ragavan, Barrois, Killian, Sentieys —
 // DATE 2017) as a self-contained Go library: gate-level adder generators,
 // a 28nm-FDSOI-like timing/energy model, an event-driven VOS timing
-// simulator with a 64-lane word-parallel core (64 patterns per event
+// simulator with a K×64-lane wide core (up to 512 patterns per event
 // wave, bit-identical to the scalar reference), the paper's statistical
 // carry-chain operator model, a characterization flow regenerating every
 // table and figure, a dynamic triad-speculation governor, and

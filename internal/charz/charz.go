@@ -193,13 +193,12 @@ type Prepared struct {
 	stimWant []uint64
 	stimErr  error
 
-	// The word path's per-chunk lane images are likewise triad-independent
+	// The wide path's per-chunk lane images are likewise triad-independent
 	// (the 64×64 operand transposes depend only on the stimulus), so they
-	// are assembled once per sweep and shared read-only — previously every
-	// triad redid them, ~43× per sweep. Stored compact (input-net entries
-	// only, parallel to imgInputs): the engine reads nothing else, and a
-	// full per-net image per chunk would make a large-Patterns sweep's
-	// resident set balloon.
+	// are assembled once per sweep and shared read-only by every triad.
+	// Stored compact (input-net entries only, parallel to imgInputs): the
+	// engine reads nothing else, and a full per-net image per chunk would
+	// make a large-Patterns sweep's resident set balloon.
 	imgOnce   sync.Once
 	imgInputs []netlist.NetID
 	imgPrev   [][]uint64
@@ -226,12 +225,12 @@ func (p *Prepared) stimulusSet() (as, bs, want []uint64, err error) {
 	return p.stimA, p.stimB, p.stimWant, p.stimErr
 }
 
-// laneImages lazily assembles the word path's chained per-chunk (prev,
-// cur) lane images, indexed by chunk (pattern base / sim.WordLanes) and
-// stored compact: entry j of a chunk image is input net inputs[j]'s
-// lane word (scatterLaneImage expands one into a full per-net image).
-// Shared read-only by every triad and every electrical group of the
-// sweep.
+// laneImages lazily assembles the wide path's chained per-chunk (prev,
+// cur) lane images, indexed by 64-pattern chunk (pattern base /
+// sim.WordLanes) and stored compact: entry j of a chunk image is input
+// net inputs[j]'s lane word (scatterWideImage expands K consecutive
+// chunks into a full lane-block image). Shared read-only by every triad
+// and every electrical group of the sweep.
 func (p *Prepared) laneImages() (inputs []netlist.NetID, prev, cur [][]uint64, err error) {
 	p.imgOnce.Do(func() {
 		as, bs, _, err := p.stimulusSet()
@@ -259,15 +258,6 @@ func (p *Prepared) laneImages() (inputs []netlist.NetID, prev, cur [][]uint64, e
 		}
 	})
 	return p.imgInputs, p.imgPrev, p.imgCur, p.imgErr
-}
-
-// scatterLaneImage expands a compact per-input-net lane image into the
-// full per-net image the word engine consumes (non-input entries are
-// never read and stay untouched).
-func scatterLaneImage(full []uint64, inputs []netlist.NetID, compact []uint64) {
-	for j, id := range inputs {
-		full[id] = compact[j]
-	}
 }
 
 // Prepare runs the triad-independent half of the flow: apply defaults,
@@ -308,14 +298,21 @@ func (p *Prepared) RunTriad(tr triad.Triad) (*TriadResult, error) {
 	return p.sweepTriad(tr)
 }
 
-// Groupable reports whether this configuration's sweeps can share one
-// timed simulation per electrical (Vdd, Vbb) operating point: true for
-// the gate backend's two-vector protocol, whose event schedules do not
-// depend on Tclk (the word trace path). Streaming capture and the RC
-// backend simulate per triad.
+// Groupable reports whether this configuration's sweeps run on the
+// K×64-lane wide engine and can therefore share one timed simulation per
+// electrical (Vdd, Vbb) operating point: true for the gate backend's
+// two-vector protocol, whose event schedules are data-independent and
+// do not depend on Tclk. Streaming capture (temporally serial) and the
+// RC backend (per-pattern analog state) step a scalar engine per
+// pattern and per triad.
 func (p *Prepared) Groupable() bool {
-	return p.Config.Backend == BackendGate && !p.Config.Streaming && !wordPathDisabled
+	return p.Config.Backend == BackendGate && !p.Config.Streaming && !forceScalarReference
 }
+
+// forceScalarReference sends Groupable configurations down the scalar
+// reference loop; the cross-check tests flip it to prove the wide path
+// changes nothing but speed.
+var forceScalarReference bool
 
 // RunGroup simulates a set of triads forming one order-stable
 // super-group: the triads may span multiple electrical operating
@@ -326,13 +323,11 @@ func (p *Prepared) Groupable() bool {
 // cross-voltage retime, falling back to fresh simulation at any point
 // whose event order is not preserved; every triad's Tclk is then
 // resampled off its point's trace. Every returned TriadResult is
-// bit-identical to an independent RunTriad of the same triad: the wide
-// engine is lane-for-lane the word engine, resamples and retimes
-// reproduce StepWideChunk exactly, and the per-chunk accumulation
-// order (error statistics, energy sums, late counts) matches the
-// per-triad loop's. Configurations without the trace path (streaming,
-// RC, or a scalar-forced word path) fall back to per-triad simulation;
-// results are positionally aligned with trs.
+// bit-identical to an independent RunTriad of the same triad:
+// resamples and retimes reproduce StepWideChunk exactly, and both paths
+// fold each chunk through the same per-64-pattern-block accumulation
+// (triadFold.foldWide). Configurations that are not Groupable fall back
+// to per-triad simulation; results are positionally aligned with trs.
 func (p *Prepared) RunGroup(trs []triad.Triad) ([]*TriadResult, error) {
 	if len(trs) == 0 {
 		return nil, nil
@@ -389,7 +384,7 @@ func scatterWideImage(full []uint64, inputs []netlist.NetID, k int, imgs [][]uin
 	}
 }
 
-// sweepSuperGroup is the grouped counterpart of sweepTriad's word path
+// sweepSuperGroup is the grouped counterpart of sweepTriad's wide path
 // at super-group scale: per K×64-pattern chunk, one fresh wide trace
 // per body-bias family plus one order-checked retime per further
 // electrical point, then one O(trace) resample per triad. Points are
@@ -410,17 +405,11 @@ func (p *Prepared) sweepSuperGroup(trs []triad.Triad) ([]*TriadResult, error) {
 		return nil, err
 	}
 	k := p.wideK()
-	psum, _ := nl.OutputPort(synth.PortSum)
-	pcout, _ := nl.OutputPort(synth.PortCout)
-	outNets := make([]netlist.NetID, 0, cfg.Width+1)
-	outNets = append(outNets, psum.Bits...)
-	outNets = append(outNets, pcout.Bits...)
-	accs := make([]*metrics.ErrorAccumulator, len(trs))
-	for i := range accs {
-		accs[i] = metrics.NewErrorAccumulator(len(outNets))
+	outNets := p.outNets()
+	folds := make([]triadFold, len(trs))
+	for i := range folds {
+		folds[i] = newTriadFold(len(outNets))
 	}
-	energies := make([]metrics.EnergyAccumulator, len(trs))
-	lates := make([]int, len(trs))
 	// Partition the group by electrical operating point, each point
 	// carrying its triads (in set order — accumulation into a triad's
 	// own counters is order-sensitive only per triad) and its capture
@@ -500,39 +489,76 @@ func (p *Prepared) sweepSuperGroup(trs []triad.Triad) ([]*TriadResult, error) {
 				if err := tr.Resample(trs[ti].Tclk, &sample); err != nil {
 					return nil, err
 				}
-				// Fold the sample per 64-pattern block in ascending
-				// word order: exactly the per-chunk accumulation
-				// sequence of a solo sweep of this triad.
-				for j := 0; j < k; j++ {
-					base := wbase + j*sim.WordLanes
-					if base >= cfg.Patterns {
-						break
-					}
-					n := cfg.Patterns - base
-					if n > sim.WordLanes {
-						n = sim.WordLanes
-					}
-					for b := 0; b < n; b++ {
-						energies[ti].Add(sample.EnergyFJ[j*sim.WordLanes+b])
-					}
-					lates[ti] += bits.OnesCount64(sample.LateW[j] & laneMask(n))
-					if err := accs[ti].AddLaneBlock(want[base:base+n], sample.CapturedW, k, j); err != nil {
-						return nil, err
-					}
+				if err := folds[ti].foldWide(want, wbase, k, sample.CapturedW, sample.EnergyFJ, sample.LateW); err != nil {
+					return nil, err
 				}
 			}
 		}
 	}
 	out := make([]*TriadResult, len(trs))
 	for i, tr := range trs {
-		out[i] = &TriadResult{
-			Triad:         tr,
-			Acc:           accs[i],
-			EnergyPerOpFJ: energies[i].MeanFJ(),
-			LateFraction:  float64(lates[i]) / float64(cfg.Patterns),
-		}
+		out[i] = folds[i].result(tr, cfg.Patterns)
 	}
 	return out, nil
+}
+
+// outNets lists the operator's output bits in the error accumulator's
+// order: sum LSB-first, then carry-out — the packing of the batch
+// reference words.
+func (p *Prepared) outNets() []netlist.NetID {
+	psum, _ := p.Netlist.OutputPort(synth.PortSum)
+	pcout, _ := p.Netlist.OutputPort(synth.PortCout)
+	out := make([]netlist.NetID, 0, len(psum.Bits)+len(pcout.Bits))
+	out = append(out, psum.Bits...)
+	return append(out, pcout.Bits...)
+}
+
+// triadFold accumulates one triad's per-pattern outcomes — error
+// statistics, energy and late count — in stimulus order.
+type triadFold struct {
+	acc    *metrics.ErrorAccumulator
+	energy metrics.EnergyAccumulator
+	late   int
+}
+
+func newTriadFold(outBits int) triadFold {
+	return triadFold{acc: metrics.NewErrorAccumulator(outBits)}
+}
+
+// foldWide folds one K×64-pattern wide chunk starting at pattern wbase,
+// per 64-pattern block in ascending word order: exactly the per-chunk
+// accumulation sequence (and therefore the float sums) of the scalar
+// reference loop. want holds the whole sweep's reference words; captured
+// is in tracked-slot layout (captured[s·K+j] = output bit s, word j),
+// energy carries K·64 lanes and late K words. Lanes past the end of the
+// sweep are ignored.
+func (f *triadFold) foldWide(want []uint64, wbase, k int, captured []uint64, energy []float64, late []uint64) error {
+	for j := 0; j < k; j++ {
+		base := wbase + j*sim.WordLanes
+		if base >= len(want) {
+			break
+		}
+		n := min(len(want)-base, sim.WordLanes)
+		for b := 0; b < n; b++ {
+			f.energy.Add(energy[j*sim.WordLanes+b])
+		}
+		f.late += bits.OnesCount64(late[j] & laneMask(n))
+		if err := f.acc.AddLaneBlock(want[base:base+n], captured, k, j); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// result closes the fold of a sweep of the given pattern count into the
+// triad's result.
+func (f *triadFold) result(tr triad.Triad, patterns int) *TriadResult {
+	return &TriadResult{
+		Triad:         tr,
+		Acc:           f.acc,
+		EnergyPerOpFJ: f.energy.MeanFJ(),
+		LateFraction:  float64(f.late) / float64(patterns),
+	}
 }
 
 // Runner abstracts the execution of point jobs so frontends can swap the
@@ -693,24 +719,6 @@ func newStepper(nl *netlist.Netlist, cfg Config, tr triad.Triad) (sim.Stepper, e
 	}
 }
 
-// NewWordStepper builds the 64-lane pattern-parallel engine for one
-// operating point, when the configured backend supports it: the gate
-// backend's two-vector protocol has data-independent event schedules, so
-// 64 patterns share one event wave. Streaming capture (temporally serial)
-// and the RC backend (per-pattern analog state) return nil: callers fall
-// back to the scalar Stepper loop.
-func (p *Prepared) NewWordStepper(tr triad.Triad) (sim.WordStepper, error) {
-	if p.Config.Backend != BackendGate || p.Config.Streaming || wordPathDisabled {
-		return nil, nil
-	}
-	return sim.NewWord(p.Netlist, p.Config.Lib, *p.Config.Proc, tr.OperatingPoint()), nil
-}
-
-// wordPathDisabled forces the scalar reference loop for the gate backend;
-// the cross-check tests flip it to prove the word path changes nothing
-// but speed.
-var wordPathDisabled bool
-
 // batchReference computes the zero-delay reference word (sum plus
 // carry-out) for every stimulus pair through the netlist itself,
 // netlist.BatchLanes vectors per bit-sliced EvaluateBatch pass. Using the
@@ -755,129 +763,122 @@ func batchReference(nl *netlist.Netlist, width int, as, bs []uint64) ([]uint64, 
 	return want, nil
 }
 
-// sweepTriad runs the stimulus set through one triad in word-sized chunks
-// of sim.WordLanes patterns. The gate backend's two-vector protocol rides
-// the 64-lane word engine — one event wave per 64 patterns — while
-// streaming capture and the RC backend step the scalar engine inside the
-// same chunked loop. Either way the chunk's captured outputs land in
-// bit-sliced lane words and are folded into the error statistics with
-// metrics.AddLanes, without unpacking to per-pattern scalars.
+// sweepTriad runs the stimulus set through one triad. Groupable
+// configurations ride the wide engine: one StepWideChunk per K×64
+// patterns (K from the pattern count, as the grouped path picks it),
+// folded per 64-pattern block through the same accumulation as the
+// grouped path. Streaming capture and the RC backend step a scalar
+// engine pattern by pattern in 64-pattern chunks whose captured outputs
+// land in bit-sliced lane words, the reference the wide path is
+// cross-checked against. Either way the error statistics are folded
+// with the bit-sliced metrics.ErrorAccumulator lane calls, without
+// unpacking to per-pattern scalars.
 //
 // Everything per-vector is hoisted out of the pattern loop — or out of
-// the sweep entirely: the stimulus pairs and their bit-sliced batch
-// references are shared across all triads, the port/lane bindings are
-// compiled once, and both step paths reuse the engine's result buffers,
-// so the loop itself allocates nothing.
+// the sweep entirely: the stimulus pairs, their bit-sliced batch
+// references and the lane images are shared across all triads, and both
+// step paths reuse the engine's result buffers, so the loop itself
+// allocates nothing.
 func (p *Prepared) sweepTriad(tr triad.Triad) (*TriadResult, error) {
-	nl, cfg := p.Netlist, p.Config
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
+	if p.Groupable() {
+		return p.sweepTriadWide(tr)
+	}
+	return p.sweepTriadScalar(tr)
+}
+
+// sweepTriadWide is sweepTriad's wide-engine loop.
+func (p *Prepared) sweepTriadWide(tr triad.Triad) (*TriadResult, error) {
+	nl, cfg := p.Netlist, p.Config
+	_, _, want, err := p.stimulusSet()
+	if err != nil {
+		return nil, err
+	}
+	inputs, prevImgs, curImgs, err := p.laneImages()
+	if err != nil {
+		return nil, err
+	}
+	k := p.wideK()
+	eng, err := sim.NewWide(nl, cfg.Lib, *cfg.Proc, tr.OperatingPoint(), k)
+	if err != nil {
+		return nil, err
+	}
+	outNets := p.outNets()
+	f := newTriadFold(len(outNets))
+	prevW := make([]uint64, nl.NumNets()*k)
+	curW := make([]uint64, nl.NumNets()*k)
+	got := make([]uint64, len(outNets)*k)
+	for wbase := 0; wbase < cfg.Patterns; wbase += sim.WordLanes * k {
+		scatterWideImage(prevW, inputs, k, prevImgs, wbase/sim.WordLanes)
+		scatterWideImage(curW, inputs, k, curImgs, wbase/sim.WordLanes)
+		res, err := eng.StepWideChunk(prevW, curW, tr.Tclk)
+		if err != nil {
+			return nil, err
+		}
+		for s, id := range outNets {
+			copy(got[s*k:s*k+k], res.CapturedW[int(id)*k:int(id)*k+k])
+		}
+		if err := f.foldWide(want, wbase, k, got, res.EnergyFJ, res.LateW); err != nil {
+			return nil, err
+		}
+	}
+	return f.result(tr, cfg.Patterns), nil
+}
+
+// sweepTriadScalar is sweepTriad's scalar reference loop.
+func (p *Prepared) sweepTriadScalar(tr triad.Triad) (*TriadResult, error) {
+	nl, cfg := p.Netlist, p.Config
 	as, bs, want, err := p.stimulusSet()
 	if err != nil {
 		return nil, err
 	}
-	psum, _ := nl.OutputPort(synth.PortSum)
-	pcout, _ := nl.OutputPort(synth.PortCout)
-	// The accumulator's bit order is sum LSB-first, then carry-out — the
-	// same packing as the batch reference words.
-	outNets := make([]netlist.NetID, 0, cfg.Width+1)
-	outNets = append(outNets, psum.Bits...)
-	outNets = append(outNets, pcout.Bits...)
-	acc := metrics.NewErrorAccumulator(len(outNets))
-	var energy metrics.EnergyAccumulator
-	late := 0
-	gotBits := make([]uint64, len(outNets))
-
-	words, err := p.NewWordStepper(tr)
+	stepper, err := newStepper(nl, cfg, tr)
 	if err != nil {
 		return nil, err
 	}
-	var chunk func(base, n int) error
-	if words != nil {
-		inputs, prevImgs, curImgs, err := p.laneImages()
-		if err != nil {
-			return nil, err
-		}
-		prevW := make([]uint64, nl.NumNets())
-		curW := make([]uint64, nl.NumNets())
-		chunk = func(base, n int) error {
-			ci := base / sim.WordLanes
-			scatterLaneImage(prevW, inputs, prevImgs[ci])
-			scatterLaneImage(curW, inputs, curImgs[ci])
-			wres, err := words.StepWordChunk(prevW, curW, tr.Tclk)
-			if err != nil {
-				return err
-			}
-			for i, id := range outNets {
-				gotBits[i] = wres.CapturedW[id]
-			}
-			for k := 0; k < n; k++ {
-				energy.Add(wres.EnergyFJ[k])
-			}
-			late += bits.OnesCount64(wres.LateW & laneMask(n))
-			return nil
-		}
-	} else {
-		stepper, err := newStepper(nl, cfg, tr)
-		if err != nil {
-			return nil, err
-		}
-		streamer, _ := stepper.(sim.StreamStepper)
-		if cfg.Streaming && streamer == nil {
+	step := stepper.StepDense
+	if cfg.Streaming {
+		eng, ok := stepper.(*sim.Engine)
+		if !ok {
 			return nil, fmt.Errorf("charz: %v backend cannot stream", cfg.Backend)
 		}
-		st := netlist.CompileStimulus(nl)
-		slotA, slotB := st.MustSlot(synth.PortA), st.MustSlot(synth.PortB)
-		if err := stepper.ResetDense(st.Values()); err != nil {
-			return nil, err
-		}
-		chunk = func(base, n int) error {
-			for i := range gotBits {
-				gotBits[i] = 0
-			}
-			for k := 0; k < n; k++ {
-				st.SetSlot(slotA, as[base+k])
-				st.SetSlot(slotB, bs[base+k])
-				var res *sim.Result
-				var err error
-				if cfg.Streaming {
-					res, err = streamer.StreamStepDense(st.Values(), tr.Tclk)
-				} else {
-					res, err = stepper.StepDense(st.Values(), tr.Tclk)
-				}
-				if err != nil {
-					return err
-				}
-				for i, id := range outNets {
-					gotBits[i] |= uint64(res.Captured[id]&1) << uint(k)
-				}
-				energy.Add(res.EnergyFJ)
-				if res.Late {
-					late++
-				}
-			}
-			return nil
-		}
+		step = eng.StreamStepDense
 	}
+	st := netlist.CompileStimulus(nl)
+	slotA, slotB := st.MustSlot(synth.PortA), st.MustSlot(synth.PortB)
+	if err := stepper.ResetDense(st.Values()); err != nil {
+		return nil, err
+	}
+	outNets := p.outNets()
+	f := newTriadFold(len(outNets))
+	gotBits := make([]uint64, len(outNets))
 	for base := 0; base < cfg.Patterns; base += sim.WordLanes {
-		n := cfg.Patterns - base
-		if n > sim.WordLanes {
-			n = sim.WordLanes
+		n := min(cfg.Patterns-base, sim.WordLanes)
+		for i := range gotBits {
+			gotBits[i] = 0
 		}
-		if err := chunk(base, n); err != nil {
-			return nil, err
+		for k := 0; k < n; k++ {
+			st.SetSlot(slotA, as[base+k])
+			st.SetSlot(slotB, bs[base+k])
+			res, err := step(st.Values(), tr.Tclk)
+			if err != nil {
+				return nil, err
+			}
+			for i, id := range outNets {
+				gotBits[i] |= uint64(res.Captured[id]&1) << uint(k)
+			}
+			f.energy.Add(res.EnergyFJ)
+			if res.Late {
+				f.late++
+			}
 		}
-		if err := acc.AddLanes(want[base:base+n], gotBits); err != nil {
+		if err := f.acc.AddLanes(want[base:base+n], gotBits); err != nil {
 			return nil, err
 		}
 	}
-	return &TriadResult{
-		Triad:         tr,
-		Acc:           acc,
-		EnergyPerOpFJ: energy.MeanFJ(),
-		LateFraction:  float64(late) / float64(cfg.Patterns),
-	}, nil
+	return f.result(tr, cfg.Patterns), nil
 }
 
 // laneMask selects the low n of 64 lanes.
@@ -888,12 +889,12 @@ func laneMask(n int) uint64 {
 	return uint64(1)<<uint(n) - 1
 }
 
-// laneStimulus assembles the word engine's per-chunk input images from
-// the operand streams: bit k of curW[id] is net id's value under pattern
-// base+k, and prevW carries each lane's predecessor pattern — lane 0's
-// predecessor being the previous chunk's last pattern (or the all-zero
-// reset state for the first chunk), so the chunked word sweep replays
-// exactly the scalar protocol's settled-state chaining.
+// laneStimulus assembles the wide path's per-64-pattern-chunk input
+// images from the operand streams: bit k of curW[id] is net id's value
+// under pattern base+k, and prevW carries each lane's predecessor
+// pattern — lane 0's predecessor being the previous chunk's last pattern
+// (or the all-zero reset state for the first chunk), so the chunked lane
+// sweep replays exactly the scalar protocol's settled-state chaining.
 type laneStimulus struct {
 	nl      *netlist.Netlist
 	pa, pb  netlist.Port

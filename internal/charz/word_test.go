@@ -9,41 +9,60 @@ import (
 	"repro/internal/triad"
 )
 
-// runBothPaths characterizes cfg twice — once on the default word-parallel
-// path, once with the scalar reference loop forced — and requires
-// bit-identical triad results: same error-statistics snapshots, same
-// energy bits, same late fractions.
+// runBothPaths characterizes cfg on the default wide path and again
+// with the scalar reference loop forced, and requires bit-identical
+// triad results: same error-statistics snapshots, same energy bits, same
+// late fractions. Run super-groups a multi-triad set (sweepSuperGroup),
+// so every triad is also run solo through RunTriad (sweepTriad's wide
+// loop) and held to the same reference.
 func runBothPaths(t *testing.T, cfg Config) {
 	t.Helper()
-	if wordPathDisabled {
-		t.Fatal("wordPathDisabled left set by another test")
+	if forceScalarReference {
+		t.Fatal("forceScalarReference left set by another test")
 	}
-	word, err := Run(cfg)
+	grouped, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wordPathDisabled = true
-	defer func() { wordPathDisabled = false }()
+	prep, err := Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo := make([]TriadResult, len(grouped.Triads))
+	for i := range grouped.Triads {
+		res, err := prep.RunTriad(grouped.Triads[i].Triad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[i] = *res
+	}
+	forceScalarReference = true
+	defer func() { forceScalarReference = false }()
 	scalar, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(word.Triads) != len(scalar.Triads) {
-		t.Fatalf("triad counts: word %d scalar %d", len(word.Triads), len(scalar.Triads))
-	}
-	for i := range word.Triads {
-		w, s := &word.Triads[i], &scalar.Triads[i]
-		if !reflect.DeepEqual(w.Acc.Snapshot(), s.Acc.Snapshot()) {
-			t.Errorf("%s: error stats diverged\nword:   %+v\nscalar: %+v",
-				w.Triad.Label(), w.Acc.Snapshot(), s.Acc.Snapshot())
+	for _, path := range []struct {
+		name   string
+		triads []TriadResult
+	}{{"grouped", grouped.Triads}, {"solo", solo}} {
+		if len(path.triads) != len(scalar.Triads) {
+			t.Fatalf("%s triad count %d, scalar %d", path.name, len(path.triads), len(scalar.Triads))
 		}
-		if math.Float64bits(w.EnergyPerOpFJ) != math.Float64bits(s.EnergyPerOpFJ) {
-			t.Errorf("%s: energy diverged: word %v scalar %v",
-				w.Triad.Label(), w.EnergyPerOpFJ, s.EnergyPerOpFJ)
-		}
-		if w.LateFraction != s.LateFraction {
-			t.Errorf("%s: late fraction diverged: word %v scalar %v",
-				w.Triad.Label(), w.LateFraction, s.LateFraction)
+		for i := range path.triads {
+			w, s := &path.triads[i], &scalar.Triads[i]
+			if !reflect.DeepEqual(w.Acc.Snapshot(), s.Acc.Snapshot()) {
+				t.Errorf("%s %s: error stats diverged\nwide:   %+v\nscalar: %+v",
+					path.name, w.Triad.Label(), w.Acc.Snapshot(), s.Acc.Snapshot())
+			}
+			if math.Float64bits(w.EnergyPerOpFJ) != math.Float64bits(s.EnergyPerOpFJ) {
+				t.Errorf("%s %s: energy diverged: wide %v scalar %v",
+					path.name, w.Triad.Label(), w.EnergyPerOpFJ, s.EnergyPerOpFJ)
+			}
+			if w.LateFraction != s.LateFraction {
+				t.Errorf("%s %s: late fraction diverged: wide %v scalar %v",
+					path.name, w.Triad.Label(), w.LateFraction, s.LateFraction)
+			}
 		}
 	}
 }
@@ -63,12 +82,13 @@ func speculativeTriads(cp float64) []triad.Triad {
 	return set
 }
 
-// TestWordPathMatchesScalarPath is the flow-level half of the word-parity
-// argument: the full characterization — stimulus chaining across chunks,
-// ragged final chunk (patterns not a multiple of 64), lane-accumulated
-// statistics — must be bit-identical between the word engine and the
-// scalar reference loop, for both adder architectures across a
-// speculative triad grid.
+// TestWordPathMatchesScalarPath is the flow-level half of the
+// wide-engine parity argument: the full characterization — stimulus
+// chaining across chunks, ragged final chunk (patterns not a multiple of
+// 64), lane-accumulated statistics — must be bit-identical between the
+// wide engine (grouped and solo) and the scalar reference loop, for both
+// adder architectures across a speculative triad grid. 201 patterns put
+// the solo path at K = 4 with a ragged tail.
 func TestWordPathMatchesScalarPath(t *testing.T) {
 	for _, arch := range []synth.Arch{synth.ArchRCA, synth.ArchBKA} {
 		cfg := Config{
@@ -84,7 +104,7 @@ func TestWordPathMatchesScalarPath(t *testing.T) {
 
 // TestWordPathSubChunkSweep covers sweeps smaller than one chunk, where
 // the very first (and only) chunk is ragged and chains from the reset
-// state.
+// state; 37 patterns put the solo path at K = 1.
 func TestWordPathSubChunkSweep(t *testing.T) {
 	cfg := Config{
 		Arch:     synth.ArchRCA,
@@ -96,12 +116,11 @@ func TestWordPathSubChunkSweep(t *testing.T) {
 	runBothPaths(t, cfg)
 }
 
-// TestWordStepperSelection pins which configurations get the word path:
-// the gate backend's two-vector protocol does; streaming capture and the
-// RC backend fall back to the scalar loop (their chunked accumulation is
-// covered by the golden parity suite).
+// TestWordStepperSelection pins which configurations Groupable sends to
+// the wide engine: the gate backend's two-vector protocol; streaming
+// capture and the RC backend take the scalar loop (their chunked
+// accumulation is covered by the golden parity suite).
 func TestWordStepperSelection(t *testing.T) {
-	tr := triad.Triad{Tclk: 0.3, Vdd: 1.0}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -115,12 +134,8 @@ func TestWordStepperSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws, err := p.NewWordStepper(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (ws != nil) != tc.want {
-			t.Errorf("%s: word stepper = %v, want %v", tc.name, ws != nil, tc.want)
+		if got := p.Groupable(); got != tc.want {
+			t.Errorf("%s: Groupable = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

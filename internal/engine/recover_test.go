@@ -345,6 +345,32 @@ func TestRecoveringStateObservable(t *testing.T) {
 // open event subscription or the absence of a lease keeps a job alive.
 func TestLeaseReaping(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 2})
+	// Hold both pool workers on a gate so no sweep can finish before the
+	// reap, however fast the machine: e.jobs is unbuffered, so every
+	// sweep's exec stays queued until its context is canceled. The gate
+	// opens before the engine closes.
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	held := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			held <- e.exec(context.Background(), func() {
+				started <- struct{}{}
+				<-gate
+			})
+		}()
+	}
+	defer func() {
+		close(gate)
+		for i := 0; i < 2; i++ {
+			if err := <-held; err != nil {
+				t.Errorf("gate job: %v", err)
+			}
+		}
+	}()
+	for i := 0; i < 2; i++ {
+		<-started
+	}
 	big := Request{Arches: []string{"RCA"}, Widths: []int{8}, Patterns: 5000, Seed: 3}
 
 	leased := big
@@ -374,7 +400,11 @@ func TestLeaseReaping(t *testing.T) {
 
 	e.reapLeases(time.Now().Add(2 * time.Second))
 
-	sw, err := e.Wait(t.Context(), leasedID)
+	// Bounded: with the workers held, a job the reaper missed would
+	// otherwise block here forever.
+	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+	defer cancel()
+	sw, err := e.Wait(ctx, leasedID)
 	if err != nil {
 		t.Fatal(err)
 	}

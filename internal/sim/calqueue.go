@@ -5,7 +5,7 @@ import "math"
 // qev is one scheduled event: a (time, seq) ordering key plus an engine
 // payload. The queue's cost is cache traffic, not arithmetic, so payloads
 // stay small: the scalar engine's gateValue keeps the event at 24 bytes,
-// the word engine's gateWord at 32. The bucket index is not stored:
+// the wide engine's wideRef at 32. The bucket index is not stored:
 // int64(time*inv) is a pure function of the stored time, so push and pop
 // recompute the identical value.
 type qev[P any] struct {
@@ -30,7 +30,7 @@ type bucket[P any] struct {
 }
 
 // calQueue is a bucketed time-wheel (calendar) event queue, generic over
-// the event payload so the scalar and the 64-lane word engine share one
+// the event payload so the scalar and the K×64-lane wide engine share one
 // implementation with no boxing and no comparator indirection. Pending
 // event times always span at most one maximum gate delay (events are
 // scheduled at now+delay and popped in time order), so a power-of-two ring
@@ -67,8 +67,8 @@ const maxCalBuckets = 4096
 // while a bucket is being consumed can never land in that same bucket,
 // which keeps the lazy sort a once-per-revolution affair.
 //
-// fineness divides the bucket width below that baseline: the word engine
-// carries ~64× the scalar engine's event density, and narrower buckets
+// fineness divides the bucket width below that baseline: the wide engine
+// carries ~K·64× the scalar engine's event density, and narrower buckets
 // keep per-bucket populations inside the cheap nearly-sorted
 // insertion-sort regime. Any fineness ≥ 1 is correct (the no-push-into-
 // consumed-bucket margin only tightens); it is purely a sort-granularity

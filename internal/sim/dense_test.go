@@ -176,7 +176,4 @@ func TestStepperSeam(t *testing.T) {
 	if got := sum | cout<<4; got != 7 {
 		t.Fatalf("3+4 through Stepper seam = %d", got)
 	}
-	if _, ok := st.(sim.StreamStepper); !ok {
-		t.Fatal("gate engine should stream")
-	}
 }

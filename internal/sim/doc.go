@@ -19,57 +19,50 @@
 // vector. The map-based Reset/Step/StreamStep remain as thin compatibility
 // wrappers.
 //
-// # The word-parallel core
+// # The wide engine
 //
 // At a fixed operating point every gate delay is data-independent, so the
-// classic parallel-pattern single-delay trick applies: WordEngine carries
-// a 64-lane bit-sliced []uint64 net image (lane k of every word belongs
-// to pattern k) through the same event schedule. A gate is re-evaluated
-// across all 64 lanes with one cell.Kind.EvalWord call, an event fires
-// when any lane changes (old ^ new != 0), and per-lane energy, late flags
-// and transition counts are attributed from the changed-lane mask. Lane
-// k's event times, captured values and energy sums are bit-identical to a
-// scalar run of pattern k (the golden parity suite and the randomized
-// cross-checks enforce this): lanes only ever share work, never semantics.
-// The scalar dense engine remains as the reference implementation and as
-// the backend of the streaming protocol, which is temporally serial (each
-// vector launches into the unsettled wake of the previous one) and
-// therefore cannot be pattern-parallelized.
-//
-// # The trace/resample seam
+// classic parallel-pattern single-delay trick applies: WideEngine carries
+// a bit-sliced net image of K uint64 words per net (K up to
+// MaxWideWords; bit b of word j belongs to pattern j·64+b) through the
+// same event schedule. A gate is re-evaluated with one cell.Kind.EvalWord
+// call per changed word, an event fires when any lane of any word
+// changes (old ^ new != 0), and per-lane energy, late flags and
+// transition counts are attributed from the changed-lane masks. Lane L's
+// event times, captured values and energy sums are bit-identical to a
+// scalar run of pattern L at every K (the golden parity suite and the
+// randomized wide-vs-scalar cross-checks enforce this): lanes only ever
+// share work, never semantics. The scalar dense engine remains as the
+// reference implementation and as the backend of the streaming protocol,
+// which is temporally serial (each vector launches into the unsettled
+// wake of the previous one) and therefore cannot be pattern-parallelized.
 //
 // The clock period never influences the event wave — Tclk enters a
 // two-vector experiment only as the capture boundary and the
-// leakage·Tclk energy term — so one simulation per electrical (Vdd,
-// Vbb) point suffices for any number of clocks. StepWordTrace runs the
-// 64-lane experiment to full quiescence and records the chronological
-// event history (time, changed-lane mask, new value word, per-event
-// switching energy); WordTrace.Resample(tclk) then reproduces what
-// StepWordChunk at that tclk would have returned, in one linear pass:
-// captured words are the tracked nets' last values at or before the
+// leakage·Tclk energy term — so one simulation per electrical (Vdd, Vbb)
+// point suffices for any number of clocks. StepWideTrace runs the
+// experiment to full quiescence and records the chronological event
+// history (time, changed-lane block, per-event switching energy, tracked
+// nets' new values); WideTrace.Resample(tclk) then reproduces what
+// StepWideChunk at that tclk would have returned, in one linear pass:
+// captured blocks are the tracked nets' last values at or before the
 // deadline (the calendar queue's pop boundary is inclusive, so an event
-// exactly at Tclk is captured), per-lane energy is the same-order
-// prefix sum of the recorded charges plus leakPower·Tclk, and the late
-// mask ORs every post-deadline changed-lane mask. All three are
-// bit-identical to a direct StepWordChunk — same floats, same addition
-// order — which the randomized trace cross-checks and the golden parity
-// suite enforce. The characterization flow rides this seam to simulate
-// each distinct operating point of the paper's 43-triad grid exactly
-// once per sweep (the grid holds only ~14 electrical points; the clocks
-// sharing each point are resamples).
-//
-// # Wide lanes and cross-voltage retiming
-//
-// WideEngine widens the word core to K-word lane blocks (K up to
-// MaxWideWords): every net carries K uint64 words in a flat block-major
-// image, one EvalWord call per word evaluates K×64 patterns, and one
-// event covers a change in any lane of any word. StepWideTrace is the
-// wide StepWordTrace with two additions that make the trace portable
-// across operating points: a retime log (per effective event, the gate
-// that fired it and its causal parent event) and the t = 0 input-toggle
-// set, plus a capture horizon — attribution and boundary prefix
+// exactly at Tclk is captured), per-lane energy is the same-order prefix
+// sum of the recorded charges plus leakPower·Tclk, and the late mask ORs
+// every post-deadline changed-lane block — same floats, same addition
+// order. A capture horizon bounds the work: attribution and prefix
 // snapshots stop at the largest Tclk the trace will ever be asked for,
-// while the wave still runs to quiescence for the late masks.
+// while the wave still runs to quiescence for the late masks. The
+// characterization flow rides this to simulate each distinct operating
+// point of the paper's 43-triad grid once per chunk (the grid holds only
+// ~14 electrical points; the clocks sharing each point are resamples);
+// a solo triad runs one StepWideChunk per K×64 patterns.
+//
+// # Cross-voltage retiming
+//
+// A wide trace also records what makes it portable across operating
+// points: a retime log (per effective event, the gate that fired it and
+// its causal parent event) and the t = 0 input-toggle set.
 //
 // RetimeTrace re-times a recorded wave at another operating point
 // without re-simulating: each event's firing time is re-derived from
@@ -88,6 +81,6 @@
 // above per-point rounding noise. Without the dither, a Brent-Kung
 // adder's equal-delay path pairs reorder under re-rounding at every
 // neighboring Vdd and no retime survives; with it, the whole Fig. 8
-// grid retimes. The quantum and dither are shared by every engine
-// (scalar, word, wide), so cross-engine parity is by construction.
+// grid retimes. The quantum and dither are shared by both engines
+// (scalar and wide), so cross-engine parity is by construction.
 package sim

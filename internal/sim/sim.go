@@ -26,7 +26,7 @@ type Engine struct {
 	op   fdsoi.OperatingPoint
 
 	// tables holds the compiled per-gate/per-net dense arrays (delays,
-	// energies, truth tables, CSR fanouts), shared with WordEngine.
+	// energies, truth tables, CSR fanouts), shared with WideEngine.
 	*tables
 
 	value     []uint8 // current net values
@@ -63,9 +63,9 @@ func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 
 // Stats accumulates simulation activity.
 type Stats struct {
-	// Transitions is the number of net value changes that fired. The word
-	// engine counts per-lane changes, so one fired word event contributes
-	// one transition per changed lane.
+	// Transitions is the number of net value changes that fired. The wide
+	// engine counts per-lane changes, so one fired lane-block event
+	// contributes one transition per changed lane.
 	Transitions uint64
 	// LateTransitions is the subset that fired after the capture instant
 	// of their step (energy spent in the next cycle).
@@ -76,7 +76,7 @@ type Stats struct {
 	// LeakageEnergy is the integrated leakage (fJ) over the stepped clock
 	// periods.
 	LeakageEnergy float64
-	// Steps counts Step/StreamStep calls; the word engine counts WordLanes
+	// Steps counts Step/StreamStep calls; the wide engine counts K·WordLanes
 	// steps per chunk — including the inert tail lanes of a ragged final
 	// chunk, whose pure-leakage energy is likewise booked. Transition
 	// counts are exact per lane; Steps and LeakageEnergy are exact only

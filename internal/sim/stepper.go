@@ -1,7 +1,5 @@
 package sim
 
-import "repro/internal/netlist"
-
 // Stepper is the dense two-vector protocol seam shared by the timing
 // engines: the gate-level engine (this package) and the switch-level RC
 // engine (internal/rcsim) both implement it, so the characterization flow
@@ -20,68 +18,5 @@ type Stepper interface {
 	StepDense(values []uint8, tclk float64) (*Result, error)
 }
 
-// StreamStepper extends Stepper with free-running streaming capture, where
-// vectors are applied every tclk without waiting for quiescence. Only the
-// gate-level engine implements it.
-type StreamStepper interface {
-	Stepper
-	StreamStepDense(values []uint8, tclk float64) (*Result, error)
-}
-
-// WordStepper is the 64-lane pattern-parallel seam: one call runs
-// WordLanes independent two-vector experiments, lane k settling on prev's
-// lane-k input bits and switching to cur's at t = 0. Backends whose event
-// schedules are data-independent (the gate-level WordEngine) implement
-// it; backends with per-pattern analog state (rcsim) do not, and the
-// characterization flow falls back to the scalar Stepper loop for them.
-// Lane images are dense per-net []uint64 slices indexed by
-// netlist.NetID. Implementations own the returned WordResult, which stays
-// valid only until the next call.
-type WordStepper interface {
-	StepWordChunk(prev, cur []uint64, tclk float64) (*WordResult, error)
-}
-
-// WordTracer extends WordStepper with full-settle trace capture: one
-// StepWordTrace runs the 64-lane two-vector experiment to quiescence
-// with no capture deadline and records the event history, from which
-// WordTrace.Resample answers any Tclk in one linear pass, bit-identical
-// to a StepWordChunk at that Tclk. The characterization flow uses it to
-// simulate each electrical (Vdd, Vbb) operating point once per sweep
-// and read every clock period of the triad set off the trace.
-type WordTracer interface {
-	WordStepper
-	StepWordTrace(prev, cur []uint64, tracked []netlist.NetID) (*WordTrace, error)
-}
-
-// WideStepper is the K×64-lane pattern-parallel seam: one call runs
-// K·WordLanes independent two-vector experiments over flat K-word
-// lane-block images (K consecutive words per net, indexed id·K+j).
-// The gate-level WideEngine implements it; K() reports the block
-// width the images must use.
-type WideStepper interface {
-	K() int
-	StepWideChunk(prev, cur []uint64, tclk float64) (*WideResult, error)
-}
-
-// WideTracer extends WideStepper with trace capture and cross-voltage
-// reuse: StepWideTrace records one K×64-lane wave to quiescence with a
-// capture horizon, WideTrace.Resample answers any Tclk ≤ horizon
-// bit-identically to StepWideChunk, and RetimeTrace/ResampleAt re-time
-// a recorded wave at this engine's operating point when the event
-// order is preserved (reporting false — fall back to fresh simulation
-// — when it is not). The characterization flow uses it to simulate
-// each order-stable super-group of electrical points once per sweep.
-type WideTracer interface {
-	WideStepper
-	StepWideTrace(prev, cur []uint64, tracked []netlist.NetID, horizon float64) (*WideTrace, error)
-	RetimeTrace(src *WideTrace, horizon float64, dst *WideTrace) (bool, error)
-	ResampleAt(src *WideTrace, tclk float64, s *WideSample) (bool, error)
-}
-
-// Compile-time seam checks.
-var (
-	_ Stepper       = (*Engine)(nil)
-	_ StreamStepper = (*Engine)(nil)
-	_ WideStepper   = (*WideEngine)(nil)
-	_ WideTracer    = (*WideEngine)(nil)
-)
+// Compile-time seam check.
+var _ Stepper = (*Engine)(nil)

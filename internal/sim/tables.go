@@ -10,10 +10,10 @@ import (
 
 // tables is the compiled, operating-point-resolved image of one netlist:
 // every dense array the event loops touch, shared verbatim by the scalar
-// engine (Engine) and the 64-lane word engine (WordEngine). Compiling once
-// and embedding keeps the two cores in lockstep by construction — same
-// delays, same truth tables, same CSR fanouts — which is half of the
-// word-path parity argument.
+// engine (Engine) and the K×64-lane wide engine (WideEngine). Compiling
+// once and embedding keeps the two cores in lockstep by construction —
+// same delays, same truth tables, same CSR fanouts — which is half of the
+// wide-path parity argument.
 type tables struct {
 	gateDelay  []float64 // ns per gate at op
 	gateEnergy []float64 // fJ per output transition at op
@@ -23,7 +23,7 @@ type tables struct {
 	// arrays, never the netlist's slice-of-slice structures. Gates with
 	// fewer than three inputs repeat in0; tt holds the gate's 8-entry
 	// truth table (bit a|b<<1|c<<2) for the scalar shift-and-mask eval,
-	// and kinds the cell function for the word engine's bitwise
+	// and kinds the cell function for the wide engine's bitwise
 	// cell.Kind.EvalWord eval — both derived from the same EvalWord, so
 	// lane k of the word eval is exactly the scalar tt lookup.
 	tt            []uint8

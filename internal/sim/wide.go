@@ -9,10 +9,23 @@ import (
 	"repro/internal/netlist"
 )
 
+// WordLanes is the pattern parallelism of one lane word: one uint64
+// carries one bit per concurrently simulated pattern.
+const WordLanes = netlist.BatchLanes
+
 // MaxWideWords is the largest lane-block width of the wide engine: K
 // words of WordLanes patterns each, so one event wave serves up to
 // MaxWideWords×64 = 512 patterns.
 const MaxWideWords = 8
+
+// wideQueueFineness narrows the wide engine's calendar buckets relative
+// to the scalar baseline, per lane word of the block. One K-word chunk
+// merges K·64 pattern waves, so a scalar-width bucket collects ~K·64×
+// the events and pays quicksorts where the scalar engine pays
+// nearly-free small insertion sorts; splitting the same time span
+// across more buckets restores the small-sort regime. Purely a
+// performance knob: pop order is (time, seq) at any fineness.
+const wideQueueFineness = 8
 
 // wideRef is the wide engine's event payload: the firing gate, the
 // arena slot holding its scheduled K-word output block, and the index
@@ -38,31 +51,39 @@ type WideResult struct {
 	CapturedW []uint64
 	// EnergyFJ is the per-lane energy of the chunk (length K·64):
 	// lane L's switching before capture plus leakage over Tclk,
-	// bit-identical to the EnergyFJ a 64-lane StepWordChunk of word j
-	// reports for bit b.
+	// bit-identical to the EnergyFJ a scalar StepDense of pattern L
+	// reports.
 	EnergyFJ []float64
 	// LateW flags lanes with at least one post-capture transition,
 	// one word per lane word (length K).
 	LateW []uint64
 }
 
-// WideEngine is the K-word generalization of WordEngine: net state is
-// a flat block of K consecutive uint64 words per net (valueW[id·K+j]
-// bit b = net id's value under pattern j·64+b), one event wave serves
-// K·64 patterns, and one event fires per any-lane-any-word change.
-// Scheduled output blocks live in a per-chunk arena so the calendar
-// queue's payload stays a fixed 32 bytes at every K.
+// WideEngine is the K×64-lane bit-sliced variant of Engine: net state
+// is a flat block of K consecutive uint64 words per net
+// (valueW[id·K+j] bit b = net id's value under pattern j·64+b), one
+// event wave serves K·64 patterns, and one event fires per
+// any-lane-any-word change. It shares the compiled tables (delays,
+// energies, truth tables, CSR fanouts) with the scalar engine and
+// evaluates gates with cell.Kind.EvalWord. Scheduled output blocks live
+// in a per-chunk arena so the calendar queue's payload stays a fixed 32
+// bytes at every K.
 //
-// Per lane the schedule is exactly the scalar (and therefore the
-// 64-lane word) schedule: gate delays are data-independent at a fixed
-// operating point, so lane L's transition times, captured values and
-// energy-accumulation order do not depend on which other lanes share
-// its event carriers — word j of a wide chunk is bit-identical to a
-// StepWordChunk of the same 64 patterns. Re-evaluation is lazy per
-// word: a touch only re-evaluates the words whose input words
-// actually changed (the firing event's changed-word mask), which
-// keeps the per-event cost proportional to activity rather than to K.
-// Not safe for concurrent use.
+// Per lane the schedule is exactly the scalar schedule: gate delays are
+// data-independent at a fixed operating point, so lane L's transition
+// times, captured values and energy-accumulation order do not depend on
+// which other lanes share its event carriers — lane L of a wide chunk
+// is bit-identical to a scalar StepDense of pattern L, at every K.
+// Re-evaluation is lazy per word: a touch only re-evaluates the words
+// whose input words actually changed (the firing event's changed-word
+// mask), which keeps the per-event cost proportional to activity rather
+// than to K.
+//
+// The engine only implements the two-vector protocol: each lane's
+// experiment starts from its own settled predecessor state, which is a
+// pure (zero-delay) function of the predecessor vector and therefore
+// batch-computable. The streaming protocol is temporally serial and
+// stays on the scalar engine. Not safe for concurrent use.
 type WideEngine struct {
 	nl  *netlist.Netlist
 	lib *cell.Library
@@ -98,8 +119,8 @@ type WideEngine struct {
 }
 
 // NewWide builds a K-word wide engine for nl at operating point op.
-// k must be in [1, MaxWideWords]; k = 1 degenerates to the 64-lane
-// word engine's geometry (one word per net).
+// k must be in [1, MaxWideWords]; k = 1 is the plain 64-lane geometry
+// (one word per net).
 func NewWide(nl *netlist.Netlist, lib *cell.Library, proc fdsoi.Params, op fdsoi.OperatingPoint, k int) (*WideEngine, error) {
 	if k < 1 || k > MaxWideWords {
 		return nil, fmt.Errorf("sim: wide block of %d words outside [1, %d]", k, MaxWideWords)
@@ -114,11 +135,7 @@ func NewWide(nl *netlist.Netlist, lib *cell.Library, proc fdsoi.Params, op fdsoi
 		scheduledW: make([]uint64, nl.NumGates()*k),
 		laneEnergy: make([]float64, WordLanes*k),
 	}
-	// K words merge K times the word engine's event density into one
-	// queue; scale the bucket fineness with K to stay in the cheap
-	// small-sort regime (purely a performance knob, like
-	// wordQueueFineness).
-	e.queue.init(e.minDelay, e.maxDelay, wordQueueFineness*float64(k))
+	e.queue.init(e.minDelay, e.maxDelay, wideQueueFineness*float64(k))
 	return e, nil
 }
 
@@ -131,8 +148,13 @@ func (e *WideEngine) OperatingPoint() fdsoi.OperatingPoint { return e.op }
 // K returns the engine's lane-block width in words.
 func (e *WideEngine) K() int { return e.k }
 
-// Stats returns the accumulated statistics; counts are per-lane, as in
-// WordEngine, and every chunk books K·64 steps and lane-leakage terms.
+// Stats returns the accumulated statistics. Counts are per-lane: one
+// fired event contributes one transition per changed lane, so a
+// chunk-aligned sweep's totals equal the scalar engine's. Every chunk
+// books K·64 steps and lane-leakage terms, so the inert tail lanes of a
+// ragged final chunk are included in Steps and LeakageEnergy (results
+// ignore those lanes; the diagnostics deliberately count what was
+// simulated, which is always full blocks).
 func (e *WideEngine) Stats() Stats { return e.stats }
 
 // ResetStats zeroes the accumulated statistics.
@@ -237,8 +259,8 @@ func (e *WideEngine) StepWideChunk(prev, cur []uint64, tclk float64) (*WideResul
 	}
 	// Switch the inputs to the current vectors and seed the wave; nets
 	// are visited in the scalar applyInputs order and words ascending,
-	// so each lane's input-energy accumulation order matches the
-	// 64-lane path of its word exactly.
+	// so each lane's input-energy accumulation order matches the scalar
+	// path exactly.
 	for _, id := range e.inputNets {
 		base := int(id) * k
 		var words uint64

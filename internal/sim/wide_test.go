@@ -3,6 +3,7 @@ package sim_test
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/cell"
@@ -11,6 +12,45 @@ import (
 	"repro/internal/sim"
 	"repro/internal/synth"
 )
+
+// traceOutNets returns the adder's output-port bits in the
+// characterization flow's order (sum LSB-first, then carry-out).
+func traceOutNets(nl *netlist.Netlist) []netlist.NetID {
+	psum, _ := nl.OutputPort(synth.PortSum)
+	pcout, _ := nl.OutputPort(synth.PortCout)
+	out := make([]netlist.NetID, 0, len(psum.Bits)+len(pcout.Bits))
+	out = append(out, psum.Bits...)
+	return append(out, pcout.Bits...)
+}
+
+// traceChunks builds chained (prev, cur) 64-lane word chunks — one-word
+// lane images, the K = 1 layout — for a random pattern stream of the
+// given length, including a ragged final chunk when patterns is not a
+// multiple of 64.
+func traceChunks(nl *netlist.Netlist, mask uint64, patterns int, seed uint64) (chunks [][2][]uint64) {
+	pa, _ := nl.InputPort(synth.PortA)
+	pb, _ := nl.InputPort(synth.PortB)
+	rng := rand.New(rand.NewPCG(seed, 29))
+	prevA, prevB := uint64(0), uint64(0)
+	for base := 0; base < patterns; base += sim.WordLanes {
+		n := patterns - base
+		if n > sim.WordLanes {
+			n = sim.WordLanes
+		}
+		prevW := make([]uint64, nl.NumNets())
+		curW := make([]uint64, nl.NumNets())
+		for k := 0; k < n; k++ {
+			a, b := rng.Uint64()&mask, rng.Uint64()&mask
+			netlist.AssignPortLane(prevW, pa, uint(k), prevA)
+			netlist.AssignPortLane(prevW, pb, uint(k), prevB)
+			netlist.AssignPortLane(curW, pa, uint(k), a)
+			netlist.AssignPortLane(curW, pb, uint(k), b)
+			prevA, prevB = a, b
+		}
+		chunks = append(chunks, [2][]uint64{prevW, curW})
+	}
+	return chunks
+}
 
 // packWideChunks packs chained 64-lane word chunks into flat K-word
 // lane-block images, k word chunks per wide chunk. A ragged final wide
@@ -32,75 +72,184 @@ func packWideChunks(nl *netlist.Netlist, chunks [][2][]uint64, k int) (wide [][2
 	return wide
 }
 
-// TestWideChunkMatchesWordChunk is the wide-lane parity argument: a
-// K-word StepWideChunk must be bit-identical, word for word, to K
-// independent 64-lane StepWordChunk calls — captured nets, per-lane
-// energy bits, late masks — for every K, including a ragged final block
-// whose trailing words are zero-filled.
-func TestWideChunkMatchesWordChunk(t *testing.T) {
+// wideCrossCheck drives the identical pattern stream through the scalar
+// dense engine (one StepDense per pattern) and a K-word wide engine (one
+// StepWideChunk per K×64 patterns) and requires bit-identical captured
+// values, energies and late flags per pattern, inert lanes past a ragged
+// end, and equal per-lane transition totals — the parity property the
+// wide path of the characterization flow rests on.
+func wideCrossCheck(t *testing.T, nl *netlist.Netlist, op fdsoi.OperatingPoint, tclk float64, patterns, k int, seed uint64) {
+	t.Helper()
 	lib, proc := cell.Default28nmLVT(), fdsoi.Default()
+	scalar := sim.New(nl, lib, proc, op)
+	wide, err := sim.NewWide(nl, lib, proc, op, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stim := netlist.CompileStimulus(nl)
+	slotA, slotB := stim.MustSlot(synth.PortA), stim.MustSlot(synth.PortB)
+	if err := scalar.ResetDense(stim.Values()); err != nil {
+		t.Fatal(err)
+	}
+	pa, _ := nl.InputPort(synth.PortA)
+	pb, _ := nl.InputPort(synth.PortB)
+	mask := uint64(1)<<uint(len(pa.Bits)) - 1
+
+	rng := rand.New(rand.NewPCG(seed, 17))
+	as := make([]uint64, patterns)
+	bs := make([]uint64, patterns)
+	for i := range as {
+		as[i], bs[i] = rng.Uint64()&mask, rng.Uint64()&mask
+	}
+
+	// Scalar reference results, pattern by pattern.
+	type scalarStep struct {
+		captured []uint8
+		energy   float64
+		late     bool
+	}
+	refs := make([]scalarStep, patterns)
+	for i := range refs {
+		stim.SetSlot(slotA, as[i])
+		stim.SetSlot(slotB, bs[i])
+		res, err := scalar.StepDense(stim.Values(), tclk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = scalarStep{
+			captured: append([]uint8(nil), res.Captured...),
+			energy:   res.EnergyFJ,
+			late:     res.Late,
+		}
+	}
+
+	// Wide engine, chunk by chunk (including a ragged final chunk when
+	// patterns is not a multiple of K·64). Lane l of a chunk is bit l%64
+	// of word l/64 in each net's block.
+	lanes := k * sim.WordLanes
+	bit := func(blk []uint64, id, l int) uint64 {
+		return blk[id*k+l/sim.WordLanes] >> uint(l%sim.WordLanes) & 1
+	}
+	setLane := func(img []uint64, port netlist.Port, l int, v uint64) {
+		for i, id := range port.Bits {
+			img[int(id)*k+l/sim.WordLanes] |= (v >> uint(i) & 1) << uint(l%sim.WordLanes)
+		}
+	}
+	prevW := make([]uint64, nl.NumNets()*k)
+	curW := make([]uint64, nl.NumNets()*k)
+	for base := 0; base < patterns; base += lanes {
+		n := min(patterns-base, lanes)
+		clear(prevW)
+		clear(curW)
+		for l := 0; l < n; l++ {
+			pA, pB := uint64(0), uint64(0)
+			if i := base + l - 1; i >= 0 {
+				pA, pB = as[i], bs[i]
+			}
+			setLane(prevW, pa, l, pA)
+			setLane(prevW, pb, l, pB)
+			setLane(curW, pa, l, as[base+l])
+			setLane(curW, pb, l, bs[base+l])
+		}
+		res, err := wide.StepWideChunk(prevW, curW, tclk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := 0; l < n; l++ {
+			ref := refs[base+l]
+			for id := range ref.captured {
+				if got := uint8(bit(res.CapturedW, id, l)); got != ref.captured[id] {
+					t.Fatalf("k %d pattern %d net %d: wide captured %d, scalar %d",
+						k, base+l, id, got, ref.captured[id])
+				}
+			}
+			if got := res.EnergyFJ[l]; math.Float64bits(got) != math.Float64bits(ref.energy) {
+				t.Fatalf("k %d pattern %d: wide energy %v (bits %x), scalar %v (bits %x)",
+					k, base+l, got, math.Float64bits(got), ref.energy, math.Float64bits(ref.energy))
+			}
+			if got := bit(res.LateW, 0, l) == 1; got != ref.late {
+				t.Fatalf("k %d pattern %d: wide late %v, scalar %v", k, base+l, got, ref.late)
+			}
+		}
+		// Lanes past a ragged end must stay inert: equal prev/cur inputs
+		// mean pure-leakage energy and no late flag.
+		leak := res.EnergyFJ[lanes-1]
+		for l := n; l < lanes; l++ {
+			if bit(res.LateW, 0, l) == 1 {
+				t.Fatalf("k %d: inert lane %d flagged late", k, l)
+			}
+			if res.EnergyFJ[l] != leak {
+				t.Fatalf("k %d: inert lane %d energy %v, want leakage-only %v", k, l, res.EnergyFJ[l], leak)
+			}
+		}
+	}
+
+	// The wide engine's per-lane transition totals must equal the scalar
+	// stream's.
+	ss, ws := scalar.Stats(), wide.Stats()
+	if ss.Transitions != ws.Transitions || ss.LateTransitions != ws.LateTransitions {
+		t.Fatalf("k %d: stats diverged: scalar %+v wide %+v", k, ss, ws)
+	}
+}
+
+// TestWordStepMatchesScalarDense checks the one-word (K = 1) wide step
+// against the scalar reference over a (Vdd, Tclk) grid from safely
+// settled to deeply over-scaled (every capture mid-wave, plenty of late
+// events) for both adder architectures, with per-gate mismatch so no two
+// gate delays coincide exactly.
+func TestWordStepMatchesScalarDense(t *testing.T) {
+	archs := []struct {
+		arch  synth.Arch
+		width int
+	}{
+		{synth.ArchRCA, 8},
+		{synth.ArchBKA, 8},
+	}
+	vdds := []float64{1.0, 0.7, 0.55}
+	tclks := []float64{0.05, 0.12, 0.3, 2.0}
+	for _, ad := range archs {
+		mm := fdsoi.NewMismatchSampler(0.03, 7)
+		nl, err := synth.NewAdder(ad.arch, synth.AdderConfig{Width: ad.width, Mismatch: mm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, vdd := range vdds {
+			for _, tclk := range tclks {
+				name := fmt.Sprintf("%s%d/%.2fV/%.2fns", ad.arch, ad.width, vdd, tclk)
+				t.Run(name, func(t *testing.T) {
+					// 130 patterns: two full chunks plus a ragged tail.
+					wideCrossCheck(t, nl, fdsoi.OperatingPoint{Vdd: vdd, Vbb: 0}, tclk, 130, 1, 11)
+				})
+			}
+		}
+	}
+}
+
+// TestWideChunkMatchesWordChunk is the wide-lane parity argument: for
+// every K, each 64-pattern word chunk of a K-word StepWideChunk must be
+// bit-identical to the scalar StepDense reference pattern for pattern —
+// captured nets, per-lane energy bits, late flags, transition totals —
+// including a ragged final block whose trailing words are zero-filled.
+func TestWideChunkMatchesWordChunk(t *testing.T) {
 	mm := fdsoi.NewMismatchSampler(0.03, 23)
 	nl, err := synth.NewAdder(synth.ArchBKA, synth.AdderConfig{Width: 16, Mismatch: mm})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 150 patterns = 2 full word chunks + a ragged 22-lane tail: at
-	// K = 2 the second wide chunk is a ragged 1-word block, at K = 4
-	// and 8 the single wide chunk carries zero-filled trailing words.
-	chunks, _ := traceChunks(nl, 0xffff, 150, 41)
+	// K = 1 and 2 the last wide chunk is a ragged block, at K = 4 and 8
+	// the single wide chunk carries zero-filled trailing words.
 	ops := []fdsoi.OperatingPoint{
 		{Vdd: 1.0, Vbb: 0},
 		{Vdd: 0.55, Vbb: 2},
 	}
 	tclks := []float64{0.05, 0.25, 0.8}
-	for _, k := range []int{2, 4, 8} {
-		wide := packWideChunks(nl, chunks, k)
+	for _, k := range []int{1, 2, 4, 8} {
 		for _, op := range ops {
 			t.Run(fmt.Sprintf("k%d/%.2fV/%.0fbb", k, op.Vdd, op.Vbb), func(t *testing.T) {
-				weng, err := sim.NewWide(nl, lib, proc, op, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				word := sim.NewWord(nl, lib, proc, op)
-				for wc, c := range wide {
-					for _, tclk := range tclks {
-						wres, err := weng.StepWideChunk(c[0], c[1], tclk)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for j := 0; j < k; j++ {
-							ci := wc*k + j
-							if ci >= len(chunks) {
-								// Zero-filled trailing word: no activity, no
-								// late lanes, pure leakage energy.
-								if wres.LateW[j] != 0 {
-									t.Fatalf("k %d word %d: zero-filled word has late lanes %x", k, j, wres.LateW[j])
-								}
-								continue
-							}
-							sres, err := word.StepWordChunk(chunks[ci][0], chunks[ci][1], tclk)
-							if err != nil {
-								t.Fatal(err)
-							}
-							for id := 0; id < nl.NumNets(); id++ {
-								if wres.CapturedW[id*k+j] != sres.CapturedW[id] {
-									t.Fatalf("k %d chunk %d tclk %v net %d: wide %x, word %x",
-										k, ci, tclk, id, wres.CapturedW[id*k+j], sres.CapturedW[id])
-								}
-							}
-							if wres.LateW[j] != sres.LateW {
-								t.Fatalf("k %d chunk %d tclk %v: wide late %x, word late %x",
-									k, ci, tclk, wres.LateW[j], sres.LateW)
-							}
-							for b := 0; b < sim.WordLanes; b++ {
-								wf, sf := wres.EnergyFJ[j*sim.WordLanes+b], sres.EnergyFJ[b]
-								if math.Float64bits(wf) != math.Float64bits(sf) {
-									t.Fatalf("k %d chunk %d tclk %v lane %d: wide energy %v, word %v",
-										k, ci, tclk, b, wf, sf)
-								}
-							}
-						}
-					}
+				for _, tclk := range tclks {
+					wideCrossCheck(t, nl, op, tclk, 150, k, 41)
 				}
 			})
 		}
@@ -151,7 +300,7 @@ func TestWideTraceResampleMatchesWideChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	outNets := traceOutNets(nl)
-	chunks, _ := traceChunks(nl, 0xff, 150, 7)
+	chunks := traceChunks(nl, 0xff, 150, 7)
 	const k = 2
 	wide := packWideChunks(nl, chunks, k)
 	tclks := []float64{0.02, 0.1, 0.3, 0.45}
@@ -184,6 +333,119 @@ func TestWideTraceResampleMatchesWideChunk(t *testing.T) {
 	}
 }
 
+// TestTraceResampleMatchesWordChunk is the trace-path parity argument at
+// the one-word (K = 1) geometry with no capture horizon: one full-settle
+// StepWideTrace per 64-pattern chunk, resampled at every clock of a
+// (Vdd, Vbb) × Tclk grid, must be bit-identical to a direct one-word
+// StepWideChunk at each clock — across both adder architectures, chained
+// chunks including a ragged tail, and deadlines from "captures nothing"
+// to "captures everything".
+func TestTraceResampleMatchesWordChunk(t *testing.T) {
+	lib, proc := cell.Default28nmLVT(), fdsoi.Default()
+	archs := []struct {
+		arch  synth.Arch
+		width int
+		mask  uint64
+	}{
+		{synth.ArchRCA, 8, 0xff},
+		{synth.ArchBKA, 16, 0xffff},
+	}
+	ops := []fdsoi.OperatingPoint{
+		{Vdd: 1.0, Vbb: 0},
+		{Vdd: 0.7, Vbb: 0},
+		{Vdd: 0.55, Vbb: 2},
+		{Vdd: 0.45, Vbb: 2},
+	}
+	tclks := []float64{0.02, 0.08, 0.15, 0.3, 0.9, 5.0}
+	for _, ad := range archs {
+		mm := fdsoi.NewMismatchSampler(0.03, 13)
+		nl, err := synth.NewAdder(ad.arch, synth.AdderConfig{Width: ad.width, Mismatch: mm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outNets := traceOutNets(nl)
+		chunks := traceChunks(nl, ad.mask, 150, 41) // 2 full chunks + ragged 22-lane tail
+		for _, op := range ops {
+			t.Run(fmt.Sprintf("%s%d/%.2fV/%.0fbb", ad.arch, ad.width, op.Vdd, op.Vbb), func(t *testing.T) {
+				tracer, err := sim.NewWide(nl, lib, proc, op, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				direct, err := sim.NewWide(nl, lib, proc, op, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sample sim.WideSample
+				for _, c := range chunks {
+					trace, err := tracer.StepWideTrace(c[0], c[1], outNets, math.Inf(1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, tclk := range tclks {
+						if err := trace.Resample(tclk, &sample); err != nil {
+							t.Fatal(err)
+						}
+						checkWideResampleMatchesChunk(t, direct, &sample, outNets, c[0], c[1], tclk)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestTraceResampleAtEventTimestamps pins the capture boundary: a Tclk
+// placed exactly on an event's timestamp captures that event (the
+// calendar queue's pop boundary is inclusive), and the float just below
+// it does not. Every recorded event time of a deeply over-scaled
+// two-word chunk is tried as a deadline, bit-compared against the
+// direct path.
+func TestTraceResampleAtEventTimestamps(t *testing.T) {
+	lib, proc := cell.Default28nmLVT(), fdsoi.Default()
+	mm := fdsoi.NewMismatchSampler(0.03, 17)
+	nl, err := synth.NewAdder(synth.ArchBKA, synth.AdderConfig{Width: 8, Mismatch: mm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outNets := traceOutNets(nl)
+	const k = 2
+	chunks := traceChunks(nl, 0xff, k*sim.WordLanes, 3)
+	c := packWideChunks(nl, chunks, k)[0]
+	op := fdsoi.OperatingPoint{Vdd: 0.6, Vbb: 0}
+	tracer, err := sim.NewWide(nl, lib, proc, op, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := sim.NewWide(nl, lib, proc, op, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := tracer.StepWideTrace(c[0], c[1], outNets, math.Inf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := trace.EventTimes(nil)
+	if len(times) == 0 {
+		t.Fatal("trace recorded no events")
+	}
+	var sample sim.WideSample
+	tried := 0
+	for _, tt := range times {
+		for _, tclk := range []float64{tt, math.Nextafter(tt, 0), math.Nextafter(tt, math.Inf(1))} {
+			if tclk <= 0 {
+				continue
+			}
+			if err := trace.Resample(tclk, &sample); err != nil {
+				t.Fatal(err)
+			}
+			checkWideResampleMatchesChunk(t, direct, &sample, outNets, c[0], c[1], tclk)
+			tried++
+		}
+	}
+	if tried == 0 {
+		t.Fatal("no boundary deadlines tried")
+	}
+}
+
 // TestCrossVddResampleMatchesFresh is the cross-voltage reuse parity
 // argument: over a (Vdd, Tclk) grid on both paper adders, every retime
 // ResampleAt accepts must be bit-identical to a fresh StepWideTrace +
@@ -209,7 +471,7 @@ func TestCrossVddResampleMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		outNets := traceOutNets(nl)
-		chunks, _ := traceChunks(nl, ad.mask, 2*sim.WordLanes, 61)
+		chunks := traceChunks(nl, ad.mask, 2*sim.WordLanes, 61)
 		const k = 2
 		wide := packWideChunks(nl, chunks, k)
 		c := wide[0]
@@ -304,7 +566,7 @@ func TestRetimeOrderFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	outNets := traceOutNets(nl)
-	chunks, _ := traceChunks(nl, 0xffff, sim.WordLanes, 13)
+	chunks := traceChunks(nl, 0xffff, sim.WordLanes, 13)
 	const k = 1
 	wide := packWideChunks(nl, chunks, k)
 	c := wide[0]
@@ -360,11 +622,23 @@ func TestWideValidation(t *testing.T) {
 	if _, err := eng.StepWideChunk(lanes, lanes[:1], 0.5); err == nil {
 		t.Fatal("short cur image accepted")
 	}
+	if _, err := eng.StepWideChunk(lanes, lanes, 0); err == nil {
+		t.Fatal("non-positive tclk accepted")
+	}
 	if _, err := eng.StepWideChunk(lanes, lanes, math.NaN()); err == nil {
 		t.Fatal("NaN tclk accepted")
 	}
 	if _, err := eng.StepWideTrace(lanes, lanes, nil, 0); err == nil {
 		t.Fatal("non-positive horizon accepted")
+	}
+	if _, err := eng.StepWideTrace(lanes[:1], lanes, nil, 1.0); err == nil {
+		t.Fatal("short prev image accepted by the trace")
+	}
+	if _, err := eng.StepWideTrace(lanes, lanes[:1], nil, 1.0); err == nil {
+		t.Fatal("short cur image accepted by the trace")
+	}
+	if _, err := eng.StepWideTrace(lanes, lanes, []netlist.NetID{netlist.NetID(nl.NumNets())}, 1.0); err == nil {
+		t.Fatal("out-of-range tracked net accepted")
 	}
 	if _, err := eng.StepWideTrace(lanes, lanes, []netlist.NetID{1, 1}, 1.0); err == nil {
 		t.Fatal("duplicate tracked net accepted")
@@ -376,6 +650,9 @@ func TestWideValidation(t *testing.T) {
 	var sample sim.WideSample
 	if err := trace.Resample(0, &sample); err == nil {
 		t.Fatal("non-positive tclk accepted")
+	}
+	if err := trace.Resample(math.NaN(), &sample); err == nil {
+		t.Fatal("NaN resample tclk accepted")
 	}
 	if err := trace.Resample(2.0, &sample); err == nil {
 		t.Fatal("deadline beyond the horizon accepted")
@@ -429,7 +706,7 @@ func TestWideSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	outNets := traceOutNets(nl)
-	chunks, _ := traceChunks(nl, 0xffff, 4*sim.WordLanes, 9)
+	chunks := traceChunks(nl, 0xffff, 4*sim.WordLanes, 9)
 	const k = 2
 	wide := packWideChunks(nl, chunks, k)
 	src, err := sim.NewWide(nl, lib, proc, fdsoi.OperatingPoint{Vdd: 1.0, Vbb: 0}, k)

@@ -20,22 +20,30 @@ type wideOut struct {
 }
 
 // widePrefixStride is the boundary interval between stored per-lane
-// energy-prefix snapshots in a wide trace. Wide snapshots are K times a
-// word trace's row (K·64 floats), so the stride is coarser than
-// tracePrefixStride: capture pays fewer row copies, resamples replay at
-// most stride−1 boundaries' charge records. Purely a performance knob —
-// replay re-applies identical additions in identical order, so any
-// value yields bit-identical resamples.
+// energy-prefix snapshots in a wide trace (K·64 floats per row). A
+// denser stride trades trace-capture memory traffic (one row copy per
+// snapshot) against resample replay work (at most stride−1 boundaries'
+// charge records re-accumulated from the nearest snapshot). Purely a
+// performance knob — replay re-applies identical additions in identical
+// order, so any value yields bit-identical resamples.
 const widePrefixStride = 64
 
 // WideTrace is the captured outcome of one StepWideTrace call: the full
 // event history of a K×64-lane two-vector experiment run to quiescence
-// at one electrical operating point. Beyond the word trace's
-// deadline-ready layout (times/evEnd boundaries, energy prefix
-// snapshots, suffix late masks, tracked-net out events), it records the
-// retime log — per effective event its firing gate and causal parent,
-// plus the t = 0 input-toggle set — which is what RetimeTrace needs to
-// re-stamp the wave at a neighboring Vdd without re-simulating.
+// at one electrical operating point. Any clock period is then answered
+// by Resample without re-simulating — the event schedule of a
+// fixed-operating-point netlist does not depend on when the capture
+// register samples it.
+//
+// The history is stored deadline-ready: the distinct event timestamps
+// ascending, each one's run of the event log delimited by evEnd;
+// per-lane switching-energy snapshots — the exact floats, in the exact
+// addition order, a StepWideChunk captured at that instant would hold —
+// every widePrefixStride timestamps; suffix late masks; and the tracked
+// nets' value changes, chronologically. It also records the retime log
+// — per effective event its firing gate and causal parent, plus the
+// t = 0 input-toggle set — which is what RetimeTrace needs to re-stamp
+// the wave at a neighboring Vdd without re-simulating.
 //
 // Energy attribution is capped by a capture horizon: per-lane charge
 // attribution and prefix snapshots are only maintained for events at
@@ -112,7 +120,9 @@ func (t *WideTrace) Horizon() float64 { return t.horizon }
 func (t *WideTrace) Events() int { return len(t.times) }
 
 // EventTimes appends the trace's distinct event timestamps to buf and
-// returns it.
+// returns it. Exposed for tests and diagnostics (a deadline placed
+// exactly on an event timestamp captures that event, matching the
+// queue's inclusive pop).
 func (t *WideTrace) EventTimes(buf []float64) []float64 {
 	return append(buf, t.times...)
 }
@@ -129,7 +139,10 @@ func (t *WideTrace) EventTimes(buf []float64) []float64 {
 // via Resample, bit-identical to StepWideChunk at the same tclk, and
 // doubles as the source wave for RetimeTrace at neighboring operating
 // points. The returned trace is owned by the engine and valid until
-// the next call; a steady-state sweep allocates nothing here.
+// the next call; a steady-state sweep allocates nothing here. The
+// engine's Stats book the trace run's Transitions and Steps; the
+// Tclk-dependent split (DynamicEnergy, LeakageEnergy, LateTransitions)
+// belongs to the resamples and is not booked.
 func (e *WideEngine) StepWideTrace(prev, cur []uint64, tracked []netlist.NetID, horizon float64) (*WideTrace, error) {
 	if !(horizon > 0) { // negated to catch NaN
 		return nil, fmt.Errorf("sim: non-positive trace horizon %v", horizon)
@@ -335,21 +348,24 @@ type WideSample struct {
 	// pattern j·64+b.
 	CapturedW []uint64
 	// EnergyFJ is the K·64 per-lane energy at this clock, bit-identical
-	// to a StepWideChunk (and per word to a StepWordChunk) at the same
-	// Tclk.
+	// to a StepWideChunk (and therefore to a scalar StepDense) at the
+	// same Tclk.
 	EnergyFJ []float64
 	// LateW flags lanes with at least one post-capture transition, one
 	// word per lane word.
 	LateW []uint64
 }
 
-// Resample answers one clock period from the trace, exactly as
-// WordTrace.Resample does per word: captured blocks are the tracked
-// nets' last values at time ≤ tclk, lane energy is the nearest stored
-// prefix snapshot plus a bounded charge replay (identical additions in
-// identical order — bit-identical to StepWideChunk at the same tclk)
-// plus leakage, and the late mask is the boundary's suffix OR. tclk
-// must not exceed the trace's capture horizon.
+// Resample answers one clock period from the trace: the capture
+// boundary splits the history at time ≤ tclk (captured side, matching
+// the calendar queue's inclusive pop) versus time > tclk (late side).
+// Captured blocks are the tracked nets' last pre-deadline values, lane
+// energy is the nearest stored prefix snapshot plus a bounded charge
+// replay (identical additions in identical order — bit-identical to
+// StepWideChunk at the same tclk) plus leakage, and the late mask is the
+// boundary's suffix OR. Cost is a binary search plus a bounded replay
+// plus the tracked-net event walk, independent of the netlist size.
+// tclk must not exceed the trace's capture horizon.
 func (t *WideTrace) Resample(tclk float64, s *WideSample) error {
 	if !(tclk > 0) { // negated to catch NaN
 		return fmt.Errorf("sim: non-positive tclk %v", tclk)
