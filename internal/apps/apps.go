@@ -75,12 +75,14 @@ func (ar *Arith) MulSmall(v uint64, c int) uint64 {
 }
 
 // SumTree adds the values in a balanced tree (the natural hardware
-// reduction shape).
+// reduction shape), level by level, left to right. The kernels' short
+// operand lists reduce in a stack buffer; vals is never modified.
 func (ar *Arith) SumTree(vals []uint64) uint64 {
 	if len(vals) == 0 {
 		return 0
 	}
-	work := append([]uint64(nil), vals...)
+	var buf [16]uint64
+	work := append(buf[:0], vals...)
 	for len(work) > 1 {
 		next := work[:0]
 		for i := 0; i+1 < len(work); i += 2 {

@@ -82,6 +82,21 @@ func TestSumTree(t *testing.T) {
 	if got := ar.SumTree(vals); got != 28 {
 		t.Fatalf("SumTree = %d", got)
 	}
+	long := make([]uint64, 40)
+	for i := range long {
+		long[i] = uint64(i)
+	}
+	if got := ar.SumTree(long); got != 780 {
+		t.Fatalf("SumTree of 40 values = %d", got)
+	}
+	if vals[6] != 7 || long[39] != 39 {
+		t.Fatal("SumTree modified its input")
+	}
+	// The kernels' short operand lists reduce without allocating: the
+	// Monte Carlo replay calls SumTree once per output sample.
+	if allocs := testing.AllocsPerRun(100, func() { ar.SumTree(vals) }); allocs != 0 {
+		t.Fatalf("SumTree of %d values: %v allocs, want 0", len(vals), allocs)
+	}
 }
 
 func TestSyntheticDeterministic(t *testing.T) {

@@ -10,6 +10,28 @@
 // length therefore lies in [0, N]: 0 when no carry is generated anywhere,
 // N when a carry born at bit 0 propagates out of the carry output. This
 // matches Table I's 0…N columns.
+//
+// Cthmax and LimitedAdd work on whole words rather than walking the
+// chains bit by bit. Let p = a⊕b be the propagate word and c the exact
+// carry word, bit i set when a carry enters position i: c = (a+b)⊕a⊕b,
+// with the carry out at bit N. Put x_1 = c and x_{k+1} = (x_k & p) << 1.
+// Bit i of x_k is set exactly when the carry entering position i has
+// traveled at least k positions. For k = 1 that is the definition of c.
+// For the step, the carry entering i comes from position i−1, which
+// either generates (a fresh chain of length 1), kills (no carry), or
+// propagates a carry that entered it with length L, which then enters i
+// with length L+1; so the length is at least k+1 exactly when p_{i−1} is
+// set and bit i−1 of x_k is set. The words shrink, x_1 ⊇ x_2 ⊇ …, hence:
+//
+//   - Cthmax, the longest chain, is the number of non-zero x_k;
+//   - truncating every chain after cmax positions keeps exactly the
+//     carries of c outside x_{cmax+1}, so the modified sum is
+//     p ⊕ (c &^ x_{cmax+1}).
+//
+// Each step is three word operations, and the loop runs once per unit of
+// chain length instead of once per bit. At N = 64 the carry out does not
+// fit in c; bits.Add64 supplies it and a single extra bit follows it
+// through the steps.
 package carry
 
 import (
@@ -30,26 +52,28 @@ func GenProp(a, b uint64, width int) (g, p uint64) {
 	return a & b & m, (a ^ b) & m
 }
 
+// carries returns the propagate word p and the exact carry word c of a+b
+// over the masked operands, plus cout, the carry out of bit 63 that c
+// cannot hold. Below width 64 the carry out is bit width of c and cout
+// is 0.
+func carries(a, b uint64, width int) (p, c, cout uint64) {
+	m := mask(width)
+	a, b = a&m, b&m
+	sum, cout := bits.Add64(a, b, 0)
+	p = a ^ b
+	return p, sum ^ p, cout
+}
+
 // Cthmax returns the theoretical maximal carry-chain length of a+b for a
 // width-bit adder (no carry-in): the farthest any generated carry travels.
 func Cthmax(a, b uint64, width int) int {
-	g, p := GenProp(a, b, width)
-	if g == 0 {
-		return 0
+	p, x, cout := carries(a, b, width)
+	n := 0
+	for x|cout != 0 {
+		n++
+		x, cout = (x&p)<<1, (x&p)>>63
 	}
-	best := 0
-	for t := g; t != 0; t &= t - 1 {
-		j := bits.TrailingZeros64(t)
-		// The carry exits bit j and rides consecutive propagate bits.
-		l := 1
-		for k := j + 1; k < width && p>>uint(k)&1 == 1; k++ {
-			l++
-		}
-		if l > best {
-			best = l
-		}
-	}
-	return best
+	return n
 }
 
 // MaxChains returns, for each bit position i, the length of the carry
@@ -89,30 +113,12 @@ func LimitedAdd(a, b uint64, width, cmax int) uint64 {
 	if width < 1 || width > 63 {
 		panic(fmt.Sprintf("carry: width %d outside [1, 63]", width))
 	}
-	g, p := GenProp(a, b, width)
-	var sum uint64
-	live := false
-	dist := 0
-	for i := 0; i <= width; i++ {
-		cin := uint64(0)
-		if live && dist <= cmax {
-			cin = 1
-		}
-		if i == width {
-			sum |= cin << uint(width)
-			break
-		}
-		sum |= ((p >> uint(i) & 1) ^ cin) << uint(i)
-		switch {
-		case g>>uint(i)&1 == 1:
-			live, dist = true, 1
-		case p>>uint(i)&1 == 1 && live:
-			dist++
-		default:
-			live, dist = false, 0
-		}
+	p, c, _ := carries(a, b, width)
+	x := c
+	for k := 0; k < cmax && x != 0; k++ {
+		x = (x & p) << 1
 	}
-	return sum
+	return p ^ c&^x
 }
 
 // ExactAdd returns a+b masked to width bits plus the carry out at bit

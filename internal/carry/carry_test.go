@@ -1,9 +1,164 @@
 package carry
 
 import (
+	"fmt"
+	"math/bits"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
+
+// refCthmax is the chain-walk definition of Cthmax: from every generate
+// position, count the positions the carry travels along consecutive
+// propagate bits. It is the bit-serial oracle for the word-level form.
+func refCthmax(a, b uint64, width int) int {
+	g, p := GenProp(a, b, width)
+	if g == 0 {
+		return 0
+	}
+	best := 0
+	for t := g; t != 0; t &= t - 1 {
+		j := bits.TrailingZeros64(t)
+		// The carry exits bit j and rides consecutive propagate bits.
+		l := 1
+		for k := j + 1; k < width && p>>uint(k)&1 == 1; k++ {
+			l++
+		}
+		if l > best {
+			best = l
+		}
+	}
+	return best
+}
+
+// refLimitedAdd is the chain-walk definition of LimitedAdd: ripple the
+// sum bit by bit, dropping every carry whose chain has traveled more than
+// cmax positions.
+func refLimitedAdd(a, b uint64, width, cmax int) uint64 {
+	g, p := GenProp(a, b, width)
+	var sum uint64
+	live := false
+	dist := 0
+	for i := 0; i <= width; i++ {
+		cin := uint64(0)
+		if live && dist <= cmax {
+			cin = 1
+		}
+		if i == width {
+			sum |= cin << uint(width)
+			break
+		}
+		sum |= ((p >> uint(i) & 1) ^ cin) << uint(i)
+		switch {
+		case g>>uint(i)&1 == 1:
+			live, dist = true, 1
+		case p>>uint(i)&1 == 1 && live:
+			dist++
+		default:
+			live, dist = false, 0
+		}
+	}
+	return sum
+}
+
+// checkCthmax compares Cthmax against the chain-walk reference.
+func checkCthmax(a, b uint64, width int) error {
+	if got, want := Cthmax(a, b, width), refCthmax(a, b, width); got != want {
+		return fmt.Errorf("Cthmax(%#x, %#x, %d) = %d, reference %d", a, b, width, got, want)
+	}
+	return nil
+}
+
+// checkLimitedAdd compares LimitedAdd against the chain-walk reference.
+func checkLimitedAdd(a, b uint64, width, cmax int) error {
+	if got, want := LimitedAdd(a, b, width, cmax), refLimitedAdd(a, b, width, cmax); got != want {
+		return fmt.Errorf("LimitedAdd(%#x, %#x, %d, %d) = %#x, reference %#x", a, b, width, cmax, got, want)
+	}
+	return nil
+}
+
+// checkAgainstReference compares Cthmax at any width, and LimitedAdd at
+// the widths it accepts, against the chain-walk references.
+func checkAgainstReference(a, b uint64, width, cmax int) error {
+	if err := checkCthmax(a, b, width); err != nil || width > 63 {
+		return err
+	}
+	return checkLimitedAdd(a, b, width, cmax)
+}
+
+func TestWordFormMatchesReferenceExhaustive(t *testing.T) {
+	for width := 1; width <= 10; width++ {
+		n := uint64(1) << uint(width)
+		for a := uint64(0); a < n; a++ {
+			for b := uint64(0); b < n; b++ {
+				if err := checkCthmax(a, b, width); err != nil {
+					t.Fatal(err)
+				}
+				for cmax := 0; cmax <= width+1; cmax++ {
+					if err := checkLimitedAdd(a, b, width, cmax); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestWordFormMatchesReferenceWide(t *testing.T) {
+	// Unmasked operands: bits above the width must be ignored.
+	rng := rand.New(rand.NewPCG(3, 5))
+	for width := 11; width <= 64; width++ {
+		for i := 0; i < 4000; i++ {
+			a, b := rng.Uint64(), rng.Uint64()
+			if i%2 == 1 {
+				// Long chains are rare in uniform operands; force a
+				// propagate run between the two words.
+				b = ^a ^ rng.Uint64()&rng.Uint64()&rng.Uint64()
+			}
+			if err := checkAgainstReference(a, b, width, rng.IntN(width+2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+func TestCthmaxWidth64(t *testing.T) {
+	// The carry out of a 64-bit add does not fit in the sum word.
+	cases := []struct {
+		a, b uint64
+		want int
+	}{
+		{1 << 63, 1 << 63, 1}, // generate at the MSB exits into cout
+		{^uint64(0), 1, 64},   // g at 0, propagate through 63
+		{^uint64(0), ^uint64(0), 1},
+		{1<<63 | 1<<62, 1 << 62, 2},
+		{0, ^uint64(0), 0},
+		{0, 0, 0},
+	}
+	for _, tc := range cases {
+		if got := Cthmax(tc.a, tc.b, 64); got != tc.want {
+			t.Errorf("Cthmax(%#x, %#x, 64) = %d, want %d", tc.a, tc.b, got, tc.want)
+		}
+		if err := checkAgainstReference(tc.a, tc.b, 64, 0); err != nil {
+			t.Error(err)
+		}
+	}
+	if got := Cthmax(^uint64(0), 1, 0); got != 0 {
+		t.Errorf("Cthmax at width 0 = %d, want 0", got)
+	}
+}
+
+// FuzzCarryMatchesReference checks the word-level Cthmax and LimitedAdd
+// against the chain-walk references at every width from 1 to 64. Its
+// seed corpus is testdata/fuzz/FuzzCarryMatchesReference.
+func FuzzCarryMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, a, b uint64, w, c uint8) {
+		width := int(w%64) + 1
+		if err := checkAgainstReference(a, b, width, int(c)%(width+2)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
 
 func TestGenProp(t *testing.T) {
 	g, p := GenProp(0b1100, 0b1010, 4)

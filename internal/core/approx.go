@@ -20,17 +20,33 @@ import (
 type ApproxAdder struct {
 	model *Model
 	rng   *rand.Rand
+	// cdf[l][k] is P(0|l) + … + P(k|l) for k < l, summed left to right
+	// as ProbTable.Sample sums it, so one draw u selects the same Cmax
+	// bit for bit. Draws at or above cdf[l][l-1] select l.
+	cdf [][]float64
 }
 
 // NewApproxAdder returns a sampling adder driven by the model with a
-// deterministic seed.
+// deterministic seed. The adder snapshots the model's table.
 func NewApproxAdder(m *Model, seed uint64) (*ApproxAdder, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	n := m.Width
+	cdf := make([][]float64, n+1)
+	flat := make([]float64, n*(n+1)/2)
+	for l := range cdf {
+		cdf[l], flat = flat[:l:l], flat[l:]
+		var cum float64
+		for k := range cdf[l] {
+			cum += m.Table.P[k][l]
+			cdf[l][k] = cum
+		}
+	}
 	return &ApproxAdder{
 		model: m,
 		rng:   rand.New(rand.NewPCG(seed, 0xa99feed)),
+		cdf:   cdf,
 	}, nil
 }
 
@@ -44,8 +60,21 @@ func (a *ApproxAdder) Model() *Model { return a.model }
 // sampled carry limit.
 func (a *ApproxAdder) Add(in1, in2 uint64) uint64 {
 	cth := carry.Cthmax(in1, in2, a.model.Width)
-	cmax := a.model.Table.Sample(cth, a.rng)
-	return carry.LimitedAdd(in1, in2, a.model.Width, cmax)
+	return carry.LimitedAdd(in1, in2, a.model.Width, a.drawC(cth))
+}
+
+// drawC draws Cmax for Cthmax = l from one uniform, selecting what
+// ProbTable.Sample selects for the same draw.
+func (a *ApproxAdder) drawC(l int) int {
+	u, col := a.rng.Float64(), a.cdf[l]
+	if l == 0 || u >= col[l-1] {
+		return l
+	}
+	k := 0
+	for u >= col[k] {
+		k++
+	}
+	return k
 }
 
 // AddWithC performs the modified addition with an explicit carry limit,

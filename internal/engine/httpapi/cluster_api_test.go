@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 )
@@ -255,9 +256,13 @@ func TestTenantQuotaSpansKinds(t *testing.T) {
 	}
 }
 
+// waitTerminal polls the sweep until it reaches a terminal state. A
+// canceled sweep ends only once its in-flight group returns, which a
+// loaded host can stretch well past a second, so the bound is a minute
+// of wall time rather than a count of requests.
 func waitTerminal(t *testing.T, ts *httptest.Server, id string) {
 	t.Helper()
-	for i := 0; i < 1000; i++ {
+	for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
 		var sw engine.Sweep
 		getJSON(t, ts.URL+"/v1/sweeps/"+id, http.StatusOK, &sw)
 		switch sw.Status {

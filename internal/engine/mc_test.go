@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/charz"
+	"repro/internal/model"
 	"repro/internal/triad"
 )
 
@@ -297,4 +299,28 @@ func mustCanonical(t *testing.T, req Request, backend string) charz.Config {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestMCCalibratesOncePerPoint checks that the calibration memo survives
+// Prepare: every MC job prepares its operator afresh, and the second
+// job at a point must reuse the first job's trained model.
+func TestMCCalibratesOncePerPoint(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: 2})
+	cfg := charz.Config{Arch: mustArch("RCA"), Width: apps.Word, Patterns: 2000, Seed: 1, Backend: charz.BackendModel}
+	tr := triad.Triad{Tclk: 0.262, Vdd: 0.9}
+	var got []*model.Trained
+	for range 2 {
+		prep, err := e.Prepare(t.Context(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tn, err := e.calib.Point(prep, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, tn)
+	}
+	if got[0] != got[1] {
+		t.Fatal("a second Prepare of the same operator recalibrated the point")
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/charz"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/netlist"
 	"repro/internal/patterns"
 	"repro/internal/triad"
 )
@@ -46,13 +47,16 @@ type Trained struct {
 	HWWordErrorRate float64
 }
 
-// Calibrator trains and memoizes models per (operator, triad). It is
-// safe for concurrent use: concurrent requests for the same point share
-// one training run (the engine's worker pool hits this from many
-// goroutines). An optional Store persists every freshly trained model
-// as a side effect; serving never reads the store, so a stale or
-// divergent models directory can never change results — persistence is
-// strictly an export channel for offline tools (cmd/vosmodel -load).
+// Calibrator trains and memoizes models per operating point: one
+// training run per (netlist, seed, propagate probability, triad) for the
+// calibrator's lifetime, however many sweeps, jobs or Prepared values
+// ask for it. It is safe for concurrent use: concurrent requests for the
+// same point share one training run (the engine's worker pool hits this
+// from many goroutines). An optional Store persists every freshly
+// trained model as a side effect; serving never reads the store, so a
+// stale or divergent models directory can never change results —
+// persistence is strictly an export channel for offline tools
+// (cmd/vosmodel -load).
 type Calibrator struct {
 	spec  Spec
 	store *Store
@@ -63,13 +67,19 @@ type Calibrator struct {
 	storeErrors atomic.Uint64
 }
 
-// pointKey identifies a calibration within one process. The Prepared
-// pointer stands in for the full operator identity (the engine memoizes
-// preparations content-addressed, so one prepared config is one
-// pointer); the triad completes the operating point.
+// pointKey identifies a calibration within one process by what
+// calibrate reads. The netlist pointer stands for the operator and the
+// library and process it was prepared under: the engine memoizes
+// netlists by architecture, width, seed, mismatch, process and library,
+// but hands every Prepare call a fresh *charz.Prepared, so keying on
+// that pointer would retrain each job. Seed and PropagateP select the
+// calibration stimulus; the pattern budget, backend and triad policy of
+// the caller's Config play no part.
 type pointKey struct {
-	prep *charz.Prepared
-	tr   triad.Triad
+	nl         *netlist.Netlist
+	seed       uint64
+	propagateP float64
+	tr         triad.Triad
 }
 
 type calEntry struct {
@@ -101,7 +111,7 @@ func (c *Calibrator) StoreErrors() uint64 { return c.storeErrors.Load() }
 // the fit on spec.EvalPatterns held-out pairs. All randomness derives
 // from (cfg.Seed, triad), so every node trains the identical artifact.
 func (c *Calibrator) Point(prep *charz.Prepared, tr triad.Triad) (*Trained, error) {
-	key := pointKey{prep: prep, tr: tr}
+	key := pointKey{nl: prep.Netlist, seed: prep.Config.Seed, propagateP: prep.Config.PropagateP, tr: tr}
 	c.mu.Lock()
 	e, ok := c.points[key]
 	if !ok {
