@@ -45,7 +45,6 @@ func TestCoordinatorKillSurvival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitCoordinatorReady(ctx, t, lc)
 	client, err := vos.NewRemote(lc.URLs()[0], vos.RemoteOptions{Reconnect: true})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +183,6 @@ func TestCoordinatorKillMCSurvival(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lc.Close()
-	waitCoordinatorReady(ctx, t, lc)
 	client, err := vos.NewRemote(lc.URLs()[0], vos.RemoteOptions{Reconnect: true})
 	if err != nil {
 		t.Fatal(err)
@@ -227,18 +225,5 @@ func TestCoordinatorKillMCSurvival(t *testing.T) {
 	}
 	if !reflect.DeepEqual(full.Points, want.Points) {
 		t.Fatal("post-crash mc points differ from the uninterrupted single-node run")
-	}
-}
-
-// waitCoordinatorReady waits until node 0 has replayed its (empty)
-// journal. A journaled node replays in the background and answers
-// submissions 503 until then, and Remote does not retry a submission, so
-// a loaded host could otherwise fail the first Submit.
-func waitCoordinatorReady(ctx context.Context, t *testing.T, lc *LocalCluster) {
-	t.Helper()
-	rctx, cancel := context.WithTimeout(ctx, time.Minute)
-	defer cancel()
-	if err := lc.Members()[0].Node.Engine().WaitReady(rctx); err != nil {
-		t.Fatal(err)
 	}
 }
