@@ -1,13 +1,14 @@
 package engine
 
-// Job event streaming: every job publishes incremental per-point
-// progress to any number of subscribers (see registry.subscribe). The
-// daemon's NDJSON endpoints (internal/engine/httpapi) and the vos SDK's
-// event channels are both thin adapters over this seam.
+// Job event streaming: every job appends its incremental per-point
+// progress to one event log, which any number of streams read, each at
+// its own pace and without loss (see registry.subscribe). The daemon's
+// NDJSON endpoints (internal/engine/httpapi) and the vos SDK's event
+// channels are both thin adapters over this seam.
 
 // Event types carried by SweepEvent.Type. A stream is a sequence of
 // progress/point events followed by exactly one terminal event (done,
-// failed or canceled), after which the subscription channel is closed.
+// failed or canceled), after which it ends.
 const (
 	// EventProgress reports a status or progress change without a point
 	// payload: the initial snapshot on subscribe and the pending→running
@@ -59,17 +60,3 @@ func terminalEventType(s Status) string {
 		return EventDone
 	}
 }
-
-// eventBuffer is the minimum per-subscriber channel capacity. Channels
-// are sized to hold the sweep's full replayed history plus every point
-// known to be outstanding at subscribe time, so a draining subscriber
-// attached after planning never drops an event. A subscriber attached
-// while the sweep is still pending (TotalPoints unknown) gets this
-// floor; on a sweep larger than the floor whose consumer drains slower
-// than points complete, live point events can be dropped — the progress
-// counters on later events stay correct, the terminal event takes its
-// reserved slot, and re-subscribing replays the full history, so a
-// dropped tail is always recoverable. One slot is always reserved for
-// the terminal event so even a subscriber that stops draining entirely
-// still sees the stream's ending.
-const eventBuffer = 4096

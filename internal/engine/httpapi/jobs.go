@@ -1,8 +1,10 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"iter"
 	"net/http"
 
 	"repro/internal/engine"
@@ -15,7 +17,7 @@ type jobRoutes[R, S, E any] struct {
 	noun      string
 	submit    func(R) (string, error)
 	get       func(id string) (S, bool)
-	subscribe func(id string) (<-chan E, func(), bool)
+	subscribe func(ctx context.Context, id string) (iter.Seq[E], bool)
 	cancel    func(id string) error
 	// info reads a snapshot's lifecycle fields; statusOnly strips its
 	// (potentially large) results for the status endpoint.
@@ -74,31 +76,22 @@ func mountJobs[R, S, E any](s *server, m *http.ServeMux, base string, k jobRoute
 	// the job's replayed history (or a snapshot event), so subscribing to
 	// a finished job yields its full history, terminal event last.
 	m.HandleFunc("GET "+base+"/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		ch, cancel, ok := k.subscribe(r.PathValue("id"))
+		events, ok := k.subscribe(r.Context(), r.PathValue("id"))
 		if !ok {
 			s.unknownID(w, k.noun, r.PathValue("id"))
 			return
 		}
-		defer cancel()
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.Header().Set("Cache-Control", "no-store")
 		w.WriteHeader(http.StatusOK)
 		fl, _ := w.(http.Flusher)
 		enc := json.NewEncoder(w)
-		for {
-			select {
-			case ev, open := <-ch:
-				if !open {
-					return
-				}
-				if err := enc.Encode(ev); err != nil {
-					return // client went away
-				}
-				if fl != nil {
-					fl.Flush()
-				}
-			case <-r.Context().Done():
-				return
+		for ev := range events {
+			if err := enc.Encode(ev); err != nil {
+				return // client went away
+			}
+			if fl != nil {
+				fl.Flush()
 			}
 		}
 	})

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -39,8 +41,8 @@ type jobKind[R, O, S, E any] struct {
 }
 
 // job is the engine-internal mutable record of one job. mu serializes
-// state changes and event publication, so every subscriber sees events
-// in state order.
+// state changes and event publication, so every stream sees events in
+// state order.
 type job[R, O, S, E any] struct {
 	kind   *jobKind[R, O, S, E]
 	req    R // normalized; immutable after creation
@@ -50,10 +52,13 @@ type job[R, O, S, E any] struct {
 	mu   sync.Mutex
 	head JobInfo
 	out  O
-	// subs are the live event subscribers, history the job's full
-	// replayable event log (see subscribe).
-	subs    map[chan E]struct{}
+	// history is the job's append-only event log, the one store every
+	// stream reads (see subscribe). wake, when non-nil, is closed by the
+	// next publish to wake the streams waiting past the end of history;
+	// readers counts the streams being iterated.
 	history []E
+	wake    chan struct{}
+	readers atomic.Int32
 	// lastTouch is the lease clock: the last time anyone observed the
 	// job (see reap). cells holds completed cell payloads by cell index
 	// for a kind whose work the result cache does not hold (Monte Carlo):
@@ -80,21 +85,9 @@ func (j *job[R, O, S, E]) publish(f func(h *JobInfo), decorate func(*E)) {
 		decorate(&ev)
 	}
 	j.history = append(j.history, ev)
-	// Non-terminal events keep one buffer slot free and are dropped for
-	// subscribers that fell behind (see eventBuffer for when that can
-	// happen and why it is recoverable); the terminal event takes the
-	// reserved slot and closes every channel.
-	last := terminal(j.head.Status)
-	for ch := range j.subs {
-		if last {
-			ch <- ev // reserved slot: cannot block
-			close(ch)
-			delete(j.subs, ch)
-			continue
-		}
-		if len(ch) < cap(ch)-1 {
-			ch <- ev
-		}
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
 	}
 }
 
@@ -237,9 +230,8 @@ func (r *registry[R, O, S, E]) insertLocked(j *job[R, O, S, E]) {
 }
 
 // pruneLocked evicts the oldest finished jobs beyond the retention cap.
-// Running jobs are never evicted, and neither is a finished job that
-// still has a live events subscriber — evicting it would orphan the
-// stream mid-replay. Callers hold jobsMu.
+// Running jobs are never evicted. An evicted job's open streams read on:
+// a stream holds its job, not the job's ID. Callers hold jobsMu.
 func (r *registry[R, O, S, E]) pruneLocked() {
 	if len(r.jobs) <= maxRetainedJobs {
 		return
@@ -253,15 +245,9 @@ func (r *registry[R, O, S, E]) pruneLocked() {
 		if len(r.jobs) <= maxRetainedJobs {
 			return
 		}
-		j := r.jobs[id]
 		select {
-		case <-j.done:
-			j.mu.Lock()
-			live := len(j.subs) > 0
-			j.mu.Unlock()
-			if !live {
-				delete(r.jobs, id)
-			}
+		case <-r.jobs[id].done:
+			delete(r.jobs, id)
 		default:
 		}
 	}
@@ -362,48 +348,61 @@ func (r *registry[R, O, S, E]) wait(ctx context.Context, id string) (S, error) {
 	}
 }
 
-func (r *registry[R, O, S, E]) subscribe(id string) (<-chan E, func(), bool) {
+// subscribe returns the job's event stream: a cursor over its history
+// from the first event, which then waits for each new event and ends
+// after the terminal event, or once ctx is done. A job that has
+// published nothing yet (it is still planning) opens with a snapshot
+// built now, so every stream shows the current state at once. The
+// stream holds the coordinator lease while it is being iterated (see
+// reap).
+func (r *registry[R, O, S, E]) subscribe(ctx context.Context, id string) (iter.Seq[E], bool) {
 	j, ok := r.lookup(id)
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
 	j.touch()
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	// Size the buffer for the whole stream: replayed history + points
-	// still outstanding + slack for progress transitions and the
-	// terminal event.
-	capacity := len(j.history) + (j.head.Progress.TotalPoints - j.head.Progress.Completed) + 8
-	if capacity < eventBuffer {
-		capacity = eventBuffer
-	}
-	ch := make(chan E, capacity)
+	var opening []E
 	if len(j.history) == 0 {
-		// Nothing published yet (the job is still planning): open the
-		// stream with a snapshot so subscribers always see the current
-		// state immediately.
-		ch <- j.kind.event(&j.head, EventProgress)
+		opening = []E{j.kind.event(&j.head, EventProgress)}
 	}
-	for _, ev := range j.history {
-		ch <- ev
-	}
-	if terminal(j.head.Status) {
-		close(ch)
-		return ch, func() {}, true
-	}
-	if j.subs == nil {
-		j.subs = make(map[chan E]struct{})
-	}
-	j.subs[ch] = struct{}{}
-	cancel := func() {
-		j.mu.Lock()
-		if _, live := j.subs[ch]; live {
-			delete(j.subs, ch)
-			close(ch)
+	j.mu.Unlock()
+	return func(yield func(E) bool) {
+		j.readers.Add(1)
+		defer j.readers.Add(-1)
+		for _, ev := range opening {
+			if !yield(ev) {
+				return
+			}
 		}
-		j.mu.Unlock()
-	}
-	return ch, cancel, true
+		// j.mu is never held across yield: a yield can block on a
+		// network write. Published events never change, so the slice
+		// taken under the lock is safe to read without it, and wake,
+		// taken with it, is closed by the first publish after it.
+		for next := 0; ; {
+			j.mu.Lock()
+			evs, finished := j.history[next:], terminal(j.head.Status)
+			if j.wake == nil {
+				j.wake = make(chan struct{})
+			}
+			wake := j.wake
+			j.mu.Unlock()
+			for _, ev := range evs {
+				if !yield(ev) {
+					return
+				}
+			}
+			if finished {
+				return
+			}
+			next += len(evs)
+			select {
+			case <-wake:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}, true
 }
 
 // jobRegistry is the kind-independent face of a registry, for the engine
@@ -431,15 +430,15 @@ func (r *registry[R, O, S, E]) infos() []JobInfo {
 }
 
 // reap returns the cancel functions of leased jobs whose coordinator
-// stopped watching: a job submitted with a lease must be observed — an
-// open event subscription, or a get/wait touch — at least once per lease
+// stopped watching: a job submitted with a lease must be observed — a
+// stream being iterated, or a get/wait touch — at least once per lease
 // window.
 func (r *registry[R, O, S, E]) reap(now time.Time) []context.CancelFunc {
 	var cancels []context.CancelFunc
 	for _, j := range r.all() {
 		lease := time.Duration(r.kind.leaseSec(&j.req)) * time.Second
 		j.mu.Lock()
-		if lease > 0 && !terminal(j.head.Status) && len(j.subs) == 0 && now.Sub(j.lastTouch) > lease {
+		if lease > 0 && !terminal(j.head.Status) && j.readers.Load() == 0 && now.Sub(j.lastTouch) > lease {
 			cancels = append(cancels, j.cancel)
 		}
 		j.mu.Unlock()

@@ -8,10 +8,10 @@ import (
 	"repro/internal/chaos"
 )
 
-// TestSubscribeCancelNoLeak: a subscriber that abandons a running
-// sweep's event stream mid-flight must not strand anything — the sweep
-// runs to completion, later subscribers still get the full replay, and
-// after engine shutdown the goroutine census is back to its baseline.
+// TestSubscribeCancelNoLeak: a reader that abandons a running sweep's
+// event stream mid-flight must not strand anything — the sweep runs to
+// completion, later readers still get the full replay, and after engine
+// shutdown the goroutine census is back to its baseline.
 func TestSubscribeCancelNoLeak(t *testing.T) {
 	base := chaos.SnapshotGoroutines()
 	e, err := New(Options{Workers: 2})
@@ -22,24 +22,24 @@ func TestSubscribeCancelNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel, ok := e.Subscribe(id)
+	events, ok := e.Subscribe(context.Background(), id)
 	if !ok {
 		t.Fatal("Subscribe: unknown id")
 	}
-	<-ch     // prove the stream is live...
-	cancel() // ...then walk away mid-sweep
+	for range events {
+		break // prove the stream is live, then walk away mid-sweep
+	}
 	if _, err := e.Wait(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
-	// The abandoned subscription must not have blocked the publisher:
-	// a fresh subscriber drains the full replay to the terminal event.
-	ch2, cancel2, ok := e.Subscribe(id)
+	// The abandoned stream must not have blocked the publisher: a fresh
+	// reader drains the full replay to the terminal event.
+	replay, ok := e.Subscribe(context.Background(), id)
 	if !ok {
 		t.Fatal("re-Subscribe: unknown id")
 	}
-	defer cancel2()
 	terminal := false
-	for ev := range ch2 {
+	for ev := range replay {
 		if ev.Type == EventDone || ev.Type == EventFailed || ev.Type == EventCanceled {
 			terminal = true
 		}

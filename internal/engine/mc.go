@@ -17,6 +17,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"iter"
 	"sort"
 	"sync"
 	"time"
@@ -284,10 +285,12 @@ func (e *Engine) CancelMC(id string) error { return e.mcs.cancelJob(id) }
 // context is canceled, returning the final snapshot.
 func (e *Engine) WaitMC(ctx context.Context, id string) (MCJob, error) { return e.mcs.wait(ctx, id) }
 
-// SubscribeMC returns the job's event channel: a replay of every event
-// published so far, then the live tail, closed after the terminal
-// event. Semantics match Subscribe (sweeps) exactly.
-func (e *Engine) SubscribeMC(id string) (<-chan MCEvent, func(), bool) { return e.mcs.subscribe(id) }
+// SubscribeMC returns the job's event stream: every event published so
+// far, then the live ones, ending after the terminal event or once ctx
+// is done. Semantics match Subscribe (sweeps) exactly.
+func (e *Engine) SubscribeMC(ctx context.Context, id string) (iter.Seq[MCEvent], bool) {
+	return e.mcs.subscribe(ctx, id)
+}
 
 // kernelSeed folds a kernel name into a job seed so each kernel of a
 // job draws from an independent deterministic stream.

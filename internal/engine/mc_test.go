@@ -144,13 +144,12 @@ func TestMCEventsStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel, ok := e.SubscribeMC(id)
+	events, ok := e.SubscribeMC(t.Context(), id)
 	if !ok {
 		t.Fatal("subscribe failed")
 	}
-	defer cancel()
 	points, terminals := 0, 0
-	for ev := range ch {
+	for ev := range events {
 		switch ev.Type {
 		case EventPoint:
 			points++
@@ -168,13 +167,12 @@ func TestMCEventsStream(t *testing.T) {
 	}
 
 	// Late subscriber: the replay must contain the same stream.
-	ch2, cancel2, ok := e.SubscribeMC(id)
+	replay, ok := e.SubscribeMC(t.Context(), id)
 	if !ok {
 		t.Fatal("late subscribe failed")
 	}
-	defer cancel2()
 	points = 0
-	for ev := range ch2 {
+	for ev := range replay {
 		if ev.Type == EventPoint {
 			points++
 		}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -101,12 +103,12 @@ func TestJournalReplayTerminalJobs(t *testing.T) {
 		}
 		// A late subscriber must still get the synthesized replay: at
 		// least one point event, then the done terminal.
-		ch, cancel, ok := e.Subscribe(id)
+		events, ok := e.Subscribe(t.Context(), id)
 		if !ok {
 			t.Fatalf("restart %d: subscribe failed", round)
 		}
 		points, terminals := 0, 0
-		for ev := range ch {
+		for ev := range events {
 			switch ev.Type {
 			case EventPoint:
 				points++
@@ -114,7 +116,6 @@ func TestJournalReplayTerminalJobs(t *testing.T) {
 				terminals++
 			}
 		}
-		cancel()
 		if points == 0 || terminals != 1 {
 			t.Fatalf("restart %d: synthesized replay had %d points, %d terminals", round, points, terminals)
 		}
@@ -154,18 +155,17 @@ func TestJournalResumeAfterCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancelSub, ok := e1.Subscribe(id)
+	events, ok := e1.Subscribe(t.Context(), id)
 	if !ok {
 		t.Fatal("subscribe failed")
 	}
 	// Let at least one point complete (and hit the journal and cache),
 	// then pull the plug mid-flight.
-	for ev := range ch {
+	for ev := range events {
 		if ev.Type == EventPoint || terminal(ev.Status) {
 			break
 		}
 	}
-	cancelSub()
 	// The graceful and crashed paths converge: draining refuses new
 	// work, and neither writes a terminal record for the victim.
 	e1.StartDrain()
@@ -253,16 +253,15 @@ func TestJournalResumeIncompleteMC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancelSub, ok := e1.SubscribeMC(id)
+	events, ok := e1.SubscribeMC(t.Context(), id)
 	if !ok {
 		t.Fatal("subscribe failed")
 	}
-	for ev := range ch {
+	for ev := range events {
 		if ev.Type == EventPoint || terminal(ev.Status) {
 			break
 		}
 	}
-	cancelSub()
 	e1.Close()
 
 	e2 := newTestEngine(t, Options{Workers: 2, JournalDir: jdir})
@@ -342,7 +341,8 @@ func TestRecoveringStateObservable(t *testing.T) {
 
 // TestLeaseReaping drives reapLeases directly (no wall-clock coupling):
 // an unobserved leased job is canceled once its lease lapses, while an
-// open event subscription or the absence of a lease keeps a job alive.
+// event stream whose iteration is in progress or the absence of a lease
+// keeps a job alive.
 func TestLeaseReaping(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 2})
 	// Hold both pool workers on a gate so no sweep can finish before the
@@ -386,11 +386,16 @@ func TestLeaseReaping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cancelSub, ok := e.Subscribe(watchedID)
+	events, ok := e.Subscribe(t.Context(), watchedID)
 	if !ok {
 		t.Fatal("subscribe failed")
 	}
-	defer cancelSub()
+	// Pulling one event leaves the iteration in progress until stop.
+	next, stopIter := iter.Pull(events)
+	defer stopIter()
+	if _, ok := next(); !ok {
+		t.Fatal("stream ended before its first event")
+	}
 	free := big
 	free.Seed = 5
 	freeID, err := e.Submit(free)
@@ -412,7 +417,7 @@ func TestLeaseReaping(t *testing.T) {
 		t.Fatalf("unobserved leased job: status %v, want canceled", sw.Status)
 	}
 	if got, _ := e.Get(watchedID); got.Status == StatusCanceled {
-		t.Fatal("leased job with an open subscription was reaped")
+		t.Fatal("leased job with a stream being iterated was reaped")
 	}
 	if got, _ := e.Get(freeID); got.Status == StatusCanceled {
 		t.Fatal("lease-free job was reaped")
@@ -422,7 +427,7 @@ func TestLeaseReaping(t *testing.T) {
 	if _, ok := e.Get(watchedID); !ok {
 		t.Fatal("watched job vanished")
 	}
-	cancelSub()
+	stopIter()
 	e.reapLeases(time.Now().Add(500 * time.Millisecond))
 	if got, _ := e.Get(watchedID); got.Status == StatusCanceled {
 		t.Fatal("job reaped inside its lease window")
@@ -434,47 +439,53 @@ func TestLeaseReaping(t *testing.T) {
 	}
 }
 
-// TestPruneRetainsLiveSubscribers is the regression test for the
-// retention bug where the registry cap could evict a finished job out
-// from under a subscriber still draining its stream. White-box: builds
-// the exact race-window state (done closed, subscriber registered) that
-// live scheduling only hits rarely.
+// TestPruneRetainsLiveSubscribers: the retention cap may evict a
+// finished job while a reader is still replaying its stream. The stream
+// holds the job itself, not its ID, so it still reads through to the
+// terminal event. White-box: fills the registry with finished sweeps and
+// prunes from inside the reader's first event.
 func TestPruneRetainsLiveSubscribers(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1})
-
-	e.jobsMu.Lock()
-	defer e.jobsMu.Unlock()
 	r := e.sweeps
-	for i := 1; i <= maxRetainedJobs+2; i++ {
+	e.jobsMu.Lock()
+	for i := 1; i <= maxRetainedJobs+1; i++ {
+		id := fmt.Sprintf("s-%06d", i)
 		j := &sweepJob{
-			head:   JobInfo{ID: fmt.Sprintf("s-%06d", i), Status: StatusDone},
+			head:   JobInfo{ID: id, Status: StatusDone},
 			cancel: func() {},
 			done:   make(chan struct{}),
+			history: []SweepEvent{
+				{Type: EventPoint, SweepID: id, Status: StatusDone},
+				{Type: EventPoint, SweepID: id, Status: StatusDone},
+				{Type: EventDone, SweepID: id, Status: StatusDone},
+			},
 		}
 		close(j.done)
-		r.jobs[j.head.ID] = j
+		r.jobs[id] = j
 	}
-	oldest := r.jobs["s-000001"]
-	sub := make(chan SweepEvent, 1)
-	oldest.subs = map[chan SweepEvent]struct{}{sub: {}}
+	e.jobsMu.Unlock()
 
-	r.pruneLocked()
-	if _, ok := r.jobs["s-000001"]; !ok {
-		t.Fatal("prune evicted a finished sweep with a live subscriber")
+	events, ok := e.Subscribe(t.Context(), "s-000001")
+	if !ok {
+		t.Fatal("subscribe: unknown id")
 	}
-	if len(r.jobs) != maxRetainedJobs {
-		t.Fatalf("%d sweeps retained, want %d (prune must skip past the live one)", len(r.jobs), maxRetainedJobs)
+	var got []string
+	for ev := range events {
+		if len(got) == 0 {
+			e.jobsMu.Lock()
+			r.pruneLocked()
+			_, kept := r.jobs["s-000001"]
+			n := len(r.jobs)
+			e.jobsMu.Unlock()
+			if kept || n != maxRetainedJobs {
+				t.Fatalf("prune left the oldest finished sweep retained=%v and %d sweeps, want it evicted and %d",
+					kept, n, maxRetainedJobs)
+			}
+		}
+		got = append(got, ev.Type)
 	}
-
-	// Once the stream is released the cap applies normally again.
-	delete(oldest.subs, sub)
-	j := &sweepJob{head: JobInfo{ID: "s-z"}, cancel: func() {}, done: make(chan struct{})}
-	j.head.Status = StatusDone
-	close(j.done)
-	r.jobs[j.head.ID] = j
-	r.pruneLocked()
-	if _, ok := r.jobs["s-000001"]; ok {
-		t.Fatal("released sweep survived the next prune")
+	if want := []string{EventPoint, EventPoint, EventDone}; !slices.Equal(got, want) {
+		t.Fatalf("stream over an evicted sweep read %v, want %v", got, want)
 	}
 }
 

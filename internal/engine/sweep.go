@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"iter"
 	"time"
 
 	"repro/internal/charz"
@@ -444,16 +445,15 @@ func (e *Engine) Cancel(id string) error { return e.sweeps.cancelJob(id) }
 // context is canceled, returning the final snapshot.
 func (e *Engine) Wait(ctx context.Context, id string) (Sweep, error) { return e.sweeps.wait(ctx, id) }
 
-// Subscribe returns the sweep's event channel: first a replay of every
-// event published so far (the per-point history is retained for the
-// sweep's lifetime), then the live tail. The channel is closed after the
-// terminal event; the returned cancel function releases the subscription
-// early (it is safe to call after the close, and must be called
-// eventually). Because of the replay, a subscriber joining at any time —
-// even after the sweep finished — sees at least one point event per
-// completed operator before the terminal event.
-func (e *Engine) Subscribe(id string) (<-chan SweepEvent, func(), bool) {
-	return e.sweeps.subscribe(id)
+// Subscribe returns the sweep's event stream: every event published so
+// far (the per-point history is retained for the sweep's lifetime), then
+// each live event as it is published. The stream ends after the terminal
+// event, or once ctx is done; a reader may also stop early by breaking
+// out of its range loop. Each reader has its own cursor, so one that
+// joins late or reads slowly still sees every event — even after the
+// sweep finished, every point event before the terminal event.
+func (e *Engine) Subscribe(ctx context.Context, id string) (iter.Seq[SweepEvent], bool) {
+	return e.sweeps.subscribe(ctx, id)
 }
 
 // runSweep executes one sweep: plan, fan the points out over the pool,

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"iter"
 	"net/http"
 	"net/url"
 	"time"
@@ -48,7 +49,7 @@ type localJobs[ES, EE, S, E any] struct {
 	noun      string
 	get       func(string) (ES, bool)
 	wait      func(context.Context, string) (ES, error)
-	subscribe func(string) (<-chan EE, func(), bool)
+	subscribe func(context.Context, string) (iter.Seq[EE], bool)
 	cancel    func(string) error
 	// info reads a snapshot's lifecycle fields; strip drops its results.
 	info  func(ES) engine.JobInfo
@@ -91,29 +92,20 @@ func (k localJobs[ES, EE, S, E]) results(id string) (*S, error) {
 }
 
 func (k localJobs[ES, EE, S, E]) events(ctx context.Context, id string) (<-chan E, error) {
-	ch, cancel, ok := k.subscribe(id)
+	events, ok := k.subscribe(ctx, id)
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrNotFound, id)
 	}
 	out := make(chan E, 16)
 	go func() {
 		defer close(out)
-		defer cancel()
-		for {
+		for ev := range events {
+			e, err := convert[E](ev)
+			if err != nil {
+				return
+			}
 			select {
-			case ev, open := <-ch:
-				if !open {
-					return
-				}
-				e, err := convert[E](ev)
-				if err != nil {
-					return
-				}
-				select {
-				case out <- *e:
-				case <-ctx.Done():
-					return
-				}
+			case out <- *e:
 			case <-ctx.Done():
 				return
 			}
