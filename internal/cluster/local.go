@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -55,8 +56,14 @@ type Member struct {
 	mu     sync.Mutex
 }
 
+// readyTimeout bounds how long StartLocal and Restart wait for members
+// to finish replaying their journals.
+const readyTimeout = time.Minute
+
 // StartLocal boots an n-node cluster on loopback listeners and returns
-// once every node is serving.
+// once every node is serving: listening, with its journal (if any)
+// replayed, so a submission right after StartLocal is never refused as
+// not ready. A member still replaying after readyTimeout fails the boot.
 func StartLocal(n int, opts LocalOptions) (*LocalCluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: need at least one node, got %d", n)
@@ -115,7 +122,24 @@ func StartLocal(n int, opts LocalOptions) (*LocalCluster, error) {
 		c.members = append(c.members, m)
 		go m.srv.Serve(m.ln)
 	}
+	if err := awaitReady(c.members); err != nil {
+		c.Close()
+		return nil, err
+	}
 	return c, nil
+}
+
+// awaitReady waits, for at most readyTimeout in all, until every member's
+// engine has replayed its journal.
+func awaitReady(members []*Member) error {
+	ctx, cancel := context.WithTimeout(context.Background(), readyTimeout)
+	defer cancel()
+	for _, m := range members {
+		if err := m.Node.Engine().WaitReady(ctx); err != nil {
+			return fmt.Errorf("cluster: node %s not ready: %w", m.URL, err)
+		}
+	}
+	return nil
 }
 
 // Members returns the cluster's nodes in boot order.
@@ -154,6 +178,8 @@ func (c *LocalCluster) Kill(i int) error {
 // restart of a crashed daemon. The node rejoins the ring (membership is
 // static; peers' breakers re-admit it via their half-open probes) and,
 // when a cache root was configured, recovers its on-disk cache layer.
+// Like StartLocal, it returns once the node has replayed its journal;
+// a node not ready within readyTimeout is stopped again and reported.
 // No-op if the member is running.
 func (c *LocalCluster) Restart(i int) error {
 	m := c.members[i]
@@ -185,8 +211,13 @@ func (c *LocalCluster) Restart(i int) error {
 	m.Node = node
 	m.ln = ln
 	m.srv = &http.Server{Handler: node.Handler()}
-	m.killed = false
 	go m.srv.Serve(ln)
+	if err := awaitReady([]*Member{m}); err != nil {
+		m.srv.Close()
+		node.Close()
+		return fmt.Errorf("cluster: restart node %d: %w", i, err)
+	}
+	m.killed = false
 	return nil
 }
 

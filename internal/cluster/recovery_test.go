@@ -3,11 +3,14 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/engine"
 	"repro/vos"
 )
 
@@ -225,5 +228,56 @@ func TestCoordinatorKillMCSurvival(t *testing.T) {
 	}
 	if !reflect.DeepEqual(full.Points, want.Points) {
 		t.Fatal("post-crash mc points differ from the uninterrupted single-node run")
+	}
+}
+
+// TestStartLocalWaitsForReplay boots a journaled cluster over journals
+// that already hold many finished jobs: StartLocal must not return
+// before every member has replayed its journal and accepts work, and
+// neither may Restart before the restarted member has.
+func TestStartLocalWaitsForReplay(t *testing.T) {
+	const nodes, jobs = 3, 200
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	root := t.TempDir()
+	req := engine.Request{Arches: []string{"RCA"}, Widths: []int{4}, Patterns: 40, Seed: 7}
+	for i := 0; i < nodes; i++ {
+		e, err := engine.New(engine.Options{Workers: 2, JournalDir: filepath.Join(root, fmt.Sprintf("node%d", i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.WaitReady(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < jobs; k++ {
+			id, err := e.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sw, err := e.Wait(ctx, id); err != nil || sw.Status != engine.StatusDone {
+				t.Fatalf("seed sweep %d on node %d: %v status=%v", k, i, err, sw.Status)
+			}
+		}
+		e.Close()
+	}
+
+	lc, err := StartLocal(nodes, LocalOptions{Workers: 2, JournalRoot: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	for i, m := range lc.Members() {
+		if got := m.Node.Engine().State(); got != engine.StateReady {
+			t.Errorf("node %d is %q when StartLocal returns, want %q", i, got, engine.StateReady)
+		}
+	}
+	if err := lc.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.Restart(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := lc.Members()[1].Node.Engine().State(); got != engine.StateReady {
+		t.Errorf("node 1 is %q when Restart returns, want %q", got, engine.StateReady)
 	}
 }
