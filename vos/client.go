@@ -31,9 +31,8 @@ type Client interface {
 	// each operating point completes, then exactly one terminal event,
 	// after which the channel closes. The engine replays the sweep's
 	// event history to new subscribers, so the stream is complete from
-	// the sweep's start no matter when it is opened (and reopening it
-	// recovers anything a slow consumer missed). Canceling the context
-	// detaches the stream.
+	// the sweep's start no matter when it is opened or how slowly it is
+	// read. Canceling the context detaches the stream.
 	Events(ctx context.Context, id string) (<-chan Event, error)
 	// Cancel stops a pending or running sweep.
 	Cancel(ctx context.Context, id string) error

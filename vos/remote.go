@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -25,7 +26,10 @@ type RemoteOptions struct {
 	HTTPClient *http.Client
 	// Retries is how many times idempotent requests (GET, DELETE) are
 	// retried after transport errors or 5xx responses; negative disables
-	// retries. Default: 2. Submissions (POST) are never retried — a
+	// retries. Default: 2. A submission (POST) is retried only when the
+	// daemon refused it with 503 not_ready while replaying its journal —
+	// it accepted no job then — and waits at least the daemon's
+	// Retry-After; any other failed submission is returned at once, as a
 	// replay could start a duplicate sweep.
 	Retries int
 	// RetryBackoff is the base delay between retries, doubling each
@@ -261,19 +265,17 @@ func (c *Remote) CacheStats(ctx context.Context) (*CacheStats, error) {
 }
 
 // call performs one API request, retrying idempotent methods on
-// transport errors and 5xx responses, and decoding the error envelope on
-// any other status than wantStatus.
+// transport errors and 5xx responses and other methods on 503 not_ready
+// only, and decoding the error envelope on any other status than
+// wantStatus.
 func (c *Remote) call(ctx context.Context, method, path string, body []byte, wantStatus int, out any) error {
 	idempotent := method == http.MethodGet || method == http.MethodDelete
-	attempts := 1
-	if idempotent {
-		attempts += c.retries
-	}
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
+	var retryAfter time.Duration
+	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
 			select {
-			case <-time.After(c.retryDelay(attempt)):
+			case <-time.After(max(c.retryDelay(attempt), retryAfter)):
 			case <-ctx.Done():
 				return ctx.Err()
 			}
@@ -298,12 +300,24 @@ func (c *Remote) call(ctx context.Context, method, path string, body []byte, wan
 				return ctx.Err()
 			}
 			lastErr = fmt.Errorf("vos: %s %s: %w", method, path, err)
+			if !idempotent {
+				return lastErr
+			}
 			continue
 		}
 		if resp.StatusCode >= 500 {
-			apiErr := decodeError(resp)
+			lastErr = decodeError(resp)
 			resp.Body.Close()
-			lastErr = apiErr
+			if !idempotent {
+				// The daemon checks readiness before it accepts a job, so
+				// only a not_ready refusal is safe to send again.
+				var apiErr *APIError
+				if !errors.As(lastErr, &apiErr) || apiErr.Code != httpapi.CodeNotReady {
+					return lastErr
+				}
+				secs, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
+				retryAfter = time.Duration(secs) * time.Second
+			}
 			continue
 		}
 		if resp.StatusCode != wantStatus {

@@ -66,8 +66,9 @@ func TestRemoteRetriesTransient5xx(t *testing.T) {
 	}
 }
 
-// TestRemoteSubmitNotRetried checks POSTs are never replayed: a retried
-// submission could start a duplicate sweep.
+// TestRemoteSubmitNotRetried checks a POST that failed with anything but
+// 503 not_ready is not replayed: a retried submission could start a
+// duplicate sweep.
 func TestRemoteSubmitNotRetried(t *testing.T) {
 	var calls atomic.Int64
 	client := newFaultClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

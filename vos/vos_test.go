@@ -141,6 +141,68 @@ func TestClientErrors(t *testing.T) {
 	}
 }
 
+// TestRemoteSubmitRetriesNotReady submits to a daemon still replaying
+// its journal. Its 503 not_ready refusal accepted no job, so the client
+// sends the submission again after at least the daemon's Retry-After
+// (one second), and exactly one sweep is created. A draining daemon's
+// refusal is returned at once.
+func TestRemoteSubmitRetriesNotReady(t *testing.T) {
+	ctx := context.Background()
+	release := make(chan struct{})
+	eng, err := engine.New(engine.Options{Workers: 2, JournalDir: t.TempDir(), RecoveryGate: func() { <-release }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	api := httpapi.New(eng)
+	var posts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		api.ServeHTTP(w, r)
+		if r.Method == http.MethodPost && posts.Add(1) == 1 {
+			// Replay ends before the refusal reaches the client.
+			close(release)
+			rctx, cancel := context.WithTimeout(ctx, time.Minute)
+			defer cancel()
+			if err := eng.WaitReady(rctx); err != nil {
+				t.Error(err)
+			}
+		}
+	}))
+	t.Cleanup(ts.Close)
+	cli, err := vos.NewRemote(ts.URL, vos.RemoteOptions{RetryBackoff: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+
+	start := time.Now()
+	id, err := cli.Submit(ctx, testSpec())
+	if err != nil {
+		t.Fatalf("Submit while recovering: %v", err)
+	}
+	if waited := time.Since(start); waited < time.Second {
+		t.Errorf("retried after %v, want at least the Retry-After of 1s", waited)
+	}
+	if n := posts.Load(); n != 2 {
+		t.Errorf("%d POSTs, want the refused one and one retry", n)
+	}
+	if _, err := cli.Wait(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(eng.List()); n != 1 {
+		t.Errorf("%d sweeps created, want 1", n)
+	}
+
+	eng.StartDrain()
+	var apiErr *vos.APIError
+	if _, err := cli.Submit(ctx, testSpec()); !errors.As(err, &apiErr) || apiErr.Code != httpapi.CodeDraining {
+		t.Fatalf("Submit while draining: %v, want a draining refusal", err)
+	}
+	if n := posts.Load(); n != 3 {
+		t.Errorf("%d POSTs after the draining refusal, want it not retried (3)", n)
+	}
+}
+
 // TestEvents streams a finished sweep through both transports: the
 // replayed history must contain every point event before the terminal
 // done event.
