@@ -153,7 +153,7 @@ func (p *Planner) runShardMC(ctx context.Context, req engine.MCRequest, kernel s
 				point = ev.Point
 			}
 			if ev.Type == vos.EventDone && point == nil {
-				return "", "" // the point event was dropped: the stream ends, the salvage fetches
+				return "", "" // a malformed peer stream: it ends, the salvage fetches
 			}
 			return ev.Type, ev.Error
 		},

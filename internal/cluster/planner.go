@@ -294,8 +294,9 @@ type shardCalls[S, E any] struct {
 	cancel  func(context.Context, string) error
 	// event hands an event's point, if any, to the caller and returns
 	// the event's type and failure message — no type for a done event
-	// that arrived without every point, which leaves the fetch to the
-	// salvage. state reads a snapshot's status, failure message and
+	// that arrived without every point, which only a malformed peer
+	// stream sends (streams are lossless) and which leaves the fetch to
+	// the salvage. state reads a snapshot's status, failure message and
 	// progress; fetched takes the results a salvage fetched.
 	event   func(E) (typ, msg string)
 	state   func(*S) (status, msg string, p vos.Progress)

@@ -251,7 +251,7 @@ func forwardEvents[E jobEvent](ctx context.Context, resp *http.Response, out cha
 	delivered map[string]int, replay bool) bool {
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+	sc.Buffer(nil, 16<<20)
 	seen := make(map[string]int)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
