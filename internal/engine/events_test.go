@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
+	"iter"
 	"testing"
+	"time"
 )
 
 type gatedJob = job[struct{}, struct{}, JobInfo, SweepEvent]
@@ -33,11 +35,31 @@ func gatedKind(gate <-chan struct{}, n int) *jobKind[struct{}, struct{}, JobInfo
 	}
 }
 
+// countEvents tallies a stream's point and terminal events, calling
+// first, when set, inside the first event.
+func countEvents(events iter.Seq[SweepEvent], first func(SweepEvent)) (points, terminals int) {
+	for ev := range events {
+		if first != nil {
+			first(ev)
+			first = nil
+		}
+		switch {
+		case ev.Type == EventPoint:
+			points++
+		case terminal(ev.Status):
+			terminals++
+		}
+	}
+	return points, terminals
+}
+
 // TestSlowReaderSeesEveryEvent: a reader that attaches while the job is
 // still pending, then reads nothing more until the job has finished,
 // must still receive every point event and the terminal event. The
 // reader blocks inside its first event, so the test also fails if the
-// stream holds the job's lock across a yield.
+// stream holds the job's lock across a yield. A second reader of the
+// same stream reads concurrently, as fast as it can, and must see the
+// same events.
 func TestSlowReaderSeesEveryEvent(t *testing.T) {
 	const n = 5000
 	e := newTestEngine(t, Options{Workers: 1})
@@ -52,25 +74,61 @@ func TestSlowReaderSeesEveryEvent(t *testing.T) {
 	if !ok {
 		t.Fatal("subscribe: unknown id")
 	}
-	first := true
-	points, terminals := 0, 0
-	for ev := range events {
-		if first {
-			if ev.Type != EventProgress || ev.Status != StatusPending {
-				t.Fatalf("opening event %s/%s, want a pending snapshot", ev.Type, ev.Status)
-			}
-			close(gate)
-			<-j.done
-			first = false
+	fast := make(chan [2]int, 1)
+	go func() {
+		points, terminals := countEvents(events, nil)
+		fast <- [2]int{points, terminals}
+	}()
+	points, terminals := countEvents(events, func(ev SweepEvent) {
+		if ev.Type != EventProgress || ev.Status != StatusPending {
+			t.Errorf("opening event %s/%s, want a pending snapshot", ev.Type, ev.Status)
 		}
-		switch {
-		case ev.Type == EventPoint:
-			points++
-		case terminal(ev.Status):
-			terminals++
-		}
-	}
+		close(gate)
+		<-j.done
+	})
 	if points != n || terminals != 1 {
-		t.Fatalf("slow reader saw %d of %d point events and %d terminal events, want all and 1", points, n, terminals)
+		t.Errorf("slow reader saw %d of %d point events and %d terminal events, want all and 1", points, n, terminals)
+	}
+	if got := <-fast; got != [2]int{n, 1} {
+		t.Errorf("fast reader saw %d of %d point events and %d terminal events, want all and 1", got[0], n, got[1])
+	}
+}
+
+// TestStreamWakesOnPublish: a reader that has caught up with a running
+// job's history waits, and is woken by the next publish, not only by
+// the terminal one.
+func TestStreamWakesOnPublish(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: 1})
+	gate := make(chan struct{})
+	defer close(gate)
+	r := newRegistry(e, gatedKind(gate, 0))
+	id, err := r.submit(struct{}{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ := r.lookup(id)
+	ctx, cancel := context.WithTimeout(t.Context(), 10*time.Second)
+	defer cancel()
+	events, ok := r.subscribe(ctx, id)
+	if !ok {
+		t.Fatal("subscribe: unknown id")
+	}
+	read := make(chan SweepEvent, 8) // more than the job ever publishes
+	go func() {
+		defer close(read)
+		for ev := range events {
+			read <- ev
+		}
+	}()
+	<-read // the opening snapshot
+	for waiting := false; !waiting && ctx.Err() == nil; {
+		j.mu.Lock()
+		waiting = j.wake != nil
+		j.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	j.point(false, func(ev *SweepEvent) { ev.Type = EventPoint })
+	if ev := <-read; ev.Type != EventPoint {
+		t.Fatalf("woken reader read %q, want the point event", ev.Type)
 	}
 }

@@ -352,9 +352,9 @@ func (r *registry[R, O, S, E]) wait(ctx context.Context, id string) (S, error) {
 // from the first event, which then waits for each new event and ends
 // after the terminal event, or once ctx is done. A job that has
 // published nothing yet (it is still planning) opens with a snapshot
-// built now, so every stream shows the current state at once. The
-// stream holds the coordinator lease while it is being iterated (see
-// reap).
+// built now, so every stream shows the current state at once. While it
+// is being iterated, a stream counts as observing the job for its
+// coordinator lease (see reap).
 func (r *registry[R, O, S, E]) subscribe(ctx context.Context, id string) (iter.Seq[E], bool) {
 	j, ok := r.lookup(id)
 	if !ok {
