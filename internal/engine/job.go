@@ -382,7 +382,7 @@ func (r *registry[R, O, S, E]) subscribe(ctx context.Context, id string) (iter.S
 		for next := 0; ; {
 			j.mu.Lock()
 			evs, finished := j.history[next:], terminal(j.head.Status)
-			if j.wake == nil {
+			if j.wake == nil && !finished {
 				j.wake = make(chan struct{})
 			}
 			wake := j.wake
