@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"iter"
+	"slices"
 	"testing"
 	"time"
 )
@@ -55,11 +56,9 @@ func countEvents(events iter.Seq[SweepEvent], first func(SweepEvent)) (points, t
 
 // TestSlowReaderSeesEveryEvent: a reader that attaches while the job is
 // still pending, then reads nothing more until the job has finished,
-// must still receive every point event and the terminal event. The
-// reader blocks inside its first event, so the test also fails if the
-// stream holds the job's lock across a yield. A second reader of the
-// same stream reads concurrently, as fast as it can, and must see the
-// same events.
+// must still receive every point event and the terminal event. A
+// second reader of the same stream reads concurrently, as fast as it
+// can, and must see the same events.
 func TestSlowReaderSeesEveryEvent(t *testing.T) {
 	const n = 5000
 	e := newTestEngine(t, Options{Workers: 1})
@@ -96,11 +95,12 @@ func TestSlowReaderSeesEveryEvent(t *testing.T) {
 
 // TestStreamWakesOnPublish: a reader that has caught up with a running
 // job's history waits, and is woken by the next publish, not only by
-// the terminal one.
+// the terminal one. While the reader sits inside that event, the job
+// must still be able to publish and finish: a stream holds no lock
+// across a yield.
 func TestStreamWakesOnPublish(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1})
 	gate := make(chan struct{})
-	defer close(gate)
 	r := newRegistry(e, gatedKind(gate, 0))
 	id, err := r.submit(struct{}{})
 	if err != nil {
@@ -113,22 +113,31 @@ func TestStreamWakesOnPublish(t *testing.T) {
 	if !ok {
 		t.Fatal("subscribe: unknown id")
 	}
-	read := make(chan SweepEvent, 8) // more than the job ever publishes
-	go func() {
-		defer close(read)
-		for ev := range events {
-			read <- ev
+	var got []string
+	for ev := range events {
+		got = append(got, ev.Type)
+		switch {
+		case len(got) == 1:
+			// Publish a point once this reader has caught up and waits.
+			go func() {
+				for waiting := false; !waiting && ctx.Err() == nil; {
+					j.mu.Lock()
+					waiting = j.wake != nil
+					j.mu.Unlock()
+					time.Sleep(time.Millisecond)
+				}
+				j.point(false, func(ev *SweepEvent) { ev.Type = EventPoint })
+			}()
+		case ev.Type == EventPoint:
+			close(gate)
+			select {
+			case <-j.done:
+			case <-ctx.Done():
+				t.Error("the job could not finish while a reader sat inside an event")
+			}
 		}
-	}()
-	<-read // the opening snapshot
-	for waiting := false; !waiting && ctx.Err() == nil; {
-		j.mu.Lock()
-		waiting = j.wake != nil
-		j.mu.Unlock()
-		time.Sleep(time.Millisecond)
 	}
-	j.point(false, func(ev *SweepEvent) { ev.Type = EventPoint })
-	if ev := <-read; ev.Type != EventPoint {
-		t.Fatalf("woken reader read %q, want the point event", ev.Type)
+	if want := []string{EventProgress, EventPoint, EventProgress, EventDone}; !slices.Equal(got, want) {
+		t.Fatalf("stream read %v, want %v", got, want)
 	}
 }
