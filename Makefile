@@ -33,7 +33,7 @@ bench-smoke:
 
 # bench-diff re-runs the benchmarks into a scratch file and compares them
 # against the committed BENCH_sim.json baseline, failing on a >20% ns/op
-# regression of any gated benchmark (see vosbench -diff-filter; the
+# or allocs/op regression of any gated benchmark (see vosbench -diff-filter; the
 # journaled EngineWarmSweep/ClusterWarmLookup twins gate the durability
 # tax). The iteration budget and sample counts match `make bench`
 # — comparing a

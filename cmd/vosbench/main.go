@@ -24,8 +24,9 @@
 //
 // With -diff, the fresh run is compared against a committed baseline file
 // and the command exits non-zero when any benchmark matched by
-// -diff-filter regressed by more than -diff-threshold in ns/op — the CI
-// guard against hot-path regressions (`make bench-diff`). With
+// -diff-filter regressed by more than -diff-threshold in ns/op or in
+// allocs/op — the CI guard against hot-path regressions
+// (`make bench-diff`). With
 // -profile-regressed, a failing gate first re-runs each regressed
 // benchmark under -cpuprofile and writes one profile per benchmark into
 // DIR, which CI uploads as an artifact so the regression comes with its
@@ -113,7 +114,7 @@ func main() {
 		// through the journaled EngineWarmSweep/ClusterWarmLookup
 		// twins instead, where it is one term of a realistic op.
 		diffRe    = flag.String("diff-filter", "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|ClusterWarmLookup|EngineWarmSweep)", "benchmarks the -diff gate applies to")
-		threshold = flag.Float64("diff-threshold", 0.20, "fractional ns/op regression that fails the -diff gate")
+		threshold = flag.Float64("diff-threshold", 0.20, "fractional ns/op or allocs/op regression that fails the -diff gate")
 		profDir   = flag.String("profile-regressed", "", "directory to write one cpuprofile per regressed benchmark when the -diff gate fails (uploaded as a CI artifact)")
 	)
 	flag.Parse()
@@ -194,27 +195,39 @@ func main() {
 // to the minimum-ns/op one, preserving first-appearance order. Min — not
 // mean — because scheduler noise and cold caches only ever inflate a
 // run: the fastest sample is the closest observation of the code's true
-// cost, which is what a cross-run regression gate should compare.
+// cost, which is what a cross-run regression gate should compare. Its
+// allocs/op is the smallest of any sample, for the same reason: the
+// first sample of a process can carry one-time warm-up allocations.
 func BestSamples(results []Result) []Result {
 	best := make(map[string]int, len(results))
 	out := results[:0]
 	for _, r := range results {
-		if i, ok := best[r.Name]; ok {
-			if r.NsOp < out[i].NsOp {
-				out[i] = r
-			}
+		i, ok := best[r.Name]
+		if !ok {
+			best[r.Name] = len(out)
+			out = append(out, r)
 			continue
 		}
-		best[r.Name] = len(out)
-		out = append(out, r)
+		allocs := out[i].AllocsOp
+		if r.AllocsOp != nil && (allocs == nil || *r.AllocsOp < *allocs) {
+			allocs = r.AllocsOp
+		}
+		if r.NsOp < out[i].NsOp {
+			out[i] = r
+		}
+		out[i].AllocsOp = allocs
 	}
 	return out
 }
 
 // Diff compares fresh results against the baseline file and returns an
 // error when any benchmark matched by filter regressed beyond threshold
-// (fractional ns/op increase), along with the names of the regressed
-// benchmarks that are present in the fresh run (the profilable ones).
+// — a fractional increase of ns/op, or of allocs/op where both runs
+// report it — along with the names of the regressed benchmarks that are
+// present in the fresh run (the profilable ones). Allocation counts
+// barely move between runs of the same code, so unlike ns/op they hold
+// a win on a noisy host; a zero-allocation baseline fails on any
+// allocation.
 // Benchmarks absent from the baseline are reported as new and never
 // fail the gate — a fresh optimization's bench lands before its first
 // committed baseline — while filtered baseline entries missing from the
@@ -251,11 +264,20 @@ func Diff(w io.Writer, baselinePath string, fresh []Result, filter string, thres
 			continue
 		}
 		delta := r.NsOp/b.NsOp - 1
-		mark := ""
+		mark, bad := "", false
 		if delta > threshold {
-			mark = "  REGRESSED"
-			regressed = append(regressed, r.Name)
+			mark, bad = "  REGRESSED", true
 			failures = append(failures, r.Name)
+		}
+		if r.AllocsOp != nil && b.AllocsOp != nil {
+			mark = fmt.Sprintf("  %g -> %g allocs/op%s", *b.AllocsOp, *r.AllocsOp, mark)
+			if *r.AllocsOp > *b.AllocsOp*(1+threshold) {
+				mark, bad = mark+"  ALLOCS REGRESSED", true
+				failures = append(failures, r.Name+" (allocs/op)")
+			}
+		}
+		if bad {
+			regressed = append(regressed, r.Name)
 		}
 		fmt.Fprintf(w, "  %-28s %12.1f -> %12.1f ns/op  %+6.1f%%%s\n",
 			r.Name, b.NsOp, r.NsOp, delta*100, mark)

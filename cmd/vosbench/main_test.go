@@ -115,6 +115,20 @@ func TestDiffGate(t *testing.T) {
 	}
 }
 
+// TestBestSamplesAllocs: the collapsed sample carries the smallest
+// allocs/op of any sample, not that of the fastest one.
+func TestBestSamplesAllocs(t *testing.T) {
+	allocs := func(v float64) *float64 { return &v }
+	rs := BestSamples([]Result{
+		{Name: "Fig8/RCA8", NsOp: 9e6, AllocsOp: allocs(6100)}, // warm-up sample
+		{Name: "Fig8/RCA8", NsOp: 9.5e6, AllocsOp: allocs(4400)},
+		{Name: "Fig8/RCA8", NsOp: 9.2e6, AllocsOp: allocs(4410)},
+	})
+	if len(rs) != 1 || rs[0].NsOp != 9e6 || rs[0].AllocsOp == nil || *rs[0].AllocsOp != 4400 {
+		t.Fatalf("collapsed sample %+v (allocs %v)", rs, rs[0].AllocsOp)
+	}
+}
+
 func TestBestSamples(t *testing.T) {
 	rs := BestSamples([]Result{
 		{Name: "A", NsOp: 300},
@@ -140,5 +154,54 @@ func TestDiffBadInputs(t *testing.T) {
 	base := writeBaseline(t, nil)
 	if _, err := Diff(io.Discard, base, nil, "(", 0.2); err == nil {
 		t.Fatal("bad filter regex accepted")
+	}
+}
+
+// TestDiffGateAllocs: a gated benchmark whose allocs/op grows past the
+// threshold fails the gate even when its ns/op held, and one within the
+// threshold passes.
+func TestDiffGateAllocs(t *testing.T) {
+	allocs := func(v float64) *float64 { return &v }
+	base := writeBaseline(t, []Result{
+		{Name: "EngineWarmSweep", NsOp: 1e6, AllocsOp: allocs(900)},
+		{Name: "SimStepDenseRCA8", NsOp: 1000, AllocsOp: allocs(0)},
+		{Name: "EvaluateBatch", NsOp: 500, AllocsOp: allocs(1)}, // outside the filter
+	})
+	filter := "^(SimStep|EngineWarmSweep)"
+
+	within := []Result{
+		{Name: "EngineWarmSweep", NsOp: 0.9e6, AllocsOp: allocs(1080)},
+		{Name: "SimStepDenseRCA8", NsOp: 1000, AllocsOp: allocs(0)},
+		{Name: "EvaluateBatch", NsOp: 500, AllocsOp: allocs(100)},
+	}
+	var report bytes.Buffer
+	if _, err := Diff(&report, base, within, filter, 0.20); err != nil {
+		t.Fatalf("allocs within the threshold failed the gate: %v\n%s", err, report.String())
+	}
+	if !strings.Contains(report.String(), "900 -> 1080 allocs/op") {
+		t.Fatalf("diff report:\n%s", report.String())
+	}
+
+	for _, c := range []struct {
+		name   string
+		allocs float64
+	}{{"EngineWarmSweep", 1081}, {"SimStepDenseRCA8", 1}} {
+		fresh := append([]Result(nil), within...)
+		for i := range fresh {
+			if fresh[i].Name == c.name {
+				fresh[i].AllocsOp = allocs(c.allocs)
+			}
+		}
+		report.Reset()
+		regressed, err := Diff(&report, base, fresh, filter, 0.20)
+		if err == nil || !strings.Contains(err.Error(), c.name+" (allocs/op)") {
+			t.Fatalf("%s at %g allocs/op not flagged: %v", c.name, c.allocs, err)
+		}
+		if len(regressed) != 1 || regressed[0] != c.name {
+			t.Fatalf("profilable regressions: %v", regressed)
+		}
+		if !strings.Contains(report.String(), "ALLOCS REGRESSED") {
+			t.Fatalf("diff report:\n%s", report.String())
+		}
 	}
 }

@@ -211,6 +211,8 @@ type Library struct {
 	// Invalidated by Add; the exported fields are construction-time
 	// constants everywhere in the tree.
 	fp atomic.Pointer[string]
+	// frozen marks a library shared read-only (see Freeze).
+	frozen bool
 }
 
 // Cell returns the library entry for kind k, or nil if absent.
@@ -230,10 +232,22 @@ func (l *Library) MustCell(k Kind) *Cell {
 	return c
 }
 
-// Add inserts (or replaces) a cell in the library.
+// Add inserts (or replaces) a cell in the library. It panics on a
+// frozen library: only a bug can reach that.
 func (l *Library) Add(c *Cell) {
+	if l.frozen {
+		panic(fmt.Sprintf("cell: Add on frozen library %q", l.Name))
+	}
 	l.cells[c.Kind] = c
 	l.fp.Store(nil)
+}
+
+// Freeze makes the library read-only, so Add panics, and returns it. A
+// frozen library can be shared by every caller that only reads it, and
+// its fingerprint is then hashed once for all of them.
+func (l *Library) Freeze() *Library {
+	l.frozen = true
+	return l
 }
 
 // Kinds returns the kinds present in the library in ascending order.

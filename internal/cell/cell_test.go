@@ -197,3 +197,29 @@ func TestMustCellPanicsOnMissing(t *testing.T) {
 	}()
 	lib.MustCell(XOR2)
 }
+
+// TestFrozenLibraryRefusesAdd: Add panics on a frozen library, while
+// Default28nmLVT keeps handing out fresh, mutable ones.
+func TestFrozenLibraryRefusesAdd(t *testing.T) {
+	lib := Default28nmLVT()
+	fp := lib.Fingerprint()
+	if lib.Freeze() != lib {
+		t.Fatal("Freeze returned another library")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Add on a frozen library did not panic")
+			}
+		}()
+		lib.Add(&Cell{Kind: INV, Area: 9})
+	}()
+	if lib.Fingerprint() != fp || lib.MustCell(INV).Area == 9 {
+		t.Fatal("the refused Add changed the frozen library")
+	}
+	fresh := Default28nmLVT()
+	fresh.Add(&Cell{Kind: INV, Area: 9})
+	if fresh.MustCell(INV).Area != 9 || fresh.Fingerprint() == fp {
+		t.Fatal("a fresh default library is not mutable")
+	}
+}

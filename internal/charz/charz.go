@@ -75,6 +75,9 @@ type Config struct {
 	// Parallelism bounds concurrent triad simulations; ≤0 = GOMAXPROCS.
 	Parallelism int
 	// Proc and Lib default to fdsoi.Default() / cell.Default28nmLVT().
+	// The defaults are one shared copy each, read-only: every Config
+	// canonicalized without them points at the same values, and the
+	// library is frozen (Add panics).
 	Proc *fdsoi.Params
 	Lib  *cell.Library
 	// Triads overrides the sweep set; nil derives the paper's 43 triads
@@ -88,6 +91,14 @@ type Config struct {
 	// test. Gate backend only.
 	Streaming bool
 }
+
+// defaultProc and defaultLib are what setDefaults fills in for a nil
+// Proc or Lib. Sharing them lets the library's fingerprint memo serve
+// every cache key instead of rehashing a fresh library per call.
+var (
+	defaultProc = fdsoi.Default()
+	defaultLib  = cell.Default28nmLVT().Freeze()
+)
 
 func (c *Config) setDefaults() error {
 	if c.Width < 1 || c.Width > 32 {
@@ -103,11 +114,10 @@ func (c *Config) setDefaults() error {
 		return fmt.Errorf("charz: propagate probability %v", c.PropagateP)
 	}
 	if c.Proc == nil {
-		p := fdsoi.Default()
-		c.Proc = &p
+		c.Proc = &defaultProc
 	}
 	if c.Lib == nil {
-		c.Lib = cell.Default28nmLVT()
+		c.Lib = defaultLib
 	}
 	if c.MismatchSigma < 0 {
 		c.MismatchSigma = c.Proc.SigmaVt
@@ -156,6 +166,18 @@ type TriadResult struct {
 
 // BER returns the triad's bit error rate.
 func (r *TriadResult) BER() float64 { return r.Acc.BER() }
+
+// Clone returns a copy of the result that shares nothing with it: the
+// accumulator and the fidelity report are copied too.
+func (r *TriadResult) Clone() *TriadResult {
+	c := *r
+	c.Acc = r.Acc.Clone()
+	if r.Fidelity != nil {
+		fid := *r.Fidelity
+		c.Fidelity = &fid
+	}
+	return &c
+}
 
 // Result is a full characterization of one operator.
 type Result struct {

@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cell"
 	"repro/internal/core"
+	"repro/internal/fdsoi"
 	"repro/internal/patterns"
 	"repro/internal/synth"
 	"repro/internal/triad"
@@ -508,4 +510,29 @@ func TestStreamingMode(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("streaming RC accepted")
 	}
+}
+
+// TestDefaultsShared: a Config without Proc or Lib canonicalizes to one
+// shared process parameter set and one shared, frozen cell library.
+func TestDefaultsShared(t *testing.T) {
+	a, err := smallCfg().Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Config{Arch: synth.ArchBKA, Width: 16, Patterns: 1}.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Proc != b.Proc || a.Lib != b.Lib {
+		t.Fatal("canonical Configs do not share the default Proc and Lib")
+	}
+	if *a.Proc != fdsoi.Default() || a.Lib.Fingerprint() != cell.Default28nmLVT().Fingerprint() {
+		t.Fatal("shared defaults differ from fdsoi.Default and cell.Default28nmLVT")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Add on the shared default library did not panic")
+		}
+	}()
+	a.Lib.Add(a.Lib.MustCell(cell.INV))
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -117,7 +116,7 @@ func NewNode(opts NodeOptions) (*Node, error) {
 			StallTimeout: opts.ShardStallTimeout,
 		})
 	} else {
-		store = localStore{local}
+		store = local
 		engOpts.Cache = local
 	}
 	n.eng, err = engine.New(engOpts)
@@ -187,11 +186,3 @@ func (n *Node) Status() Status {
 	}
 	return st
 }
-
-// localStore adapts a plain engine.Cache to httpapi.CacheStore for
-// single-node daemons, so the cache-entry endpoints work (and a future
-// peer can fill from this node) even before it joins a cluster.
-type localStore struct{ c *engine.Cache }
-
-func (s localStore) GetLocal(key string) ([]byte, bool) { return s.c.Get(context.Background(), key) }
-func (s localStore) PutLocal(key string, data []byte)   { s.c.Put(key, data) }

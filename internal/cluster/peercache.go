@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 
@@ -27,7 +26,9 @@ const pushWorkers = 2
 // PeerCache is the cluster tier of the result cache: an
 // engine.CacheBackend that serves Gets from the local two-layer cache
 // first and fills misses from peer vosd nodes' cache-entry endpoints,
-// write-through into the local layers. Puts land locally and are
+// write-through into the local layers. A fetched entry is decoded once,
+// when it is filled, and one that does not decode as a point result
+// counts as a peer error, never as a hit. Puts land locally and are
 // replicated asynchronously to the entry's ring owner, so the owner —
 // the node every peer's fan-out consults first — converges on a full
 // copy of its share of the key space no matter which node simulated.
@@ -103,9 +104,9 @@ func (pc *PeerCache) Close() {
 // context joined with the cache's lifetime, so a sweep hitting its
 // deadline (or being canceled) abandons its network fetches instead of
 // riding out the full per-fetch timeout against a slow peer.
-func (pc *PeerCache) Get(ctx context.Context, key string) ([]byte, bool) {
-	if data, ok := pc.local.Get(ctx, key); ok {
-		return data, true
+func (pc *PeerCache) Get(ctx context.Context, key string) (*engine.Entry, bool) {
+	if e, ok := pc.local.Get(ctx, key); ok {
+		return e, true
 	}
 	consulted := 0
 	for _, member := range pc.ring.Sequence(key) {
@@ -141,15 +142,17 @@ func (pc *PeerCache) Get(ctx context.Context, key string) ([]byte, bool) {
 		if !found {
 			continue
 		}
-		// The endpoint's contract is valid JSON, but trust nothing that
-		// crossed the network into the content-addressed store.
-		if !json.Valid(data) {
+		// Trust nothing that crossed the network into the
+		// content-addressed store: what does not decode as a point is
+		// the peer's fault.
+		e, err := engine.NewEntry(data)
+		if err != nil {
 			pc.peerErrors.Add(1)
 			continue
 		}
-		pc.local.Put(key, data)
+		pc.local.Put(key, e)
 		pc.peerHits.Add(1)
-		return data, true
+		return e, true
 	}
 	if consulted > 0 {
 		pc.peerMisses.Add(1)
@@ -160,14 +163,14 @@ func (pc *PeerCache) Get(ctx context.Context, key string) ([]byte, bool) {
 // Put implements engine.CacheBackend: store locally, then replicate to
 // the key's ring owner asynchronously (simulation results must never
 // wait on a peer's disk).
-func (pc *PeerCache) Put(key string, data []byte) {
-	pc.local.Put(key, data)
+func (pc *PeerCache) Put(key string, e *engine.Entry) {
+	pc.local.Put(key, e)
 	owner := pc.ring.Owner(key)
 	if owner == "" || owner == pc.peers.self {
 		return
 	}
 	select {
-	case pc.pushCh <- pushJob{owner: owner, key: key, data: data}:
+	case pc.pushCh <- pushJob{owner: owner, key: key, data: e.Bytes()}:
 	default:
 		pc.peerPushDrops.Add(1)
 	}
@@ -191,13 +194,11 @@ func (pc *PeerCache) Stats() engine.CacheStats {
 
 // GetLocal implements httpapi.CacheStore: the peer-facing read path,
 // local layers only.
-func (pc *PeerCache) GetLocal(key string) ([]byte, bool) {
-	return pc.local.Get(context.Background(), key)
-}
+func (pc *PeerCache) GetLocal(key string) ([]byte, bool) { return pc.local.GetLocal(key) }
 
 // PutLocal implements httpapi.CacheStore: the peer-facing write path,
 // local layers only — a pushed entry must not be re-replicated.
-func (pc *PeerCache) PutLocal(key string, data []byte) { pc.local.Put(key, data) }
+func (pc *PeerCache) PutLocal(key string, data []byte) error { return pc.local.PutLocal(key, data) }
 
 // pushLoop drains the replication queue.
 func (pc *PeerCache) pushLoop() {

@@ -3,13 +3,18 @@ package cluster
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"repro/internal/charz"
 	"repro/internal/engine"
 	"repro/internal/engine/httpapi"
+	"repro/internal/metrics"
+	"repro/internal/triad"
 )
 
 // fakePeer is a real vosd cache surface: an httpapi handler over a
@@ -31,7 +36,7 @@ func newFakePeer(t *testing.T) *fakePeer {
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
-	ts := httptest.NewServer(httpapi.New(eng, httpapi.WithCacheStore(localStore{cache})))
+	ts := httptest.NewServer(httpapi.New(eng, httpapi.WithCacheStore(cache)))
 	t.Cleanup(ts.Close)
 	return &fakePeer{url: ts.URL, cache: cache, ts: ts}
 }
@@ -40,6 +45,24 @@ func newFakePeer(t *testing.T) *fakePeer {
 func testKey(label string) string {
 	sum := sha256.Sum256([]byte(label))
 	return hex.EncodeToString(sum[:])
+}
+
+// testEntry returns a cache entry holding a point result, a different
+// one for each n.
+func testEntry(t *testing.T, n float64) *engine.Entry {
+	t.Helper()
+	data, err := json.Marshal(&charz.TriadResult{
+		Triad: triad.Triad{Tclk: n, Vdd: 1},
+		Acc:   metrics.NewErrorAccumulator(2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := engine.NewEntry(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 func newTestPeerCache(t *testing.T, self string, peerURLs ...string) *PeerCache {
@@ -65,15 +88,16 @@ func TestPeerCacheFill(t *testing.T) {
 	pc := newTestPeerCache(t, "http://self.invalid", peer.url)
 
 	key := testKey("fill")
-	peer.cache.Put(key, []byte(`{"v":1}`))
+	want := testEntry(t, 1)
+	peer.cache.Put(key, want)
 
-	data, ok := pc.Get(t.Context(), key)
-	if !ok || string(data) != `{"v":1}` {
-		t.Fatalf("Get = %q, %v; want peer fill", data, ok)
+	e, ok := pc.Get(t.Context(), key)
+	if !ok || string(e.Bytes()) != string(want.Bytes()) {
+		t.Fatalf("Get = %v, %v; want peer fill", e, ok)
 	}
 	peer.ts.Close() // sever the network: the write-through copy must answer
-	if data, ok := pc.Get(t.Context(), key); !ok || string(data) != `{"v":1}` {
-		t.Fatalf("second Get = %q, %v; want local write-through hit", data, ok)
+	if e, ok := pc.Get(t.Context(), key); !ok || string(e.Bytes()) != string(want.Bytes()) {
+		t.Fatalf("second Get = %v, %v; want local write-through hit", e, ok)
 	}
 	s := pc.Stats()
 	if s.PeerHits != 1 || s.PeerErrors != 0 {
@@ -115,12 +139,13 @@ func TestPeerCachePush(t *testing.T) {
 	if key == "" {
 		t.Fatal("no key owned by the peer in 64 candidates")
 	}
-	pc.Put(key, []byte(`{"v":2}`))
+	want := testEntry(t, 2)
+	pc.Put(key, want)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if data, ok := peer.cache.Get(t.Context(), key); ok {
-			if string(data) != `{"v":2}` {
-				t.Fatalf("peer received %q", data)
+		if e, ok := peer.cache.Get(t.Context(), key); ok {
+			if string(e.Bytes()) != string(want.Bytes()) {
+				t.Fatalf("peer received %q", e.Bytes())
 			}
 			break
 		}
@@ -152,7 +177,7 @@ func TestPeerCacheOwnKeyNotPushed(t *testing.T) {
 	if key == "" {
 		t.Fatal("no self-owned key in 64 candidates")
 	}
-	pc.Put(key, []byte(`{"v":3}`))
+	pc.Put(key, testEntry(t, 3))
 	time.Sleep(50 * time.Millisecond)
 	if _, ok := peer.cache.Get(t.Context(), key); ok {
 		t.Fatal("self-owned key was replicated to the peer")
@@ -176,5 +201,39 @@ func TestPeerCacheBreaker(t *testing.T) {
 	s := pc.Stats()
 	if s.PeerErrors != breakerThreshold {
 		t.Fatalf("PeerErrors = %d; want the breaker to cap at %d", s.PeerErrors, breakerThreshold)
+	}
+}
+
+// TestPeerCacheRejectsNonPoint: a peer that serves valid JSON that is no
+// point result — {} and the like — counts as a peer error, not a hit,
+// and the sweep needing the point computes it instead of serving the
+// bogus entry.
+func TestPeerCacheRejectsNonPoint(t *testing.T) {
+	for _, bad := range []string{`{}`, `null`, `{"Acc":null}`} {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /v1/cache/entries/{key}", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprint(w, bad)
+		})
+		peer := httptest.NewServer(mux)
+		pc := newTestPeerCache(t, "http://self.invalid", peer.URL)
+		eng, err := engine.New(engine.Options{Workers: 1, Backend: pc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := eng.Submit(engine.Request{Arches: []string{"RCA"}, Widths: []int{4}, Patterns: 40, Seed: 7,
+			Policy: engine.PolicyExplicit, Triads: []triad.Triad{{Tclk: 0.5, Vdd: 0.8}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, err := eng.Wait(t.Context(), id)
+		if err != nil || sw.Status != engine.StatusDone {
+			t.Fatalf("%s: sweep %v %s (%s)", bad, err, sw.Status, sw.Error)
+		}
+		if s := pc.Stats(); s.PeerErrors != 1 || s.PeerHits != 0 || eng.Executions() != 1 {
+			t.Fatalf("%s: stats %+v, %d executions; want a peer error and a recomputed point", bad, s, eng.Executions())
+		}
+		eng.Close()
+		peer.Close()
 	}
 }

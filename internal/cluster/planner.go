@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"repro/internal/charz"
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/triad"
 	"repro/vos"
 )
@@ -108,13 +110,9 @@ func (p *Planner) RunOperator(ctx context.Context, plan *engine.OperatorPlan, gr
 
 	work := make([]*shardGroup, len(groups))
 	for i, idxs := range groups {
-		key, err := groupKey(plan, idxs)
-		if err != nil {
-			return err
-		}
 		work[i] = &shardGroup{
 			idxs:  append([]int(nil), idxs...),
-			key:   key,
+			key:   groupKey(plan, idxs),
 			tried: make(map[string]bool),
 		}
 	}
@@ -225,12 +223,8 @@ func (p *Planner) dispatch(ctx context.Context, plan *engine.OperatorPlan, membe
 		if len(idxs) == 0 {
 			return // not one of ours (or a duplicate delivery)
 		}
-		var ps engine.PointSummary
-		if err := reencode(pt, &ps); err != nil {
-			return // leave it pending; the remainder is re-dispatched
-		}
 		pending[tr] = idxs[1:]
-		yield(idxs[0], ps)
+		yield(idxs[0], pointSummary(pt))
 	}
 	_ = p.runShardSweep(ctx, pr, plan.Config, trs, onPoint) // on failure its points stay pending
 	remaining := make(map[int]bool)
@@ -458,24 +452,39 @@ func shardSpec(cfg charz.Config, trs []vos.Triad) *vos.Spec {
 // groupKey is a group's position on the ring: a hash of the sorted
 // canonical cache keys of its points. Content-derived, so every member
 // computes the same owner for the same group without gossip.
-func groupKey(plan *engine.OperatorPlan, idxs []int) (string, error) {
+func groupKey(plan *engine.OperatorPlan, idxs []int) string {
 	keys := make([]string, len(idxs))
 	for j, ti := range idxs {
-		k, err := engine.PointKey(plan.Config, plan.Triads[ti])
-		if err != nil {
-			return "", err
-		}
-		keys[j] = k
+		keys[j] = plan.Keys[ti]
 	}
 	sort.Strings(keys)
 	sum := sha256.Sum256([]byte(strings.Join(keys, "\n")))
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(sum[:])
 }
 
-// reencode converts between the SDK's and the engine's point types
-// through their shared JSON shape. A streamed sweep point's Efficiency
-// is whatever the shard knew (zero mid-stream) and is recomputed by the
-// coordinator's fold over the full operator.
+// pointSummary converts a shard's point into the engine's type: the two
+// share their shape field for field, nested types included. It shares
+// the point's slices and fidelity report, which the caller hands over. A
+// streamed sweep point's Efficiency is whatever the shard knew (zero
+// mid-stream) and is recomputed by the coordinator's fold over the full
+// operator.
+func pointSummary(pt *vos.Point) engine.PointSummary {
+	return engine.PointSummary{
+		Triad:         triad.Triad(pt.Triad),
+		Stats:         metrics.ErrorStats(pt.Stats),
+		BER:           pt.BER,
+		WER:           pt.WER,
+		PerBit:        pt.PerBit,
+		EnergyPerOpFJ: pt.EnergyPerOpFJ,
+		LateFraction:  pt.LateFraction,
+		Efficiency:    pt.Efficiency,
+		FromCache:     pt.FromCache,
+		Fidelity:      (*core.Fidelity)(pt.Fidelity),
+	}
+}
+
+// reencode converts between the SDK's and the engine's types through
+// their shared JSON shape.
 func reencode(in, out any) error {
 	data, err := json.Marshal(in)
 	if err != nil {

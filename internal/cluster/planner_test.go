@@ -4,14 +4,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/charz"
+	"repro/internal/engine"
 	"repro/internal/synth"
 	"repro/internal/triad"
 	"repro/vos"
@@ -159,5 +163,61 @@ func TestTriadRoundTrip(t *testing.T) {
 	tr := triad.Triad{Tclk: 1.25, Vdd: 0.85, Vbb: -0.3}
 	if back := triad.Triad(vos.Triad(tr)); back != tr {
 		t.Fatalf("triad round trip changed value: %+v -> %+v", tr, back)
+	}
+}
+
+// TestPointSummaryMatchesReencode: the planner converts a shard's point
+// into the engine's type field by field; the JSON round trip it replaced
+// is the oracle. Random points cover a present and an absent fidelity
+// report and nil, empty and filled per-bit slices.
+func TestPointSummaryMatchesReencode(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 11))
+	f := func() float64 { return rng.NormFloat64() * math.Pow(10, float64(rng.IntN(30)-20)) }
+	bits := func(n int) []float64 {
+		switch n {
+		case 0:
+			return nil
+		case 1:
+			return []float64{}
+		}
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = f()
+		}
+		return out
+	}
+	counts := func(n int) []uint64 {
+		switch n {
+		case 0:
+			return nil
+		case 1:
+			return []uint64{}
+		}
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = rng.Uint64()
+		}
+		return out
+	}
+	for i := range 200 {
+		pt := &vos.Point{
+			Triad: vos.Triad{Tclk: f(), Vdd: f(), Vbb: f()},
+			Stats: vos.ErrorStats{Width: rng.IntN(33), Words: rng.Uint64(), FaultyBits: rng.Uint64(),
+				FaultyWords: rng.Uint64(), PerBit: counts(rng.IntN(6)), SumSqErr: f(), SumSqSig: f(),
+				Hamming: rng.Uint64(), Weighted: f()},
+			BER: f(), WER: f(), PerBit: bits(rng.IntN(6)),
+			EnergyPerOpFJ: f(), LateFraction: f(), Efficiency: f(), FromCache: i%2 == 0,
+		}
+		if i%3 == 0 {
+			pt.Fidelity = &vos.Fidelity{SNRdB: f(), DeltaBER: f(), BERModel: f(), BERHardware: f(),
+				TrainPatterns: rng.IntN(1 << 20), EvalPatterns: rng.IntN(1 << 20), Fingerprint: fmt.Sprint(rng.Uint64())}
+		}
+		var want engine.PointSummary
+		if err := reencode(pt, &want); err != nil {
+			t.Fatal(err)
+		}
+		if got := pointSummary(pt); !reflect.DeepEqual(got, want) {
+			t.Fatalf("point %d:\nconverted %+v\nreencoded %+v", i, got, want)
+		}
 	}
 }

@@ -1,13 +1,17 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -81,9 +85,30 @@ type keyMaterial struct {
 // a stable hash of the canonicalized Config, the triad, and the process and
 // library fingerprints. Identical keys imply byte-identical results.
 func PointKey(cfg charz.Config, tr triad.Triad) (string, error) {
-	canon, err := cfg.Canonical()
+	k, err := newPointKeyer(cfg)
 	if err != nil {
 		return "", err
+	}
+	return k.key(tr)
+}
+
+// pointKeyer derives the cache keys of one operator's points. Their
+// keyMaterial differs only in the triad, so its JSON encoding is split
+// once around the triad's three numbers and each key encodes just those.
+// The bytes hashed are exactly json.Marshal(keyMaterial)'s.
+type pointKeyer struct {
+	// head ends with `"tclk":`; tail follows the vbb number.
+	head, tail []byte
+}
+
+// zeroTriadJSON is the triad's part of an encoded keyMaterial whose
+// triad is zero.
+const zeroTriadJSON = `"tclk":0,"vdd":0,"vbb":0`
+
+func newPointKeyer(cfg charz.Config) (*pointKeyer, error) {
+	canon, err := cfg.Canonical()
+	if err != nil {
+		return nil, err
 	}
 	m := keyMaterial{
 		Version:       keySchemaVersion,
@@ -97,19 +122,83 @@ func PointKey(cfg charz.Config, tr triad.Triad) (string, error) {
 		Streaming:     canon.Streaming,
 		Proc:          *canon.Proc,
 		LibFP:         canon.Lib.Fingerprint(),
-		Tclk:          tr.Tclk,
-		Vdd:           tr.Vdd,
-		Vbb:           tr.Vbb,
 	}
 	if canon.Backend == charz.BackendModel {
 		m.Model = model.DefaultSpec().Fingerprint()
 	}
 	data, err := json.Marshal(m)
 	if err != nil {
+		return nil, err
+	}
+	i := bytes.LastIndex(data, []byte(zeroTriadJSON))
+	if i < 0 {
+		return nil, fmt.Errorf("engine: key material %s has no triad", data)
+	}
+	return &pointKeyer{head: data[:i+len(`"tclk":`)], tail: data[i+len(zeroTriadJSON):]}, nil
+}
+
+// pointKeys returns the cache keys of one operator's points at trs,
+// keys[i] being PointKey(cfg, trs[i]).
+func pointKeys(cfg charz.Config, trs []triad.Triad) ([]string, error) {
+	k, err := newPointKeyer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]string, len(trs))
+	for i, tr := range trs {
+		if keys[i], err = k.key(tr); err != nil {
+			return nil, err
+		}
+	}
+	return keys, nil
+}
+
+// key returns the cache key of the operator's point at tr.
+func (k *pointKeyer) key(tr triad.Triad) (string, error) {
+	b, err := k.material(tr)
+	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
+}
+
+// material returns the JSON encoding of the point's keyMaterial.
+func (k *pointKeyer) material(tr triad.Triad) ([]byte, error) {
+	b := make([]byte, 0, len(k.head)+len(k.tail)+80)
+	b = append(b, k.head...)
+	var err error
+	if b, err = appendJSONFloat(b, tr.Tclk); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"vdd":`...)
+	if b, err = appendJSONFloat(b, tr.Vdd); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"vbb":`...)
+	if b, err = appendJSONFloat(b, tr.Vbb); err != nil {
+		return nil, err
+	}
+	return append(b, k.tail...), nil
+}
+
+// appendJSONFloat appends f as encoding/json encodes a float64: the
+// shortest digits that round-trip, in exponent form below 1e-6 and from
+// 1e21 up, with the exponent unpadded. NaN and ±Inf have no encoding.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil, fmt.Errorf("engine: triad value %v has no JSON encoding", f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 → e-7
+		b = b[:n-1]
+	}
+	return b, nil
 }
 
 // prepKey identifies a prepared (synthesized) operator: the subset of
@@ -148,7 +237,8 @@ type CacheStats struct {
 	Stores      uint64 `json:"stores"`
 	WriteErrors uint64 `json:"writeErrors"`
 	// CorruptEntries counts on-disk entries found truncated or otherwise
-	// not valid JSON — each was deleted and its Get served as a miss.
+	// not a decodable point result — each was deleted and its Get served
+	// as a miss.
 	// Several daemons sharing one cache volume make this reachable in
 	// practice (a peer dying mid-write leaves at worst a stale temp
 	// file, but pre-rename layouts and disk faults still happen).
@@ -196,19 +286,57 @@ type CacheStats struct {
 // included.
 func (s CacheStats) Hits() uint64 { return s.MemHits + s.DiskHits + s.PeerHits }
 
+// Entry is one stored point result: its JSON encoding, which is its
+// form on disk, on /v1/cache/entries and in replication, and the result
+// decoded from that encoding once, when the entry was made. Every reader
+// of an entry shares the decoded result, so none may modify it.
+type Entry struct {
+	data []byte
+	res  *charz.TriadResult
+}
+
+// NewEntry decodes a point result's JSON encoding into an entry. It fails
+// on anything that is not a point result — invalid JSON, or a value with
+// no error accumulator such as {} or null — so no store admits an entry
+// the engine could not serve.
+func NewEntry(data []byte) (*Entry, error) {
+	res, err := decodePoint(data)
+	if err != nil {
+		return nil, err
+	}
+	return &Entry{data: data, res: res}, nil
+}
+
+// Bytes returns the entry's JSON encoding.
+func (e *Entry) Bytes() []byte { return e.data }
+
+// Point returns the decoded result. It is shared and read-only.
+func (e *Entry) Point() *charz.TriadResult { return e.res }
+
+func decodePoint(data []byte) (*charz.TriadResult, error) {
+	var res charz.TriadResult
+	if err := json.Unmarshal(data, &res); err != nil {
+		return nil, fmt.Errorf("engine: corrupt cached point: %w", err)
+	}
+	if res.Acc == nil {
+		return nil, errors.New("engine: cached point has no error accumulator")
+	}
+	return &res, nil
+}
+
 // CacheBackend is the engine's pluggable result-store seam. The
 // in-process *Cache is the default implementation; the cluster layer's
-// PeerCache wraps one and fills misses from peer vosd nodes. Get and
-// Put must be safe for concurrent use; Get must only return entries
-// whose bytes are valid JSON (the engine treats a decode failure as a
-// miss, but a backend surfacing garbage would still burn a simulation
-// re-run per Get). Get receives the requesting sweep's context so
-// network-backed implementations bound their fetches by the sweep's
-// deadline and abandon them on cancellation; the in-process Cache
-// ignores it.
+// PeerCache wraps one and fills misses from peer vosd nodes. Both keep
+// entries decoded (see Entry), so a hit costs a lookup: entries are
+// decoded when they are made — when the engine stores a result, or when a
+// backend fills one from disk or a peer and rejects what does not decode.
+// Get and Put must be safe for concurrent use. Get receives the
+// requesting sweep's context so network-backed implementations bound
+// their fetches by the sweep's deadline and abandon them on
+// cancellation; the in-process Cache ignores it.
 type CacheBackend interface {
-	Get(ctx context.Context, key string) ([]byte, bool)
-	Put(key string, data []byte)
+	Get(ctx context.Context, key string) (*Entry, bool)
+	Put(key string, e *Entry)
 	Stats() CacheStats
 }
 
@@ -241,10 +369,11 @@ const degradeThreshold = 3
 // tests can shrink it.
 var reprobeInterval = 30 * time.Second
 
-// Cache is a two-layer content-addressed result store: a map in memory and
-// an optional JSON-file-per-key directory on disk. Disk entries survive
-// process restarts, so repeated CLI runs and benchmark re-runs are served
-// without simulation. All methods are safe for concurrent use.
+// Cache is a two-layer content-addressed result store: a map of decoded
+// entries in memory and an optional JSON-file-per-key directory on disk.
+// Disk entries survive process restarts, so repeated CLI runs and
+// benchmark re-runs are served without simulation. All methods are safe
+// for concurrent use.
 //
 // When the disk layer fails degradeThreshold consecutive writes the
 // cache degrades to a read-only memory-backed mode: existing disk
@@ -256,7 +385,7 @@ type Cache struct {
 	dir string
 
 	mu        sync.Mutex
-	mem       map[string][]byte
+	mem       map[string]*Entry
 	order     []string // insertion order of mem keys, for FIFO eviction
 	stats     CacheStats
 	consec    int       // consecutive disk write failures
@@ -272,7 +401,7 @@ func NewCache(dir string) (*Cache, error) {
 			return nil, fmt.Errorf("engine: cache dir: %w", err)
 		}
 	}
-	return &Cache{dir: dir, mem: make(map[string][]byte)}, nil
+	return &Cache{dir: dir, mem: make(map[string]*Entry)}, nil
 }
 
 // SetFaults installs a fault injector on the cache's filesystem
@@ -284,11 +413,11 @@ func (c *Cache) SetFaults(f CacheFaultInjector) { c.faults = f }
 // entries beyond the cap when a disk layer backs them. While degraded
 // no disk layer is taking writes, so eviction is suspended — the memory
 // layer is temporarily the only copy. Callers hold mu.
-func (c *Cache) insertLocked(key string, data []byte) {
+func (c *Cache) insertLocked(key string, e *Entry) {
 	if _, ok := c.mem[key]; !ok {
 		c.order = append(c.order, key)
 	}
-	c.mem[key] = data
+	c.mem[key] = e
 	if c.dir == "" || c.degraded {
 		return
 	}
@@ -304,20 +433,21 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key+".json")
 }
 
-// Get returns the stored bytes for key, consulting memory then disk. A
-// disk hit is promoted into the memory layer. A disk entry that is not
-// valid JSON — truncated by a crash or corrupted on a shared cache
-// volume — is deleted and reported as a miss, never surfaced: callers
-// would decode garbage once per Get forever, and on a directory shared
-// between daemons the bad bytes would spread through the peer tier.
-// The context is part of the CacheBackend contract; the in-process
-// cache's disk read does not use it.
-func (c *Cache) Get(ctx context.Context, key string) ([]byte, bool) {
+// Get returns the entry for key, consulting memory then disk. A disk hit
+// is decoded and promoted into the memory layer. A disk entry that does
+// not decode as a point result — truncated by a crash, corrupted on a
+// shared cache volume, or valid JSON of the wrong shape — is deleted and
+// reported as a miss, never surfaced: callers would decode garbage once
+// per Get forever, and on a directory shared between daemons the bad
+// bytes would spread through the peer tier. The context is part of the
+// CacheBackend contract; the in-process cache's disk read does not use
+// it.
+func (c *Cache) Get(ctx context.Context, key string) (*Entry, bool) {
 	c.mu.Lock()
-	if data, ok := c.mem[key]; ok {
+	if e, ok := c.mem[key]; ok {
 		c.stats.MemHits++
 		c.mu.Unlock()
-		return data, true
+		return e, true
 	}
 	c.mu.Unlock()
 	if c.dir != "" {
@@ -328,7 +458,8 @@ func (c *Cache) Get(ctx context.Context, key string) ([]byte, bool) {
 			return nil, false
 		}
 		if data, err := os.ReadFile(c.path(key)); err == nil {
-			if !json.Valid(data) {
+			e, err := NewEntry(data)
+			if err != nil {
 				os.Remove(c.path(key))
 				c.mu.Lock()
 				c.stats.CorruptEntries++
@@ -337,10 +468,10 @@ func (c *Cache) Get(ctx context.Context, key string) ([]byte, bool) {
 				return nil, false
 			}
 			c.mu.Lock()
-			c.insertLocked(key, data)
+			c.insertLocked(key, e)
 			c.stats.DiskHits++
 			c.mu.Unlock()
-			return data, true
+			return e, true
 		}
 	}
 	c.mu.Lock()
@@ -349,19 +480,19 @@ func (c *Cache) Get(ctx context.Context, key string) ([]byte, bool) {
 	return nil, false
 }
 
-// Put stores the bytes under key in both layers. Disk failures are
+// Put stores the entry under key in both layers. Disk failures are
 // recorded in the stats but do not fail the Put: the memory layer is the
 // source of truth for the current process. degradeThreshold consecutive
 // disk failures degrade the cache to memory-only writes until a
 // periodic probe finds the directory writable again.
-func (c *Cache) Put(key string, data []byte) {
+func (c *Cache) Put(key string, e *Entry) {
 	var writeErr, wrote bool
 	if c.dir != "" && c.shouldWriteDisk() {
-		writeErr = c.writeDisk(key, data) != nil
+		writeErr = c.writeDisk(key, e.data) != nil
 		wrote = true
 	}
 	c.mu.Lock()
-	c.insertLocked(key, data)
+	c.insertLocked(key, e)
 	c.stats.Stores++
 	switch {
 	case !wrote && c.dir != "":
@@ -385,6 +516,27 @@ func (c *Cache) Put(key string, data []byte) {
 		}
 	}
 	c.mu.Unlock()
+}
+
+// GetLocal implements httpapi.CacheStore: an entry's JSON encoding.
+func (c *Cache) GetLocal(key string) ([]byte, bool) {
+	e, ok := c.Get(context.Background(), key)
+	if !ok {
+		return nil, false
+	}
+	return e.data, true
+}
+
+// PutLocal implements httpapi.CacheStore: it stores a JSON-encoded
+// entry, failing without storing anything when the bytes do not decode
+// as a point result.
+func (c *Cache) PutLocal(key string, data []byte) error {
+	e, err := NewEntry(data)
+	if err != nil {
+		return err
+	}
+	c.Put(key, e)
+	return nil
 }
 
 // shouldWriteDisk reports whether this Put should attempt the disk

@@ -4,16 +4,44 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/charz"
+	"repro/internal/metrics"
+	"repro/internal/triad"
 )
 
 func cacheTestKey(label string) string {
 	sum := sha256.Sum256([]byte(label))
 	return hex.EncodeToString(sum[:])
+}
+
+// testPoint returns the JSON encoding of a point result, a different one
+// for each n.
+func testPoint(n float64) []byte {
+	data, err := json.Marshal(&charz.TriadResult{
+		Triad: triad.Triad{Tclk: n, Vdd: 1},
+		Acc:   metrics.NewErrorAccumulator(2),
+	})
+	if err != nil {
+		panic(err)
+	}
+	return data
+}
+
+// testEntry returns testPoint(n) as a cache entry.
+func testEntry(t testing.TB, n float64) *Entry {
+	t.Helper()
+	e, err := NewEntry(testPoint(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 // scriptedFaults is a deterministic CacheFaultInjector for tests: each
@@ -66,7 +94,7 @@ func TestCacheWriteSurvivesRename(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := cacheTestKey("durable")
-	c.Put(key, []byte(`{"v":1}`))
+	c.Put(key, testEntry(t, 1))
 	// No temp files may survive a successful publish.
 	matches, _ := filepath.Glob(filepath.Join(dir, key[:2], "*.tmp*"))
 	if len(matches) != 0 {
@@ -76,8 +104,8 @@ func TestCacheWriteSurvivesRename(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data, ok := c2.Get(t.Context(), key); !ok || string(data) != `{"v":1}` {
-		t.Fatalf("fresh cache reads %q, %v", data, ok)
+	if e, ok := c2.Get(t.Context(), key); !ok || string(e.Bytes()) != string(testPoint(1)) {
+		t.Fatalf("fresh cache reads %v, %v", e, ok)
 	}
 }
 
@@ -92,7 +120,7 @@ func TestCacheInjectedShortWrite(t *testing.T) {
 	}
 	c.SetFaults(&scriptedFaults{writes: []writeFault{{truncate: 3}}})
 	key := cacheTestKey("torn")
-	c.Put(key, []byte(`{"value":123456}`))
+	c.Put(key, testEntry(t, 123456))
 	// The torn entry is on disk; evict the memory copy to force the
 	// disk read (a fresh cache models the post-crash process).
 	c2, err := NewCache(dir)
@@ -125,14 +153,14 @@ func TestCacheInjectedWriteAndRenameFaults(t *testing.T) {
 		renames: []bool{true}, // second write reaches the rename and fails there
 	})
 	k1, k2 := cacheTestKey("wf"), cacheTestKey("rf")
-	c.Put(k1, []byte(`{"v":1}`))
-	c.Put(k2, []byte(`{"v":2}`))
+	c.Put(k1, testEntry(t, 1))
+	c.Put(k2, testEntry(t, 2))
 	s := c.Stats()
 	if s.WriteErrors != 2 {
 		t.Fatalf("stats = %+v; want two write errors", s)
 	}
 	for _, k := range []string{k1, k2} {
-		if data, ok := c.Get(t.Context(), k); !ok || len(data) == 0 {
+		if e, ok := c.Get(t.Context(), k); !ok || len(e.Bytes()) == 0 {
 			t.Fatalf("entry %s lost from the memory layer", k[:8])
 		}
 		if _, err := os.Stat(c.path(k)); !os.IsNotExist(err) {
@@ -154,7 +182,7 @@ func TestCacheInjectedReadFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := cacheTestKey("readfault")
-	c.Put(key, []byte(`{"v":1}`))
+	c.Put(key, testEntry(t, 1))
 	c2, err := NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -164,8 +192,8 @@ func TestCacheInjectedReadFault(t *testing.T) {
 		t.Fatal("read-faulted Get served a hit")
 	}
 	// The fault queue is drained: the next Get reads the intact entry.
-	if data, ok := c2.Get(t.Context(), key); !ok || string(data) != `{"v":1}` {
-		t.Fatalf("entry damaged by a read fault: %q, %v", data, ok)
+	if e, ok := c2.Get(t.Context(), key); !ok || string(e.Bytes()) != string(testPoint(1)) {
+		t.Fatalf("entry damaged by a read fault: %v, %v", e, ok)
 	}
 }
 
@@ -181,7 +209,7 @@ func TestCacheDegradedMode(t *testing.T) {
 	}
 	// A pre-degradation entry, present on disk.
 	oldKey := cacheTestKey("old")
-	c.Put(oldKey, []byte(`{"v":"old"}`))
+	c.Put(oldKey, testEntry(t, 10))
 
 	// Short re-probe interval so the recovery leg runs in test time.
 	defer func(d time.Duration) { reprobeInterval = d }(reprobeInterval)
@@ -193,7 +221,7 @@ func TestCacheDegradedMode(t *testing.T) {
 	}
 	c.SetFaults(faults)
 	for i := 0; i < degradeThreshold; i++ {
-		c.Put(cacheTestKey(fmt.Sprintf("fail-%d", i)), []byte(`{"v":1}`))
+		c.Put(cacheTestKey(fmt.Sprintf("fail-%d", i)), testEntry(t, 1))
 	}
 	s := c.Stats()
 	if !s.DiskDegraded {
@@ -202,7 +230,7 @@ func TestCacheDegradedMode(t *testing.T) {
 
 	// While degraded: writes land in memory only and are counted.
 	degKey := cacheTestKey("while-degraded")
-	c.Put(degKey, []byte(`{"v":"deg"}`))
+	c.Put(degKey, testEntry(t, 11))
 	s = c.Stats()
 	if s.DegradedWrites == 0 {
 		t.Fatalf("stats = %+v; want degraded writes counted", s)
@@ -210,22 +238,22 @@ func TestCacheDegradedMode(t *testing.T) {
 	if _, err := os.Stat(c.path(degKey)); !os.IsNotExist(err) {
 		t.Fatal("degraded write reached the disk")
 	}
-	if data, ok := c.Get(t.Context(), degKey); !ok || string(data) != `{"v":"deg"}` {
-		t.Fatalf("degraded entry lost: %q, %v", data, ok)
+	if e, ok := c.Get(t.Context(), degKey); !ok || string(e.Bytes()) != string(testPoint(11)) {
+		t.Fatalf("degraded entry lost: %v, %v", e, ok)
 	}
 	// Existing disk entries still serve (read-only mode, not dead).
 	c.mu.Lock()
 	delete(c.mem, oldKey) // drop the memory copy to force the disk path
 	c.mu.Unlock()
-	if data, ok := c.Get(t.Context(), oldKey); !ok || string(data) != `{"v":"old"}` {
-		t.Fatalf("disk entry unreadable while degraded: %q, %v", data, ok)
+	if e, ok := c.Get(t.Context(), oldKey); !ok || string(e.Bytes()) != string(testPoint(10)) {
+		t.Fatalf("disk entry unreadable while degraded: %v, %v", e, ok)
 	}
 
 	// Recovery: once the re-probe interval passes, the next Put probes
 	// the (now fault-free) disk and un-degrades the cache.
 	time.Sleep(60 * time.Millisecond)
 	recKey := cacheTestKey("recovered")
-	c.Put(recKey, []byte(`{"v":"rec"}`))
+	c.Put(recKey, testEntry(t, 12))
 	s = c.Stats()
 	if s.DiskDegraded {
 		t.Fatalf("stats = %+v; want recovery after a successful probe", s)
@@ -252,13 +280,13 @@ func TestCacheDegradedSuspendsEviction(t *testing.T) {
 	}
 	c.SetFaults(faults)
 	for i := 0; i < degradeThreshold; i++ {
-		c.Put(cacheTestKey(fmt.Sprintf("fail-%d", i)), []byte(`{"v":1}`))
+		c.Put(cacheTestKey(fmt.Sprintf("fail-%d", i)), testEntry(t, 1))
 	}
 	if !c.Stats().DiskDegraded {
 		t.Fatal("cache must be degraded")
 	}
 	for i := 0; i < maxMemEntries+64; i++ {
-		c.Put(cacheTestKey(fmt.Sprintf("bulk-%d", i)), []byte(`{"v":1}`))
+		c.Put(cacheTestKey(fmt.Sprintf("bulk-%d", i)), testEntry(t, 1))
 	}
 	if n := c.Stats().MemEntries; n <= maxMemEntries {
 		t.Fatalf("MemEntries = %d; eviction ran while degraded", n)
@@ -273,7 +301,7 @@ func TestCacheBackendContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := cacheTestKey("ctx")
-	c.Put(key, []byte(`{"v":1}`))
+	c.Put(key, testEntry(t, 1))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, ok := c.Get(ctx, key); !ok {

@@ -167,9 +167,11 @@ type prepEntry struct {
 	err  error
 }
 
+// flight is one point being computed; res, shared and read-only like a
+// cache hit, or err is set before done closes.
 type flight struct {
 	done chan struct{}
-	data []byte
+	res  *charz.TriadResult
 	err  error
 }
 
@@ -344,26 +346,27 @@ func (e *Engine) Prepare(ctx context.Context, cfg charz.Config) (*charz.Prepared
 }
 
 // RunPoint implements charz.Runner: serve the point from the cache, or
-// simulate it on the pool and store the result.
+// simulate it on the pool and store the result. The result is the
+// caller's own copy.
 func (e *Engine) RunPoint(ctx context.Context, p *charz.Prepared, tr triad.Triad) (*charz.TriadResult, error) {
-	res, _, err := e.runPoint(ctx, p, tr)
-	return res, err
-}
-
-// runPoint additionally reports whether the result came from the cache.
-func (e *Engine) runPoint(ctx context.Context, p *charz.Prepared, tr triad.Triad) (*charz.TriadResult, bool, error) {
 	key, err := PointKey(p.Config, tr)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
+	res, _, err := e.runPoint(ctx, p, tr, key)
+	if err != nil {
+		return nil, err
+	}
+	return res.Clone(), nil
+}
+
+// runPoint serves or computes the point under key, additionally
+// reporting whether it came from the cache. The result is shared with
+// the cache and must not be modified.
+func (e *Engine) runPoint(ctx context.Context, p *charz.Prepared, tr triad.Triad, key string) (*charz.TriadResult, bool, error) {
 	for {
-		if data, ok := e.cache.Get(ctx, key); ok {
-			if res, err := decodePoint(data); err == nil {
-				return res, true, nil
-			}
-			// A corrupt entry (truncated disk file, stale format) is a
-			// miss, not a permanent failure: fall through, recompute,
-			// and overwrite it.
+		if ent, ok := e.cache.Get(ctx, key); ok {
+			return ent.Point(), true, nil
 		}
 
 		e.flightMu.Lock()
@@ -388,8 +391,7 @@ func (e *Engine) runPoint(ctx context.Context, p *charz.Prepared, tr triad.Triad
 				}
 				return nil, false, f.err
 			}
-			res, err := decodePoint(f.data)
-			return res, true, err
+			return f.res, true, nil
 		}
 		f := &flight{done: make(chan struct{})}
 		e.inflight[key] = f
@@ -428,21 +430,29 @@ func (e *Engine) ownPoint(ctx context.Context, p *charz.Prepared, tr triad.Triad
 		f.err = runErr
 		return nil, false, runErr
 	}
+	ent, err := e.store(key, res)
+	if err != nil {
+		f.err = err
+		return nil, false, err
+	}
+	f.res = ent.Point()
+	return f.res, false, nil
+}
+
+// store encodes a computed result and caches it. Callers are handed the
+// entry's decoded bytes rather than res itself, so they see
+// byte-identical results whether or not the cache was warm.
+func (e *Engine) store(key string, res *charz.TriadResult) (*Entry, error) {
 	data, err := json.Marshal(res)
 	if err != nil {
-		f.err = err
-		return nil, false, err
+		return nil, err
 	}
-	e.cache.Put(key, data)
-	f.data = data
-	// Decode the stored bytes rather than returning res directly: callers
-	// see byte-identical results whether or not the cache was warm.
-	out, err := decodePoint(data)
+	ent, err := NewEntry(data)
 	if err != nil {
-		f.err = err
-		return nil, false, err
+		return nil, err
 	}
-	return out, false, nil
+	e.cache.Put(key, ent)
+	return ent, nil
 }
 
 // RunPointGroup implements charz.GroupRunner: each triad of a group
@@ -451,47 +461,48 @@ func (e *Engine) ownPoint(ctx context.Context, p *charz.Prepared, tr triad.Triad
 // wide trace per body-bias family per chunk, retimed across the
 // group's operating points — and fanned out to per-triad cache
 // entries, so warm-cache behavior and cached bytes are exactly those
-// of per-triad RunPoint calls.
+// of per-triad RunPoint calls. The results are the caller's own copies.
 func (e *Engine) RunPointGroup(ctx context.Context, p *charz.Prepared, trs []triad.Triad) ([]*charz.TriadResult, error) {
-	res, _, err := e.runPointGroup(ctx, p, trs)
-	return res, err
+	keys, err := pointKeys(p.Config, trs)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := e.runPointGroup(ctx, p, trs, keys)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range res {
+		res[i] = r.Clone()
+	}
+	return res, nil
 }
 
-// runPointGroup additionally reports, per triad, whether the result was
-// served without simulation (own cache entry or another caller's
-// flight).
-func (e *Engine) runPointGroup(ctx context.Context, p *charz.Prepared, trs []triad.Triad) ([]*charz.TriadResult, []bool, error) {
+// runPointGroup serves or computes the group's points, keys[i] being the
+// cache key of trs[i], and additionally reports, per triad, whether the
+// result was served without simulation (own cache entry or another
+// caller's flight). The results are shared with the cache and must not
+// be modified.
+func (e *Engine) runPointGroup(ctx context.Context, p *charz.Prepared, trs []triad.Triad, keys []string) ([]*charz.TriadResult, []bool, error) {
 	if len(trs) == 1 {
-		res, cached, err := e.runPoint(ctx, p, trs[0])
+		res, cached, err := e.runPoint(ctx, p, trs[0], keys[0])
 		if err != nil {
 			return nil, nil, err
 		}
 		return []*charz.TriadResult{res}, []bool{cached}, nil
 	}
-	keys := make([]string, len(trs))
-	for i, tr := range trs {
-		key, err := PointKey(p.Config, tr)
-		if err != nil {
-			return nil, nil, err
-		}
-		keys[i] = key
-	}
 	out := make([]*charz.TriadResult, len(trs))
 	cached := make([]bool, len(trs))
 	done := make([]bool, len(trs))
 	for {
-		// Cache pass over the unresolved points (corrupt entries fall
-		// through to recomputation, as in runPoint).
+		// Cache pass over the unresolved points.
 		var missing []int
 		for i := range trs {
 			if done[i] {
 				continue
 			}
-			if data, ok := e.cache.Get(ctx, keys[i]); ok {
-				if res, err := decodePoint(data); err == nil {
-					out[i], cached[i], done[i] = res, true, true
-					continue
-				}
+			if ent, ok := e.cache.Get(ctx, keys[i]); ok {
+				out[i], cached[i], done[i] = ent.Point(), true, true
+				continue
 			}
 			missing = append(missing, i)
 		}
@@ -545,11 +556,7 @@ func (e *Engine) runPointGroup(ctx context.Context, p *charz.Prepared, trs []tri
 				}
 				return nil, nil, f.err
 			}
-			res, err := decodePoint(f.data)
-			if err != nil {
-				return nil, nil, err
-			}
-			out[i], cached[i], done[i] = res, true, true
+			out[i], cached[i], done[i] = f.res, true, true
 		}
 		if !retry {
 			return out, cached, nil
@@ -558,10 +565,9 @@ func (e *Engine) runPointGroup(ctx context.Context, p *charz.Prepared, trs []tri
 }
 
 // ownGroup simulates the owned subset of a group as one grouped run on
-// the pool and publishes every point — to its own cache
-// entry, its flight waiters, and the caller's result slice (decoded
-// from the stored bytes, so callers see byte-identical results whether
-// or not the cache was warm).
+// the pool and publishes every point — to its own cache entry, its
+// flight waiters, and the caller's result slice (the stored entry's
+// decoding, as in ownPoint).
 func (e *Engine) ownGroup(ctx context.Context, p *charz.Prepared, trs []triad.Triad,
 	keys []string, owned []int, flights []*flight, out []*charz.TriadResult) error {
 	defer func() {
@@ -599,17 +605,12 @@ func (e *Engine) ownGroup(ctx context.Context, p *charz.Prepared, trs []triad.Tr
 		return publishErr(0, runErr)
 	}
 	for j, i := range owned {
-		data, err := json.Marshal(results[j])
+		ent, err := e.store(keys[i], results[j])
 		if err != nil {
 			return publishErr(j, err)
 		}
-		e.cache.Put(keys[i], data)
-		res, err := decodePoint(data)
-		if err != nil {
-			return publishErr(j, err)
-		}
-		flights[j].data = data
-		out[i] = res
+		flights[j].res = ent.Point()
+		out[i] = flights[j].res
 	}
 	return nil
 }
@@ -618,19 +619,21 @@ func (e *Engine) ownGroup(ctx context.Context, p *charz.Prepared, trs []triad.Tr
 // engine (cache pass, singleflight, pooled grouped simulation) and
 // yields each completed point's summary under its plan triad index. It
 // is the local half of the Sharder contract and the body of every
-// non-clustered sweep's group job.
+// non-clustered sweep's group job. It only reads the shared results: a
+// summary owns its slices and fidelity report.
 func (e *Engine) runGroupYield(ctx context.Context, plan *OperatorPlan, idxs []int, yield func(ti int, ps PointSummary)) error {
 	trs := make([]triad.Triad, len(idxs))
+	keys := make([]string, len(idxs))
 	for j, ti := range idxs {
-		trs[j] = plan.Triads[ti]
+		trs[j], keys[j] = plan.Triads[ti], plan.Keys[ti]
 	}
-	outs, cachedFlags, err := e.runPointGroup(ctx, plan.Prep, trs)
+	outs, cachedFlags, err := e.runPointGroup(ctx, plan.Prep, trs, keys)
 	if err != nil {
 		return err
 	}
 	for j, ti := range idxs {
 		res := outs[j]
-		yield(ti, PointSummary{
+		ps := PointSummary{
 			Triad:         res.Triad,
 			Stats:         res.Acc.Snapshot(),
 			BER:           res.BER(),
@@ -639,16 +642,12 @@ func (e *Engine) runGroupYield(ctx context.Context, plan *OperatorPlan, idxs []i
 			EnergyPerOpFJ: res.EnergyPerOpFJ,
 			LateFraction:  res.LateFraction,
 			FromCache:     cachedFlags[j],
-			Fidelity:      res.Fidelity,
-		})
+		}
+		if res.Fidelity != nil {
+			fid := *res.Fidelity
+			ps.Fidelity = &fid
+		}
+		yield(ti, ps)
 	}
 	return nil
-}
-
-func decodePoint(data []byte) (*charz.TriadResult, error) {
-	var res charz.TriadResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, fmt.Errorf("engine: corrupt cached point: %w", err)
-	}
-	return &res, nil
 }

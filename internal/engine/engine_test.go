@@ -632,13 +632,13 @@ func TestCacheDeletesCorruptDiskEntry(t *testing.T) {
 
 	// A second cache over the same directory (a fresh process) must not
 	// trip over anything the recovery left behind.
-	c.Put(key, []byte(`{"v":1}`))
+	c.Put(key, testEntry(t, 1))
 	c2, err := NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data, ok := c2.Get(t.Context(), key); !ok || string(data) != `{"v":1}` {
-		t.Fatalf("repaired entry reads %q, %v", data, ok)
+	if e, ok := c2.Get(t.Context(), key); !ok || string(e.Bytes()) != string(testPoint(1)) {
+		t.Fatalf("repaired entry reads %v, %v", e, ok)
 	}
 	if s := c2.Stats(); s.CorruptEntries != 0 || s.DiskHits != 1 {
 		t.Fatalf("fresh cache stats = %+v", s)

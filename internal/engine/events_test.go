@@ -38,7 +38,7 @@ func gatedKind(gate <-chan struct{}, n int) *jobKind[struct{}, struct{}, JobInfo
 
 // countEvents tallies a stream's point and terminal events, calling
 // first, when set, inside the first event.
-func countEvents(events iter.Seq[SweepEvent], first func(SweepEvent)) (points, terminals int) {
+func countEvents(events iter.Seq2[SweepEvent, bool], first func(SweepEvent)) (points, terminals int) {
 	for ev := range events {
 		if first != nil {
 			first(ev)

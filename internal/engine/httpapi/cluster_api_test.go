@@ -27,10 +27,11 @@ func (s *mapStore) GetLocal(key string) ([]byte, bool) {
 	return data, ok
 }
 
-func (s *mapStore) PutLocal(key string, data []byte) {
+func (s *mapStore) PutLocal(key string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.m[key] = data
+	return nil
 }
 
 func newOptServer(t *testing.T, opts ...Option) *httptest.Server {
@@ -112,6 +113,50 @@ func TestCacheEntryEndpoints(t *testing.T) {
 	}
 	if data, _ := store.GetLocal(key); string(data) != `{"v":1}` {
 		t.Fatalf("store poisoned: %q", data)
+	}
+}
+
+// TestCacheEntryPutRejectsNonPoint: a PUT of valid JSON that is no point
+// result must not reach the node's cache — it would be served as a hit —
+// so it answers 400 invalid_request, and the sweep over the point
+// computes it.
+func TestCacheEntryPutRejectsNonPoint(t *testing.T) {
+	cache, err := engine.NewCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(engine.Options{Workers: 2, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	ts := httptest.NewServer(New(eng, WithCacheStore(cache)))
+	t.Cleanup(ts.Close)
+
+	body := `{"arches":["RCA"],"widths":[4],"patterns":40,"seed":7,"policy":"triads","triads":[{"tclk":0.5,"vdd":0.8,"vbb":0}]}`
+	var req engine.Request
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := req.OperatorConfig("RCA", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := engine.PointKey(cfg, req.Triads[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{`{}`, `null`, `{"Acc":null}`} {
+		resp := doReq(t, http.MethodPut, ts.URL+"/v1/cache/entries/"+key, bad)
+		var env ErrorEnvelope
+		err := json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || env.Error.Code != CodeInvalidRequest {
+			t.Errorf("PUT %s: status %d, envelope %+v (%v); want 400 invalid_request", bad, resp.StatusCode, env, err)
+		}
+	}
+	if sw := waitDone(t, ts, submit(t, ts, body)); sw.Progress.Executed != 1 {
+		t.Fatalf("progress %+v; want the point computed", sw.Progress)
 	}
 }
 

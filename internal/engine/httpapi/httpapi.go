@@ -83,10 +83,12 @@ type ReadyResponse struct {
 // raw content-addressed entries on /v1/cache/entries/{key} so peer vosd
 // nodes can fill their misses from each other. GetLocal and PutLocal
 // must not recurse into any peer tier — these endpoints are what the
-// peer tier itself calls.
+// peer tier itself calls. PutLocal refuses, storing nothing, an entry
+// the store cannot hold (engine.Cache: one that does not decode as a
+// point result).
 type CacheStore interface {
 	GetLocal(key string) ([]byte, bool)
-	PutLocal(key string, data []byte)
+	PutLocal(key string, data []byte) error
 }
 
 // Option configures optional server features on New.
@@ -410,7 +412,10 @@ func (s *server) putCacheEntry(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "cache entry body is not valid JSON")
 		return
 	}
-	s.store.PutLocal(key, data)
+	if err := s.store.PutLocal(key, data); err != nil {
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "cache entry refused: %v", err)
+		return
+	}
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -17,7 +17,7 @@ type jobRoutes[R, S, E any] struct {
 	noun      string
 	submit    func(R) (string, error)
 	get       func(id string) (S, bool)
-	subscribe func(ctx context.Context, id string) (iter.Seq[E], bool)
+	subscribe func(ctx context.Context, id string) (iter.Seq2[E, bool], bool)
 	cancel    func(id string) error
 	// info reads a snapshot's lifecycle fields; statusOnly strips its
 	// (potentially large) results for the status endpoint.
@@ -71,8 +71,10 @@ func mountJobs[R, S, E any](s *server, m *http.ServeMux, base string, k jobRoute
 		}
 	})
 	// The events stream is NDJSON (one JSON object per line,
-	// application/x-ndjson) until the terminal event, flushed after every
-	// event so clients see points as they complete. It always begins with
+	// application/x-ndjson) until the terminal event. It is flushed
+	// whenever it has caught up with the job, just before it waits for
+	// the next event, so clients see points as they complete while a
+	// finished job's stream leaves in one write. It always begins with
 	// the job's replayed history (or a snapshot event), so subscribing to
 	// a finished job yields its full history, terminal event last.
 	m.HandleFunc("GET "+base+"/{id}/events", func(w http.ResponseWriter, r *http.Request) {
@@ -86,11 +88,11 @@ func mountJobs[R, S, E any](s *server, m *http.ServeMux, base string, k jobRoute
 		w.WriteHeader(http.StatusOK)
 		fl, _ := w.(http.Flusher)
 		enc := json.NewEncoder(w)
-		for ev := range events {
+		for ev, caughtUp := range events {
 			if err := enc.Encode(ev); err != nil {
 				return // client went away
 			}
-			if fl != nil {
+			if caughtUp && fl != nil {
 				fl.Flush()
 			}
 		}

@@ -352,10 +352,13 @@ func (r *registry[R, O, S, E]) wait(ctx context.Context, id string) (S, error) {
 // from the first event, which then waits for each new event and ends
 // after the terminal event, or once ctx is done. A job that has
 // published nothing yet (it is still planning) opens with a snapshot
-// built now, so every stream shows the current state at once. While it
-// is being iterated, a stream counts as observing the job for its
-// coordinator lease (see reap).
-func (r *registry[R, O, S, E]) subscribe(ctx context.Context, id string) (iter.Seq[E], bool) {
+// built now, so every stream shows the current state at once. Each
+// event comes with whether the stream has caught up with the job after
+// it: true on the last event published so far of a job still going,
+// after which the stream waits for the next publish. A reader that
+// batches its writes flushes there. While it is being iterated, a stream
+// counts as observing the job for its coordinator lease (see reap).
+func (r *registry[R, O, S, E]) subscribe(ctx context.Context, id string) (iter.Seq2[E, bool], bool) {
 	j, ok := r.lookup(id)
 	if !ok {
 		return nil, false
@@ -367,18 +370,22 @@ func (r *registry[R, O, S, E]) subscribe(ctx context.Context, id string) (iter.S
 		opening = []E{j.kind.event(&j.head, EventProgress)}
 	}
 	j.mu.Unlock()
-	return func(yield func(E) bool) {
+	return func(yield func(E, bool) bool) {
 		j.readers.Add(1)
 		defer j.readers.Add(-1)
-		for _, ev := range opening {
-			if !yield(ev) {
-				return
+		emit := func(evs []E, caughtUp bool) bool {
+			for i, ev := range evs {
+				if !yield(ev, caughtUp && i == len(evs)-1) {
+					return false
+				}
 			}
+			return true
 		}
 		// j.mu is never held across yield: a yield can block on a
 		// network write. Published events never change, so the slice
 		// taken under the lock is safe to read without it, and wake,
 		// taken with it, is closed by the first publish after it.
+		first := opening
 		for next := 0; ; {
 			j.mu.Lock()
 			evs, finished := j.history[next:], terminal(j.head.Status)
@@ -387,14 +394,13 @@ func (r *registry[R, O, S, E]) subscribe(ctx context.Context, id string) (iter.S
 			}
 			wake := j.wake
 			j.mu.Unlock()
-			for _, ev := range evs {
-				if !yield(ev) {
-					return
-				}
+			if !emit(first, !finished && len(evs) == 0) || !emit(evs, !finished) {
+				return
 			}
 			if finished {
 				return
 			}
+			first = nil
 			next += len(evs)
 			select {
 			case <-wake:

@@ -287,8 +287,9 @@ func (e *Engine) WaitMC(ctx context.Context, id string) (MCJob, error) { return 
 
 // SubscribeMC returns the job's event stream: every event published so
 // far, then the live ones, ending after the terminal event or once ctx
-// is done. Semantics match Subscribe (sweeps) exactly.
-func (e *Engine) SubscribeMC(ctx context.Context, id string) (iter.Seq[MCEvent], bool) {
+// is done, each with whether the stream has caught up after it.
+// Semantics match Subscribe (sweeps) exactly.
+func (e *Engine) SubscribeMC(ctx context.Context, id string) (iter.Seq2[MCEvent, bool], bool) {
 	return e.mcs.subscribe(ctx, id)
 }
 

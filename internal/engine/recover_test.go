@@ -391,9 +391,9 @@ func TestLeaseReaping(t *testing.T) {
 		t.Fatal("subscribe failed")
 	}
 	// Pulling one event leaves the iteration in progress until stop.
-	next, stopIter := iter.Pull(events)
+	next, stopIter := iter.Pull2(events)
 	defer stopIter()
-	if _, ok := next(); !ok {
+	if _, _, ok := next(); !ok {
 		t.Fatal("stream ended before its first event")
 	}
 	free := big

@@ -217,6 +217,9 @@ type OperatorPlan struct {
 	Config charz.Config
 	Prep   *charz.Prepared
 	Triads []triad.Triad
+	// Keys holds the cache key of each triad, Keys[i] that of Triads[i]
+	// (PointKey), derived once when the plan is made.
+	Keys []string
 }
 
 // Plan expands a request into per-operator point-job lists. Planning
@@ -256,7 +259,11 @@ func (e *Engine) Plan(ctx context.Context, req *Request) ([]OperatorPlan, error)
 			default:
 				set = prep.TriadSet()
 			}
-			plans = append(plans, OperatorPlan{Config: prep.Config, Prep: prep, Triads: set})
+			keys, err := pointKeys(prep.Config, set)
+			if err != nil {
+				return nil, err
+			}
+			plans = append(plans, OperatorPlan{Config: prep.Config, Prep: prep, Triads: set, Keys: keys})
 		}
 	}
 	return plans, nil
@@ -451,8 +458,11 @@ func (e *Engine) Wait(ctx context.Context, id string) (Sweep, error) { return e.
 // event, or once ctx is done; a reader may also stop early by breaking
 // out of its range loop. Each reader has its own cursor, so one that
 // joins late or reads slowly still sees every event — even after the
-// sweep finished, every point event before the terminal event.
-func (e *Engine) Subscribe(ctx context.Context, id string) (iter.Seq[SweepEvent], bool) {
+// sweep finished, every point event before the terminal event. Each
+// event comes with whether the stream has caught up with the sweep after
+// it (the last event so far of a sweep still running), where a reader
+// that batches its writes should flush.
+func (e *Engine) Subscribe(ctx context.Context, id string) (iter.Seq2[SweepEvent, bool], bool) {
 	return e.sweeps.subscribe(ctx, id)
 }
 

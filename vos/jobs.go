@@ -19,8 +19,8 @@ import (
 	"repro/internal/engine/httpapi"
 )
 
-// runJob is the synchronous path every Run method takes: submit (the id
-// and error passed in), wait, fetch the results.
+// runJob is the synchronous path Local's Run methods take: submit (the
+// id and error passed in), wait, fetch the results.
 func runJob[S any](ctx context.Context, id string, err error,
 	wait, results func(context.Context, string) (*S, error)) (*S, error) {
 	if err != nil {
@@ -49,7 +49,7 @@ type localJobs[ES, EE, S, E any] struct {
 	noun      string
 	get       func(string) (ES, bool)
 	wait      func(context.Context, string) (ES, error)
-	subscribe func(context.Context, string) (iter.Seq[EE], bool)
+	subscribe func(context.Context, string) (iter.Seq2[EE, bool], bool)
 	cancel    func(string) error
 	// info reads a snapshot's lifecycle fields; strip drops its results.
 	info  func(ES) engine.JobInfo
@@ -169,19 +169,68 @@ func (k remoteJobs[S, E]) status(ctx context.Context, id string) (*S, error) {
 	return &r, nil
 }
 
-// wait implements Remote.Wait and Remote.WaitMC.
-func (k remoteJobs[S, E]) wait(ctx context.Context, id string) (*S, error) {
-	if ch, err := k.events(ctx, id); err == nil {
-		for ev := range ch {
-			if ev.Terminal() {
-				break
-			}
-		}
-		// Drained (terminal seen, or the stream dropped): the polling
-		// loop below resolves the final status either way.
-	} else if errors.Is(err, ErrNotFound) {
+// run implements Remote.Run and Remote.RunMC: submit (the id and error
+// passed in), follow the event stream to its terminal event, fetch the
+// results — three calls, since the terminal event already says the job
+// is over. A stream that ends without its terminal event falls back to
+// polling the status. In Reconnect mode a results fetch that fails for
+// any reason but a final answer (an unknown id, a failed or canceled
+// job) polls until the daemon is back and the job is over, then fetches
+// again: the daemon may have restarted after the stream ended.
+func (k remoteJobs[S, E]) run(ctx context.Context, id string, err error) (*S, error) {
+	if err != nil {
 		return nil, err
 	}
+	ended, err := k.follow(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		if !ended {
+			if _, err := k.poll(ctx, id); err != nil {
+				return nil, err
+			}
+		}
+		r, err := k.results(ctx, id)
+		var swErr *SweepError
+		if err == nil || !k.c.reconnect || ctx.Err() != nil || errors.Is(err, ErrNotFound) || errors.As(err, &swErr) {
+			return r, err
+		}
+		ended = false
+	}
+}
+
+// wait implements Remote.Wait and Remote.WaitMC: follow the event stream
+// while it flows, then poll the status, which resolves the final state
+// whether the stream delivered its terminal event or dropped.
+func (k remoteJobs[S, E]) wait(ctx context.Context, id string) (*S, error) {
+	if _, err := k.follow(ctx, id); err != nil {
+		return nil, err
+	}
+	return k.poll(ctx, id)
+}
+
+// follow reads the job's event stream until it ends, reporting whether
+// it delivered the terminal event. It fails only on an unknown id: any
+// other stream that cannot open leaves the caller to poll.
+func (k remoteJobs[S, E]) follow(ctx context.Context, id string) (bool, error) {
+	ch, err := k.events(ctx, id)
+	if errors.Is(err, ErrNotFound) {
+		return false, err
+	} else if err != nil {
+		return false, nil
+	}
+	for ev := range ch {
+		if ev.Terminal() {
+			return true, nil // the terminal event is the stream's last
+		}
+	}
+	return false, nil
+}
+
+// poll polls the job's status until it is final. In Reconnect mode it
+// also retries transient failures — everything but a 404.
+func (k remoteJobs[S, E]) poll(ctx context.Context, id string) (*S, error) {
 	ticker := time.NewTicker(k.c.poll)
 	defer ticker.Stop()
 	for {
@@ -242,11 +291,12 @@ func (k remoteJobs[S, E]) events(ctx context.Context, id string) (<-chan E, erro
 }
 
 // forwardEvents drains one stream connection into out, reporting whether
-// the stream completed (terminal event delivered or consumer gone). A
-// reopened connection (replay) starts over with the job's whole history:
-// of its point events, the first delivered[key] with each point key were
-// delivered before and are skipped — so a job that lists one point twice
-// still streams it twice — and its bare progress events are dropped.
+// the stream completed (terminal event delivered, consumer gone, or a
+// malformed event mid-stream) rather than dropped. A reopened connection
+// (replay) starts over with the job's whole history: of its point
+// events, the first delivered[key] with each point key were delivered
+// before and are skipped — so a job that lists one point twice still
+// streams it twice — and its bare progress events are dropped.
 func forwardEvents[E jobEvent](ctx context.Context, resp *http.Response, out chan<- E,
 	delivered map[string]int, replay bool) bool {
 	defer resp.Body.Close()
@@ -260,7 +310,11 @@ func forwardEvents[E jobEvent](ctx context.Context, resp *http.Response, out cha
 		}
 		var ev E
 		if err := json.Unmarshal(line, &ev); err != nil {
-			return true
+			// A line cut short by a dropped connection is the last thing
+			// the connection delivered: a drop, reopened like any other.
+			// A malformed line with more after it ends the stream, so a
+			// bad peer cannot keep the client reconnecting.
+			return sc.Scan()
 		}
 		if key := ev.pointKey(); key != "" {
 			if seen[key]++; seen[key] <= delivered[key] {

@@ -247,10 +247,10 @@ func (l *Local) CancelMC(_ context.Context, id string) error { return l.mcs.canc
 
 // --- Remote implementation ---
 
-// RunMC implements Client.
+// RunMC implements Client, in three calls as Run does.
 func (c *Remote) RunMC(ctx context.Context, spec *MCSpec) (*MCResult, error) {
 	id, err := c.SubmitMC(ctx, spec)
-	return runJob(ctx, id, err, c.WaitMC, c.MCResults)
+	return c.mcs.run(ctx, id, err)
 }
 
 // SubmitMC implements Client.

@@ -57,11 +57,11 @@ type RemoteOptions struct {
 	// is reopened with backoff — the daemon replays the job's history
 	// from its journal, and already-delivered point events are
 	// deduplicated so consumers see each point once — and Wait/WaitMC
-	// keep retrying transient failures (connection refused while the
-	// daemon restarts, 503 while it replays) instead of giving up. A 404
-	// stays authoritative and ends the wait: a journaled daemon answers
-	// 503, not 404, while an id might still be in replay. Off by
-	// default: without a journal a restarted daemon has genuinely
+	// and Run/RunMC keep retrying transient failures (connection refused
+	// while the daemon restarts, 503 while it replays) instead of giving
+	// up. A 404 stays authoritative and ends the wait: a journaled
+	// daemon answers 503, not 404, while an id might still be in replay.
+	// Off by default: without a journal a restarted daemon has genuinely
 	// forgotten the job, and retrying would just mask that.
 	Reconnect bool
 }
@@ -170,10 +170,12 @@ func (c *Remote) Close() error {
 	return nil
 }
 
-// Run implements Client.
+// Run implements Client. It makes three calls — submit, the event
+// stream to its terminal event, the results — and polls the status only
+// when the stream ends early.
 func (c *Remote) Run(ctx context.Context, spec *Spec) (*Result, error) {
 	id, err := c.Submit(ctx, spec)
-	return runJob(ctx, id, err, c.Wait, c.Results)
+	return c.sweeps.run(ctx, id, err)
 }
 
 // Submit implements Client.

@@ -160,3 +160,99 @@ func TestRemoteWaitCancellation(t *testing.T) {
 		t.Fatal("Wait did not unblock after cancellation")
 	}
 }
+
+// TestRemoteRunSurvivesStreamDrop: a Run whose event stream is severed
+// before the terminal event falls back to polling the status, then
+// fetches the results.
+func TestRemoteRunSurvivesStreamDrop(t *testing.T) {
+	var statusCalls atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		fmt.Fprint(w, `{"id":"s-1"}`)
+	})
+	mux.HandleFunc("GET /v1/sweeps/s-1/events", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		fmt.Fprintln(w, `{"type":"point","sweepId":"s-1","arch":"RCA","width":4}`)
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	})
+	mux.HandleFunc("GET /v1/sweeps/s-1", func(w http.ResponseWriter, r *http.Request) {
+		status := vos.StatusRunning
+		if statusCalls.Add(1) >= 2 {
+			status = vos.StatusDone
+		}
+		fmt.Fprintf(w, `{"id":"s-1","status":%q,"progress":{"totalPoints":1,"completed":1}}`, status)
+	})
+	mux.HandleFunc("GET /v1/sweeps/s-1/results", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"id":"s-1","status":"done","progress":{"totalPoints":1,"completed":1},"results":[{"arch":"RCA","width":4}]}`)
+	})
+	client := newFaultClient(t, mux)
+
+	res, err := client.Run(context.Background(), vos.NewSpec().Widths(4))
+	if err != nil {
+		t.Fatalf("Run after stream drop: %v", err)
+	}
+	if res.Status != vos.StatusDone || len(res.Operators) != 1 {
+		t.Fatalf("result %+v", res)
+	}
+	if n := statusCalls.Load(); n < 2 {
+		t.Fatalf("%d status polls; Run did not fall back to polling", n)
+	}
+}
+
+// TestRemoteRunReconnectRetriesResults: in Reconnect mode a results
+// fetch that fails after the terminal event — the daemon restarting —
+// is retried once the status answers again, instead of failing the Run.
+func TestRemoteRunReconnectRetriesResults(t *testing.T) {
+	var down atomic.Int64
+	unavailable := func(w http.ResponseWriter) bool {
+		if down.Add(-1) < 0 {
+			return false
+		}
+		w.Header().Set("Retry-After", "0")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprint(w, `{"error":{"code":"not_ready","message":"replaying"}}`)
+		return true
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		fmt.Fprint(w, `{"id":"s-1"}`)
+	})
+	mux.HandleFunc("GET /v1/sweeps/s-1/events", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		fmt.Fprintln(w, `{"type":"done","sweepId":"s-1","status":"done"}`)
+	})
+	mux.HandleFunc("GET /v1/sweeps/s-1", func(w http.ResponseWriter, r *http.Request) {
+		if !unavailable(w) {
+			fmt.Fprint(w, `{"id":"s-1","status":"done","progress":{"totalPoints":1,"completed":1}}`)
+		}
+	})
+	mux.HandleFunc("GET /v1/sweeps/s-1/results", func(w http.ResponseWriter, r *http.Request) {
+		if !unavailable(w) {
+			fmt.Fprint(w, `{"id":"s-1","status":"done","progress":{"totalPoints":1,"completed":1},"results":[{"arch":"RCA","width":4}]}`)
+		}
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	for _, reconnect := range []bool{false, true} {
+		down.Store(4) // more failed results attempts than one call retries
+		client, err := vos.NewRemote(ts.URL, vos.RemoteOptions{Reconnect: reconnect,
+			RetryBackoff: time.Millisecond, PollInterval: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := client.Run(context.Background(), vos.NewSpec().Widths(4))
+		client.Close()
+		if !reconnect {
+			if err == nil {
+				t.Fatal("Run without Reconnect rode out a results outage past its retries")
+			}
+			continue
+		}
+		if err != nil || res.Status != vos.StatusDone || len(res.Operators) != 1 {
+			t.Fatalf("Reconnect Run across a results outage: %v %+v", err, res)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -311,6 +312,92 @@ func TestEvents(t *testing.T) {
 			t.Fatalf("%d stream connections, want 2", n)
 		}
 	})
+	t.Run("cut-mid-line/reconnect", func(t *testing.T) {
+		// The first connection drops in the middle of the point line; a
+		// Reconnect client must take the cut line for a drop and reopen.
+		point := `{"type":"point","sweepId":"s-1","status":"running","bench":"4-bit RCA","arch":"RCA","width":4,` +
+			`"point":{"triad":{"tclk":1,"vdd":0.8,"vbb":0}}}`
+		var conns atomic.Int32
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /v1/sweeps/s-1/events", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			fmt.Fprintln(w, `{"type":"progress","sweepId":"s-1","status":"running"}`)
+			if conns.Add(1) == 1 {
+				fmt.Fprint(w, point[:len(point)/2])
+				w.(http.Flusher).Flush()
+				panic(http.ErrAbortHandler)
+			}
+			fmt.Fprintln(w, point)
+			fmt.Fprintln(w, `{"type":"done","sweepId":"s-1","status":"done"}`)
+		})
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		cli, err := vos.NewRemote(ts.URL, vos.RemoteOptions{Reconnect: true, RetryBackoff: 5 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cli.Close() })
+		if n := countPoints(t, cli, "s-1"); n != 1 {
+			t.Fatalf("%d point events across the reconnect, want 1", n)
+		}
+		if n := conns.Load(); n != 2 {
+			t.Fatalf("%d stream connections, want 2", n)
+		}
+	})
+}
+
+// callLog records the method and path of every request a client sends.
+type callLog struct {
+	mu    sync.Mutex
+	calls []string
+	base  http.RoundTripper
+}
+
+func (l *callLog) RoundTrip(req *http.Request) (*http.Response, error) {
+	l.mu.Lock()
+	l.calls = append(l.calls, req.Method+" "+req.URL.Path)
+	l.mu.Unlock()
+	return l.base.RoundTrip(req)
+}
+
+// TestRemoteRunThreeCalls: Run and RunMC against a daemon submit, follow
+// the event stream to its terminal event and fetch the results — no
+// status request in between.
+func TestRemoteRunThreeCalls(t *testing.T) {
+	eng, err := engine.New(engine.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	ts := httptest.NewServer(httpapi.New(eng))
+	t.Cleanup(ts.Close)
+	log := &callLog{base: http.DefaultTransport}
+	cli, err := vos.NewRemote(ts.URL, vos.RemoteOptions{HTTPClient: &http.Client{Transport: log}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	ctx := context.Background()
+	check := func(base, id string) {
+		t.Helper()
+		log.mu.Lock()
+		defer log.mu.Unlock()
+		want := []string{"POST " + base, "GET " + base + "/" + id + "/events", "GET " + base + "/" + id + "/results"}
+		if !reflect.DeepEqual(log.calls, want) {
+			t.Fatalf("calls %q, want %q", log.calls, want)
+		}
+		log.calls = nil
+	}
+	res, err := cli.Run(ctx, testSpec())
+	if err != nil || res.Status != vos.StatusDone || len(res.Operators) != 1 {
+		t.Fatalf("Run: %v %+v", err, res)
+	}
+	check("/v1/sweeps", res.ID)
+	mres, err := cli.RunMC(ctx, testMCSpec())
+	if err != nil || mres.Status != vos.StatusDone || len(mres.Points) != 4 {
+		t.Fatalf("RunMC: %v %+v", err, mres)
+	}
+	check("/v1/mc", mres.ID)
 }
 
 // TestLocalAdder builds the hardware oracle at the characterized nominal
