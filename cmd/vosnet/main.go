@@ -15,7 +15,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -164,8 +166,9 @@ func doStat(path string) error {
 	an := sta.Analyze(nl, lib, proc, proc.Nominal())
 	hist := an.PathDelayHistogram(nl, 8)
 	fmt.Printf("output arrival histogram (8 bins to CP): %v\n", hist)
-	for kind, n := range nl.CellCounts() {
-		fmt.Printf("  %-6s x%d\n", kind, n)
+	counts := nl.CellCounts()
+	for _, kind := range slices.Sorted(maps.Keys(counts)) {
+		fmt.Printf("  %-6s x%d\n", kind, counts[kind])
 	}
 	return nil
 }

@@ -31,6 +31,7 @@ func TestGolden(t *testing.T) {
 	}{
 		{"gen_rca8", []string{"-gen", "rca8"}, ""},
 		{"gen_bka16", []string{"-gen", "bka16", "-o", "bka16.vnet"}, "bka16.vnet"},
+		{"stat_bka16", []string{"-stat", "bka16.vnet"}, ""},
 		{"spice_bka16", []string{"-spice", "bka16.vnet", "-tclk", "0.2", "-vdd", "0.5", "-vbb", "2"}, ""},
 		// A late point: events still fire after capture, so the tracer
 		// runs past the marker.
