@@ -70,10 +70,11 @@ func main() {
 	}
 }
 
-// parseSpec decodes generator specs like "rca8", "mul8", "loa8x4".
-func parseSpec(spec string) (*netlist.Netlist, error) {
+// parseSpec decodes generator specs like "rca8", "mul8", "loa8x4". seed
+// draws the Vt mismatch of the adders and multipliers.
+func parseSpec(spec string, seed uint64) (*netlist.Netlist, error) {
 	spec = strings.ToLower(spec)
-	mm := func(seed uint64) *fdsoi.MismatchSampler {
+	mm := func() *fdsoi.MismatchSampler {
 		return fdsoi.NewMismatchSampler(fdsoi.Default().SigmaVt, seed)
 	}
 	for _, arch := range synth.Arches() {
@@ -83,7 +84,7 @@ func parseSpec(spec string) (*netlist.Netlist, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bad width in %q", spec)
 			}
-			return synth.NewAdder(arch, synth.AdderConfig{Width: width, Mismatch: mm(1)})
+			return synth.NewAdder(arch, synth.AdderConfig{Width: width, Mismatch: mm()})
 		}
 	}
 	if w, ok := strings.CutPrefix(spec, "mul"); ok {
@@ -91,7 +92,7 @@ func parseSpec(spec string) (*netlist.Netlist, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad width in %q", spec)
 		}
-		return synth.ArrayMultiplier(synth.MultiplierConfig{Width: width, Mismatch: mm(1)})
+		return synth.ArrayMultiplier(synth.MultiplierConfig{Width: width, Mismatch: mm()})
 	}
 	for _, kind := range []string{"loa", "tra"} {
 		if rest, ok := strings.CutPrefix(spec, kind); ok {
@@ -126,8 +127,7 @@ func openOut(path string) (*os.File, func(), error) {
 }
 
 func doGen(spec, out string, seed uint64) error {
-	_ = seed
-	nl, err := parseSpec(spec)
+	nl, err := parseSpec(spec, seed)
 	if err != nil {
 		return err
 	}

@@ -30,6 +30,7 @@ func TestGolden(t *testing.T) {
 		wrote string // file the case writes into dir, if any
 	}{
 		{"gen_rca8", []string{"-gen", "rca8"}, ""},
+		{"gen_rca8_seed7", []string{"-gen", "rca8", "-seed", "7"}, ""},
 		{"gen_bka16", []string{"-gen", "bka16", "-o", "bka16.vnet"}, "bka16.vnet"},
 		{"stat_bka16", []string{"-stat", "bka16.vnet"}, ""},
 		{"spice_bka16", []string{"-spice", "bka16.vnet", "-tclk", "0.2", "-vdd", "0.5", "-vbb", "2"}, ""},
