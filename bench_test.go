@@ -623,23 +623,21 @@ func BenchmarkAblationSettleVsStream(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		count := func(stream bool) float64 {
 			eng := sim.New(nl, lib, proc, op)
-			binder := sim.NewBinder(nl)
-			if err := eng.Reset(binder.Inputs()); err != nil {
+			stim := netlist.CompileStimulus(nl)
+			if err := eng.ResetDense(stim.Values()); err != nil {
 				b.Fatal(err)
+			}
+			step := eng.StepDense
+			if stream {
+				step = eng.StreamStepDense
 			}
 			rng := rand.New(rand.NewPCG(9, 9))
 			errs, n := 0, 3000
 			for k := 0; k < n; k++ {
 				a, bb := rng.Uint64()&0xff, rng.Uint64()&0xff
-				binder.MustSet(synth.PortA, a)
-				binder.MustSet(synth.PortB, bb)
-				var res *sim.Result
-				var err error
-				if stream {
-					res, err = eng.StreamStep(binder.Inputs(), tclk)
-				} else {
-					res, err = eng.Step(binder.Inputs(), tclk)
-				}
+				stim.MustSet(synth.PortA, a)
+				stim.MustSet(synth.PortB, bb)
+				res, err := step(stim.Values(), tclk)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -676,8 +674,8 @@ func BenchmarkAblationMultiplierVOS(b *testing.B) {
 		var rows []string
 		for _, vdd := range []float64{1.0, 0.8, 0.7, 0.6} {
 			eng := sim.New(nl, lib, proc, fdsoi.OperatingPoint{Vdd: vdd})
-			binder := sim.NewBinder(nl)
-			if err := eng.Reset(binder.Inputs()); err != nil {
+			stim := netlist.CompileStimulus(nl)
+			if err := eng.ResetDense(stim.Values()); err != nil {
 				b.Fatal(err)
 			}
 			rng := rand.New(rand.NewPCG(11, 11))
@@ -686,9 +684,9 @@ func BenchmarkAblationMultiplierVOS(b *testing.B) {
 			n := 800
 			for k := 0; k < n; k++ {
 				a, bb := rng.Uint64()&0xff, rng.Uint64()&0xff
-				binder.MustSet(synth.PortA, a)
-				binder.MustSet(synth.PortB, bb)
-				res, err := eng.Step(binder.Inputs(), tclk)
+				stim.MustSet(synth.PortA, a)
+				stim.MustSet(synth.PortB, bb)
+				res, err := eng.StepDense(stim.Values(), tclk)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -780,48 +778,10 @@ func BenchmarkAblationTrainingSize(b *testing.B) {
 
 // --- Micro-benchmarks of the hot paths ---
 
-func BenchmarkSimStepRCA8(b *testing.B) {
-	lib := cell.Default28nmLVT()
-	proc := fdsoi.Default()
-	nl, _ := synth.RCA(synth.AdderConfig{Width: 8})
-	eng := sim.New(nl, lib, proc, fdsoi.OperatingPoint{Vdd: 0.6, Vbb: 2})
-	binder := sim.NewBinder(nl)
-	if err := eng.Reset(binder.Inputs()); err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(1, 1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		binder.MustSet(synth.PortA, rng.Uint64()&0xff)
-		binder.MustSet(synth.PortB, rng.Uint64()&0xff)
-		if _, err := eng.Step(binder.Inputs(), 0.183); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSimStepBKA16(b *testing.B) {
-	lib := cell.Default28nmLVT()
-	proc := fdsoi.Default()
-	nl, _ := synth.BKA(synth.AdderConfig{Width: 16})
-	eng := sim.New(nl, lib, proc, fdsoi.OperatingPoint{Vdd: 0.6, Vbb: 2})
-	binder := sim.NewBinder(nl)
-	if err := eng.Reset(binder.Inputs()); err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(1, 1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		binder.MustSet(synth.PortA, rng.Uint64()&0xffff)
-		binder.MustSet(synth.PortB, rng.Uint64()&0xffff)
-		if _, err := eng.Step(binder.Inputs(), 0.2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimStepDenseRCA8 is BenchmarkSimStepRCA8 on the dense
-// zero-allocation fast path the characterization sweeps use.
+// BenchmarkSimStepDenseRCA8 measures one two-vector step of the scalar
+// gate-level engine on an over-scaled 8-bit RCA: operands bound through a
+// compiled Stimulus, results in the engine's reused buffers, so the loop
+// allocates nothing.
 func BenchmarkSimStepDenseRCA8(b *testing.B) {
 	lib := cell.Default28nmLVT()
 	proc := fdsoi.Default()
@@ -1002,32 +962,10 @@ func BenchmarkCrossVddResampleBKA16(b *testing.B) {
 	benchCrossVddResample(b, nl, 0xffff, []float64{0.52, 0.42, 0.31})
 }
 
-// BenchmarkInputBindingMap isolates the legacy input-binding cost: scatter
-// two operand words into the assignment map, then gather every input net
-// back out, exactly the per-vector map traffic the old applyInputs paid.
-func BenchmarkInputBindingMap(b *testing.B) {
-	nl, _ := synth.BKA(synth.AdderConfig{Width: 16})
-	binder := sim.NewBinder(nl)
-	var inputNets []netlist.NetID
-	for _, p := range nl.Inputs {
-		inputNets = append(inputNets, p.Bits...)
-	}
-	rng := rand.New(rand.NewPCG(1, 1))
-	var sink uint8
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		binder.MustSet(synth.PortA, rng.Uint64()&0xffff)
-		binder.MustSet(synth.PortB, rng.Uint64()&0xffff)
-		m := binder.Inputs()
-		for _, id := range inputNets {
-			sink += m[id]
-		}
-	}
-	_ = sink
-}
-
-// BenchmarkInputBindingDense is the same scatter+gather through the
-// compiled Stimulus and its dense image.
+// BenchmarkInputBindingDense isolates the per-vector input-binding cost:
+// scatter two operand words through the compiled Stimulus, then gather
+// every input net back out of its dense image, as the engines' input
+// application reads it.
 func BenchmarkInputBindingDense(b *testing.B) {
 	nl, _ := synth.BKA(synth.AdderConfig{Width: 16})
 	stim := netlist.CompileStimulus(nl)
@@ -1198,31 +1136,20 @@ func BenchmarkAblationStaticVsVOS(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				eng := sim.New(nl, lib, proc, proc.Nominal())
-				binder := sim.NewBinder(nl)
-				if err := eng.Reset(binder.Inputs()); err != nil {
+				hw, err := charz.NewEngineAdder(nl, cfg, triad.Triad{Tclk: rep.CriticalPath, Vdd: proc.VddNom})
+				if err != nil {
 					b.Fatal(err)
 				}
 				rng := rand.New(rand.NewPCG(5, 5))
 				var faulty, total int
-				var energy float64
 				const n = 1500
 				for v := 0; v < n; v++ {
 					x, y := rng.Uint64()&0xff, rng.Uint64()&0xff
-					binder.MustSet(synth.PortA, x)
-					binder.MustSet(synth.PortB, y)
-					res, err := eng.Step(binder.Inputs(), rep.CriticalPath)
-					if err != nil {
-						b.Fatal(err)
-					}
-					s, _ := res.CapturedWord(nl, synth.PortSum)
-					co, _ := res.CapturedWord(nl, synth.PortCout)
-					faulty += hamming16(s|co<<8, x+y) // 9 live bits; mask ok
+					faulty += hamming16(hw.Add(x, y), x+y) // 9 live bits; mask ok
 					total += 9
-					energy += res.EnergyFJ
 				}
 				rows = append(rows, fmt.Sprintf("static %s k=%d: BER=%5.2f%% E/op=%6.1ffJ (fixed at design time)",
-					kind, k, float64(faulty)/float64(total)*100, energy/n))
+					kind, k, float64(faulty)/float64(total)*100, hw.MeanEnergyFJ()))
 			}
 		}
 		// VOS points at comparable BERs from the characterized sweep.

@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math/bits"
 	"math/rand/v2"
 	"os"
 
@@ -27,7 +28,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/patterns"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/synth"
 	"repro/internal/triad"
 )
@@ -142,35 +142,21 @@ func staticStudy(n int, seed uint64) error {
 	t := report.NewTable("Static approximation (LOA/TRA at nominal V) vs VOS (exact RCA, scaled V)",
 		"Design", "BER (%)", "E/op (fJ)", "Knob")
 	rng := rand.New(rand.NewPCG(seed, 5))
+	cfg := charz.Config{Arch: synth.ArchRCA, Width: 8, Patterns: n, Seed: seed}
+	// measure runs n random pairs through the gate-level oracle at the
+	// nominal supply and returns the BER over the 9 result bits and the
+	// mean energy per operation.
 	measure := func(nl *netlist.Netlist, tclk float64) (float64, float64, error) {
-		eng := sim.New(nl, lib, proc, proc.Nominal())
-		binder := sim.NewBinder(nl)
-		if err := eng.Reset(binder.Inputs()); err != nil {
+		hw, err := charz.NewEngineAdder(nl, cfg, triad.Triad{Tclk: tclk, Vdd: proc.VddNom})
+		if err != nil {
 			return 0, 0, err
 		}
-		faulty, total := 0, 0
-		var energy float64
+		faulty := 0
 		for i := 0; i < n; i++ {
 			a, b := rng.Uint64()&0xff, rng.Uint64()&0xff
-			binder.MustSet(synth.PortA, a)
-			binder.MustSet(synth.PortB, b)
-			res, err := eng.Step(binder.Inputs(), tclk)
-			if err != nil {
-				return 0, 0, err
-			}
-			s, _ := res.CapturedWord(nl, synth.PortSum)
-			co, _ := res.CapturedWord(nl, synth.PortCout)
-			got := s | co<<8
-			want := a + b
-			for bit := 0; bit < 9; bit++ {
-				if (got^want)>>uint(bit)&1 == 1 {
-					faulty++
-				}
-				total++
-			}
-			energy += res.EnergyFJ
+			faulty += bits.OnesCount64(hw.Add(a, b) ^ (a + b))
 		}
-		return float64(faulty) / float64(total), energy / float64(n), nil
+		return float64(faulty) / float64(9*n), hw.MeanEnergyFJ(), nil
 	}
 	for _, k := range []int{2, 4, 6} {
 		loa, err := synth.LOA(synth.ApproxConfig{Width: 8, ApproxBits: k})
@@ -188,7 +174,6 @@ func staticStudy(n int, seed uint64) error {
 		t.AddRow(fmt.Sprintf("LOA k=%d", k), fmt.Sprintf("%.2f", ber*100),
 			fmt.Sprintf("%.1f", e), "fixed at design time")
 	}
-	cfg := charz.Config{Arch: synth.ArchRCA, Width: 8, Patterns: n, Seed: seed}
 	res, err := charz.Run(cfg)
 	if err != nil {
 		return err

@@ -207,11 +207,9 @@ func doVCD(path, out string, tr triad.Triad, a, b uint64) error {
 	if err := tr.Validate(); err != nil {
 		return err
 	}
-	lib := cell.Default28nmLVT()
-	proc := fdsoi.Default()
-	eng := sim.New(nl, lib, proc, tr.OperatingPoint())
-	binder := sim.NewBinder(nl)
-	if err := eng.Reset(binder.Inputs()); err != nil {
+	eng := sim.New(nl, cell.Default28nmLVT(), fdsoi.Default(), tr.OperatingPoint())
+	stim := netlist.CompileStimulus(nl)
+	if err := eng.ResetDense(stim.Values()); err != nil {
 		return err
 	}
 	f, closeF, err := openOut(out)
@@ -222,18 +220,11 @@ func doVCD(path, out string, tr triad.Triad, a, b uint64) error {
 	w := vcd.NewWriter(f, nl)
 	w.DumpInitial(make([]uint8, nl.NumNets()))
 	eng.SetTracer(w.Change)
-	// Assign ports in order: first port gets a, second b, rest zero.
-	for i, p := range nl.Inputs {
-		switch i {
-		case 0:
-			binder.MustSet(p.Name, a)
-		case 1:
-			binder.MustSet(p.Name, b)
-		default:
-			binder.MustSet(p.Name, 0)
-		}
+	// The first input port gets a, the second b; any others stay zero.
+	for slot, v := range []uint64{a, b}[:min(2, len(nl.Inputs))] {
+		stim.SetSlot(slot, v)
 	}
-	res, err := eng.Step(binder.Inputs(), tr.Tclk)
+	res, err := eng.StepDense(stim.Values(), tr.Tclk)
 	if err != nil {
 		return err
 	}

@@ -86,7 +86,7 @@ type Config struct {
 	// Backend selects the timing engine (default: gate-level).
 	Backend Backend
 	// Streaming, when true, applies vectors every Tclk without letting
-	// the circuit settle between launches (sim.StreamStep): the
+	// the circuit settle between launches (sim.Engine.StreamStepDense): the
 	// free-running datapath protocol, versus the default two-vector
 	// test. Gate backend only.
 	Streaming bool
@@ -745,7 +745,8 @@ func newStepper(nl *netlist.Netlist, cfg Config, tr triad.Triad) (sim.Stepper, e
 // carry-out) for every stimulus pair through the netlist itself,
 // netlist.BatchLanes vectors per bit-sliced EvaluateBatch pass. Using the
 // netlist rather than host arithmetic keeps the reference honest for any
-// operator wired to the adder ports, at ~1/64 of the scalar Evaluate cost.
+// operator wired to the adder ports, at ~1/64 of the scalar EvaluateInto
+// cost.
 func batchReference(nl *netlist.Netlist, width int, as, bs []uint64) ([]uint64, error) {
 	pa, ok := nl.InputPort(synth.PortA)
 	if !ok {

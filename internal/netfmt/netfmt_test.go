@@ -68,17 +68,15 @@ func TestRoundTripFunctionalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, _ := back.InputPort(synth.PortA)
-	pb, _ := back.InputPort(synth.PortB)
+	st := netlist.CompileStimulus(back)
 	ps, _ := back.OutputPort(synth.PortSum)
 	pc, _ := back.OutputPort(synth.PortCout)
 	f := func(x, y uint16) bool {
 		a, b := uint64(x)&0xfff, uint64(y)&0xfff
-		in := map[netlist.NetID]uint8{}
-		netlist.AssignPort(in, pa, a)
-		netlist.AssignPort(in, pb, b)
-		vals, err := back.Evaluate(in)
-		if err != nil {
+		st.MustSet(synth.PortA, a)
+		st.MustSet(synth.PortB, b)
+		vals := st.Values()
+		if err := back.EvaluateInto(vals); err != nil {
 			return false
 		}
 		s := netlist.PortValue(ps, vals)
@@ -212,17 +210,15 @@ func TestGoldenFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, _ := parsed.InputPort(synth.PortA)
-	pb, _ := parsed.InputPort(synth.PortB)
+	st := netlist.CompileStimulus(parsed)
 	ps, _ := parsed.OutputPort(synth.PortSum)
 	pc, _ := parsed.OutputPort(synth.PortCout)
 	for a := uint64(0); a < 16; a++ {
 		for b := uint64(0); b < 16; b++ {
-			in := map[netlist.NetID]uint8{}
-			netlist.AssignPort(in, pa, a)
-			netlist.AssignPort(in, pb, b)
-			vals, err := parsed.Evaluate(in)
-			if err != nil {
+			st.MustSet(synth.PortA, a)
+			st.MustSet(synth.PortB, b)
+			vals := st.Values()
+			if err := parsed.EvaluateInto(vals); err != nil {
 				t.Fatal(err)
 			}
 			got := netlist.PortValue(ps, vals) | netlist.PortValue(pc, vals)<<4

@@ -5,10 +5,9 @@ import "fmt"
 // EvaluateInto computes the steady-state boolean value of every driven net
 // in place, in topological order. values must be a dense per-net image of
 // length NumNets whose primary-input entries are already assigned; every
-// gate-driven entry is overwritten. It is the allocation-free core of the
-// zero-delay functional reference: callers that step one netlist many times
-// (the simulator's Reset, the characterization sweeps) reuse one image
-// instead of rebuilding a map per vector.
+// gate-driven entry is overwritten. It is the allocation-free zero-delay
+// functional reference: the simulators' ResetDense settles through it, and
+// a reference for one vector is a Stimulus image evaluated in place.
 func (n *Netlist) EvaluateInto(values []uint8) error {
 	if len(values) != len(n.Nets) {
 		return fmt.Errorf("netlist %s: value image has %d entries, want %d",
@@ -38,27 +37,6 @@ func (n *Netlist) EvaluateInto(values []uint8) error {
 	return nil
 }
 
-// Evaluate computes the steady-state boolean value of every net given the
-// values of the primary inputs. It is the map-based compatibility wrapper
-// around EvaluateInto; the inputs map assigns one bit per primary-input
-// net, and all primary inputs must be covered.
-func (n *Netlist) Evaluate(inputs map[NetID]uint8) ([]uint8, error) {
-	values := make([]uint8, len(n.Nets))
-	for _, p := range n.Inputs {
-		for _, b := range p.Bits {
-			v, ok := inputs[b]
-			if !ok {
-				return nil, fmt.Errorf("netlist %s: input %q unassigned", n.Name, n.Nets[b].Name)
-			}
-			values[b] = v
-		}
-	}
-	if err := n.EvaluateInto(values); err != nil {
-		return nil, err
-	}
-	return values, nil
-}
-
 // BatchLanes is the number of stimulus vectors one EvaluateBatch pass
 // computes: each lane word carries one net's value across BatchLanes
 // vectors, vector k in bit k.
@@ -69,7 +47,7 @@ const BatchLanes = 64
 // image of length NumNets whose primary-input lane words are already
 // filled (bit k = net value under vector k); every gate-driven lane is
 // overwritten in topological order. One pass costs one word op per gate
-// input — the per-vector reference cost is 64× below scalar Evaluate.
+// input — the per-vector reference cost is 64× below EvaluateInto.
 func (n *Netlist) EvaluateBatch(lanes []uint64) error {
 	if len(lanes) != len(n.Nets) {
 		return fmt.Errorf("netlist %s: lane image has %d entries, want %d",
@@ -134,14 +112,6 @@ func PortValue(p Port, values []uint8) uint64 {
 		w |= uint64(values[b]&1) << uint(i)
 	}
 	return w
-}
-
-// AssignPort scatters the low bits of word w onto port p's nets in the
-// inputs map.
-func AssignPort(inputs map[NetID]uint8, p Port, w uint64) {
-	for i, b := range p.Bits {
-		inputs[b] = uint8(w>>uint(i)) & 1
-	}
 }
 
 // AssignPortLane scatters the low bits of word w onto port p's lane words

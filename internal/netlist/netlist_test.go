@@ -57,17 +57,15 @@ func TestHalfAdderStructure(t *testing.T) {
 
 func TestHalfAdderEvaluate(t *testing.T) {
 	nl := buildHalfAdder(t)
-	a, _ := nl.InputPort("a")
-	b, _ := nl.InputPort("b")
+	st := CompileStimulus(nl)
 	s, _ := nl.OutputPort("s")
 	c, _ := nl.OutputPort("c")
 	for av := uint64(0); av < 2; av++ {
 		for bv := uint64(0); bv < 2; bv++ {
-			in := map[NetID]uint8{}
-			AssignPort(in, a, av)
-			AssignPort(in, b, bv)
-			vals, err := nl.Evaluate(in)
-			if err != nil {
+			st.MustSet("a", av)
+			st.MustSet("b", bv)
+			vals := st.Values()
+			if err := nl.EvaluateInto(vals); err != nil {
 				t.Fatal(err)
 			}
 			if got := PortValue(s, vals); got != av^bv {
@@ -77,26 +75,6 @@ func TestHalfAdderEvaluate(t *testing.T) {
 				t.Errorf("c(%d,%d) = %d", av, bv, got)
 			}
 		}
-	}
-}
-
-func TestEvaluateMissingInput(t *testing.T) {
-	nl := buildHalfAdder(t)
-	a, _ := nl.InputPort("a")
-	in := map[NetID]uint8{}
-	AssignPort(in, a, 1)
-	if _, err := nl.Evaluate(in); err == nil {
-		t.Fatal("expected error for unassigned input")
-	}
-}
-
-func TestEvaluateNonBooleanInput(t *testing.T) {
-	nl := buildHalfAdder(t)
-	a, _ := nl.InputPort("a")
-	b, _ := nl.InputPort("b")
-	in := map[NetID]uint8{a.Bits[0]: 2, b.Bits[0]: 0}
-	if _, err := nl.Evaluate(in); err == nil {
-		t.Fatal("expected error for non-boolean input")
 	}
 }
 

@@ -4,10 +4,10 @@ import "fmt"
 
 // Stimulus is a compiled input binding: the port-name→net wiring of one
 // netlist resolved once into dense bit→net index slices, scattering words
-// into a per-net value image with no map operations. It is the hot-path
-// replacement for the map[NetID]uint8 input plumbing — a characterization
-// sweep binds two operand ports per vector, so the binding cost sits inside
-// the innermost stimulus loop.
+// into a per-net value image with no map operations. It is the one way
+// input vectors are bound for the simulators and the zero-delay evaluator
+// — a characterization sweep binds two operand ports per vector, so the
+// binding cost sits inside the innermost stimulus loop.
 //
 // The zero value is not usable; build one with CompileStimulus. A Stimulus
 // is not safe for concurrent use (sweeps compile one per goroutine).

@@ -121,10 +121,11 @@ type Engine struct {
 	inputNets []netlist.NetID
 	evalBuf   [3]uint8
 
-	// scratch backs the map-based wrappers and the dense reset evaluation.
+	// scratch is ResetDense's evaluation image, so settling never writes
+	// the caller's gate-driven entries.
 	scratch []uint8
 
-	// res and its buffers are reused by the dense entry points.
+	// res and its buffers are reused by the step entry points.
 	res         Result
 	capturedBuf []uint8
 	settledBuf  []uint8
@@ -210,27 +211,6 @@ func (e *Engine) ResetDense(values []uint8) error {
 	}
 	e.queue = e.queue[:0]
 	e.now = 0
-	return nil
-}
-
-// Reset is the map-based compatibility wrapper around ResetDense.
-func (e *Engine) Reset(inputs map[netlist.NetID]uint8) error {
-	if err := e.scatter(inputs); err != nil {
-		return err
-	}
-	return e.ResetDense(e.scratch)
-}
-
-// scatter copies a map assignment into the dense scratch image, preserving
-// the map API's unassigned-input errors.
-func (e *Engine) scatter(inputs map[netlist.NetID]uint8) error {
-	for _, id := range e.inputNets {
-		v, ok := inputs[id]
-		if !ok {
-			return fmt.Errorf("rcsim: input net %q unassigned", e.nl.Nets[id].Name)
-		}
-		e.scratch[id] = v
-	}
 	return nil
 }
 
@@ -378,22 +358,6 @@ func (e *Engine) StepDense(values []uint8, tclk float64) (*Result, error) {
 	res.EnergyFJ = e.energyFJ - startEnergy + e.leakPower*tclk
 	e.now = 0
 	return res, nil
-}
-
-// Step is the map-based compatibility wrapper around StepDense; it returns
-// a freshly allocated Result the caller may keep.
-func (e *Engine) Step(inputs map[netlist.NetID]uint8, tclk float64) (*Result, error) {
-	if err := e.scatter(inputs); err != nil {
-		return nil, err
-	}
-	res, err := e.StepDense(e.scratch, tclk)
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{EnergyFJ: res.EnergyFJ, Late: res.Late}
-	out.Captured = append([]uint8(nil), res.Captured...)
-	out.Settled = append([]uint8(nil), res.Settled...)
-	return out, nil
 }
 
 // Crossings returns the total number of threshold crossings simulated —

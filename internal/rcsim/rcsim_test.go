@@ -12,7 +12,9 @@ import (
 	"repro/internal/synth"
 )
 
-func newEngines(t *testing.T, width int, op fdsoi.OperatingPoint) (*rcsim.Engine, *sim.Engine, *netlist.Netlist) {
+// newEngines builds the RC and gate-level engines over one width-bit RCA,
+// both settled on the all-zero vector, and the stimulus that drives them.
+func newEngines(t *testing.T, width int, op fdsoi.OperatingPoint) (*rcsim.Engine, *sim.Engine, *netlist.Netlist, *netlist.Stimulus) {
 	t.Helper()
 	nl, err := synth.RCA(synth.AdderConfig{Width: width})
 	if err != nil {
@@ -20,14 +22,23 @@ func newEngines(t *testing.T, width int, op fdsoi.OperatingPoint) (*rcsim.Engine
 	}
 	lib := cell.Default28nmLVT()
 	proc := fdsoi.Default()
-	return rcsim.New(nl, lib, proc, op), sim.New(nl, lib, proc, op), nl
+	rc, gate := rcsim.New(nl, lib, proc, op), sim.New(nl, lib, proc, op)
+	stim := netlist.CompileStimulus(nl)
+	for _, e := range []sim.Stepper{rc, gate} {
+		if err := e.ResetDense(stim.Values()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rc, gate, nl, stim
 }
 
-func stepRC(t *testing.T, e *rcsim.Engine, nl *netlist.Netlist, b *sim.Binder, a, bb uint64, tclk float64) (uint64, *rcsim.Result) {
+// stepAdder runs one two-vector experiment on e and returns the captured
+// sum with carry-out. The result is e's and valid until its next step.
+func stepAdder(t *testing.T, e sim.Stepper, nl *netlist.Netlist, stim *netlist.Stimulus, a, bb uint64, tclk float64) (uint64, *rcsim.Result) {
 	t.Helper()
-	b.MustSet(synth.PortA, a)
-	b.MustSet(synth.PortB, bb)
-	res, err := e.Step(b.Inputs(), tclk)
+	stim.MustSet(synth.PortA, a)
+	stim.MustSet(synth.PortB, bb)
+	res, err := e.StepDense(stim.Values(), tclk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,15 +53,11 @@ func stepRC(t *testing.T, e *rcsim.Engine, nl *netlist.Netlist, b *sim.Binder, a
 
 func TestNominalExactness(t *testing.T) {
 	proc := fdsoi.Default()
-	rc, _, nl := newEngines(t, 8, proc.Nominal())
-	b := sim.NewBinder(nl)
-	if err := rc.Reset(b.Inputs()); err != nil {
-		t.Fatal(err)
-	}
+	rc, _, nl, stim := newEngines(t, 8, proc.Nominal())
 	rng := rand.New(rand.NewPCG(1, 2))
 	for i := 0; i < 300; i++ {
 		a, bb := rng.Uint64()&0xff, rng.Uint64()&0xff
-		got, res := stepRC(t, rc, nl, b, a, bb, 0.5)
+		got, res := stepAdder(t, rc, nl, stim, a, bb, 0.5)
 		if got != a+bb {
 			t.Fatalf("rc nominal (%d+%d) captured %d", a, bb, got)
 		}
@@ -68,21 +75,19 @@ func TestSettledMatchesEvaluate(t *testing.T) {
 		{Vdd: 0.5, Vbb: 2},
 		{Vdd: 0.6, Vbb: 0},
 	} {
-		rc, _, nl := newEngines(t, 8, op)
-		b := sim.NewBinder(nl)
-		if err := rc.Reset(b.Inputs()); err != nil {
-			t.Fatal(err)
-		}
+		rc, _, nl, stim := newEngines(t, 8, op)
 		rng := rand.New(rand.NewPCG(3, 4))
 		for i := 0; i < 100; i++ {
-			b.MustSet(synth.PortA, rng.Uint64()&0xff)
-			b.MustSet(synth.PortB, rng.Uint64()&0xff)
-			res, err := rc.Step(b.Inputs(), 0.2)
+			stim.MustSet(synth.PortA, rng.Uint64()&0xff)
+			stim.MustSet(synth.PortB, rng.Uint64()&0xff)
+			res, err := rc.StepDense(stim.Values(), 0.2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := nl.Evaluate(b.Inputs())
-			if err != nil {
+			// The engine reads only the image's input entries, so the
+			// reference may overwrite the gate-driven ones in place.
+			want := stim.Values()
+			if err := nl.EvaluateInto(want); err != nil {
 				t.Fatal(err)
 			}
 			for id, v := range want {
@@ -110,33 +115,16 @@ func TestCrossValidationWithGateLevel(t *testing.T) {
 		{fdsoi.OperatingPoint{Vdd: 0.4, Vbb: 2}, 0.124, "faulty"},
 	}
 	for _, tc := range cases {
-		rc, gate, nl := newEngines(t, 8, tc.op)
-		bRC := sim.NewBinder(nl)
-		bG := sim.NewBinder(nl)
-		if err := rc.Reset(bRC.Inputs()); err != nil {
-			t.Fatal(err)
-		}
-		if err := gate.Reset(bG.Inputs()); err != nil {
-			t.Fatal(err)
-		}
+		rc, gate, nl, stim := newEngines(t, 8, tc.op)
 		rng := rand.New(rand.NewPCG(5, 6))
 		const n = 400
 		rcErrs, gateErrs := 0, 0
 		for i := 0; i < n; i++ {
 			a, bb := rng.Uint64()&0xff, rng.Uint64()&0xff
-			got, _ := stepRC(t, rc, nl, bRC, a, bb, tc.tclk)
-			if got != a+bb {
+			if got, _ := stepAdder(t, rc, nl, stim, a, bb, tc.tclk); got != a+bb {
 				rcErrs++
 			}
-			bG.MustSet(synth.PortA, a)
-			bG.MustSet(synth.PortB, bb)
-			gres, err := gate.Step(bG.Inputs(), tc.tclk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, _ := gres.CapturedWord(nl, synth.PortSum)
-			co, _ := gres.CapturedWord(nl, synth.PortCout)
-			if s|co<<8 != a+bb {
+			if got, _ := stepAdder(t, gate, nl, stim, a, bb, tc.tclk); got != a+bb {
 				gateErrs++
 			}
 		}
@@ -158,28 +146,12 @@ func TestGlitchFiltering(t *testing.T) {
 	// threshold crossings than the transport-delay engine registers
 	// transitions (inertial filtering).
 	op := fdsoi.Default().Nominal()
-	rc, gate, nl := newEngines(t, 16, op)
-	bRC := sim.NewBinder(nl)
-	bG := sim.NewBinder(nl)
-	if err := rc.Reset(bRC.Inputs()); err != nil {
-		t.Fatal(err)
-	}
-	if err := gate.Reset(bG.Inputs()); err != nil {
-		t.Fatal(err)
-	}
+	rc, gate, nl, stim := newEngines(t, 16, op)
 	rng := rand.New(rand.NewPCG(7, 8))
 	for i := 0; i < 300; i++ {
 		a, bb := rng.Uint64()&0xffff, rng.Uint64()&0xffff
-		bRC.MustSet(synth.PortA, a)
-		bRC.MustSet(synth.PortB, bb)
-		if _, err := rc.Step(bRC.Inputs(), 0.6); err != nil {
-			t.Fatal(err)
-		}
-		bG.MustSet(synth.PortA, a)
-		bG.MustSet(synth.PortB, bb)
-		if _, err := gate.Step(bG.Inputs(), 0.6); err != nil {
-			t.Fatal(err)
-		}
+		stepAdder(t, rc, nl, stim, a, bb, 0.6)
+		stepAdder(t, gate, nl, stim, a, bb, 0.6)
 	}
 	if rc.Crossings() >= gate.Stats().Transitions {
 		t.Fatalf("RC crossings %d not below gate transitions %d",
@@ -190,17 +162,13 @@ func TestGlitchFiltering(t *testing.T) {
 func TestBERMonotoneInVdd(t *testing.T) {
 	prev := -1.0
 	for _, vdd := range []float64{0.8, 0.7, 0.6, 0.5} {
-		rc, _, nl := newEngines(t, 8, fdsoi.OperatingPoint{Vdd: vdd})
-		b := sim.NewBinder(nl)
-		if err := rc.Reset(b.Inputs()); err != nil {
-			t.Fatal(err)
-		}
+		rc, _, nl, stim := newEngines(t, 8, fdsoi.OperatingPoint{Vdd: vdd})
 		rng := rand.New(rand.NewPCG(9, 10))
 		errs := 0
 		const n = 400
 		for i := 0; i < n; i++ {
 			a, bb := rng.Uint64()&0xff, rng.Uint64()&0xff
-			got, _ := stepRC(t, rc, nl, b, a, bb, 0.269)
+			got, _ := stepAdder(t, rc, nl, stim, a, bb, 0.269)
 			if got != a+bb {
 				errs++
 			}
@@ -218,49 +186,42 @@ func TestBERMonotoneInVdd(t *testing.T) {
 
 func TestEnergyPositiveAndGrowsWithActivity(t *testing.T) {
 	op := fdsoi.Default().Nominal()
-	rc, _, nl := newEngines(t, 8, op)
-	b := sim.NewBinder(nl)
-	if err := rc.Reset(b.Inputs()); err != nil {
-		t.Fatal(err)
+	rc, _, nl, stim := newEngines(t, 8, op)
+	// All-bits toggle must cost more than a single-LSB toggle. Each
+	// step reuses the engine's Result, so keep only the energies.
+	energy := func(a, bb uint64) float64 {
+		_, res := stepAdder(t, rc, nl, stim, a, bb, 0.5)
+		return res.EnergyFJ
 	}
-	// All-bits toggle must cost more than a single-LSB toggle.
-	_, res0 := stepRC(t, rc, nl, b, 0x00, 0x00, 0.5)
-	_ = res0
-	_, resAll := stepRC(t, rc, nl, b, 0xFF, 0xFF, 0.5)
-	_, resBack := stepRC(t, rc, nl, b, 0x00, 0x00, 0.5)
-	_, resOne := stepRC(t, rc, nl, b, 0x01, 0x00, 0.5)
-	if resAll.EnergyFJ <= resOne.EnergyFJ {
-		t.Fatalf("full toggle %v fJ not above single-bit %v fJ", resAll.EnergyFJ, resOne.EnergyFJ)
+	energy(0x00, 0x00)
+	eAll := energy(0xFF, 0xFF)
+	eBack := energy(0x00, 0x00)
+	eOne := energy(0x01, 0x00)
+	if eAll <= eOne {
+		t.Fatalf("full toggle %v fJ not above single-bit %v fJ", eAll, eOne)
 	}
-	if resBack.EnergyFJ <= 0 || resOne.EnergyFJ <= 0 {
+	if eBack <= 0 || eOne <= 0 {
 		t.Fatal("non-positive step energy")
 	}
 }
 
 func TestStepValidation(t *testing.T) {
 	op := fdsoi.Default().Nominal()
-	rc, _, nl := newEngines(t, 4, op)
-	b := sim.NewBinder(nl)
-	if err := rc.Reset(b.Inputs()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rc.Step(b.Inputs(), 0); err == nil {
+	rc, _, nl, stim := newEngines(t, 4, op)
+	if _, err := rc.StepDense(stim.Values(), 0); err == nil {
 		t.Fatal("tclk 0 accepted")
 	}
-	if _, err := rc.Step(map[netlist.NetID]uint8{}, 0.5); err == nil {
-		t.Fatal("missing inputs accepted")
+	if _, err := rc.StepDense(stim.Values()[:1], 0.5); err == nil {
+		t.Fatal("short image accepted")
 	}
-	bad := map[netlist.NetID]uint8{}
-	for k := range b.Inputs() {
-		bad[k] = 2
-	}
-	if _, err := rc.Step(bad, 0.5); err == nil {
+	bad := make([]uint8, nl.NumNets())
+	bad[nl.Inputs[0].Bits[0]] = 2
+	if _, err := rc.StepDense(bad, 0.5); err == nil {
 		t.Fatal("non-boolean accepted")
 	}
-	if err := rc.Reset(map[netlist.NetID]uint8{}); err == nil {
+	if err := rc.ResetDense(stim.Values()[:1]); err == nil {
 		t.Fatal("bad reset accepted")
 	}
-	_ = nl
 }
 
 func TestPartialSwingCapture(t *testing.T) {
@@ -279,12 +240,12 @@ func TestPartialSwingCapture(t *testing.T) {
 	gate := sim.New(nl, lib, proc, proc.Nominal())
 	delay := gate.GateDelay(0)
 
-	in := map[netlist.NetID]uint8{a[0]: 0}
-	if err := rc.Reset(in); err != nil {
+	in := make([]uint8, nl.NumNets())
+	if err := rc.ResetDense(in); err != nil {
 		t.Fatal(err)
 	}
 	in[a[0]] = 1
-	res, err := rc.Step(in, delay*0.98)
+	res, err := rc.StepDense(in, delay*0.98)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,11 +253,11 @@ func TestPartialSwingCapture(t *testing.T) {
 		t.Fatal("stale value expected below the crossing time")
 	}
 	in[a[0]] = 0
-	if err := rc.Reset(in); err != nil {
+	if err := rc.ResetDense(in); err != nil {
 		t.Fatal(err)
 	}
 	in[a[0]] = 1
-	res, err = rc.Step(in, delay*1.02)
+	res, err = rc.StepDense(in, delay*1.02)
 	if err != nil {
 		t.Fatal(err)
 	}

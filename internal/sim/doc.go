@@ -14,10 +14,10 @@
 // The hot path is dense and index-addressed: input vectors arrive as a
 // per-net []uint8 image (netlist.Stimulus compiles port bindings into one),
 // the event queue is a bucketed time-wheel rather than a binary heap, and
-// the dense entry points (ResetDense, StepDense, StreamStepDense) reuse the
+// the entry points (ResetDense, StepDense, StreamStepDense) reuse the
 // engine's result buffers so a characterization sweep allocates nothing per
-// vector. The map-based Reset/Step/StreamStep remain as thin compatibility
-// wrappers.
+// vector. A Result is therefore valid only until the engine's next step; a
+// caller that compares two results from one engine copies the first.
 //
 // # The wide engine
 //

@@ -37,11 +37,7 @@ type Engine struct {
 
 	pendingInputEnergy float64
 
-	// scratch backs the map-based compatibility wrappers: the assignment
-	// map is scattered into it once per call, then the dense path runs.
-	scratch []uint8
-
-	// res and its backing buffers are reused by the dense entry points:
+	// res and its backing buffers are reused by the step entry points:
 	// StepDense/StreamStepDense return &res, valid until the next call.
 	res         Result
 	capturedBuf []uint8
@@ -76,7 +72,7 @@ type Stats struct {
 	// LeakageEnergy is the integrated leakage (fJ) over the stepped clock
 	// periods.
 	LeakageEnergy float64
-	// Steps counts Step/StreamStep calls; the wide engine counts K·WordLanes
+	// Steps counts StepDense/StreamStepDense calls; the wide engine counts K·WordLanes
 	// steps per chunk — including the inert tail lanes of a ragged final
 	// chunk, whose pure-leakage energy is likewise booked. Transition
 	// counts are exact per lane; Steps and LeakageEnergy are exact only
@@ -98,7 +94,6 @@ func New(nl *netlist.Netlist, lib *cell.Library, proc fdsoi.Params, op fdsoi.Ope
 		tables:    compileTables(nl, lib, proc, op),
 		value:     make([]uint8, nl.NumNets()),
 		scheduled: make([]uint8, nl.NumGates()),
-		scratch:   make([]uint8, nl.NumNets()),
 	}
 	e.queue.init(e.minDelay, e.maxDelay, 1)
 	return e
@@ -131,8 +126,8 @@ func (e *Engine) ResetDense(values []uint8) error {
 	if len(values) != len(e.value) {
 		return fmt.Errorf("sim: input image has %d entries, want %d", len(values), len(e.value))
 	}
-	// Validate before touching engine state: a failed Reset must leave the
-	// previous settled state intact.
+	// Validate before touching engine state: a failed ResetDense must
+	// leave the previous settled state intact.
 	for _, id := range e.inputNets {
 		if values[id] > 1 {
 			return fmt.Errorf("sim: non-boolean input %d on %q", values[id], e.nl.Nets[id].Name)
@@ -149,27 +144,6 @@ func (e *Engine) ResetDense(values []uint8) error {
 	}
 	e.queue.clear()
 	e.now = 0
-	return nil
-}
-
-// Reset is the map-based compatibility wrapper around ResetDense.
-func (e *Engine) Reset(inputs map[netlist.NetID]uint8) error {
-	if err := e.scatter(inputs); err != nil {
-		return err
-	}
-	return e.ResetDense(e.scratch)
-}
-
-// scatter copies a map assignment into the dense scratch image, preserving
-// the map API's unassigned-input errors.
-func (e *Engine) scatter(inputs map[netlist.NetID]uint8) error {
-	for _, id := range e.inputNets {
-		v, ok := inputs[id]
-		if !ok {
-			return fmt.Errorf("sim: input net %q unassigned", e.nl.Nets[id].Name)
-		}
-		e.scratch[id] = v
-	}
 	return nil
 }
 
@@ -227,8 +201,9 @@ func (e *Engine) applyInputs(values []uint8) error {
 type Result struct {
 	// Captured holds the output-net values sampled at the capture instant.
 	Captured []uint8
-	// Settled holds the final steady-state values (Step only; nil for
-	// StreamStep, where the circuit never settles between vectors).
+	// Settled holds the final steady-state values (StepDense only; nil
+	// for StreamStepDense, where the circuit never settles between
+	// vectors).
 	Settled []uint8
 	// EnergyFJ is the energy charged to this step: switching before
 	// capture plus leakage over Tclk.
@@ -255,17 +230,6 @@ func (r *Result) SettledWord(nl *netlist.Netlist, name string) (uint64, bool) {
 		return 0, false
 	}
 	return netlist.PortValue(p, r.Settled), true
-}
-
-// clone deep-copies a reused Result for the compatibility wrappers, whose
-// callers may retain what they were handed.
-func (r *Result) clone() *Result {
-	out := &Result{EnergyFJ: r.EnergyFJ, Late: r.Late}
-	out.Captured = append([]uint8(nil), r.Captured...)
-	if r.Settled != nil {
-		out.Settled = append([]uint8(nil), r.Settled...)
-	}
-	return out
 }
 
 // StepDense performs the two-vector timing experiment of the
@@ -346,19 +310,6 @@ func (e *Engine) StepDense(values []uint8, tclk float64) (*Result, error) {
 	return res, nil
 }
 
-// Step is the map-based compatibility wrapper around StepDense; it returns
-// a freshly allocated Result the caller may keep.
-func (e *Engine) Step(inputs map[netlist.NetID]uint8, tclk float64) (*Result, error) {
-	if err := e.scatter(inputs); err != nil {
-		return nil, err
-	}
-	res, err := e.StepDense(e.scratch, tclk)
-	if err != nil {
-		return nil, err
-	}
-	return res.clone(), nil
-}
-
 // StreamStepDense applies the dense image's inputs at the current
 // simulation time and samples the outputs one clock period later without
 // waiting for quiescence: leftover events from earlier vectors keep firing,
@@ -410,17 +361,4 @@ func (e *Engine) StreamStepDense(values []uint8, tclk float64) (*Result, error) 
 	e.stats.LeakageEnergy += leak
 	e.stats.Steps++
 	return res, nil
-}
-
-// StreamStep is the map-based compatibility wrapper around
-// StreamStepDense; it returns a freshly allocated Result.
-func (e *Engine) StreamStep(inputs map[netlist.NetID]uint8, tclk float64) (*Result, error) {
-	if err := e.scatter(inputs); err != nil {
-		return nil, err
-	}
-	res, err := e.StreamStepDense(e.scratch, tclk)
-	if err != nil {
-		return nil, err
-	}
-	return res.clone(), nil
 }

@@ -13,21 +13,28 @@ import (
 	"repro/internal/synth"
 )
 
-func newAdderEngine(t *testing.T, arch synth.Arch, width int, op fdsoi.OperatingPoint) (*sim.Engine, *netlist.Netlist) {
+// newAdderEngine builds an engine over a width-bit adder, settled on the
+// all-zero vector, and the stimulus that drives it.
+func newAdderEngine(t *testing.T, arch synth.Arch, width int, op fdsoi.OperatingPoint) (*sim.Engine, *netlist.Netlist, *netlist.Stimulus) {
 	t.Helper()
 	nl, err := synth.NewAdder(arch, synth.AdderConfig{Width: width})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.New(nl, cell.Default28nmLVT(), fdsoi.Default(), op), nl
+	eng := sim.New(nl, cell.Default28nmLVT(), fdsoi.Default(), op)
+	stim := netlist.CompileStimulus(nl)
+	if err := eng.ResetDense(stim.Values()); err != nil {
+		t.Fatal(err)
+	}
+	return eng, nl, stim
 }
 
 // step runs one two-vector experiment and returns captured and settled sums.
-func step(t *testing.T, e *sim.Engine, nl *netlist.Netlist, b *sim.Binder, a, bb uint64, tclk float64) (cap, set uint64) {
+func step(t *testing.T, e *sim.Engine, nl *netlist.Netlist, stim *netlist.Stimulus, a, bb uint64, tclk float64) (cap, set uint64) {
 	t.Helper()
-	b.MustSet(synth.PortA, a)
-	b.MustSet(synth.PortB, bb)
-	res, err := e.Step(b.Inputs(), tclk)
+	stim.MustSet(synth.PortA, a)
+	stim.MustSet(synth.PortB, bb)
+	res, err := e.StepDense(stim.Values(), tclk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,15 +57,11 @@ func mustPort(nl *netlist.Netlist, name string) netlist.Port {
 func TestNominalNoErrors(t *testing.T) {
 	proc := fdsoi.Default()
 	for _, arch := range []synth.Arch{synth.ArchRCA, synth.ArchBKA} {
-		eng, nl := newAdderEngine(t, arch, 8, proc.Nominal())
-		b := sim.NewBinder(nl)
-		if err := eng.Reset(b.Inputs()); err != nil {
-			t.Fatal(err)
-		}
+		eng, nl, stim := newAdderEngine(t, arch, 8, proc.Nominal())
 		rng := rand.New(rand.NewPCG(1, 2))
 		for i := 0; i < 300; i++ {
 			a, bb := rng.Uint64()&0xff, rng.Uint64()&0xff
-			cap, set := step(t, eng, nl, b, a, bb, 0.5)
+			cap, set := step(t, eng, nl, stim, a, bb, 0.5)
 			if cap != a+bb || set != a+bb {
 				t.Fatalf("%s: (%d+%d) captured %d settled %d", arch, a, bb, cap, set)
 			}
@@ -78,22 +81,19 @@ func TestSettledMatchesZeroDelayEval(t *testing.T) {
 		{Vdd: 0.45, Vbb: -1},
 	}
 	for _, op := range ops {
-		eng, nl := newAdderEngine(t, synth.ArchRCA, 8, op)
-		b := sim.NewBinder(nl)
-		if err := eng.Reset(b.Inputs()); err != nil {
-			t.Fatal(err)
-		}
+		eng, nl, stim := newAdderEngine(t, synth.ArchRCA, 8, op)
 		rng := rand.New(rand.NewPCG(3, 4))
 		for i := 0; i < 100; i++ {
-			a, bb := rng.Uint64()&0xff, rng.Uint64()&0xff
-			b.MustSet(synth.PortA, a)
-			b.MustSet(synth.PortB, bb)
-			res, err := eng.Step(b.Inputs(), 0.28)
+			stim.MustSet(synth.PortA, rng.Uint64()&0xff)
+			stim.MustSet(synth.PortB, rng.Uint64()&0xff)
+			res, err := eng.StepDense(stim.Values(), 0.28)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := nl.Evaluate(b.Inputs())
-			if err != nil {
+			// The engine reads only the image's input entries, so the
+			// reference may overwrite the gate-driven ones in place.
+			want := stim.Values()
+			if err := nl.EvaluateInto(want); err != nil {
 				t.Fatal(err)
 			}
 			for id, v := range want {
@@ -107,18 +107,14 @@ func TestSettledMatchesZeroDelayEval(t *testing.T) {
 
 func TestVOSInducesErrors(t *testing.T) {
 	// 0.5 V without body bias at the nominal clock: deep over-scaling.
-	eng, nl := newAdderEngine(t, synth.ArchRCA, 8, fdsoi.OperatingPoint{Vdd: 0.5})
-	b := sim.NewBinder(nl)
-	if err := eng.Reset(b.Inputs()); err != nil {
-		t.Fatal(err)
-	}
+	eng, nl, stim := newAdderEngine(t, synth.ArchRCA, 8, fdsoi.OperatingPoint{Vdd: 0.5})
 	rng := rand.New(rand.NewPCG(5, 6))
 	errs, late := 0, 0
 	for i := 0; i < 500; i++ {
 		a, bb := rng.Uint64()&0xff, rng.Uint64()&0xff
-		b.MustSet(synth.PortA, a)
-		b.MustSet(synth.PortB, bb)
-		res, err := eng.Step(b.Inputs(), 0.28)
+		stim.MustSet(synth.PortA, a)
+		stim.MustSet(synth.PortB, bb)
+		res, err := eng.StepDense(stim.Values(), 0.28)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,17 +135,11 @@ func TestVOSInducesErrors(t *testing.T) {
 }
 
 func TestFBBRecoversCorrectness(t *testing.T) {
-	proc := fdsoi.Default()
-	_ = proc
-	eng, nl := newAdderEngine(t, synth.ArchRCA, 8, fdsoi.OperatingPoint{Vdd: 0.5, Vbb: 2})
-	b := sim.NewBinder(nl)
-	if err := eng.Reset(b.Inputs()); err != nil {
-		t.Fatal(err)
-	}
+	eng, nl, stim := newAdderEngine(t, synth.ArchRCA, 8, fdsoi.OperatingPoint{Vdd: 0.5, Vbb: 2})
 	rng := rand.New(rand.NewPCG(7, 8))
 	for i := 0; i < 500; i++ {
 		a, bb := rng.Uint64()&0xff, rng.Uint64()&0xff
-		cap, _ := step(t, eng, nl, b, a, bb, 0.28)
+		cap, _ := step(t, eng, nl, stim, a, bb, 0.28)
 		if cap != a+bb {
 			t.Fatalf("0.5V+FBB should be error-free at 0.28ns: (%d+%d) captured %d", a, bb, cap)
 		}
@@ -157,21 +147,16 @@ func TestFBBRecoversCorrectness(t *testing.T) {
 }
 
 func TestEnergyDropsWithVdd(t *testing.T) {
-	proc := fdsoi.Default()
 	var prev float64
 	first := true
 	for _, vdd := range []float64{1.0, 0.8, 0.6} {
-		eng, nl := newAdderEngine(t, synth.ArchRCA, 8, fdsoi.OperatingPoint{Vdd: vdd, Vbb: 2})
-		b := sim.NewBinder(nl)
-		if err := eng.Reset(b.Inputs()); err != nil {
-			t.Fatal(err)
-		}
+		eng, _, stim := newAdderEngine(t, synth.ArchRCA, 8, fdsoi.OperatingPoint{Vdd: vdd, Vbb: 2})
 		rng := rand.New(rand.NewPCG(9, 10))
 		var total float64
 		for i := 0; i < 200; i++ {
-			b.MustSet(synth.PortA, rng.Uint64()&0xff)
-			b.MustSet(synth.PortB, rng.Uint64()&0xff)
-			res, err := eng.Step(b.Inputs(), 0.5)
+			stim.MustSet(synth.PortA, rng.Uint64()&0xff)
+			stim.MustSet(synth.PortB, rng.Uint64()&0xff)
+			res, err := eng.StepDense(stim.Values(), 0.5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,24 +167,19 @@ func TestEnergyDropsWithVdd(t *testing.T) {
 		}
 		prev, first = total, false
 	}
-	_ = proc
 }
 
 func TestNominalEnergyPerOpCalibration(t *testing.T) {
 	// Fig. 8a: 8-bit RCA at the nominal triad burns ≈ 0.10–0.22 pJ/op.
 	proc := fdsoi.Default()
-	eng, nl := newAdderEngine(t, synth.ArchRCA, 8, proc.Nominal())
-	b := sim.NewBinder(nl)
-	if err := eng.Reset(b.Inputs()); err != nil {
-		t.Fatal(err)
-	}
+	eng, _, stim := newAdderEngine(t, synth.ArchRCA, 8, proc.Nominal())
 	rng := rand.New(rand.NewPCG(11, 12))
 	var total float64
 	const n = 2000
 	for i := 0; i < n; i++ {
-		b.MustSet(synth.PortA, rng.Uint64()&0xff)
-		b.MustSet(synth.PortB, rng.Uint64()&0xff)
-		res, err := eng.Step(b.Inputs(), 0.5)
+		stim.MustSet(synth.PortA, rng.Uint64()&0xff)
+		stim.MustSet(synth.PortB, rng.Uint64()&0xff)
+		res, err := eng.StepDense(stim.Values(), 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,12 +204,12 @@ func TestCaptureBoundarySingleGate(t *testing.T) {
 	eng := sim.New(nl, lib, proc, proc.Nominal())
 	delay := eng.GateDelay(0)
 
-	in := map[netlist.NetID]uint8{a[0]: 0}
-	if err := eng.Reset(in); err != nil {
+	in := make([]uint8, nl.NumNets())
+	if err := eng.ResetDense(in); err != nil {
 		t.Fatal(err)
 	}
 	in[a[0]] = 1
-	res, err := eng.Step(in, delay*1.01)
+	res, err := eng.StepDense(in, delay*1.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +221,11 @@ func TestCaptureBoundarySingleGate(t *testing.T) {
 	}
 
 	in[a[0]] = 0
-	if err := eng.Reset(in); err != nil {
+	if err := eng.ResetDense(in); err != nil {
 		t.Fatal(err)
 	}
 	in[a[0]] = 1
-	res, err = eng.Step(in, delay*0.99)
+	res, err = eng.StepDense(in, delay*0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,19 +241,14 @@ func TestCaptureBoundarySingleGate(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	proc := fdsoi.Default()
 	run := func() []uint64 {
-		eng, nl := newAdderEngine(t, synth.ArchBKA, 8, fdsoi.OperatingPoint{Vdd: 0.55})
-		b := sim.NewBinder(nl)
-		if err := eng.Reset(b.Inputs()); err != nil {
-			t.Fatal(err)
-		}
+		eng, nl, stim := newAdderEngine(t, synth.ArchBKA, 8, fdsoi.OperatingPoint{Vdd: 0.55})
 		rng := rand.New(rand.NewPCG(21, 22))
 		var out []uint64
 		for i := 0; i < 200; i++ {
-			b.MustSet(synth.PortA, rng.Uint64()&0xff)
-			b.MustSet(synth.PortB, rng.Uint64()&0xff)
-			res, err := eng.Step(b.Inputs(), 0.19)
+			stim.MustSet(synth.PortA, rng.Uint64()&0xff)
+			stim.MustSet(synth.PortB, rng.Uint64()&0xff)
+			res, err := eng.StepDense(stim.Values(), 0.19)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -288,22 +263,17 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("runs diverged at step %d: %d vs %d", i, a[i], b[i])
 		}
 	}
-	_ = proc
 }
 
 func TestStreamStepGenerousClockMatchesStep(t *testing.T) {
 	proc := fdsoi.Default()
-	eng, nl := newAdderEngine(t, synth.ArchRCA, 8, proc.Nominal())
-	b := sim.NewBinder(nl)
-	if err := eng.Reset(b.Inputs()); err != nil {
-		t.Fatal(err)
-	}
+	eng, nl, stim := newAdderEngine(t, synth.ArchRCA, 8, proc.Nominal())
 	rng := rand.New(rand.NewPCG(31, 32))
 	for i := 0; i < 200; i++ {
 		a, bb := rng.Uint64()&0xff, rng.Uint64()&0xff
-		b.MustSet(synth.PortA, a)
-		b.MustSet(synth.PortB, bb)
-		res, err := eng.StreamStep(b.Inputs(), 1.0)
+		stim.MustSet(synth.PortA, a)
+		stim.MustSet(synth.PortB, bb)
+		res, err := eng.StreamStepDense(stim.Values(), 1.0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,19 +289,14 @@ func TestStreamStepGenerousClockMatchesStep(t *testing.T) {
 }
 
 func TestStreamStepOverdrivenProducesErrors(t *testing.T) {
-	proc := fdsoi.Default()
-	eng, nl := newAdderEngine(t, synth.ArchRCA, 8, fdsoi.OperatingPoint{Vdd: 0.6})
-	b := sim.NewBinder(nl)
-	if err := eng.Reset(b.Inputs()); err != nil {
-		t.Fatal(err)
-	}
+	eng, nl, stim := newAdderEngine(t, synth.ArchRCA, 8, fdsoi.OperatingPoint{Vdd: 0.6})
 	rng := rand.New(rand.NewPCG(41, 42))
 	errs := 0
 	for i := 0; i < 300; i++ {
 		a, bb := rng.Uint64()&0xff, rng.Uint64()&0xff
-		b.MustSet(synth.PortA, a)
-		b.MustSet(synth.PortB, bb)
-		res, err := eng.StreamStep(b.Inputs(), 0.13)
+		stim.MustSet(synth.PortA, a)
+		stim.MustSet(synth.PortB, bb)
+		res, err := eng.StreamStepDense(stim.Values(), 0.13)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,19 +309,14 @@ func TestStreamStepOverdrivenProducesErrors(t *testing.T) {
 	if errs == 0 {
 		t.Fatal("expected streaming errors under overclocking")
 	}
-	_ = proc
 }
 
 func TestStatsAccumulate(t *testing.T) {
 	proc := fdsoi.Default()
-	eng, nl := newAdderEngine(t, synth.ArchRCA, 8, proc.Nominal())
-	b := sim.NewBinder(nl)
-	if err := eng.Reset(b.Inputs()); err != nil {
-		t.Fatal(err)
-	}
-	b.MustSet(synth.PortA, 0xff)
-	b.MustSet(synth.PortB, 0x01)
-	if _, err := eng.Step(b.Inputs(), 0.5); err != nil {
+	eng, _, stim := newAdderEngine(t, synth.ArchRCA, 8, proc.Nominal())
+	stim.MustSet(synth.PortA, 0xff)
+	stim.MustSet(synth.PortB, 0x01)
+	if _, err := eng.StepDense(stim.Values(), 0.5); err != nil {
 		t.Fatal(err)
 	}
 	st := eng.Stats()
@@ -372,47 +332,16 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
+// TestErrorPaths covers the streaming entry point's input checks;
+// TestDenseInputValidation covers the two-vector ones.
 func TestErrorPaths(t *testing.T) {
-	proc := fdsoi.Default()
-	eng, nl := newAdderEngine(t, synth.ArchRCA, 4, proc.Nominal())
-	b := sim.NewBinder(nl)
-	if err := eng.Reset(b.Inputs()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Step(b.Inputs(), 0); err == nil {
-		t.Fatal("tclk=0 accepted")
-	}
-	if _, err := eng.StreamStep(b.Inputs(), -1); err == nil {
+	eng, _, stim := newAdderEngine(t, synth.ArchRCA, 4, fdsoi.Default().Nominal())
+	if _, err := eng.StreamStepDense(stim.Values(), -1); err == nil {
 		t.Fatal("negative tclk accepted")
 	}
-	if _, err := eng.Step(map[netlist.NetID]uint8{}, 0.5); err == nil {
-		t.Fatal("missing inputs accepted")
+	if _, err := eng.StreamStepDense(stim.Values()[:1], 0.5); err == nil {
+		t.Fatal("short image accepted by StreamStepDense")
 	}
-	bad := map[netlist.NetID]uint8{}
-	for k := range b.Inputs() {
-		bad[k] = 2
-	}
-	if _, err := eng.Step(bad, 0.5); err == nil {
-		t.Fatal("non-boolean inputs accepted")
-	}
-	if err := eng.Reset(map[netlist.NetID]uint8{}); err == nil {
-		t.Fatal("Reset with missing inputs accepted")
-	}
-}
-
-func TestBinderErrors(t *testing.T) {
-	proc := fdsoi.Default()
-	_, nl := newAdderEngine(t, synth.ArchRCA, 4, proc.Nominal())
-	b := sim.NewBinder(nl)
-	if err := b.Set("nope", 1); err == nil {
-		t.Fatal("unknown port accepted")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustSet did not panic")
-		}
-	}()
-	b.MustSet("nope", 1)
 }
 
 // TestCapturedErrorsAreTimingConsistent cross-checks the simulator against
@@ -427,14 +356,14 @@ func TestCapturedErrorsAreTimingConsistent(t *testing.T) {
 	an := sta.Analyze(nl, lib, proc, op)
 	tclk := an.CriticalDelay * 1.05
 	eng := sim.New(nl, lib, proc, op)
-	b := sim.NewBinder(nl)
-	if err := eng.Reset(b.Inputs()); err != nil {
+	stim := netlist.CompileStimulus(nl)
+	if err := eng.ResetDense(stim.Values()); err != nil {
 		t.Fatal(err)
 	}
 	f := func(a, bb uint8) bool {
-		b.MustSet(synth.PortA, uint64(a))
-		b.MustSet(synth.PortB, uint64(bb))
-		res, err := eng.Step(b.Inputs(), tclk)
+		stim.MustSet(synth.PortA, uint64(a))
+		stim.MustSet(synth.PortB, uint64(bb))
+		res, err := eng.StepDense(stim.Values(), tclk)
 		if err != nil {
 			return false
 		}

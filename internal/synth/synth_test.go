@@ -13,16 +13,14 @@ import (
 // cout) words.
 func addOut(t *testing.T, nl *netlist.Netlist, a, b, cin uint64) (uint64, uint64) {
 	t.Helper()
-	pa, _ := nl.InputPort(PortA)
-	pb, _ := nl.InputPort(PortB)
-	in := map[netlist.NetID]uint8{}
-	netlist.AssignPort(in, pa, a)
-	netlist.AssignPort(in, pb, b)
-	if pc, ok := nl.InputPort(PortCin); ok {
-		netlist.AssignPort(in, pc, cin)
+	st := netlist.CompileStimulus(nl)
+	st.MustSet(PortA, a)
+	st.MustSet(PortB, b)
+	if slot, ok := st.Slot(PortCin); ok {
+		st.SetSlot(slot, cin)
 	}
-	vals, err := nl.Evaluate(in)
-	if err != nil {
+	vals := st.Values()
+	if err := nl.EvaluateInto(vals); err != nil {
 		t.Fatal(err)
 	}
 	ps, _ := nl.OutputPort(PortSum)
@@ -147,13 +145,11 @@ func TestBKALargerThanRCA(t *testing.T) {
 
 func mulOut(t *testing.T, nl *netlist.Netlist, a, b uint64) uint64 {
 	t.Helper()
-	pa, _ := nl.InputPort(PortA)
-	pb, _ := nl.InputPort(PortB)
-	in := map[netlist.NetID]uint8{}
-	netlist.AssignPort(in, pa, a)
-	netlist.AssignPort(in, pb, b)
-	vals, err := nl.Evaluate(in)
-	if err != nil {
+	st := netlist.CompileStimulus(nl)
+	st.MustSet(PortA, a)
+	st.MustSet(PortB, b)
+	vals := st.Values()
+	if err := nl.EvaluateInto(vals); err != nil {
 		t.Fatal(err)
 	}
 	pp, _ := nl.OutputPort(PortProd)

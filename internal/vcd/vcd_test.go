@@ -77,8 +77,8 @@ func TestVCDFromSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.New(nl, lib, proc, proc.Nominal())
-	binder := sim.NewBinder(nl)
-	if err := eng.Reset(binder.Inputs()); err != nil {
+	stim := netlist.CompileStimulus(nl)
+	if err := eng.ResetDense(stim.Values()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -87,17 +87,15 @@ func TestVCDFromSimulation(t *testing.T) {
 	w.DumpInitial(make([]uint8, nl.NumNets()))
 	eng.SetTracer(w.Change)
 
-	binder.MustSet(synth.PortA, 0xF)
-	binder.MustSet(synth.PortB, 0x1)
-	res, err := eng.Step(binder.Inputs(), 0.5)
-	if err != nil {
+	stim.MustSet(synth.PortA, 0xF)
+	stim.MustSet(synth.PortB, 0x1)
+	if _, err := eng.StepDense(stim.Values(), 0.5); err != nil {
 		t.Fatal(err)
 	}
 	w.Marker(0.5)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_ = res
 
 	names, changes := parseVCD(t, buf.String())
 	if len(names) != nl.NumNets() {
@@ -159,17 +157,17 @@ func TestVCDGlitchesVisibleUnderVOS(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.New(nl, lib, proc, fdsoi.OperatingPoint{Vdd: 0.6})
-	binder := sim.NewBinder(nl)
-	if err := eng.Reset(binder.Inputs()); err != nil {
+	stim := netlist.CompileStimulus(nl)
+	if err := eng.ResetDense(stim.Values()); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	w := vcd.NewWriter(&buf, nl)
 	w.DumpInitial(make([]uint8, nl.NumNets()))
 	eng.SetTracer(w.Change)
-	binder.MustSet(synth.PortA, 0xFF)
-	binder.MustSet(synth.PortB, 0x01)
-	if _, err := eng.Step(binder.Inputs(), 0.269); err != nil {
+	stim.MustSet(synth.PortA, 0xFF)
+	stim.MustSet(synth.PortB, 0x01)
+	if _, err := eng.StepDense(stim.Values(), 0.269); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
