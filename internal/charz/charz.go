@@ -716,15 +716,9 @@ func RunWith(ctx context.Context, r Runner, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// NewStepper builds the backend engine for one operating point behind the
-// sim.Stepper seam: the gate-level engine or the switch-level RC engine,
-// both driven through the same dense pattern loop. Frontends that need a
-// raw engine at a characterized point (rather than a full sweep) should
-// come through here so backend selection stays in one place.
-func (p *Prepared) NewStepper(tr triad.Triad) (sim.Stepper, error) {
-	return newStepper(p.Netlist, p.Config, tr)
-}
-
+// newStepper builds sweepTriadScalar's engine for one operating point
+// behind the sim.Stepper seam: the gate-level engine or the switch-level
+// RC engine, both driven through the same dense pattern loop.
 func newStepper(nl *netlist.Netlist, cfg Config, tr triad.Triad) (sim.Stepper, error) {
 	switch cfg.Backend {
 	case BackendGate:

@@ -33,9 +33,6 @@ func CompileStimulus(nl *Netlist) *Stimulus {
 	return s
 }
 
-// Netlist returns the netlist the stimulus was compiled against.
-func (s *Stimulus) Netlist() *Netlist { return s.nl }
-
 // Slot resolves an input-port name to its slot index. Resolve once outside
 // the pattern loop, then drive SetSlot.
 func (s *Stimulus) Slot(name string) (int, bool) {

@@ -99,8 +99,7 @@ func (q *crossQueue) pop() crossEvent {
 // Engine simulates one netlist at one operating point with RC
 // trajectories. Not safe for concurrent use.
 type Engine struct {
-	nl  *netlist.Netlist
-	lib *cell.Library
+	nl *netlist.Netlist
 
 	tau        []float64 // per net: RC constant of its driver (0 = ideal input)
 	gateEnergy []float64 // per gate: fJ per full output swing
@@ -147,7 +146,6 @@ func New(nl *netlist.Netlist, lib *cell.Library, proc fdsoi.Params, op fdsoi.Ope
 	n := nl.NumNets()
 	e := &Engine{
 		nl:         nl,
-		lib:        lib,
 		tau:        make([]float64, n),
 		gateEnergy: make([]float64, nl.NumGates()),
 		v0:         make([]float64, n),

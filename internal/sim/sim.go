@@ -20,10 +20,7 @@ type gateValue struct {
 // safe for concurrent use; characterization sweeps run one Engine per
 // goroutine.
 type Engine struct {
-	nl   *netlist.Netlist
-	lib  *cell.Library
-	proc fdsoi.Params
-	op   fdsoi.OperatingPoint
+	nl *netlist.Netlist
 
 	// tables holds the compiled per-gate/per-net dense arrays (delays,
 	// energies, truth tables, CSR fanouts), shared with WideEngine.
@@ -88,9 +85,6 @@ func (s Stats) EnergyFJ() float64 { return s.DynamicEnergy + s.LeakageEnergy }
 func New(nl *netlist.Netlist, lib *cell.Library, proc fdsoi.Params, op fdsoi.OperatingPoint) *Engine {
 	e := &Engine{
 		nl:        nl,
-		lib:       lib,
-		proc:      proc,
-		op:        op,
 		tables:    compileTables(nl, lib, proc, op),
 		value:     make([]uint8, nl.NumNets()),
 		scheduled: make([]uint8, nl.NumGates()),
@@ -98,15 +92,6 @@ func New(nl *netlist.Netlist, lib *cell.Library, proc fdsoi.Params, op fdsoi.Ope
 	e.queue.init(e.minDelay, e.maxDelay, 1)
 	return e
 }
-
-// Netlist returns the simulated netlist.
-func (e *Engine) Netlist() *netlist.Netlist { return e.nl }
-
-// OperatingPoint returns the engine's electrical operating point.
-func (e *Engine) OperatingPoint() fdsoi.OperatingPoint { return e.op }
-
-// LeakagePower returns the static power (µW) at the operating point.
-func (e *Engine) LeakagePower() float64 { return e.leakPower }
 
 // GateDelay returns the propagation delay (ns) of gate g at the operating
 // point.

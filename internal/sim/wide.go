@@ -85,9 +85,8 @@ type WideResult struct {
 // batch-computable. The streaming protocol is temporally serial and
 // stays on the scalar engine. Not safe for concurrent use.
 type WideEngine struct {
-	nl  *netlist.Netlist
-	lib *cell.Library
-	op  fdsoi.OperatingPoint
+	nl *netlist.Netlist
+	op fdsoi.OperatingPoint
 
 	*tables
 
@@ -127,7 +126,6 @@ func NewWide(nl *netlist.Netlist, lib *cell.Library, proc fdsoi.Params, op fdsoi
 	}
 	e := &WideEngine{
 		nl:         nl,
-		lib:        lib,
 		op:         op,
 		tables:     compileTables(nl, lib, proc, op),
 		k:          k,
@@ -138,12 +136,6 @@ func NewWide(nl *netlist.Netlist, lib *cell.Library, proc fdsoi.Params, op fdsoi
 	e.queue.init(e.minDelay, e.maxDelay, wideQueueFineness*float64(k))
 	return e, nil
 }
-
-// Netlist returns the simulated netlist.
-func (e *WideEngine) Netlist() *netlist.Netlist { return e.nl }
-
-// OperatingPoint returns the engine's electrical operating point.
-func (e *WideEngine) OperatingPoint() fdsoi.OperatingPoint { return e.op }
 
 // K returns the engine's lane-block width in words.
 func (e *WideEngine) K() int { return e.k }

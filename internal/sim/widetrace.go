@@ -109,13 +109,6 @@ type WideTrace struct {
 // K returns the trace's lane-block width in words.
 func (t *WideTrace) K() int { return t.k }
 
-// OperatingPoint returns the electrical point the trace is timed at.
-func (t *WideTrace) OperatingPoint() fdsoi.OperatingPoint { return t.op }
-
-// Horizon returns the capture horizon: the largest deadline Resample
-// can answer from this trace.
-func (t *WideTrace) Horizon() float64 { return t.horizon }
-
 // Events returns the number of distinct event timestamps in the trace.
 func (t *WideTrace) Events() int { return len(t.times) }
 
