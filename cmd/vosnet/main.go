@@ -74,9 +74,7 @@ func main() {
 // draws the Vt mismatch of the adders and multipliers.
 func parseSpec(spec string, seed uint64) (*netlist.Netlist, error) {
 	spec = strings.ToLower(spec)
-	mm := func() *fdsoi.MismatchSampler {
-		return fdsoi.NewMismatchSampler(fdsoi.Default().SigmaVt, seed)
-	}
+	mismatch := fdsoi.NewMismatchSampler(fdsoi.Default().SigmaVt, seed)
 	for _, arch := range synth.Arches() {
 		prefix := strings.ToLower(arch.String())
 		if w, ok := strings.CutPrefix(spec, prefix); ok {
@@ -84,7 +82,7 @@ func parseSpec(spec string, seed uint64) (*netlist.Netlist, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bad width in %q", spec)
 			}
-			return synth.NewAdder(arch, synth.AdderConfig{Width: width, Mismatch: mm()})
+			return synth.NewAdder(arch, synth.AdderConfig{Width: width, Mismatch: mismatch})
 		}
 	}
 	if w, ok := strings.CutPrefix(spec, "mul"); ok {
@@ -92,7 +90,7 @@ func parseSpec(spec string, seed uint64) (*netlist.Netlist, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad width in %q", spec)
 		}
-		return synth.ArrayMultiplier(synth.MultiplierConfig{Width: width, Mismatch: mm()})
+		return synth.ArrayMultiplier(synth.MultiplierConfig{Width: width, Mismatch: mismatch})
 	}
 	for _, kind := range []string{"loa", "tra"} {
 		if rest, ok := strings.CutPrefix(spec, kind); ok {
