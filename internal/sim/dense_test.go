@@ -28,7 +28,7 @@ func TestDenseInputValidation(t *testing.T) {
 	if _, err := eng.StepDense(stim.Values(), 0); err == nil {
 		t.Fatal("non-positive tclk accepted")
 	}
-	// A failed Reset must leave the engine usable from its previous state.
+	// A failed ResetDense must leave the engine usable from its previous state.
 	if err := eng.ResetDense(bad); err == nil {
 		t.Fatal("non-boolean input accepted by ResetDense")
 	}
