@@ -4,9 +4,9 @@ import "fmt"
 
 // Stimulus is a compiled input binding: the port-name→net wiring of one
 // netlist resolved once into dense bit→net index slices, scattering words
-// into a per-net value image with no map operations. It is the one way
-// input vectors are bound for the simulators and the zero-delay evaluator
-// — a characterization sweep binds two operand ports per vector, so the
+// into a per-net value image with no map operations. That image is the
+// input form of the simulators and the zero-delay evaluator — a
+// characterization sweep binds two operand ports per vector, so the
 // binding cost sits inside the innermost stimulus loop.
 //
 // The zero value is not usable; build one with CompileStimulus. A Stimulus
