@@ -207,7 +207,13 @@ func doVCD(path, out string, tr triad.Triad, a, b uint64) error {
 	}
 	eng := sim.New(nl, cell.Default28nmLVT(), fdsoi.Default(), tr.OperatingPoint())
 	stim := netlist.CompileStimulus(nl)
-	if err := eng.ResetDense(stim.Values()); err != nil {
+	// The wave opens on the state ResetDense settles on: the zero-delay
+	// evaluation of the all-zero input image.
+	initial := append([]uint8(nil), stim.Values()...)
+	if err := nl.EvaluateInto(initial); err != nil {
+		return err
+	}
+	if err := eng.ResetDense(initial); err != nil {
 		return err
 	}
 	f, closeF, err := openOut(out)
@@ -216,7 +222,7 @@ func doVCD(path, out string, tr triad.Triad, a, b uint64) error {
 	}
 	defer closeF()
 	w := vcd.NewWriter(f, nl)
-	w.DumpInitial(make([]uint8, nl.NumNets()))
+	w.DumpInitial(initial)
 	eng.SetTracer(w.Change)
 	// The first input port gets a, the second b; any others stay zero.
 	for slot, v := range []uint64{a, b}[:min(2, len(nl.Inputs))] {

@@ -38,6 +38,10 @@ func TestGolden(t *testing.T) {
 		// runs past the marker.
 		{"vcd_bka16", []string{"-vcd", "bka16.vnet", "-a", "65535", "-b", "1",
 			"-tclk", "0.2", "-vdd", "0.5", "-vbb", "2", "-o", "wave.vcd"}, "wave.vcd"},
+		// Zero inputs: the XNOR2 gates settle at 1, so $dumpvars must
+		// hold the settled state, not all zeros.
+		{"gen_csel8", []string{"-gen", "csel8", "-o", "c8.vnet"}, "c8.vnet"},
+		{"vcd_csel8", []string{"-vcd", "c8.vnet", "-a", "0", "-b", "0", "-tclk", "1", "-vdd", "1", "-o", "c8.vcd"}, "c8.vcd"},
 	}
 	for _, c := range cases {
 		cmd := exec.Command(bin, c.args...)

@@ -413,9 +413,12 @@ func scatterWideImage(full []uint64, inputs []netlist.NetID, k int, imgs [][]uin
 // visited in descending-Vdd order within each family and every retime
 // hops from the family's fresh anchor trace, and each point's trace
 // is capped at its own capture horizon (its largest Tclk) so deep-VOS
-// points skip nearly all per-lane energy attribution. All scratch (engines,
-// images, retime buffers, samples) is pooled per sweep: the chunk loop
-// allocates nothing once the trace buffers have grown to steady state.
+// points skip nearly all per-lane energy attribution. Scratch lives for
+// one call: an engine per electrical point, and one image pair, one
+// retime destination and one sample shared by every point and chunk (a
+// retimed trace is read only by its own point's resamples), so the chunk
+// loop allocates nothing once the trace buffers have grown to steady
+// state.
 func (p *Prepared) sweepSuperGroup(trs []triad.Triad) ([]*TriadResult, error) {
 	nl, cfg := p.Netlist, p.Config
 	_, _, want, err := p.stimulusSet()
@@ -471,7 +474,7 @@ func (p *Prepared) sweepSuperGroup(trs []triad.Triad) ([]*TriadResult, error) {
 		}
 		plans[pi].eng = eng
 	}
-	retimed := make([]sim.WideTrace, len(plans))
+	var retimed sim.WideTrace
 	prevW := make([]uint64, nl.NumNets()*k)
 	curW := make([]uint64, nl.NumNets()*k)
 	var sample sim.WideSample
@@ -492,12 +495,12 @@ func (p *Prepared) sweepSuperGroup(trs []triad.Triad) ([]*TriadResult, error) {
 			pl := &plans[pi]
 			var tr *sim.WideTrace
 			if anchor != nil && pl.op.Vbb == anchorVbb {
-				ok, err := pl.eng.RetimeTrace(anchor, pl.horizon, &retimed[pi])
+				ok, err := pl.eng.RetimeTrace(anchor, pl.horizon, &retimed)
 				if err != nil {
 					return nil, err
 				}
 				if ok {
-					tr = &retimed[pi]
+					tr = &retimed
 				}
 			}
 			if tr == nil {

@@ -161,11 +161,18 @@ type Engine struct {
 	mcRepsExecuted atomic.Uint64
 }
 
+// prepEntry is one operator's synthesis: done closes once prep and err
+// are final, or once its owner withdrew it unsynthesized.
 type prepEntry struct {
-	once sync.Once
-	prep *charz.Prepared
-	err  error
+	done      chan struct{}
+	withdrawn bool
+	prep      *charz.Prepared
+	err       error
 }
+
+// synthesize prepares one operator; a variable so tests can observe
+// synthesis.
+var synthesize = charz.Prepare
 
 // flight is one point being computed; res, shared and read-only like a
 // cache hit, or err is set before done closes.
@@ -321,17 +328,17 @@ func (e *Engine) exec(ctx context.Context, f func()) error {
 
 // Prepare implements charz.Runner: synthesized operators are memoized by
 // content key, so a sweep over 43 triads (or two sweeps over the same
-// configuration) synthesizes once.
+// configuration) synthesizes once. Prepare must not be called from a
+// pool job (see prepared).
 func (e *Engine) Prepare(ctx context.Context, cfg charz.Config) (*charz.Prepared, error) {
 	key, err := prepKey(cfg)
 	if err != nil {
 		return nil, err
 	}
-	v, _ := e.preps.LoadOrStore(key, &prepEntry{})
-	entry := v.(*prepEntry)
-	entry.once.Do(func() {
-		entry.prep, entry.err = charz.Prepare(cfg)
-	})
+	entry, err := e.prepared(ctx, key, cfg)
+	if err != nil {
+		return nil, err
+	}
 	if entry.err != nil {
 		return nil, entry.err
 	}
@@ -343,6 +350,38 @@ func (e *Engine) Prepare(ctx context.Context, cfg charz.Config) (*charz.Prepared
 		return nil, err
 	}
 	return &charz.Prepared{Config: canon, Netlist: entry.prep.Netlist, Report: entry.prep.Report}, nil
+}
+
+// prepared returns the finished synthesis memoized under key, running
+// it on the worker pool if no caller has: at most Workers syntheses run
+// at once, and a memoized operator returns without waiting for a worker.
+// A caller whose context ends before a worker takes its synthesis
+// withdraws the entry, and whoever waited on it tries again.
+func (e *Engine) prepared(ctx context.Context, key string, cfg charz.Config) (*prepEntry, error) {
+	for {
+		v, loaded := e.preps.Load(key)
+		if !loaded {
+			v, loaded = e.preps.LoadOrStore(key, &prepEntry{done: make(chan struct{})})
+		}
+		entry := v.(*prepEntry)
+		if !loaded {
+			err := e.exec(ctx, func() { entry.prep, entry.err = synthesize(cfg) })
+			if err != nil {
+				e.preps.Delete(key)
+				entry.withdrawn = true
+			}
+			close(entry.done)
+			return entry, err
+		}
+		select {
+		case <-entry.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if !entry.withdrawn {
+			return entry, nil
+		}
+	}
 }
 
 // RunPoint implements charz.Runner: serve the point from the cache, or

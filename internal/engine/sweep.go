@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/charz"
@@ -222,51 +224,83 @@ type OperatorPlan struct {
 	Keys []string
 }
 
-// Plan expands a request into per-operator point-job lists. Planning
-// prepares (synthesizes) each operator, because the paper's triads are
-// functions of the synthesis timing report; preparations are memoized in
-// the engine, so re-planning is cheap.
+// Plan expands a request into per-operator point-job lists, one per
+// architecture × width in request order. Planning prepares (synthesizes)
+// each operator, because the paper's triads are functions of the
+// synthesis timing report. Up to Workers operators are prepared side by
+// side, their syntheses on the worker pool; preparations are memoized in
+// the engine, so re-planning is cheap and never waits for a worker. Plan
+// returns once every operator is planned or has failed; the first
+// failure in request order decides the error.
 func (e *Engine) Plan(ctx context.Context, req *Request) ([]OperatorPlan, error) {
 	if err := req.normalize(); err != nil {
 		return nil, err
 	}
-	var plans []OperatorPlan
-	for _, name := range req.Arches {
-		arch, err := archByName(name)
+	n := len(req.Arches) * len(req.Widths)
+	plans := make([]OperatorPlan, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			name, width := req.Arches[i/len(req.Widths)], req.Widths[i%len(req.Widths)]
+			plans[i], errs[i] = e.planOperator(ctx, req, name, width)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(n, e.workers) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		for _, width := range req.Widths {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			cfg := req.config(arch, width)
-			prep, err := e.Prepare(ctx, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("engine: prepare %d-bit %s: %w", width, name, err)
-			}
-			var set []triad.Triad
-			switch req.Policy {
-			case PolicyExplicit:
-				set = append([]triad.Triad(nil), req.Triads...)
-			case PolicyVddGrid:
-				for _, vdd := range req.Vdds {
-					for _, vbb := range req.VbbValues {
-						set = append(set, triad.Triad{
-							Tclk: prep.Report.CriticalPath, Vdd: vdd, Vbb: vbb})
-					}
-				}
-			default:
-				set = prep.TriadSet()
-			}
-			keys, err := pointKeys(prep.Config, set)
-			if err != nil {
-				return nil, err
-			}
-			plans = append(plans, OperatorPlan{Config: prep.Config, Prep: prep, Triads: set, Keys: keys})
-		}
 	}
 	return plans, nil
+}
+
+// planOperator prepares one operator of a normalized request and
+// expands its triad set.
+func (e *Engine) planOperator(ctx context.Context, req *Request, name string, width int) (OperatorPlan, error) {
+	arch, err := archByName(name)
+	if err != nil {
+		return OperatorPlan{}, err
+	}
+	if err := ctx.Err(); err != nil {
+		return OperatorPlan{}, err
+	}
+	prep, err := e.Prepare(ctx, req.config(arch, width))
+	if err != nil {
+		return OperatorPlan{}, fmt.Errorf("engine: prepare %d-bit %s: %w", width, name, err)
+	}
+	var set []triad.Triad
+	switch req.Policy {
+	case PolicyExplicit:
+		set = append([]triad.Triad(nil), req.Triads...)
+	case PolicyVddGrid:
+		for _, vdd := range req.Vdds {
+			for _, vbb := range req.VbbValues {
+				set = append(set, triad.Triad{
+					Tclk: prep.Report.CriticalPath, Vdd: vdd, Vbb: vbb})
+			}
+		}
+	default:
+		set = prep.TriadSet()
+	}
+	keys, err := pointKeys(prep.Config, set)
+	if err != nil {
+		return OperatorPlan{}, err
+	}
+	return OperatorPlan{Config: prep.Config, Prep: prep, Triads: set, Keys: keys}, nil
 }
 
 // pointGroups partitions an operator plan's triads into per-job index

@@ -297,14 +297,17 @@ func (e *Engine) StepDense(values []uint8, tclk float64) (*Result, error) {
 	if len(values) != len(e.binary) {
 		return nil, fmt.Errorf("rcsim: input image has %d entries, want %d", len(values), len(e.binary))
 	}
+	// Validate the whole image first: a rejected step switches no input.
+	for _, id := range e.inputNets {
+		if values[id] > 1 {
+			return nil, fmt.Errorf("rcsim: non-boolean input on %q", e.nl.Nets[id].Name)
+		}
+	}
 	e.now = 0
 	startEnergy := e.energyFJ
 	// Ideal input steps.
 	for _, id := range e.inputNets {
 		v := values[id]
-		if v > 1 {
-			return nil, fmt.Errorf("rcsim: non-boolean input on %q", e.nl.Nets[id].Name)
-		}
 		if e.binary[id] == v {
 			continue
 		}

@@ -2,6 +2,7 @@ package rcsim_test
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"repro/internal/cell"
@@ -221,6 +222,35 @@ func TestStepValidation(t *testing.T) {
 	}
 	if err := rc.ResetDense(stim.Values()[:1]); err == nil {
 		t.Fatal("bad reset accepted")
+	}
+
+	// A step rejected for a non-boolean input must switch none of the
+	// inputs before it: the next valid step is the one a fresh engine
+	// takes, from random states, images and clocks. Inputs left switched
+	// reorder the next step's equal-time crossings, which moves its energy
+	// in the last bits.
+	r := rand.New(rand.NewPCG(1, 1))
+	for trial := range 300 {
+		op := fdsoi.OperatingPoint{Vdd: 0.4 + 0.6*r.Float64()}
+		used, _, nl8, stim8 := newEngines(t, 8, op)
+		fresh, _, _, _ := newEngines(t, 8, op)
+		a0, b0 := r.Uint64N(256), r.Uint64N(256)
+		stepAdder(t, used, nl8, stim8, a0, b0, 5)
+		stepAdder(t, fresh, nl8, stim8, a0, b0, 5)
+		stim8.MustSet(synth.PortA, r.Uint64N(256))
+		stim8.MustSet(synth.PortB, r.Uint64N(256))
+		bad := append([]uint8(nil), stim8.Values()...)
+		pb, _ := nl8.InputPort(synth.PortB)
+		bad[pb.Bits[r.IntN(8)]] = 2
+		if _, err := used.StepDense(bad, 0.5); err == nil {
+			t.Fatal("non-boolean b bit accepted")
+		}
+		a, b, tclk := r.Uint64N(256), r.Uint64N(256), 0.05+r.Float64()
+		_, got := stepAdder(t, used, nl8, stim8, a, b, tclk)
+		_, want := stepAdder(t, fresh, nl8, stim8, a, b, tclk)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: step after a rejected one = %+v, a fresh engine's = %+v", trial, *got, *want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/fdsoi"
@@ -40,6 +41,42 @@ func TestDenseInputValidation(t *testing.T) {
 	}
 	if sum, _ := res.CapturedWord(nl, synth.PortSum); sum != 4 {
 		t.Fatalf("step after failed reset: sum=%d, want 4", sum)
+	}
+
+	// A step rejected for a non-boolean input must switch none of the
+	// inputs before it, on either step entry point: the next valid step
+	// is the one a fresh engine takes. On an 8-bit RCA at 0.6 V, a = 0xFF
+	// makes inputs left switched cost far more energy than the step.
+	for _, stream := range []bool{false, true} {
+		op := fdsoi.OperatingPoint{Vdd: 0.6}
+		used, nl8, stim8 := newAdderEngine(t, synth.ArchRCA, 8, op)
+		fresh, _, _ := newAdderEngine(t, synth.ArchRCA, 8, op)
+		step := func(e *sim.Engine, img []uint8) (*sim.Result, error) {
+			if stream {
+				return e.StreamStepDense(img, 0.5)
+			}
+			return e.StepDense(img, 0.5)
+		}
+		stim8.MustSet(synth.PortA, 0xFF)
+		bad := append([]uint8(nil), stim8.Values()...)
+		pb, _ := nl8.InputPort(synth.PortB)
+		bad[pb.Bits[3]] = 2
+		if _, err := step(used, bad); err == nil {
+			t.Fatal("non-boolean b bit accepted")
+		}
+		stim8.MustSet(synth.PortA, 1)
+		stim8.MustSet(synth.PortB, 2)
+		got, err := step(used, stim8.Values())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := step(fresh, stim8.Values())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("stream=%v: step after a rejected one = %+v, a fresh engine's = %+v", stream, *got, *want)
+		}
 	}
 }
 

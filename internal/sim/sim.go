@@ -157,16 +157,19 @@ func (e *Engine) touch(gi netlist.GateID) {
 }
 
 // applyInputs forces the primary inputs to the dense image's values at the
-// current time and seeds the event wave.
+// current time and seeds the event wave. The whole image is validated
+// first, as in ResetDense: a rejected step switches no input.
 func (e *Engine) applyInputs(values []uint8) error {
 	if len(values) != len(e.value) {
 		return fmt.Errorf("sim: input image has %d entries, want %d", len(values), len(e.value))
 	}
 	for _, id := range e.inputNets {
-		v := values[id]
-		if v > 1 {
-			return fmt.Errorf("sim: non-boolean input %d on %q", v, e.nl.Nets[id].Name)
+		if values[id] > 1 {
+			return fmt.Errorf("sim: non-boolean input %d on %q", values[id], e.nl.Nets[id].Name)
 		}
+	}
+	for _, id := range e.inputNets {
+		v := values[id]
 		if e.value[id] == v {
 			continue
 		}

@@ -21,9 +21,10 @@
 //
 // Swapping the execution site is one line — vos.NewRemote("http://host:8420",
 // vos.RemoteOptions{}) returns a Client with identical behavior, down to
-// byte-identical result values (both sites run the same deterministic
-// engine and the same wire encoding). Long sweeps stream incremental
-// per-point events through Client.Events on either transport.
+// identical result values (both sites run the same deterministic engine,
+// and Local converts the engine's values into exactly what Remote decodes
+// from the daemon's JSON). Long sweeps stream incremental per-point
+// events through Client.Events on either transport.
 //
 // The REST surface behind Remote is documented in API.md; the exported
 // surface of this package is pinned by api/vos.txt (make apicheck).

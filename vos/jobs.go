@@ -32,15 +32,6 @@ func runJob[S any](ctx context.Context, id string, err error,
 	return results(ctx, id)
 }
 
-// convert re-encodes an engine wire value as its SDK type (see reencode).
-func convert[T any](in any) (*T, error) {
-	var out T
-	if err := reencode(in, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // localJobs is one job kind's engine surface, as Local's job bodies use
 // it: ES and EE are the engine's snapshot and event types, S and E the
 // SDK's.
@@ -54,6 +45,10 @@ type localJobs[ES, EE, S, E any] struct {
 	// info reads a snapshot's lifecycle fields; strip drops its results.
 	info  func(ES) engine.JobInfo
 	strip func(ES) ES
+	// result and event convert a snapshot and an event to the SDK types
+	// (see sweepResult).
+	result func(ES) *S
+	event  func(EE) E
 }
 
 func (k localJobs[ES, EE, S, E]) status(id string) (*S, error) {
@@ -61,7 +56,7 @@ func (k localJobs[ES, EE, S, E]) status(id string) (*S, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrNotFound, id)
 	}
-	return convert[S](k.strip(snap))
+	return k.result(k.strip(snap)), nil
 }
 
 func (k localJobs[ES, EE, S, E]) waitFor(ctx context.Context, id string) (*S, error) {
@@ -72,7 +67,7 @@ func (k localJobs[ES, EE, S, E]) waitFor(ctx context.Context, id string) (*S, er
 		}
 		return nil, err
 	}
-	return convert[S](k.strip(snap))
+	return k.result(k.strip(snap)), nil
 }
 
 func (k localJobs[ES, EE, S, E]) results(id string) (*S, error) {
@@ -82,7 +77,7 @@ func (k localJobs[ES, EE, S, E]) results(id string) (*S, error) {
 	}
 	switch job := k.info(snap); job.Status {
 	case engine.StatusDone:
-		return convert[S](snap)
+		return k.result(snap), nil
 	case engine.StatusFailed, engine.StatusCanceled:
 		return nil, &SweepError{ID: job.ID, Status: string(job.Status), Message: job.Error}
 	default:
@@ -100,12 +95,8 @@ func (k localJobs[ES, EE, S, E]) events(ctx context.Context, id string) (<-chan 
 	go func() {
 		defer close(out)
 		for ev := range events {
-			e, err := convert[E](ev)
-			if err != nil {
-				return
-			}
 			select {
-			case out <- *e:
+			case out <- k.event(ev):
 			case <-ctx.Done():
 				return
 			}

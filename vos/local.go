@@ -2,10 +2,11 @@ package vos
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
+	"slices"
+	"time"
 
 	"repro/internal/charz"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/triad"
 )
@@ -55,13 +56,15 @@ func NewLocal(opts LocalOptions) (*Local, error) {
 		eng: eng,
 		sweeps: localJobs[engine.Sweep, engine.SweepEvent, Result, Event]{
 			noun: "sweep", get: eng.Get, wait: eng.Wait, subscribe: eng.Subscribe, cancel: eng.Cancel,
-			info:  engine.Sweep.Info,
-			strip: func(sw engine.Sweep) engine.Sweep { sw.Results = nil; return sw },
+			info:   engine.Sweep.Info,
+			strip:  func(sw engine.Sweep) engine.Sweep { sw.Results = nil; return sw },
+			result: sweepResult, event: sweepEvent,
 		},
 		mcs: localJobs[engine.MCJob, engine.MCEvent, MCResult, MCEvent]{
 			noun: "mc job", get: eng.GetMC, wait: eng.WaitMC, subscribe: eng.SubscribeMC, cancel: eng.CancelMC,
-			info:  engine.MCJob.Info,
-			strip: func(job engine.MCJob) engine.MCJob { job.Points = nil; return job },
+			info:   engine.MCJob.Info,
+			strip:  func(job engine.MCJob) engine.MCJob { job.Points = nil; return job },
+			result: mcResult, event: mcEvent,
 		},
 	}, nil
 }
@@ -105,13 +108,10 @@ func (l *Local) Cancel(_ context.Context, id string) error { return l.sweeps.can
 // CacheStats implements Client.
 func (l *Local) CacheStats(_ context.Context) (*CacheStats, error) {
 	stats := l.eng.CacheStats()
-	out := &CacheStats{}
-	if err := reencode(stats, out); err != nil {
-		return nil, err
-	}
+	out := cacheStats(stats)
 	out.Hits = stats.Hits()
 	out.Executions = l.eng.Executions()
-	return out, nil
+	return &out, nil
 }
 
 // Adder builds a hardware-oracle adder for one operator of the spec at
@@ -133,16 +133,126 @@ func (l *Local) Adder(ctx context.Context, spec *Spec, arch string, width int, t
 	return charz.NewEngineAdder(prep.Netlist, cfg, triad.Triad(tr))
 }
 
-// reencode converts between the engine's wire types and the SDK types
-// through their shared JSON schema. One conversion path — the same bytes
-// a daemon would serve — keeps Local and Remote results byte-identical.
-func reencode(in, out any) error {
-	data, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("vos: encode: %w", err)
+// Local's conversions from the engine's wire types to the SDK types.
+// Each returns exactly what a JSON round trip through the shared schema
+// returns, which is what Remote decodes from a daemon, so Local and
+// Remote results are equal under reflect.DeepEqual:
+//   - slices are copied, nil staying nil and empty staying empty ([] and
+//     null decode apart), except that an empty omitempty list becomes
+//     nil;
+//   - fields the SDK type lacks are dropped (a sweep's Request, an MC
+//     point's RepLo/RepHi);
+//   - timestamps come back as wireTime returns them.
+//
+// JSON would alter invalid UTF-8 and refuse NaN or ±Inf; the engine's
+// strings and floats hold neither.
+
+func sweepResult(sw engine.Sweep) *Result {
+	r := &Result{ID: sw.ID, Status: string(sw.Status), Error: sw.Error,
+		Created: wireTime(sw.Created), Started: wireTime(sw.Started), Finished: wireTime(sw.Finished),
+		Progress: Progress(sw.Progress)}
+	if len(sw.Results) > 0 {
+		r.Operators = convertSlice(sw.Results, operator)
 	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("vos: decode: %w", err)
+	return r
+}
+
+func operator(op engine.OperatorResult) Operator {
+	o := Operator{Bench: op.Bench, Arch: op.Arch, Width: op.Width,
+		Points: convertSlice(op.Points, point), SortedIdx: slices.Clone(op.SortedIdx)}
+	if op.Report != nil {
+		rep := Report(*op.Report)
+		o.Report = &rep
 	}
-	return nil
+	return o
+}
+
+func point(ps engine.PointSummary) Point {
+	stats := ErrorStats(ps.Stats)
+	stats.PerBit = slices.Clone(stats.PerBit)
+	return Point{Triad: Triad(ps.Triad), Stats: stats, BER: ps.BER, WER: ps.WER,
+		PerBit: slices.Clone(ps.PerBit), EnergyPerOpFJ: ps.EnergyPerOpFJ,
+		LateFraction: ps.LateFraction, Efficiency: ps.Efficiency, FromCache: ps.FromCache,
+		Fidelity: fidelity(ps.Fidelity)}
+}
+
+func fidelity(f *core.Fidelity) *Fidelity {
+	if f == nil {
+		return nil
+	}
+	out := Fidelity(*f)
+	return &out
+}
+
+func sweepEvent(ev engine.SweepEvent) Event {
+	out := Event{Type: ev.Type, SweepID: ev.SweepID, Status: string(ev.Status),
+		Progress: Progress(ev.Progress), Bench: ev.Bench, Arch: ev.Arch, Width: ev.Width, Error: ev.Error}
+	if ev.Point != nil {
+		p := point(*ev.Point)
+		out.Point = &p
+	}
+	return out
+}
+
+func mcResult(job engine.MCJob) *MCResult {
+	r := &MCResult{ID: job.ID, Status: string(job.Status), Error: job.Error,
+		Created: wireTime(job.Created), Started: wireTime(job.Started), Finished: wireTime(job.Finished),
+		Progress: Progress(job.Progress)}
+	if len(job.Points) > 0 {
+		r.Points = convertSlice(job.Points, mcPoint)
+	}
+	return r
+}
+
+func mcPoint(p engine.MCPoint) MCPoint {
+	return MCPoint{Kernel: p.Kernel, Metric: p.Metric, Triad: Triad(p.Triad), Samples: p.Samples,
+		Reps: p.Reps, Mean: p.Mean, Min: p.Min, Max: p.Max, RepMetrics: slices.Clone(p.RepMetrics),
+		ErrHist: slices.Clone(p.ErrHist), Outputs: p.Outputs, ErrorOutputs: p.ErrorOutputs,
+		ErrorRate: p.ErrorRate, EnergyPerOpFJ: p.EnergyPerOpFJ, Fidelity: fidelity(p.Fidelity)}
+}
+
+func mcEvent(ev engine.MCEvent) MCEvent {
+	out := MCEvent{Type: ev.Type, JobID: ev.JobID, Status: string(ev.Status),
+		Progress: Progress(ev.Progress), Error: ev.Error}
+	if ev.Point != nil {
+		p := mcPoint(*ev.Point)
+		out.Point = &p
+	}
+	return out
+}
+
+func cacheStats(s engine.CacheStats) CacheStats {
+	return CacheStats{MemHits: s.MemHits, DiskHits: s.DiskHits, Misses: s.Misses, Stores: s.Stores,
+		WriteErrors: s.WriteErrors, CorruptEntries: s.CorruptEntries, MemEntries: s.MemEntries,
+		PeerHits: s.PeerHits, PeerMisses: s.PeerMisses, PeerErrors: s.PeerErrors,
+		PeerPushes: s.PeerPushes, PeerPushDrops: s.PeerPushDrops,
+		PeerPushQueueDepth: s.PeerPushQueueDepth, PeerPushQueueCap: s.PeerPushQueueCap,
+		DiskDegraded: s.DiskDegraded, DegradedWrites: s.DegradedWrites, GroupedPoints: s.GroupedPoints}
+}
+
+// convertSlice maps in through f, nil to nil.
+func convertSlice[T, U any](in []T, f func(T) U) []U {
+	if in == nil {
+		return nil
+	}
+	out := make([]U, len(in))
+	for i, v := range in {
+		out[i] = f(v)
+	}
+	return out
+}
+
+// wireTime is t as a JSON round trip returns it: without its monotonic
+// reading, and in UTC when its offset is zero. Other offsets take time's
+// own JSON codec, which picks the Location (Local or a fixed zone) the
+// decoder would; the engine's wall-clock stamps always encode.
+func wireTime(t time.Time) time.Time {
+	if _, off := t.Zone(); off == 0 {
+		return t.UTC()
+	}
+	var out time.Time
+	if b, err := t.MarshalJSON(); err == nil && out.UnmarshalJSON(b) == nil {
+		return out
+	}
+	return t.Round(0)
 }

@@ -51,43 +51,60 @@ func testSpec() *vos.Spec {
 
 // TestLocalRemoteEquivalence is the SDK's core promise: the same Spec
 // produces identical Result values whether the sweep runs in-process or
-// through a vosd daemon. The engine is deterministic and both transports
-// share one wire encoding, so the comparison is exact, not approximate.
+// through a vosd daemon. The engine is deterministic and Local converts
+// its values into exactly what Remote decodes, so the comparison is
+// exact, not approximate. The model case compares each point's Fidelity
+// report too, which gate-backend points do not carry.
 func TestLocalRemoteEquivalence(t *testing.T) {
-	ctx := context.Background()
-	spec := vos.NewSpec().Arches("RCA", "BKA").Widths(4).Patterns(40).Seed(7)
+	for _, c := range []struct {
+		name string
+		spec *vos.Spec
+	}{
+		{"gate", vos.NewSpec().Arches("RCA", "BKA").Widths(4).Patterns(40).Seed(7)},
+		{"model", vos.NewSpec().Arches("RCA", "BKA").Widths(4).Patterns(40).Seed(7).Backend(vos.BackendModel)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			local := newLocal(t)
+			lres, err := local.Run(ctx, c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			remote := newRemote(t)
+			rres, err := remote.Run(ctx, c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	local := newLocal(t)
-	lres, err := local.Run(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote := newRemote(t)
-	rres, err := remote.Run(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+			if lres.Status != vos.StatusDone || rres.Status != vos.StatusDone {
+				t.Fatalf("statuses %s / %s", lres.Status, rres.Status)
+			}
+			if lres.Progress != rres.Progress {
+				t.Fatalf("progress differs: %+v vs %+v", lres.Progress, rres.Progress)
+			}
+			if len(lres.Operators) != 2 || !reflect.DeepEqual(lres.Operators, rres.Operators) {
+				t.Fatalf("local and remote operators differ:\nlocal:  %+v\nremote: %+v",
+					lres.Operators, rres.Operators)
+			}
+			for _, op := range lres.Operators {
+				for _, p := range op.Points {
+					if (p.Fidelity != nil) != (c.name == "model") {
+						t.Fatalf("%s %s: fidelity %+v on a %s point", op.Bench, p.Triad.Label(), p.Fidelity, c.name)
+					}
+				}
+			}
 
-	if lres.Status != vos.StatusDone || rres.Status != vos.StatusDone {
-		t.Fatalf("statuses %s / %s", lres.Status, rres.Status)
-	}
-	if lres.Progress != rres.Progress {
-		t.Fatalf("progress differs: %+v vs %+v", lres.Progress, rres.Progress)
-	}
-	if len(lres.Operators) != 2 || !reflect.DeepEqual(lres.Operators, rres.Operators) {
-		t.Fatalf("local and remote operators differ:\nlocal:  %+v\nremote: %+v",
-			lres.Operators, rres.Operators)
-	}
-
-	// The projections must agree too (they only read the shared values,
-	// but this guards the SortedIdx plumbing end to end).
-	for i := range lres.Operators {
-		if !reflect.DeepEqual(lres.Operators[i].Fig8(), rres.Operators[i].Fig8()) {
-			t.Fatalf("Fig8 projection differs for %s", lres.Operators[i].Bench)
-		}
-		if !reflect.DeepEqual(lres.Operators[i].Table4(), rres.Operators[i].Table4()) {
-			t.Fatalf("Table4 projection differs for %s", lres.Operators[i].Bench)
-		}
+			// The projections must agree too (they only read the shared
+			// values, but this guards the SortedIdx plumbing end to end).
+			for i := range lres.Operators {
+				if !reflect.DeepEqual(lres.Operators[i].Fig8(), rres.Operators[i].Fig8()) {
+					t.Fatalf("Fig8 projection differs for %s", lres.Operators[i].Bench)
+				}
+				if !reflect.DeepEqual(lres.Operators[i].Table4(), rres.Operators[i].Table4()) {
+					t.Fatalf("Table4 projection differs for %s", lres.Operators[i].Bench)
+				}
+			}
+		})
 	}
 }
 
