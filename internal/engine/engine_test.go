@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cell"
 	"repro/internal/charz"
@@ -424,6 +425,138 @@ func TestConcurrentSubmissions(t *testing.T) {
 	}
 	if got := len(e.List()); got != len(reqs) {
 		t.Errorf("List() returned %d sweeps, want %d", got, len(reqs))
+	}
+}
+
+// missCounter is a memory cache that counts each key's misses, so a test
+// can see a sweep's cache pass without reaching into the sweep.
+type missCounter struct {
+	*Cache
+	mu     sync.Mutex
+	misses map[string]int
+}
+
+func (c *missCounter) Get(ctx context.Context, key string) (*Entry, bool) {
+	ent, ok := c.Cache.Get(ctx, key)
+	if !ok {
+		c.mu.Lock()
+		c.misses[key]++
+		c.mu.Unlock()
+	}
+	return ent, ok
+}
+
+func (c *missCounter) missed(key string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.misses[key]
+}
+
+// TestSingleflightExecutesEachPointOnce: sweeps that ask for the same
+// point at once simulate it once, whether they ask alone or as part of a
+// group, and a waiter whose flight owner is canceled computes the point
+// itself. The only worker is held on a gate while the sweeps line up, so
+// every owner is still in flight when the others miss the cache.
+func TestSingleflightExecutesEachPointOnce(t *testing.T) {
+	cache, err := NewCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := &missCounter{Cache: cache, misses: map[string]int{}}
+	e := newTestEngine(t, Options{Workers: 1, Backend: counter})
+	ctx := t.Context()
+	if _, err := e.Prepare(ctx, testConfig()); err != nil {
+		t.Fatal(err)
+	}
+	hold := func() (release func()) {
+		gate, started, held := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+		go func() { held <- e.exec(context.Background(), func() { close(started); <-gate }) }()
+		<-started
+		var once sync.Once
+		return func() {
+			once.Do(func() {
+				close(gate)
+				if err := <-held; err != nil {
+					t.Errorf("gate job: %v", err)
+				}
+			})
+		}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(time.Minute); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	inFlight := func(key string) bool {
+		e.flightMu.Lock()
+		defer e.flightMu.Unlock()
+		_, ok := e.inflight[key]
+		return ok
+	}
+	submit := func(trs ...triad.Triad) string {
+		t.Helper()
+		cfg := testConfig()
+		id, err := e.Submit(Request{Arches: []string{cfg.Arch.String()}, Widths: []int{cfg.Width},
+			Patterns: cfg.Patterns, Seed: cfg.Seed, Policy: PolicyExplicit, Triads: trs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	finish := func(id string, want Status) {
+		t.Helper()
+		if s, err := e.Wait(ctx, id); err != nil || s.Status != want {
+			t.Fatalf("sweep %s: %v, status %s (%s), want %s", id, err, s.Status, s.Error, want)
+		}
+	}
+	key := func(tr triad.Triad) string {
+		t.Helper()
+		k, err := PointKey(testConfig(), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+
+	// (a) t1 and t2 share one electrical point: four sweeps over them,
+	// alone and grouped, execute each once.
+	t1, t2 := triad.Triad{Tclk: 0.5, Vdd: 0.8}, triad.Triad{Tclk: 0.4, Vdd: 0.8}
+	k1, k2 := key(t1), key(t2)
+	release := hold()
+	defer release()
+	ids := []string{submit(t1), submit(t1), submit(t1, t2), submit(t2)}
+	waitFor("every sweep to miss the cache with both points in flight", func() bool {
+		return counter.missed(k1) >= 3 && counter.missed(k2) >= 2 && inFlight(k1) && inFlight(k2)
+	})
+	release()
+	for _, id := range ids {
+		finish(id, StatusDone)
+	}
+	if got := e.Executions(); got != 2 {
+		t.Fatalf("four sweeps over two points executed %d points, want 2", got)
+	}
+
+	// (b) A waiter outlives its canceled flight owner and computes the
+	// point once itself.
+	t3 := triad.Triad{Tclk: 0.5, Vdd: 0.7}
+	k3 := key(t3)
+	release = hold()
+	defer release()
+	first := submit(t3)
+	waitFor("the first sweep to own the point", func() bool { return inFlight(k3) })
+	second := submit(t3)
+	waitFor("the second sweep to miss the cache", func() bool { return counter.missed(k3) >= 2 })
+	if err := e.Cancel(first); err != nil {
+		t.Fatal(err)
+	}
+	finish(first, StatusCanceled)
+	release()
+	finish(second, StatusDone)
+	if got := e.Executions(); got != 3 {
+		t.Fatalf("after the canceled owner's point: %d executions, want 3", got)
 	}
 }
 
