@@ -105,15 +105,24 @@ func BenchmarkTableIII(b *testing.B) {
 }
 
 // BenchmarkFig5 regenerates the per-output-bit BER distribution of the
-// 8-bit RCA as Vdd scales 0.8→0.5 V at the synthesis clock.
+// 8-bit RCA as Vdd scales 0.8→0.5 V at the synthesis clock. Like
+// BenchmarkFig8 it runs through vos.Local: the first iteration simulates
+// the four points, every further one is served from the cache.
 func BenchmarkFig5(b *testing.B) {
-	cfg := charz.Config{Arch: synth.ArchRCA, Width: 8, Patterns: benchPatterns, Seed: 1}
+	cli, err := vos.NewLocal(vos.LocalOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cli.Close()
+	spec := vos.NewSpec().Arches("RCA").Widths(8).Patterns(benchPatterns).Seed(1).
+		VddGrid([]float64{0.8, 0.7, 0.6, 0.5}, nil)
 	for i := 0; i < b.N; i++ {
-		pts, err := charz.Fig5(cfg, []float64{0.8, 0.7, 0.6, 0.5})
+		res, err := cli.Run(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
+			pts := res.Operator("RCA", 8).Fig5()
 			var rows []string
 			for _, p := range pts {
 				var bits []string
@@ -240,9 +249,12 @@ func BenchmarkFig8(b *testing.B) {
 // BenchmarkFig8Grouped measures the cold grouped sweep at the charz
 // level — no engine, no cache, every iteration simulates from scratch —
 // so the one-simulation-per-electrical-point hot path is tracked
-// without SDK or serialization overhead. The 43-triad set runs as 14
-// electrical groups, each one full-settle trace per 64-pattern chunk
-// plus one O(trace) resample per clock.
+// without SDK or serialization overhead. The 43-triad set runs as 2
+// cross-voltage super-groups, one per body-bias family: per K×64-pattern
+// chunk, one fresh trace anchors the family, each further electrical
+// point down its Vdd ladder retimes the anchor (or is traced afresh where
+// the retime's order check fails), and every clock is one O(trace)
+// resample.
 func BenchmarkFig8Grouped(b *testing.B) {
 	for _, bd := range paperBenches {
 		bd := bd
@@ -436,23 +448,31 @@ func BenchmarkMonteCarloPoint(b *testing.B) {
 }
 
 // BenchmarkTableIV regenerates the efficiency-per-BER-band summary for all
-// four adders.
+// four adders. Like BenchmarkFig8 it runs through vos.Local: the first
+// iteration simulates the four sweeps, every further one is served from
+// the cache.
 func BenchmarkTableIV(b *testing.B) {
+	cli, err := vos.NewLocal(vos.LocalOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cli.Close()
+	spec := vos.NewSpec().Arches("RCA", "BKA").Widths(8, 16).Patterns(benchPatterns).Seed(1)
 	for i := 0; i < b.N; i++ {
+		res, err := cli.Run(context.Background(), spec)
+		if err != nil {
+			b.Fatal(err)
+		}
 		var rows []string
 		for _, bd := range paperBenches {
-			cfg := charz.Config{Arch: bd.arch, Width: bd.width, Patterns: benchPatterns, Seed: 1}
-			res, err := charz.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, s := range res.Table4() {
+			op := res.Operator(bd.arch.String(), bd.width)
+			for _, s := range op.Table4() {
 				if s.Count == 0 {
-					rows = append(rows, fmt.Sprintf("%-10s %-10s: no triads", cfg.BenchName(), s.Band))
+					rows = append(rows, fmt.Sprintf("%-10s %-10s: no triads", op.Bench, s.Band))
 					continue
 				}
 				rows = append(rows, fmt.Sprintf("%-10s %-10s: %2d triads, max eff %5.1f%% at BER %4.1f%% (%s)",
-					cfg.BenchName(), s.Band, s.Count, s.MaxEff*100, s.BERAtMaxEff*100, s.Best.Label()))
+					op.Bench, s.Band, s.Count, s.MaxEff*100, s.BERAtMaxEff*100, s.Best.Label()))
 			}
 		}
 		if i == 0 {

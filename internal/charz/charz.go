@@ -7,7 +7,6 @@
 package charz
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -72,8 +71,6 @@ type Config struct {
 	// Monte-Carlo variation. Defaults to the process SigmaVt when
 	// negative.
 	MismatchSigma float64
-	// Parallelism bounds concurrent triad simulations; ≤0 = GOMAXPROCS.
-	Parallelism int
 	// Proc and Lib default to fdsoi.Default() / cell.Default28nmLVT().
 	// The defaults are one shared copy each, read-only: every Config
 	// canonicalized without them points at the same values, and the
@@ -122,9 +119,6 @@ func (c *Config) setDefaults() error {
 	if c.MismatchSigma < 0 {
 		c.MismatchSigma = c.Proc.SigmaVt
 	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	if c.Backend == BackendModel && c.Streaming {
 		return fmt.Errorf("charz: streaming capture has no model-backend equivalent")
 	}
@@ -166,18 +160,6 @@ type TriadResult struct {
 
 // BER returns the triad's bit error rate.
 func (r *TriadResult) BER() float64 { return r.Acc.BER() }
-
-// Clone returns a copy of the result that shares nothing with it: the
-// accumulator and the fidelity report are copied too.
-func (r *TriadResult) Clone() *TriadResult {
-	c := *r
-	c.Acc = r.Acc.Clone()
-	if r.Fidelity != nil {
-		fid := *r.Fidelity
-		c.Fidelity = &fid
-	}
-	return &c
-}
 
 // Result is a full characterization of one operator.
 type Result struct {
@@ -586,66 +568,15 @@ func (f *triadFold) result(tr triad.Triad, patterns int) *TriadResult {
 	}
 }
 
-// Runner abstracts the execution of point jobs so frontends can swap the
-// direct in-process flow for a scheduling/caching engine (internal/engine)
-// without changing the experiment code.
-type Runner interface {
-	// Prepare returns the synthesized operator for cfg. Implementations
-	// may memoize: Prepare is deterministic in cfg.
-	Prepare(ctx context.Context, cfg Config) (*Prepared, error)
-	// RunPoint simulates one operating point of a prepared operator.
-	// Implementations may serve the result from a cache keyed by the
-	// prepared Config and the triad.
-	RunPoint(ctx context.Context, p *Prepared, tr triad.Triad) (*TriadResult, error)
-}
-
-// GroupRunner extends Runner with electrical-group execution: one call
-// serves every triad of a group sharing an operating point, letting the
-// backend simulate the point once (Prepared.RunGroup) or serve group
-// members from a cache. RunWith fans out per group when the Runner
-// implements it and the configuration is Groupable. Results align
-// positionally with trs and must be bit-identical to per-triad RunPoint
-// calls.
-type GroupRunner interface {
-	Runner
-	RunPointGroup(ctx context.Context, p *Prepared, trs []triad.Triad) ([]*TriadResult, error)
-}
-
-// Direct is the no-frills Runner: synthesize and simulate in-process,
-// nothing cached. It is the backend of Run and Fig5.
-type Direct struct{}
-
-// Prepare implements Runner.
-func (Direct) Prepare(_ context.Context, cfg Config) (*Prepared, error) { return Prepare(cfg) }
-
-// RunPoint implements Runner.
-func (Direct) RunPoint(_ context.Context, p *Prepared, tr triad.Triad) (*TriadResult, error) {
-	return p.RunTriad(tr)
-}
-
-// RunPointGroup implements GroupRunner.
-func (Direct) RunPointGroup(_ context.Context, p *Prepared, trs []triad.Triad) ([]*TriadResult, error) {
-	return p.RunGroup(trs)
-}
-
-// Run executes the full flow. Triads are simulated in parallel; each
-// worker owns a private Engine over the shared read-only netlist and an
+// Run executes the full flow in process. Each group of the triad set is
+// one job: a cross-voltage super-group per body-bias family when the
+// configuration is Groupable (2 jobs covering the 14 electrical points of
+// the paper's Table III set, each re-timing one recorded wave down its
+// Vdd ladder), one triad otherwise. Up to GOMAXPROCS jobs run at once,
+// each with private engines over the shared read-only netlist and an
 // identical pattern stream ("same set of input patterns" per the paper).
 func Run(cfg Config) (*Result, error) {
-	return RunWith(context.Background(), Direct{}, cfg)
-}
-
-// RunWith executes the full flow through a Runner. Jobs are issued
-// concurrently (bounded by Config.Parallelism) and the context cancels
-// outstanding work; with a caching Runner, previously characterized
-// points are served without touching the simulator. When the Runner is
-// a GroupRunner and the configuration is Groupable, the sweep fans out
-// one job per cross-voltage super-group (body-bias family) — 2 jobs
-// covering the 14 electrical points of the paper's Table III set, each
-// re-timing one recorded wave down its Vdd ladder — with results
-// bit-identical to the per-triad fan-out.
-func RunWith(ctx context.Context, r Runner, cfg Config) (*Result, error) {
-	prep, err := r.Prepare(ctx, cfg)
+	prep, err := Prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -653,15 +584,10 @@ func RunWith(ctx context.Context, r Runner, cfg Config) (*Result, error) {
 	if len(set) == 0 {
 		return nil, fmt.Errorf("charz: empty triad set")
 	}
-	cfg = prep.Config
-	res := &Result{Config: cfg, Netlist: prep.Netlist, Report: prep.Report,
+	res := &Result{Config: prep.Config, Netlist: prep.Netlist, Report: prep.Report,
 		Triads: make([]TriadResult, len(set))}
-
-	// One job per cross-voltage super-group when the runner supports it;
-	// one per triad otherwise (every group a singleton).
-	groups := [][]int{}
-	gr, grouped := r.(GroupRunner)
-	if grouped && prep.Groupable() {
+	var groups [][]int
+	if prep.Groupable() {
 		groups = triad.SuperGroups(set)
 	} else {
 		for i := range set {
@@ -670,32 +596,19 @@ func RunWith(ctx context.Context, r Runner, cfg Config) (*Result, error) {
 	}
 
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Parallelism)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	errs := make([]error, len(groups))
 	for gi, idxs := range groups {
 		wg.Add(1)
-		go func(gi int, idxs []int) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				errs[gi] = err
-				return
-			}
-			if len(idxs) == 1 {
-				out, err := r.RunPoint(ctx, prep, set[idxs[0]])
-				if err != nil {
-					errs[gi] = err
-					return
-				}
-				res.Triads[idxs[0]] = *out
-				return
-			}
 			trs := make([]triad.Triad, len(idxs))
 			for j, i := range idxs {
 				trs[j] = set[i]
 			}
-			outs, err := gr.RunPointGroup(ctx, prep, trs)
+			outs, err := prep.RunGroup(trs)
 			if err != nil {
 				errs[gi] = err
 				return
@@ -703,7 +616,7 @@ func RunWith(ctx context.Context, r Runner, cfg Config) (*Result, error) {
 			for j, i := range idxs {
 				res.Triads[i] = *outs[j]
 			}
-		}(gi, idxs)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -964,12 +877,4 @@ func (s *laneStimulus) images(base, n int) (prevW, curW []uint64) {
 		}
 	}
 	return s.prevW, s.curW
-}
-
-// SortedIndices returns triad indices in the paper's Fig. 8 x-axis order:
-// ascending BER, ties by ascending energy.
-func (r *Result) SortedIndices() []int {
-	return triad.SortByBERThenEnergy(len(r.Triads),
-		func(i int) float64 { return r.Triads[i].BER() },
-		func(i int) float64 { return r.Triads[i].EnergyPerOpFJ })
 }

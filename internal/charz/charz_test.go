@@ -103,26 +103,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestSortedIndicesOrdering(t *testing.T) {
-	res, err := Run(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := res.SortedIndices()
-	if len(idx) != len(res.Triads) {
-		t.Fatal("index length mismatch")
-	}
-	for i := 1; i < len(idx); i++ {
-		prev, cur := res.Triads[idx[i-1]], res.Triads[idx[i]]
-		if cur.BER() < prev.BER() {
-			t.Fatal("not sorted by BER")
-		}
-		if cur.BER() == prev.BER() && cur.EnergyPerOpFJ < prev.EnergyPerOpFJ {
-			t.Fatal("ties not sorted by energy")
-		}
-	}
-}
-
 func TestEnergyDecreasesWithVddAtFixedClock(t *testing.T) {
 	res, err := Run(smallCfg())
 	if err != nil {
@@ -178,22 +158,31 @@ func TestFBBTriadsDominatePareto(t *testing.T) {
 
 func round3(f float64) float64 { return math.Round(f*1000) / 1000 }
 
+// TestFig5MidBitsFailHardest runs the Fig. 5 points — the synthesis
+// clock with no body bias, at 0.8 and 0.5 V.
 func TestFig5MidBitsFailHardest(t *testing.T) {
 	cfg := smallCfg()
-	pts, err := Fig5(cfg, []float64{0.8, 0.5})
+	prep, err := Prepare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cp := prep.Report.CriticalPath
+	cfg.Triads = []triad.Triad{{Tclk: cp, Vdd: 0.8}, {Tclk: cp, Vdd: 0.5}}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := res.Triads
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
 	// Lower Vdd must have (weakly) higher total BER.
-	if pts[1].BER <= pts[0].BER {
-		t.Fatalf("BER at 0.5V (%v) not above 0.8V (%v)", pts[1].BER, pts[0].BER)
+	if pts[1].BER() <= pts[0].BER() {
+		t.Fatalf("BER at 0.5V (%v) not above 0.8V (%v)", pts[1].BER(), pts[0].BER())
 	}
 	// At deep over-scaling, some middle bit must exceed both LSB and the
 	// carry-out bit error probabilities (the paper's key observation).
-	pb := pts[1].PerBit
+	pb := pts[1].Acc.PerBitErrorProb()
 	maxMid := 0.0
 	for i := 2; i < len(pb)-1; i++ {
 		if pb[i] > maxMid {
@@ -202,36 +191,6 @@ func TestFig5MidBitsFailHardest(t *testing.T) {
 	}
 	if !(maxMid > pb[0]) {
 		t.Fatalf("mid-bit error %v not above LSB %v (perBit=%v)", maxMid, pb[0], pb)
-	}
-}
-
-func TestTable4Bands(t *testing.T) {
-	res, err := Run(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bands := res.Table4()
-	if len(bands) != 4 {
-		t.Fatalf("bands = %d", len(bands))
-	}
-	if bands[0].Count == 0 {
-		t.Fatal("no zero-BER triads")
-	}
-	// Zero-band best triad must actually have 0% BER (rounded).
-	if int(math.Round(bands[0].BERAtMaxEff*100)) != 0 {
-		t.Fatalf("band 0 best BER = %v", bands[0].BERAtMaxEff)
-	}
-	// Counts must not exceed the sweep size.
-	total := 0
-	for _, b := range bands {
-		total += b.Count
-	}
-	if total > len(res.Triads) {
-		t.Fatalf("band total %d > %d", total, len(res.Triads))
-	}
-	// Band label formatting.
-	if Table4Bands[0].String() != "0%" || Table4Bands[1].String() != "1% to 10%" {
-		t.Fatal("band labels wrong")
 	}
 }
 

@@ -1,7 +1,6 @@
 package charz
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -84,97 +83,6 @@ func (e *EngineAdder) MeanEnergyFJ() float64 {
 		return 0
 	}
 	return e.energy / float64(e.ops)
-}
-
-// Fig5Point is one curve of Fig. 5: per-output-bit error probability at a
-// given supply voltage.
-type Fig5Point struct {
-	Vdd    float64
-	PerBit []float64 // LSB..MSB, including carry-out
-	BER    float64
-}
-
-// Fig5 reproduces the paper's Fig. 5: the distribution of BER across the
-// output bits of the adder as Vdd scales down at the synthesis clock with
-// no body bias.
-func Fig5(cfg Config, vdds []float64) ([]Fig5Point, error) {
-	return Fig5With(context.Background(), Direct{}, cfg, vdds)
-}
-
-// Fig5With runs the Fig. 5 experiment through a Runner: each supply
-// voltage is one point job at the synthesis clock. A caching Runner
-// shares these points with any other sweep that visits the same operating
-// triads, so re-plotting Fig. 5 after a Table IV run is near-free.
-func Fig5With(ctx context.Context, r Runner, cfg Config, vdds []float64) ([]Fig5Point, error) {
-	prep, err := r.Prepare(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Fig5Point, 0, len(vdds))
-	for _, vdd := range vdds {
-		tr := triad.Triad{Tclk: prep.Report.CriticalPath, Vdd: vdd, Vbb: 0}
-		res, err := r.RunPoint(ctx, prep, tr)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Fig5Point{
-			Vdd:    vdd,
-			PerBit: res.Acc.PerBitErrorProb(),
-			BER:    res.BER(),
-		})
-	}
-	return out, nil
-}
-
-// Band is a BER range of Table IV in rounded percent (inclusive bounds).
-type Band struct{ Lo, Hi int }
-
-// String formats the band the way the paper's Table IV row labels do.
-func (b Band) String() string {
-	if b.Lo == b.Hi {
-		return fmt.Sprintf("%d%%", b.Lo)
-	}
-	return fmt.Sprintf("%d%% to %d%%", b.Lo, b.Hi)
-}
-
-// Table4Bands are the paper's BER ranges.
-var Table4Bands = []Band{{0, 0}, {1, 10}, {11, 20}, {21, 25}}
-
-// BandSummary is one cell group of Table IV for one adder.
-type BandSummary struct {
-	Band  Band
-	Count int
-	// MaxEff is the best energy efficiency (fraction) among the band's
-	// triads; BERAtMaxEff is that triad's BER (fraction); Best is the
-	// triad achieving it. Valid only when Count > 0.
-	MaxEff      float64
-	BERAtMaxEff float64
-	Best        triad.Triad
-}
-
-// Table4 summarizes a characterization result into the paper's Table IV
-// rows. BER values are binned by rounding to whole percent.
-func (r *Result) Table4() []BandSummary {
-	out := make([]BandSummary, len(Table4Bands))
-	for i, b := range Table4Bands {
-		out[i].Band = b
-	}
-	for _, tr := range r.Triads {
-		pct := int(math.Round(tr.BER() * 100))
-		for i, b := range Table4Bands {
-			if pct < b.Lo || pct > b.Hi {
-				continue
-			}
-			s := &out[i]
-			s.Count++
-			if s.Count == 1 || tr.Efficiency > s.MaxEff {
-				s.MaxEff = tr.Efficiency
-				s.BERAtMaxEff = tr.BER()
-				s.Best = tr.Triad
-			}
-		}
-	}
-	return out
 }
 
 // ModelStudy is the Fig. 7 experiment for one adder: per calibration

@@ -1,10 +1,10 @@
 package charz
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/synth"
 	"repro/internal/triad"
 )
@@ -124,32 +124,32 @@ func TestRunGroupValidation(t *testing.T) {
 }
 
 // TestGroupedRunMatchesUngroupedRun checks the flow level: a full Run
-// (which fans out per electrical group through Direct) must produce
-// byte-identical triad results to a per-triad fan-out through a Runner
-// that does not implement GroupRunner.
+// (which fans out one cross-voltage super-group per job) must produce
+// byte-identical triad results, efficiencies included, to one RunTriad
+// per triad.
 func TestGroupedRunMatchesUngroupedRun(t *testing.T) {
 	cfg := Config{Arch: synth.ArchBKA, Width: 8, Patterns: 97, Seed: 19}
 	grouped, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ungrouped, err := RunWith(context.Background(), pointOnlyRunner{}, cfg)
+	prep, err := Prepare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(grouped.Triads, ungrouped.Triads) {
-		t.Fatal("grouped Run diverged from per-triad Run")
+	set := prep.TriadSet()
+	ungrouped := make([]TriadResult, len(set))
+	for i, tr := range set {
+		res, err := prep.RunTriad(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ungrouped[i] = *res
 	}
-}
-
-// pointOnlyRunner hides Direct's GroupRunner half, forcing RunWith onto
-// the per-triad fan-out.
-type pointOnlyRunner struct{}
-
-func (pointOnlyRunner) Prepare(ctx context.Context, cfg Config) (*Prepared, error) {
-	return Prepare(cfg)
-}
-
-func (pointOnlyRunner) RunPoint(ctx context.Context, p *Prepared, tr triad.Triad) (*TriadResult, error) {
-	return p.RunTriad(tr)
+	for i := range ungrouped {
+		ungrouped[i].Efficiency = metrics.EnergyEfficiency(ungrouped[i].EnergyPerOpFJ, ungrouped[0].EnergyPerOpFJ)
+	}
+	if !reflect.DeepEqual(grouped.Triads, ungrouped) {
+		t.Fatal("grouped Run diverged from per-triad runs")
+	}
 }

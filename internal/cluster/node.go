@@ -117,7 +117,7 @@ func NewNode(opts NodeOptions) (*Node, error) {
 		})
 	} else {
 		store = local
-		engOpts.Cache = local
+		engOpts.Backend = local
 	}
 	n.eng, err = engine.New(engOpts)
 	if err != nil {

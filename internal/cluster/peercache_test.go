@@ -31,7 +31,7 @@ func newFakePeer(t *testing.T) *fakePeer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.New(engine.Options{Workers: 1, Cache: cache})
+	eng, err := engine.New(engine.Options{Workers: 1, Backend: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,8 +57,8 @@ const keySchemaVersion = 6
 
 // keyMaterial is the canonical content that identifies one operating-point
 // result. Everything that can change the simulator's output is in here —
-// and nothing else: Config.Parallelism (a scheduling knob) and
-// Config.Triads (the sweep set, not the point) are deliberately absent.
+// and nothing else: Config.Triads (the sweep set, not the point) is
+// deliberately absent.
 type keyMaterial struct {
 	Version       int          `json:"v"`
 	Arch          string       `json:"arch"`

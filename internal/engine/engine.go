@@ -3,9 +3,12 @@
 // triad × backend × stimulus profile) configuration space into point
 // jobs, executes them on a context-cancellable worker pool through the
 // charz flow, and serves repeated points from a content-addressed result
-// cache (memory + JSON-on-disk). Every frontend — cmd/voschar, cmd/vosd,
-// the benchmarks — runs its sweeps through one Engine, so each operating
-// point of the paper's evaluation is simulated at most once per cache.
+// cache (memory + JSON-on-disk). The serving frontends — the vos SDK,
+// cmd/voschar, cmd/vosd and the cluster — run their sweeps through one
+// Engine, so each operating point they ask for is simulated at most once
+// per cache. The offline studies (cmd/vosmodel, cmd/vosablate,
+// cmd/vosspec) and the cold BenchmarkFig8Grouped call charz.Run, which
+// simulates in process and caches nothing.
 //
 // Sweeps and Monte Carlo jobs are two kinds of one job kernel (job.go):
 // a single registry implementation owns the job record and event log,
@@ -56,14 +59,12 @@ type Options struct {
 	// Workers is the worker-pool size; ≤0 means runtime.NumCPU().
 	Workers int
 	// CacheDir is the on-disk cache layer's root; empty keeps the cache
-	// memory-only. Ignored when Cache or Backend is set.
+	// memory-only. Ignored when Backend is set.
 	CacheDir string
-	// Cache overrides the engine's result cache, letting several engines
-	// (or tests) share one store. Ignored when Backend is set.
-	Cache *Cache
-	// Backend overrides the result store entirely — the cluster layer
-	// plugs its peer-filling cache in here. The engine does not own the
-	// backend's lifecycle; whoever supplied it closes it after Close.
+	// Backend overrides the result store: a *Cache shared by several
+	// engines (or tests), or the cluster layer's peer-filling cache. The
+	// engine does not own the backend's lifecycle; whoever supplied it
+	// closes it after Close.
 	Backend CacheBackend
 	// Sharder, when set, distributes declarative sweeps' point groups
 	// across a cluster instead of running every group on the local pool
@@ -95,8 +96,7 @@ type Options struct {
 }
 
 // Engine schedules point jobs onto a bounded worker pool and memoizes
-// their results. It implements charz.Runner, so charz.RunWith and
-// charz.Fig5With can be pointed at an Engine unchanged.
+// their results.
 type Engine struct {
 	workers int
 	cache   CacheBackend
@@ -187,10 +187,7 @@ func New(opts Options) (*Engine, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.NumCPU()
 	}
-	cache := CacheBackend(opts.Backend)
-	if cache == nil && opts.Cache != nil {
-		cache = opts.Cache
-	}
+	cache := opts.Backend
 	if cache == nil {
 		c, err := NewCache(opts.CacheDir)
 		if err != nil {
@@ -326,10 +323,10 @@ func (e *Engine) exec(ctx context.Context, f func()) error {
 	return nil
 }
 
-// Prepare implements charz.Runner: synthesized operators are memoized by
-// content key, so a sweep over 43 triads (or two sweeps over the same
-// configuration) synthesizes once. Prepare must not be called from a
-// pool job (see prepared).
+// Prepare returns the synthesized operator for cfg. Operators are
+// memoized by content key, so a sweep over 43 triads (or two sweeps over
+// the same configuration) synthesizes once. Prepare must not be called
+// from a pool job (see prepared).
 func (e *Engine) Prepare(ctx context.Context, cfg charz.Config) (*charz.Prepared, error) {
 	key, err := prepKey(cfg)
 	if err != nil {
@@ -384,100 +381,6 @@ func (e *Engine) prepared(ctx context.Context, key string, cfg charz.Config) (*p
 	}
 }
 
-// RunPoint implements charz.Runner: serve the point from the cache, or
-// simulate it on the pool and store the result. The result is the
-// caller's own copy.
-func (e *Engine) RunPoint(ctx context.Context, p *charz.Prepared, tr triad.Triad) (*charz.TriadResult, error) {
-	key, err := PointKey(p.Config, tr)
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := e.runPoint(ctx, p, tr, key)
-	if err != nil {
-		return nil, err
-	}
-	return res.Clone(), nil
-}
-
-// runPoint serves or computes the point under key, additionally
-// reporting whether it came from the cache. The result is shared with
-// the cache and must not be modified.
-func (e *Engine) runPoint(ctx context.Context, p *charz.Prepared, tr triad.Triad, key string) (*charz.TriadResult, bool, error) {
-	for {
-		if ent, ok := e.cache.Get(ctx, key); ok {
-			return ent.Point(), true, nil
-		}
-
-		e.flightMu.Lock()
-		if f, ok := e.inflight[key]; ok {
-			e.flightMu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			case <-e.ctx.Done():
-				return nil, false, ErrClosed
-			}
-			if f.err != nil {
-				// The flight owner's *own* context died; that says
-				// nothing about this caller's. Retry — either the cache
-				// is warm by now or we become the new owner.
-				if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
-					if err := ctx.Err(); err != nil {
-						return nil, false, err
-					}
-					continue
-				}
-				return nil, false, f.err
-			}
-			return f.res, true, nil
-		}
-		f := &flight{done: make(chan struct{})}
-		e.inflight[key] = f
-		e.flightMu.Unlock()
-		return e.ownPoint(ctx, p, tr, key, f)
-	}
-}
-
-// ownPoint executes a point as the singleflight owner and publishes the
-// outcome to any waiters.
-func (e *Engine) ownPoint(ctx context.Context, p *charz.Prepared, tr triad.Triad, key string, f *flight) (*charz.TriadResult, bool, error) {
-	defer func() {
-		e.flightMu.Lock()
-		delete(e.inflight, key)
-		e.flightMu.Unlock()
-		close(f.done)
-	}()
-
-	var res *charz.TriadResult
-	var runErr error
-	if err := e.exec(ctx, func() {
-		e.executions.Add(1)
-		if p.Config.Backend == charz.BackendModel {
-			// Model-backend points bypass the charz steppers entirely:
-			// calibrate against the gate-level oracle (memoized per
-			// point), then replay the stimulus through the trained table.
-			res, runErr = e.calib.RunPoint(p, tr)
-		} else {
-			res, runErr = p.RunTriad(tr)
-		}
-	}); err != nil {
-		f.err = err
-		return nil, false, err
-	}
-	if runErr != nil {
-		f.err = runErr
-		return nil, false, runErr
-	}
-	ent, err := e.store(key, res)
-	if err != nil {
-		f.err = err
-		return nil, false, err
-	}
-	f.res = ent.Point()
-	return f.res, false, nil
-}
-
 // store encodes a computed result and caches it. Callers are handed the
 // entry's decoded bytes rather than res itself, so they see
 // byte-identical results whether or not the cache was warm.
@@ -494,41 +397,12 @@ func (e *Engine) store(key string, res *charz.TriadResult) (*Entry, error) {
 	return ent, nil
 }
 
-// RunPointGroup implements charz.GroupRunner: each triad of a group
-// (an electrical point or a cross-voltage super-group) is served from
-// the cache where possible; the misses are simulated together — one
-// wide trace per body-bias family per chunk, retimed across the
-// group's operating points — and fanned out to per-triad cache
-// entries, so warm-cache behavior and cached bytes are exactly those
-// of per-triad RunPoint calls. The results are the caller's own copies.
-func (e *Engine) RunPointGroup(ctx context.Context, p *charz.Prepared, trs []triad.Triad) ([]*charz.TriadResult, error) {
-	keys, err := pointKeys(p.Config, trs)
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := e.runPointGroup(ctx, p, trs, keys)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range res {
-		res[i] = r.Clone()
-	}
-	return res, nil
-}
-
 // runPointGroup serves or computes the group's points, keys[i] being the
 // cache key of trs[i], and additionally reports, per triad, whether the
 // result was served without simulation (own cache entry or another
 // caller's flight). The results are shared with the cache and must not
 // be modified.
 func (e *Engine) runPointGroup(ctx context.Context, p *charz.Prepared, trs []triad.Triad, keys []string) ([]*charz.TriadResult, []bool, error) {
-	if len(trs) == 1 {
-		res, cached, err := e.runPoint(ctx, p, trs[0], keys[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*charz.TriadResult{res}, []bool{cached}, nil
-	}
 	out := make([]*charz.TriadResult, len(trs))
 	cached := make([]bool, len(trs))
 	done := make([]bool, len(trs))
@@ -584,8 +458,9 @@ func (e *Engine) runPointGroup(ctx context.Context, p *charz.Prepared, trs []tri
 				return nil, nil, ErrClosed
 			}
 			if f.err != nil {
-				// As in runPoint: the owner's own context dying says
-				// nothing about ours — retry those points.
+				// The flight owner's *own* context died; that says
+				// nothing about ours. Retry those points: either the
+				// cache is warm by now or we become the new owner.
 				if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
 					if err := ctx.Err(); err != nil {
 						return nil, nil, err
@@ -606,7 +481,7 @@ func (e *Engine) runPointGroup(ctx context.Context, p *charz.Prepared, trs []tri
 // ownGroup simulates the owned subset of a group as one grouped run on
 // the pool and publishes every point — to its own cache entry, its
 // flight waiters, and the caller's result slice (the stored entry's
-// decoding, as in ownPoint).
+// decoding; see store).
 func (e *Engine) ownGroup(ctx context.Context, p *charz.Prepared, trs []triad.Triad,
 	keys []string, owned []int, flights []*flight, out []*charz.TriadResult) error {
 	defer func() {
@@ -636,7 +511,20 @@ func (e *Engine) ownGroup(ctx context.Context, p *charz.Prepared, trs []triad.Tr
 		if len(owned) > 1 {
 			e.groupedPoints.Add(uint64(len(owned)))
 		}
-		results, runErr = p.RunGroup(sub)
+		if p.Config.Backend != charz.BackendModel {
+			results, runErr = p.RunGroup(sub)
+			return
+		}
+		// Model-backend points bypass the charz steppers entirely:
+		// calibrate against the gate-level oracle (memoized per point),
+		// then replay the stimulus through the trained table. Model plans
+		// are never Groupable, so their groups are singletons.
+		results = make([]*charz.TriadResult, len(sub))
+		for j, tr := range sub {
+			if results[j], runErr = e.calib.RunPoint(p, tr); runErr != nil {
+				return
+			}
+		}
 	}); err != nil {
 		return publishErr(0, err)
 	}

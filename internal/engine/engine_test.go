@@ -17,6 +17,7 @@ import (
 	"repro/internal/cell"
 	"repro/internal/charz"
 	"repro/internal/fdsoi"
+	"repro/internal/metrics"
 	"repro/internal/synth"
 	"repro/internal/triad"
 )
@@ -88,31 +89,58 @@ func TestRepeatedSweepHitsCacheEverywhere(t *testing.T) {
 // flow for the same seed.
 func TestCachedResultsByteIdentical(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 4})
-	ctx := context.Background()
 	cfg := testConfig()
-
-	marshal := func(res *charz.Result) []byte {
+	plans, err := e.Plan(t.Context(), &Request{Arches: []string{cfg.Arch.String()}, Widths: []int{cfg.Width},
+		Patterns: cfg.Patterns, Seed: cfg.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &plans[0]
+	// run serves the plan's super-groups as a sweep does and folds them
+	// into charz.Run's result shape, efficiencies included.
+	run := func() []byte {
 		t.Helper()
-		data, err := json.Marshal(res.Triads)
+		out := make([]charz.TriadResult, len(p.Triads))
+		for _, idxs := range pointGroups(p, true) {
+			trs := make([]triad.Triad, len(idxs))
+			keys := make([]string, len(idxs))
+			for j, i := range idxs {
+				trs[j], keys[j] = p.Triads[i], p.Keys[i]
+			}
+			res, _, err := e.runPointGroup(t.Context(), p.Prep, trs, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, i := range idxs {
+				out[i] = *res[j]
+			}
+		}
+		for i := range out {
+			out[i].Efficiency = metrics.EnergyEfficiency(out[i].EnergyPerOpFJ, out[0].EnergyPerOpFJ)
+		}
+		data, err := json.Marshal(out)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return data
 	}
 
-	fresh, err := charz.RunWith(ctx, e, cfg)
-	if err != nil {
-		t.Fatal(err)
+	freshJSON := run()
+	if got := e.Executions(); got != uint64(len(p.Triads)) {
+		t.Fatalf("cold pass executed %d of %d points", got, len(p.Triads))
 	}
-	cached, err := charz.RunWith(ctx, e, cfg)
-	if err != nil {
-		t.Fatal(err)
+	cachedJSON := run()
+	if got := e.Executions(); got != uint64(len(p.Triads)) {
+		t.Fatalf("warm pass executed %d more points", got-uint64(len(p.Triads)))
 	}
 	direct, err := charz.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshJSON, cachedJSON, directJSON := marshal(fresh), marshal(cached), marshal(direct)
+	directJSON, err := json.Marshal(direct.Triads)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(freshJSON, cachedJSON) {
 		t.Error("cached sweep result differs from fresh result")
 	}
@@ -245,15 +273,22 @@ func TestCorruptCacheEntryRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	point := func(e *Engine) PointSummary {
+		t.Helper()
+		id, err := e.Submit(Request{Arches: []string{cfg.Arch.String()}, Widths: []int{cfg.Width},
+			Patterns: cfg.Patterns, Seed: cfg.Seed, Policy: PolicyExplicit, Triads: []triad.Triad{tr}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := e.Wait(t.Context(), id)
+		if err != nil || s.Status != StatusDone {
+			t.Fatalf("corrupt entry was not recomputed: %v, status %s (%s)", err, s.Status, s.Error)
+		}
+		return s.Results[0].Points[0]
+	}
+
 	e1 := newTestEngine(t, Options{Workers: 1, CacheDir: dir})
-	prep, err := e1.Prepare(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := e1.RunPoint(context.Background(), prep, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := point(e1)
 
 	entry := filepath.Join(dir, key[:2], key+".json")
 	if err := os.WriteFile(entry, []byte("{truncated"), 0o644); err != nil {
@@ -261,18 +296,11 @@ func TestCorruptCacheEntryRecovers(t *testing.T) {
 	}
 
 	e2 := newTestEngine(t, Options{Workers: 1, CacheDir: dir})
-	prep2, err := e2.Prepare(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := e2.RunPoint(context.Background(), prep2, tr)
-	if err != nil {
-		t.Fatalf("corrupt entry was not recomputed: %v", err)
-	}
+	got := point(e2)
 	if e2.Executions() != 1 {
 		t.Errorf("executions = %d, want 1 (recompute)", e2.Executions())
 	}
-	if got.BER() != want.BER() || got.EnergyPerOpFJ != want.EnergyPerOpFJ {
+	if got.BER != want.BER || got.EnergyPerOpFJ != want.EnergyPerOpFJ {
 		t.Error("recomputed result differs from original")
 	}
 	// The overwritten entry must now be valid again.
@@ -353,18 +381,11 @@ func TestPointKeySensitivity(t *testing.T) {
 		seen[key] = name
 	}
 
-	// Scheduling knobs and the sweep-set override must not perturb the key.
-	for name, mutate := range map[string]func() charz.Config{
-		"Parallelism": func() charz.Config { c := base; c.Parallelism = 3; return c },
-		"Triads":      func() charz.Config { c := base; c.Triads = []triad.Triad{tr}; return c },
-	} {
-		key, err := PointKey(mutate(), tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if key != baseKey {
-			t.Errorf("scheduling knob %s changed the cache key", name)
-		}
+	// The sweep-set override must not perturb the key.
+	withSet := base
+	withSet.Triads = []triad.Triad{tr}
+	if key, err := PointKey(withSet, tr); err != nil || key != baseKey {
+		t.Errorf("the sweep-set override changed the cache key (%v)", err)
 	}
 
 	// Defaults canonicalize: explicit default values hash like zero values.
@@ -561,29 +582,37 @@ func TestSingleflightExecutesEachPointOnce(t *testing.T) {
 }
 
 // TestFig5SharesPointsWithGridSweep runs a vddgrid sweep and then the
-// Fig. 5 experiment through the same engine: every Fig. 5 voltage that
-// the grid already visited must be a cache hit.
+// Fig. 5 points — the grid's (synthesis clock, Vdd, 0) triads — as an
+// explicit sweep through the same engine: every one of them must be a
+// cache hit.
 func TestFig5SharesPointsWithGridSweep(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 2})
 	vdds := []float64{0.8, 0.6}
-	id, err := e.Submit(Request{Arches: []string{"RCA"}, Widths: []int{4}, Patterns: 40,
-		Seed: 7, Policy: PolicyVddGrid, Vdds: vdds})
+	req := Request{Arches: []string{"RCA"}, Widths: []int{4}, Patterns: 40, Seed: 7}
+	grid := req
+	grid.Policy, grid.Vdds = PolicyVddGrid, vdds
+	id, err := e.Submit(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s, err := e.Wait(context.Background(), id); err != nil || s.Status != StatusDone {
+	s, err := e.Wait(context.Background(), id)
+	if err != nil || s.Status != StatusDone {
 		t.Fatalf("grid sweep: %v status=%v", err, s.Status)
 	}
 	before := e.Executions()
-	pts, err := charz.Fig5With(context.Background(), e, testConfig(), vdds)
-	if err != nil {
+	fig5 := req
+	fig5.Policy = PolicyExplicit
+	for _, vdd := range vdds {
+		fig5.Triads = append(fig5.Triads, triad.Triad{Tclk: s.Results[0].Report.CriticalPath, Vdd: vdd})
+	}
+	if id, err = e.Submit(fig5); err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != len(vdds) {
-		t.Fatalf("Fig5 returned %d points, want %d", len(pts), len(vdds))
+	if s, err = e.Wait(context.Background(), id); err != nil || s.Status != StatusDone {
+		t.Fatalf("Fig. 5 sweep: %v status=%v", err, s.Status)
 	}
-	if got := e.Executions(); got != before {
-		t.Errorf("Fig5 re-simulated %d grid points, want 0", got-before)
+	if got := e.Executions(); got != before || s.Progress.CacheHits != len(vdds) {
+		t.Errorf("Fig. 5 sweep re-simulated %d grid points (%d cache hits), want 0", got-before, s.Progress.CacheHits)
 	}
 }
 
@@ -682,8 +711,8 @@ func TestPlanExpansion(t *testing.T) {
 	}
 }
 
-// TestRunPointGroupCrossVoltage: the public GroupRunner method accepts
-// a group spanning operating points of one body-bias family (a
+// TestRunPointGroupCrossVoltage: the engine's point path accepts a
+// group spanning operating points of one body-bias family (a
 // cross-voltage super-group), simulates it cold via the retime chain
 // with results byte-identical to per-point runs, and serves it warm
 // from the per-triad cache entries the grouped run fanned out.
@@ -698,19 +727,20 @@ func TestRunPointGroupCrossVoltage(t *testing.T) {
 		{Tclk: 0.5, Vdd: 1.0, Vbb: 0},
 		{Tclk: 0.5, Vdd: 0.9, Vbb: 0},
 	}
-	cold, err := e.RunPointGroup(ctx, prep, mixed)
+	keys, err := pointKeys(prep.Config, mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, cached, err := e.runPointGroup(ctx, prep, mixed, keys)
 	if err != nil {
 		t.Fatalf("cold cross-voltage group: %v", err)
 	}
 	execsAfterCold := e.Executions()
-	if execsAfterCold != 2 {
-		t.Errorf("cold group executed %d points, want 2", execsAfterCold)
+	if execsAfterCold != 2 || cached[0] || cached[1] {
+		t.Errorf("cold group executed %d points (cached %v), want 2", execsAfterCold, cached)
 	}
-	// The grouped run must have fanned out per-triad cache entries:
-	// per-point reruns are pure cache hits, byte-identical to the
-	// grouped results.
 	for i, tr := range mixed {
-		solo, err := e.RunPoint(ctx, prep, tr)
+		solo, err := prep.RunTriad(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -718,15 +748,26 @@ func TestRunPointGroupCrossVoltage(t *testing.T) {
 			t.Errorf("%s: grouped result diverged from per-point run", tr.Label())
 		}
 	}
+	// The grouped run must have fanned out per-triad cache entries:
+	// one-point groups over its triads are pure cache hits.
+	for i, tr := range mixed {
+		hit, cached, err := e.runPointGroup(ctx, prep, mixed[i:i+1], keys[i:i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cached[0] || !reflect.DeepEqual(hit[0], cold[i]) {
+			t.Errorf("%s: one-point group was not served the grouped result from the cache", tr.Label())
+		}
+	}
 	if got := e.Executions(); got != execsAfterCold {
 		t.Errorf("per-point reruns executed %d new points, want 0", got-execsAfterCold)
 	}
 	// A warm grouped call is served entirely from the cache.
-	warm, err := e.RunPointGroup(ctx, prep, mixed)
+	warm, cached, err := e.runPointGroup(ctx, prep, mixed, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(warm, cold) {
+	if !reflect.DeepEqual(warm, cold) || !cached[0] || !cached[1] {
 		t.Error("warm grouped results diverged from cold")
 	}
 	if got := e.Executions(); got != execsAfterCold {

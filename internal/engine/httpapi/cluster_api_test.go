@@ -125,7 +125,7 @@ func TestCacheEntryPutRejectsNonPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.New(engine.Options{Workers: 2, Cache: cache})
+	eng, err := engine.New(engine.Options{Workers: 2, Backend: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,24 +160,13 @@ func TestPlanKeysMatchPointKey(t *testing.T) {
 }
 
 // TestHitsStayImmutable: the memory tier shares one decoded result among
-// its readers, so what RunPoint and RunPointGroup hand out, and what a
-// sweep summarizes from a hit, must be the caller's own. Mutating every
-// part of it — the accumulator, the efficiency, the fidelity report —
-// must leave later hits equal to a decode of the stored bytes.
+// its readers, so what a sweep summarizes from a point, computed or hit,
+// must be the caller's own. Mutating every part of the summaries — the
+// error statistics, the per-bit rates, the fidelity report — must leave
+// the cached entries equal to a decode of the stored bytes.
 func TestHitsStayImmutable(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 2})
 	ctx := t.Context()
-	mutate := func(rs ...*charz.TriadResult) {
-		for _, r := range rs {
-			r.Acc.Add(0, math.MaxUint64)
-			r.Efficiency = 42
-			r.EnergyPerOpFJ = -1
-			if r.Fidelity != nil {
-				r.Fidelity.SNRdB = -1
-				r.Fidelity.Fingerprint = "mutated"
-			}
-		}
-	}
 	for _, cfg := range []charz.Config{
 		testConfig(),
 		{Arch: synth.ArchRCA, Width: 8, Patterns: 60, Seed: 1, Backend: charz.BackendModel},
@@ -198,43 +187,28 @@ func TestHitsStayImmutable(t *testing.T) {
 		if len(group) < 2 {
 			t.Fatalf("%s: no electrical group of several triads", cfg.Backend)
 		}
-		// Cold: a grouped simulation where the backend has one, per-point
-		// otherwise (the model backend calibrates point by point).
-		if prep.Groupable() {
-			cold, err := e.RunPointGroup(ctx, prep, group)
+		// Cold, the sweep simulates the group where the backend groups
+		// and calibrates point by point otherwise (the model backend);
+		// warm, it is served from the shared hits.
+		req := Request{Arches: []string{cfg.Arch.String()}, Widths: []int{cfg.Width},
+			Patterns: cfg.Patterns, Seed: cfg.Seed, Backend: cfg.Backend.String(), Policy: PolicyExplicit, Triads: group}
+		for _, hits := range []int{0, len(group)} {
+			id, err := e.Submit(req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mutate(cold...)
-		}
-		for _, tr := range group {
-			r, err := e.RunPoint(ctx, prep, tr)
-			if err != nil {
-				t.Fatal(err)
+			sw, err := e.Wait(ctx, id)
+			if err != nil || sw.Status != StatusDone || sw.Progress.CacheHits != hits {
+				t.Fatalf("sweep over the group: %v %s %+v, want %d hits", err, sw.Status, sw.Progress, hits)
 			}
-			mutate(r)
-		}
-		hits, err := e.RunPointGroup(ctx, prep, group)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mutate(hits...)
-		// A sweep's summaries must not reach into the hits either.
-		id, err := e.Submit(Request{Arches: []string{cfg.Arch.String()}, Widths: []int{cfg.Width},
-			Patterns: cfg.Patterns, Seed: cfg.Seed, Backend: cfg.Backend.String(), Policy: PolicyExplicit, Triads: group})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sw, err := e.Wait(ctx, id)
-		if err != nil || sw.Status != StatusDone || sw.Progress.CacheHits != len(group) {
-			t.Fatalf("sweep over the hits: %v %s %+v", err, sw.Status, sw.Progress)
-		}
-		for i := range sw.Results[0].Points {
-			p := &sw.Results[0].Points[i]
-			p.Stats.PerBit[0]++
-			p.PerBit[0] = -1
-			if p.Fidelity != nil {
-				p.Fidelity.SNRdB = -1
+			for i := range sw.Results[0].Points {
+				p := &sw.Results[0].Points[i]
+				p.Stats.PerBit[0]++
+				p.PerBit[0] = -1
+				if p.Fidelity != nil {
+					p.Fidelity.SNRdB = -1
+					p.Fidelity.Fingerprint = "mutated"
+				}
 			}
 		}
 		for _, tr := range group {
@@ -253,11 +227,7 @@ func TestHitsStayImmutable(t *testing.T) {
 			if cfg.Backend == charz.BackendModel && want.Fidelity == nil {
 				t.Fatalf("model point %+v has no fidelity report", tr)
 			}
-			got, err := e.RunPoint(ctx, prep, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(ent.Point(), want) {
+			if !reflect.DeepEqual(ent.Point(), want) {
 				t.Fatalf("%s hit at %+v changed after its readers mutated their copies", cfg.Backend, tr)
 			}
 		}

@@ -73,13 +73,6 @@ func NewErrorAccumulator(width int) *ErrorAccumulator {
 // Width returns the output width.
 func (a *ErrorAccumulator) Width() int { return a.width }
 
-// Clone returns an independent copy of the accumulator.
-func (a *ErrorAccumulator) Clone() *ErrorAccumulator {
-	c := *a
-	c.perBit = append([]uint64(nil), a.perBit...)
-	return &c
-}
-
 // Add records one observation: ref is the golden word, got the measured
 // one.
 func (a *ErrorAccumulator) Add(ref, got uint64) {

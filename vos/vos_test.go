@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -475,19 +476,49 @@ func TestProjections(t *testing.T) {
 		t.Fatalf("Fig5 perBit has %d entries", len(fig5[0].PerBit))
 	}
 
+	// Fig. 8 and Table IV project the paper's 43-triad set, whose
+	// error-free points tie at BER 0.
+	paper, err := cli.Run(ctx, vos.NewSpec().Arches("RCA").Widths(4).Patterns(40).Seed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	op = paper.Operator("RCA", 4)
 	fig8 := op.Fig8()
+	if len(fig8) != len(op.Points) {
+		t.Fatalf("Fig8 has %d of %d points", len(fig8), len(op.Points))
+	}
+	ties := 0
 	for i := 1; i < len(fig8); i++ {
-		if fig8[i-1].BER > fig8[i].BER {
+		prev, cur := fig8[i-1], fig8[i]
+		if prev.BER > cur.BER {
 			t.Fatal("Fig8 not sorted by BER")
 		}
+		if prev.BER == cur.BER {
+			ties++
+			if prev.EnergyPerOpFJ > cur.EnergyPerOpFJ {
+				t.Fatal("Fig8 ties not sorted by energy")
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no BER ties to order in Fig8")
 	}
 
+	bands := op.Table4()
 	total := 0
-	for _, s := range op.Table4() {
+	for _, s := range bands {
 		total += s.Count
 	}
 	if total > len(op.Points) {
 		t.Fatalf("Table4 binned %d of %d points", total, len(op.Points))
+	}
+	// The zero band holds the error-free points; its best one rounds to
+	// 0% BER.
+	if bands[0].Count == 0 || math.Round(bands[0].BERAtMaxEff*100) != 0 {
+		t.Fatalf("Table4 zero band %+v", bands[0])
+	}
+	if vos.Table4Bands[0].String() != "0%" || vos.Table4Bands[1].String() != "1% to 10%" {
+		t.Fatalf("band labels %q, %q", vos.Table4Bands[0], vos.Table4Bands[1])
 	}
 
 	clocks := op.TriadClocks()
