@@ -103,6 +103,31 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestSortedIndicesOrdering orders a sweep's triads the way every
+// operator result does (its SortedIdx, which vos.Operator.Fig8 follows):
+// the paper's Fig. 8 x-axis, ascending BER with ties by ascending energy.
+func TestSortedIndicesOrdering(t *testing.T) {
+	res, err := Run(smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := triad.SortByBERThenEnergy(len(res.Triads),
+		func(i int) float64 { return res.Triads[i].BER() },
+		func(i int) float64 { return res.Triads[i].EnergyPerOpFJ })
+	if len(idx) != len(res.Triads) {
+		t.Fatal("index length mismatch")
+	}
+	for i := 1; i < len(idx); i++ {
+		prev, cur := res.Triads[idx[i-1]], res.Triads[idx[i]]
+		if cur.BER() < prev.BER() {
+			t.Fatal("not sorted by BER")
+		}
+		if cur.BER() == prev.BER() && cur.EnergyPerOpFJ < prev.EnergyPerOpFJ {
+			t.Fatal("ties not sorted by energy")
+		}
+	}
+}
+
 func TestEnergyDecreasesWithVddAtFixedClock(t *testing.T) {
 	res, err := Run(smallCfg())
 	if err != nil {
