@@ -274,6 +274,29 @@ func BenchmarkFig8Grouped(b *testing.B) {
 	}
 }
 
+// BenchmarkFig8ColdPoint is perfbench fig8_cold's short op without the
+// engine: each iteration prepares each of the four paper operators from
+// scratch (generation, then synthesis with its random-vector activity
+// estimate) and runs one Table III triad, the middle one of the set, on
+// the fresh Prepared, which builds the stimulus, its zero-delay
+// reference and lane images before simulating the point. Those
+// input-side stages weigh as much as the point's timed simulation, so
+// this tracks what the grouped Fig8Grouped amortizes over 43 triads.
+func BenchmarkFig8ColdPoint(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		for _, bd := range paperBenches {
+			prep, err := charz.Prepare(charz.Config{Arch: bd.arch, Width: bd.width, Patterns: benchPatterns, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			set := prep.TriadSet()
+			if _, err := prep.RunTriad(set[len(set)/2]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkEngineWarmSweep measures a fully cache-warm 43-triad sweep
 // through the SDK — the steady-state cost a vosd client pays for a
 // repeated operating-point query (deserialization only, no simulation).

@@ -107,7 +107,7 @@ func (c *Config) setDefaults() error {
 	if c.PropagateP == 0 {
 		c.PropagateP = 0.5
 	}
-	if c.PropagateP < 0 || c.PropagateP > 1 {
+	if !(c.PropagateP >= 0 && c.PropagateP <= 1) {
 		return fmt.Errorf("charz: propagate probability %v", c.PropagateP)
 	}
 	if c.Proc == nil {
@@ -187,81 +187,125 @@ type Prepared struct {
 	Netlist *netlist.Netlist
 	Report  *synth.Report
 
-	// The stimulus stream and its zero-delay reference are identical for
-	// every triad of a sweep ("same set of input patterns" per the paper),
-	// so they are generated once per Prepared and shared read-only by the
-	// concurrent point simulations.
+	// The stimulus stream, its zero-delay reference and the wide path's
+	// lane images are identical for every triad of a sweep ("same set of
+	// input patterns" per the paper), so they are built once per Prepared
+	// and shared read-only by the concurrent point simulations.
 	stimOnce sync.Once
-	stimA    []uint64
-	stimB    []uint64
-	stimWant []uint64
+	stim     *stimulus
 	stimErr  error
-
-	// The wide path's per-chunk lane images are likewise triad-independent
-	// (the 64×64 operand transposes depend only on the stimulus), so they
-	// are assembled once per sweep and shared read-only by every triad.
-	// Stored compact (input-net entries only, parallel to imgInputs): the
-	// engine reads nothing else, and a full per-net image per chunk would
-	// make a large-Patterns sweep's resident set balloon.
-	imgOnce   sync.Once
-	imgInputs []netlist.NetID
-	imgPrev   [][]uint64
-	imgCur    [][]uint64
-	imgErr    error
 }
 
-// stimulusSet lazily generates the sweep's stimulus pairs and their
-// batched zero-delay reference words.
-func (p *Prepared) stimulusSet() (as, bs, want []uint64, err error) {
+// stimulus is a sweep's triad-independent input side: the operand pairs,
+// their zero-delay reference words and the wide path's per-chunk lane
+// images.
+type stimulus struct {
+	as, bs []uint64
+	// want holds one reference word per pattern: sum LSB-first, then
+	// carry-out (the packing of outNets).
+	want []uint64
+	// inputs lists the netlist's input nets in port order. prev and cur
+	// are indexed by 64-pattern chunk (pattern base / sim.WordLanes) and
+	// stored compact: entry j of a chunk image is input net inputs[j]'s
+	// lane word (scatterWideImage expands K consecutive chunks into a
+	// full lane-block image). Bit k of cur is the net's value under
+	// pattern base+k, and prev carries each lane's predecessor pattern:
+	// lane 0's is the previous chunk's last pattern (or the all-zero reset
+	// state for the first chunk), so the chunked lane sweep replays
+	// exactly the scalar protocol's settled-state chaining. A full per-net
+	// image per chunk would make a large-Patterns sweep's resident set
+	// balloon.
+	inputs    []netlist.NetID
+	prev, cur [][]uint64
+}
+
+// stimulusSet lazily builds the sweep's stimulus.
+func (p *Prepared) stimulusSet() (*stimulus, error) {
 	p.stimOnce.Do(func() {
-		gen, err := patterns.NewPropagateProfile(p.Config.Width, p.Config.PropagateP, p.Config.Seed)
-		if err != nil {
-			p.stimErr = err
-			return
-		}
-		p.stimA = make([]uint64, p.Config.Patterns)
-		p.stimB = make([]uint64, p.Config.Patterns)
-		for i := range p.stimA {
-			p.stimA[i], p.stimB[i] = gen.Next()
-		}
-		p.stimWant, p.stimErr = batchReference(p.Netlist, p.Config.Width, p.stimA, p.stimB)
+		p.stim, p.stimErr = buildStimulus(p.Netlist, p.Config, p.outNets())
 	})
-	return p.stimA, p.stimB, p.stimWant, p.stimErr
+	return p.stim, p.stimErr
 }
 
-// laneImages lazily assembles the wide path's chained per-chunk (prev,
-// cur) lane images, indexed by 64-pattern chunk (pattern base /
-// sim.WordLanes) and stored compact: entry j of a chunk image is input
-// net inputs[j]'s lane word (scatterWideImage expands K consecutive
-// chunks into a full lane-block image). Shared read-only by every triad
-// and every electrical group of the sweep.
-func (p *Prepared) laneImages() (inputs []netlist.NetID, prev, cur [][]uint64, err error) {
-	p.imgOnce.Do(func() {
-		as, bs, _, err := p.stimulusSet()
-		if err != nil {
-			p.imgErr = err
-			return
+// buildStimulus draws the sweep's operand pairs and builds their lane
+// images and reference words one 64-pattern chunk at a time. One 64×64
+// bit transpose per operand turns the chunk's pattern-indexed words into
+// bit-indexed lane words; those feed one bit-sliced EvaluateBatch in
+// place, and one more transpose turns the output lanes back into
+// per-pattern reference words. Computing the reference through the
+// netlist rather than host arithmetic keeps it honest for any operator
+// wired to the adder ports. Ragged chunks leave lanes ≥ n zero in both
+// images (inert: no events, leakage-only energy, ignored by the folds).
+func buildStimulus(nl *netlist.Netlist, cfg Config, outNets []netlist.NetID) (*stimulus, error) {
+	pa, ok := nl.InputPort(synth.PortA)
+	if !ok {
+		return nil, fmt.Errorf("charz: netlist %s lacks input port %q", nl.Name, synth.PortA)
+	}
+	pb, ok := nl.InputPort(synth.PortB)
+	if !ok {
+		return nil, fmt.Errorf("charz: netlist %s lacks input port %q", nl.Name, synth.PortB)
+	}
+	for _, name := range []string{synth.PortSum, synth.PortCout} {
+		if _, ok := nl.OutputPort(name); !ok {
+			return nil, fmt.Errorf("charz: netlist %s lacks output port %q", nl.Name, name)
 		}
-		for _, port := range p.Netlist.Inputs {
-			p.imgInputs = append(p.imgInputs, port.Bits...)
+	}
+	gen, err := patterns.NewPropagateProfile(cfg.Width, cfg.PropagateP, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	s := &stimulus{
+		as:   make([]uint64, cfg.Patterns),
+		bs:   make([]uint64, cfg.Patterns),
+		want: make([]uint64, cfg.Patterns),
+	}
+	for _, port := range nl.Inputs {
+		s.inputs = append(s.inputs, port.Bits...)
+	}
+	ni, chunks := len(s.inputs), (cfg.Patterns+sim.WordLanes-1)/sim.WordLanes
+	imgs := make([]uint64, 2*ni*chunks) // every chunk's prev then cur image
+	s.prev, s.cur = make([][]uint64, 0, chunks), make([][]uint64, 0, chunks)
+	lanes := make([]uint64, nl.NumNets())
+	last := make([]uint64, ni) // per input: the previous chunk's lane-63 value
+	for base := 0; base < cfg.Patterns; base += sim.WordLanes {
+		n := min(cfg.Patterns-base, sim.WordLanes)
+		var ta, tb, tw [64]uint64
+		for k := 0; k < n; k++ {
+			ta[k], tb[k] = gen.Next()
 		}
-		step := newLaneStimulus(p.Netlist, as, bs)
-		for base := 0; base < p.Config.Patterns; base += sim.WordLanes {
-			n := p.Config.Patterns - base
-			if n > sim.WordLanes {
-				n = sim.WordLanes
-			}
-			pw, cw := step.images(base, n)
-			cp := make([]uint64, 2*len(p.imgInputs))
-			for j, id := range p.imgInputs {
-				cp[j] = pw[id]
-				cp[len(p.imgInputs)+j] = cw[id]
-			}
-			p.imgPrev = append(p.imgPrev, cp[:len(p.imgInputs)])
-			p.imgCur = append(p.imgCur, cp[len(p.imgInputs):])
+		copy(s.as[base:], ta[:n])
+		copy(s.bs[base:], tb[:n])
+		metrics.Transpose64(&ta) // ta[i]: bit i of every pattern in the chunk
+		metrics.Transpose64(&tb)
+		for i, id := range pa.Bits {
+			lanes[id] = ta[i]
 		}
-	})
-	return p.imgInputs, p.imgPrev, p.imgCur, p.imgErr
+		for i, id := range pb.Bits {
+			lanes[id] = tb[i]
+		}
+		if err := nl.EvaluateBatch(lanes); err != nil {
+			return nil, err
+		}
+		for i, id := range outNets {
+			tw[i] = lanes[id]
+		}
+		metrics.Transpose64(&tw) // tw[k]: pattern base+k's output word
+		copy(s.want[base:], tw[:n])
+		prev, cur := imgs[:ni:ni], imgs[ni:2*ni:2*ni]
+		imgs = imgs[2*ni:]
+		lm := laneMask(n)
+		for j, id := range s.inputs {
+			cw := lanes[id]
+			cur[j] = cw
+			// Lane k's predecessor is lane k-1's current vector; lane 0
+			// chains from the previous chunk.
+			prev[j] = (cw<<1 | last[j]) & lm
+			last[j] = cw >> 63 // consumed only after full chunks
+		}
+		s.prev = append(s.prev, prev)
+		s.cur = append(s.cur, cur)
+	}
+	return s, nil
 }
 
 // Prepare runs the triad-independent half of the flow: apply defaults,
@@ -403,11 +447,7 @@ func scatterWideImage(full []uint64, inputs []netlist.NetID, k int, imgs [][]uin
 // state.
 func (p *Prepared) sweepSuperGroup(trs []triad.Triad) ([]*TriadResult, error) {
 	nl, cfg := p.Netlist, p.Config
-	_, _, want, err := p.stimulusSet()
-	if err != nil {
-		return nil, err
-	}
-	inputs, prevImgs, curImgs, err := p.laneImages()
+	st, err := p.stimulusSet()
 	if err != nil {
 		return nil, err
 	}
@@ -462,8 +502,8 @@ func (p *Prepared) sweepSuperGroup(trs []triad.Triad) ([]*TriadResult, error) {
 	var sample sim.WideSample
 	wideStep := sim.WordLanes * k
 	for wbase := 0; wbase < cfg.Patterns; wbase += wideStep {
-		scatterWideImage(prevW, inputs, k, prevImgs, wbase/sim.WordLanes)
-		scatterWideImage(curW, inputs, k, curImgs, wbase/sim.WordLanes)
+		scatterWideImage(prevW, st.inputs, k, st.prev, wbase/sim.WordLanes)
+		scatterWideImage(curW, st.inputs, k, st.cur, wbase/sim.WordLanes)
 		// One chain of traces across the chunk's operating points: a
 		// fresh simulation anchors each body-bias family (delay maps do
 		// not rescale uniformly across Vbb), every further point down
@@ -496,7 +536,7 @@ func (p *Prepared) sweepSuperGroup(trs []triad.Triad) ([]*TriadResult, error) {
 				if err := tr.Resample(trs[ti].Tclk, &sample); err != nil {
 					return nil, err
 				}
-				if err := folds[ti].foldWide(want, wbase, k, sample.CapturedW, sample.EnergyFJ, sample.LateW); err != nil {
+				if err := folds[ti].foldWide(st.want, wbase, k, sample.CapturedW, sample.EnergyFJ, sample.LateW); err != nil {
 					return nil, err
 				}
 			}
@@ -510,8 +550,8 @@ func (p *Prepared) sweepSuperGroup(trs []triad.Triad) ([]*TriadResult, error) {
 }
 
 // outNets lists the operator's output bits in the error accumulator's
-// order: sum LSB-first, then carry-out — the packing of the batch
-// reference words.
+// order: sum LSB-first, then carry-out — the packing of the reference
+// words.
 func (p *Prepared) outNets() []netlist.NetID {
 	psum, _ := p.Netlist.OutputPort(synth.PortSum)
 	pcout, _ := p.Netlist.OutputPort(synth.PortCout)
@@ -651,51 +691,6 @@ func newStepper(nl *netlist.Netlist, cfg Config, tr triad.Triad) (sim.Stepper, e
 	}
 }
 
-// batchReference computes the zero-delay reference word (sum plus
-// carry-out) for every stimulus pair through the netlist itself,
-// netlist.BatchLanes vectors per bit-sliced EvaluateBatch pass. Using the
-// netlist rather than host arithmetic keeps the reference honest for any
-// operator wired to the adder ports, at ~1/64 of the scalar EvaluateInto
-// cost.
-func batchReference(nl *netlist.Netlist, width int, as, bs []uint64) ([]uint64, error) {
-	pa, ok := nl.InputPort(synth.PortA)
-	if !ok {
-		return nil, fmt.Errorf("charz: netlist %s lacks input port %q", nl.Name, synth.PortA)
-	}
-	pb, ok := nl.InputPort(synth.PortB)
-	if !ok {
-		return nil, fmt.Errorf("charz: netlist %s lacks input port %q", nl.Name, synth.PortB)
-	}
-	psum, ok := nl.OutputPort(synth.PortSum)
-	if !ok {
-		return nil, fmt.Errorf("charz: netlist %s lacks output port %q", nl.Name, synth.PortSum)
-	}
-	pcout, ok := nl.OutputPort(synth.PortCout)
-	if !ok {
-		return nil, fmt.Errorf("charz: netlist %s lacks output port %q", nl.Name, synth.PortCout)
-	}
-	lanes := make([]uint64, nl.NumNets())
-	want := make([]uint64, len(as))
-	for base := 0; base < len(as); base += netlist.BatchLanes {
-		n := len(as) - base
-		if n > netlist.BatchLanes {
-			n = netlist.BatchLanes
-		}
-		for k := 0; k < n; k++ {
-			netlist.AssignPortLane(lanes, pa, uint(k), as[base+k])
-			netlist.AssignPortLane(lanes, pb, uint(k), bs[base+k])
-		}
-		if err := nl.EvaluateBatch(lanes); err != nil {
-			return nil, err
-		}
-		for k := 0; k < n; k++ {
-			want[base+k] = netlist.PortLaneValue(psum, lanes, uint(k)) |
-				netlist.PortLaneValue(pcout, lanes, uint(k))<<uint(width)
-		}
-	}
-	return want, nil
-}
-
 // sweepTriad runs the stimulus set through one triad. Groupable
 // configurations ride the wide engine: one StepWideChunk per K×64
 // patterns (K from the pattern count, as the grouped path picks it),
@@ -725,11 +720,7 @@ func (p *Prepared) sweepTriad(tr triad.Triad) (*TriadResult, error) {
 // sweepTriadWide is sweepTriad's wide-engine loop.
 func (p *Prepared) sweepTriadWide(tr triad.Triad) (*TriadResult, error) {
 	nl, cfg := p.Netlist, p.Config
-	_, _, want, err := p.stimulusSet()
-	if err != nil {
-		return nil, err
-	}
-	inputs, prevImgs, curImgs, err := p.laneImages()
+	st, err := p.stimulusSet()
 	if err != nil {
 		return nil, err
 	}
@@ -744,8 +735,8 @@ func (p *Prepared) sweepTriadWide(tr triad.Triad) (*TriadResult, error) {
 	curW := make([]uint64, nl.NumNets()*k)
 	got := make([]uint64, len(outNets)*k)
 	for wbase := 0; wbase < cfg.Patterns; wbase += sim.WordLanes * k {
-		scatterWideImage(prevW, inputs, k, prevImgs, wbase/sim.WordLanes)
-		scatterWideImage(curW, inputs, k, curImgs, wbase/sim.WordLanes)
+		scatterWideImage(prevW, st.inputs, k, st.prev, wbase/sim.WordLanes)
+		scatterWideImage(curW, st.inputs, k, st.cur, wbase/sim.WordLanes)
 		res, err := eng.StepWideChunk(prevW, curW, tr.Tclk)
 		if err != nil {
 			return nil, err
@@ -753,7 +744,7 @@ func (p *Prepared) sweepTriadWide(tr triad.Triad) (*TriadResult, error) {
 		for s, id := range outNets {
 			copy(got[s*k:s*k+k], res.CapturedW[int(id)*k:int(id)*k+k])
 		}
-		if err := f.foldWide(want, wbase, k, got, res.EnergyFJ, res.LateW); err != nil {
+		if err := f.foldWide(st.want, wbase, k, got, res.EnergyFJ, res.LateW); err != nil {
 			return nil, err
 		}
 	}
@@ -763,7 +754,7 @@ func (p *Prepared) sweepTriadWide(tr triad.Triad) (*TriadResult, error) {
 // sweepTriadScalar is sweepTriad's scalar reference loop.
 func (p *Prepared) sweepTriadScalar(tr triad.Triad) (*TriadResult, error) {
 	nl, cfg := p.Netlist, p.Config
-	as, bs, want, err := p.stimulusSet()
+	st, err := p.stimulusSet()
 	if err != nil {
 		return nil, err
 	}
@@ -779,9 +770,9 @@ func (p *Prepared) sweepTriadScalar(tr triad.Triad) (*TriadResult, error) {
 		}
 		step = eng.StreamStepDense
 	}
-	st := netlist.CompileStimulus(nl)
-	slotA, slotB := st.MustSlot(synth.PortA), st.MustSlot(synth.PortB)
-	if err := stepper.ResetDense(st.Values()); err != nil {
+	img := netlist.CompileStimulus(nl)
+	slotA, slotB := img.MustSlot(synth.PortA), img.MustSlot(synth.PortB)
+	if err := stepper.ResetDense(img.Values()); err != nil {
 		return nil, err
 	}
 	outNets := p.outNets()
@@ -793,9 +784,9 @@ func (p *Prepared) sweepTriadScalar(tr triad.Triad) (*TriadResult, error) {
 			gotBits[i] = 0
 		}
 		for k := 0; k < n; k++ {
-			st.SetSlot(slotA, as[base+k])
-			st.SetSlot(slotB, bs[base+k])
-			res, err := step(st.Values(), tr.Tclk)
+			img.SetSlot(slotA, st.as[base+k])
+			img.SetSlot(slotB, st.bs[base+k])
+			res, err := step(img.Values(), tr.Tclk)
 			if err != nil {
 				return nil, err
 			}
@@ -807,7 +798,7 @@ func (p *Prepared) sweepTriadScalar(tr triad.Triad) (*TriadResult, error) {
 				f.late++
 			}
 		}
-		if err := f.acc.AddLanes(want[base:base+n], gotBits); err != nil {
+		if err := f.acc.AddLanes(st.want[base:base+n], gotBits); err != nil {
 			return nil, err
 		}
 	}
@@ -820,61 +811,4 @@ func laneMask(n int) uint64 {
 		return ^uint64(0)
 	}
 	return uint64(1)<<uint(n) - 1
-}
-
-// laneStimulus assembles the wide path's per-64-pattern-chunk input
-// images from the operand streams: bit k of curW[id] is net id's value
-// under pattern base+k, and prevW carries each lane's predecessor
-// pattern — lane 0's predecessor being the previous chunk's last pattern
-// (or the all-zero reset state for the first chunk), so the chunked lane
-// sweep replays exactly the scalar protocol's settled-state chaining.
-type laneStimulus struct {
-	nl      *netlist.Netlist
-	pa, pb  netlist.Port
-	as, bs  []uint64
-	prevW   []uint64
-	curW    []uint64
-	lastBit []uint64 // per input net: the previous chunk's lane-63 value
-}
-
-func newLaneStimulus(nl *netlist.Netlist, as, bs []uint64) *laneStimulus {
-	pa, _ := nl.InputPort(synth.PortA)
-	pb, _ := nl.InputPort(synth.PortB)
-	return &laneStimulus{
-		nl: nl, pa: pa, pb: pb, as: as, bs: bs,
-		prevW:   make([]uint64, nl.NumNets()),
-		curW:    make([]uint64, nl.NumNets()),
-		lastBit: make([]uint64, nl.NumNets()),
-	}
-}
-
-// images builds the (prev, cur) lane images for the chunk starting at
-// base with n active lanes: one 64×64 bit transpose per operand turns the
-// pattern-indexed words into bit-indexed lane words (per-bit scattering
-// was the sweep's top profile entry). Ragged chunks leave lanes ≥ n equal
-// in both images (inert: no events, leakage-only energy, ignored by the
-// caller).
-func (s *laneStimulus) images(base, n int) (prevW, curW []uint64) {
-	var ta, tb [64]uint64
-	copy(ta[:], s.as[base:base+n])
-	copy(tb[:], s.bs[base:base+n])
-	metrics.Transpose64(&ta) // ta[i]: bit i of every pattern in the chunk
-	metrics.Transpose64(&tb)
-	for i, id := range s.pa.Bits {
-		s.curW[id] = ta[i]
-	}
-	for i, id := range s.pb.Bits {
-		s.curW[id] = tb[i]
-	}
-	lm := laneMask(n)
-	for _, port := range s.nl.Inputs {
-		for _, id := range port.Bits {
-			cw := s.curW[id]
-			// Lane k's predecessor is lane k-1's current vector; lane 0
-			// chains from the previous chunk.
-			s.prevW[id] = (cw<<1 | s.lastBit[id]) & lm
-			s.lastBit[id] = cw >> 63 // consumed only after full chunks
-		}
-	}
-	return s.prevW, s.curW
 }

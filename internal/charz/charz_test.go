@@ -101,6 +101,11 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(bad); err == nil {
 		t.Fatal("propagate probability 2 accepted")
 	}
+	bad = smallCfg()
+	bad.PropagateP = math.NaN()
+	if _, err := Run(bad); err == nil {
+		t.Fatal("propagate probability NaN accepted")
+	}
 }
 
 // TestSortedIndicesOrdering orders a sweep's triads the way every

@@ -229,27 +229,29 @@ func (r *registry[R, O, S, E]) insertLocked(j *job[R, O, S, E]) {
 	r.pruneLocked()
 }
 
-// pruneLocked evicts the oldest finished jobs beyond the retention cap.
+// pruneLocked evicts the oldest finished jobs beyond the retention cap,
+// one linear scan per eviction (an insert into a full registry evicts
+// one), so it allocates nothing while the engine-wide lock is held.
 // Running jobs are never evicted. An evicted job's open streams read on:
 // a stream holds its job, not the job's ID. Callers hold jobsMu.
 func (r *registry[R, O, S, E]) pruneLocked() {
-	if len(r.jobs) <= maxRetainedJobs {
-		return
-	}
-	ids := make([]string, 0, len(r.jobs))
-	for id := range r.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids) // zero-padded sequence numbers: lexicographic = chronological
-	for _, id := range ids {
-		if len(r.jobs) <= maxRetainedJobs {
+	for len(r.jobs) > maxRetainedJobs {
+		oldest := ""
+		for id, j := range r.jobs {
+			// Zero-padded sequence numbers: lexicographic = chronological.
+			if oldest != "" && id >= oldest {
+				continue
+			}
+			select {
+			case <-j.done:
+				oldest = id
+			default:
+			}
+		}
+		if oldest == "" {
 			return
 		}
-		select {
-		case <-r.jobs[id].done:
-			delete(r.jobs, id)
-		default:
-		}
+		delete(r.jobs, oldest)
 	}
 }
 

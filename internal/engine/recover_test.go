@@ -489,6 +489,51 @@ func TestPruneRetainsLiveSubscribers(t *testing.T) {
 	}
 }
 
+// TestPruneEvictsOldestFinishedWithoutAllocating: every insert into a
+// full registry evicts exactly the oldest finished job and allocates
+// nothing, and a running job older than every finished one is never
+// evicted. White-box: a bare registry (no engine, so no background
+// goroutine allocates during the count) fed prebuilt jobs.
+func TestPruneEvictsOldestFinishedWithoutAllocating(t *testing.T) {
+	r := newRegistry[Request, []OperatorResult, Sweep, SweepEvent](nil, nil)
+	const inserts = 100
+	jobs := make([]*sweepJob, maxRetainedJobs+inserts)
+	for i := range jobs {
+		j := &sweepJob{head: JobInfo{ID: fmt.Sprintf("s-%06d", i+1), Status: StatusDone},
+			cancel: func() {}, done: make(chan struct{})}
+		if i == 0 {
+			j.head.Status = StatusRunning
+		} else {
+			close(j.done)
+		}
+		jobs[i] = j
+	}
+	for _, j := range jobs[:maxRetainedJobs] {
+		r.insertLocked(j)
+	}
+	next := maxRetainedJobs
+	allocs := testing.AllocsPerRun(inserts-1, func() { // one warm-up call, then inserts-1
+		r.insertLocked(jobs[next])
+		next++
+		if len(r.jobs) != maxRetainedJobs {
+			t.Fatalf("registry holds %d jobs after an insert, want %d", len(r.jobs), maxRetainedJobs)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("pruning a full registry allocated %v times per insert, want 0", allocs)
+	}
+	if _, ok := r.jobs["s-000001"]; !ok {
+		t.Fatal("the running job was evicted")
+	}
+	// Kept: the running job and the newest maxRetainedJobs-1 finished ones.
+	for i, j := range jobs[1:] {
+		_, kept := r.jobs[j.head.ID]
+		if want := i+1 > inserts; kept != want {
+			t.Fatalf("%s retained=%v, want %v", j.head.ID, kept, want)
+		}
+	}
+}
+
 // TestCancelErrorCodes pins the cancel error surface both registries
 // share: unknown IDs and already-terminal jobs fail distinctly.
 func TestCancelErrorCodes(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,20 +115,20 @@ func (r *Request) normalize() error {
 	if r.Seed == 0 {
 		r.Seed = 1
 	}
-	if r.PropagateP < 0 || r.PropagateP > 1 {
+	if !(r.PropagateP >= 0 && r.PropagateP <= 1) {
 		return fmt.Errorf("engine: propagate probability %v outside [0, 1]", r.PropagateP)
 	}
 	if r.LeaseSec < 0 {
 		return fmt.Errorf("engine: negative lease %d", r.LeaseSec)
 	}
 	for _, v := range r.Vdds {
-		if v <= 0 {
-			return fmt.Errorf("engine: non-positive Vdd %v", v)
+		if !(v > 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("engine: Vdd %v must be finite and > 0", v)
 		}
 	}
 	for _, v := range r.VbbValues {
-		if v < 0 {
-			return fmt.Errorf("engine: negative Vbb magnitude %v", v)
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("engine: Vbb magnitude %v must be finite and ≥ 0", v)
 		}
 	}
 	for _, name := range r.Arches {

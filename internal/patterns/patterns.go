@@ -4,10 +4,19 @@
 // propagate carry in the chain"; Uniform delivers exactly that
 // (P(propagate) = ½ per bit), and PropagateProfile generalizes it for the
 // ablation studies (biasing carry-chain lengths up or down).
+//
+// PropagateProfile's draw sequence is part of every recorded result: the
+// characterization stimulus, the model calibration pairs and therefore
+// every golden (the parity corpus, the Monte Carlo golden, the perfbench
+// digests, the REST and command goldens) pin it. Each operand bit, LSB
+// first, takes exactly two PCG draws — the propagate test, then the bit
+// that picks the operand (propagate) or generate versus kill. Changing
+// that sequence, even to an equally random one, is a results change.
 package patterns
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 )
 
@@ -73,8 +82,11 @@ func (u *Uniform) Reset() { u.rng = rand.New(rand.NewPCG(u.seed, 0x5eed)) }
 type PropagateProfile struct {
 	width int
 	seed  uint64
-	p     float64
-	rng   *rand.Rand
+	// thresh is ⌈P·2⁵³⌉: a draw x propagates when its low 53 bits, read
+	// as an integer, fall below it — exactly rand.Rand.Float64() < P,
+	// since that float is those 53 bits over 2⁵³ and P·2⁵³ is exact.
+	thresh uint64
+	rng    rand.PCG
 }
 
 // NewPropagateProfile returns a deterministic biased generator.
@@ -82,10 +94,10 @@ func NewPropagateProfile(width int, p float64, seed uint64) (*PropagateProfile, 
 	if err := validWidth(width); err != nil {
 		return nil, err
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return nil, fmt.Errorf("patterns: propagate probability %v outside [0, 1]", p)
 	}
-	g := &PropagateProfile{width: width, seed: seed, p: p}
+	g := &PropagateProfile{width: width, seed: seed, thresh: uint64(math.Ceil(p * (1 << 53)))}
 	g.Reset()
 	return g, nil
 }
@@ -93,29 +105,26 @@ func NewPropagateProfile(width int, p float64, seed uint64) (*PropagateProfile, 
 // Width implements Generator.
 func (g *PropagateProfile) Width() int { return g.width }
 
-// Next implements Generator.
+// Next implements Generator. Per bit, LSB first, it takes two draws: the
+// propagate test, then y, the second draw's LSB. Propagate sets (a, b) to
+// (1, 0) when y = 0 and (0, 1) when y = 1; otherwise y = 0 generates
+// (1, 1) and y = 1 kills (0, 0). Both cases are a = ¬y and b = prop ⊕ ¬y,
+// set without branching.
 func (g *PropagateProfile) Next() (uint64, uint64) {
 	var a, b uint64
 	for i := 0; i < g.width; i++ {
-		if g.rng.Float64() < g.p {
-			// Propagate: (0,1) or (1,0).
-			if g.rng.Uint64()&1 == 0 {
-				a |= 1 << uint(i)
-			} else {
-				b |= 1 << uint(i)
-			}
-		} else if g.rng.Uint64()&1 == 0 {
-			// Generate: (1,1).
-			a |= 1 << uint(i)
-			b |= 1 << uint(i)
-		}
-		// else kill: (0,0).
+		// x < thresh ≤ 2⁵³, so the difference borrows (sets bit 63)
+		// exactly when the bit propagates.
+		prop := (g.rng.Uint64()<<11>>11 - g.thresh) >> 63
+		ny := g.rng.Uint64()&1 ^ 1
+		a |= ny << uint(i)
+		b |= (prop ^ ny) << uint(i)
 	}
 	return a, b
 }
 
 // Reset implements Generator.
-func (g *PropagateProfile) Reset() { g.rng = rand.New(rand.NewPCG(g.seed, 0xb1a5)) }
+func (g *PropagateProfile) Reset() { g.rng.Seed(g.seed, 0xb1a5) }
 
 // Exhaustive enumerates every operand pair of a small width in row-major
 // order, then wraps around.

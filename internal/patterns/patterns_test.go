@@ -170,6 +170,9 @@ func TestWidthValidation(t *testing.T) {
 	if _, err := NewPropagateProfile(8, 1.5, 1); err == nil {
 		t.Fatal("probability 1.5 accepted")
 	}
+	if _, err := NewPropagateProfile(8, math.NaN(), 1); err == nil {
+		t.Fatal("probability NaN accepted")
+	}
 }
 
 func TestGeneratorInterfaces(t *testing.T) {

@@ -1,10 +1,14 @@
 package synth
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
 	"math/rand/v2"
 
 	"repro/internal/cell"
 	"repro/internal/fdsoi"
+	"repro/internal/metrics"
 	"repro/internal/netlist"
 	"repro/internal/sta"
 )
@@ -71,15 +75,17 @@ func Synthesize(nl *netlist.Netlist, lib *cell.Library, proc fdsoi.Params, activ
 }
 
 // averageToggleEnergy estimates the mean switching energy (fJ) per input
-// transition at the nominal supply using zero-delay evaluation. Vectors
-// are evaluated netlist.BatchLanes at a time through the bit-sliced
-// EvaluateBatch; the RNG draw sequence and the per-gate summation order
-// match the scalar implementation exactly, so reports are bit-identical.
+// transition at the nominal supply using zero-delay evaluation, over
+// random input vectors evaluated netlist.BatchLanes at a time through the
+// bit-sliced EvaluateBatch. Each vector takes one PCG draw per input bit
+// (its LSB), vector by vector in port order, and the energy sums run in
+// vector-major, gate-minor order: the figures are those of a scalar loop
+// over vectors and gates.
 func averageToggleEnergy(nl *netlist.Netlist, lib *cell.Library, vectors int, seed uint64) (float64, error) {
 	if vectors < 2 {
 		vectors = 2
 	}
-	rng := rand.New(rand.NewPCG(seed, 0xda7a))
+	rng := rand.NewPCG(seed, 0xda7a)
 	// Per-gate toggle energy, hoisted out of the vector loop (NetLoad
 	// walks fanouts and allocates).
 	gateE := make([]float64, nl.NumGates())
@@ -88,51 +94,69 @@ func averageToggleEnergy(nl *netlist.Netlist, lib *cell.Library, vectors int, se
 		g := &nl.Gates[gi]
 		c := lib.MustCell(g.Kind)
 		gateE[gi] = fdsoi.SwitchingEnergy(loads[g.Output], 1.0) + c.InternalEnergy
+		if math.IsInf(gateE[gi], 0) || math.IsNaN(gateE[gi]) {
+			return 0, fmt.Errorf("synth: gate %d (%v) toggle energy %v is not finite", gi, g.Kind, gateE[gi])
+		}
+	}
+	var inputs []netlist.NetID
+	for _, p := range nl.Inputs {
+		inputs = append(inputs, p.Bits...)
 	}
 	lanes := make([]uint64, nl.NumNets())
-	prev := make([]uint8, nl.NumNets()) // last vector of the previous batch
-	togs := make([]uint64, nl.NumGates())
+	// words[c][k] holds vector k's draws for inputs 64c…64c+63, bit j for
+	// input 64c+j; one transpose per block turns them into lane words.
+	words := make([][64]uint64, (len(inputs)+63)/64)
+	// togs[c][k] is gate 64c+j's toggle under vector k in bit j, after a
+	// transpose of the gates' per-vector toggle masks.
+	togs := make([][64]uint64, (nl.NumGates()+63)/64)
+	prev := make([]uint64, nl.NumGates()) // each gate's output under the previous batch's last vector
 	var total float64
 	for done := 0; done < vectors; {
-		n := vectors - done
-		if n > netlist.BatchLanes {
-			n = netlist.BatchLanes
-		}
+		n := min(vectors-done, netlist.BatchLanes)
+		clear(togs)
 		for k := 0; k < n; k++ {
-			bit := uint64(1) << uint(k)
-			for _, p := range nl.Inputs {
-				for _, b := range p.Bits {
-					if rng.Uint64()&1 != 0 {
-						lanes[b] |= bit
-					} else {
-						lanes[b] &^= bit
-					}
+			for c := range words {
+				var w uint64
+				for j := range min(64, len(inputs)-c*64) {
+					w |= (rng.Uint64() & 1) << uint(j)
 				}
+				words[c][k] = w
+			}
+		}
+		for c := range words {
+			metrics.Transpose64(&words[c])
+			for j, id := range inputs[c*64 : min(len(inputs), c*64+64)] {
+				lanes[id] = words[c][j]
 			}
 		}
 		if err := nl.EvaluateBatch(lanes); err != nil {
 			return 0, err
 		}
-		// Per-gate toggle masks for the whole batch (bit k: vector k
-		// differs from its predecessor), then a branchless fold in the
-		// same (vector-major, gate-minor) order as a scalar loop:
-		// adding gateE·0.0 for untoggled gates leaves the running sum
-		// bit-identical to a conditional add, without the ~50%
-		// mispredicted branch per (vector, gate).
+		// Toggle masks (bit k: vector k differs from its predecessor),
+		// transposed into per-vector gate sets. The first vector has no
+		// predecessor, and lanes ≥ n carry no vector.
+		lm := uint64(1)<<uint(n-1)<<1 - 1
+		if done == 0 {
+			lm &^= 1
+		}
 		for gi := range nl.Gates {
 			x := lanes[nl.Gates[gi].Output]
-			togs[gi] = x ^ (x<<1 | uint64(prev[nl.Gates[gi].Output]))
+			togs[gi>>6][gi&63] = (x ^ (x<<1 | prev[gi])) & lm
+			prev[gi] = x >> uint(n-1) & 1
 		}
+		for c := range togs {
+			metrics.Transpose64(&togs[c])
+		}
+		// Only toggled gates add their energy, in ascending gate order.
+		// An untoggled gate would add gateE·0.0, a zero since gateE is
+		// finite, and a zero addend leaves the running sum (which starts
+		// at +0.0) bit-identical.
 		for k := 0; k < n; k++ {
-			if done+k == 0 {
-				continue // the first vector has no predecessor
+			for c := range togs {
+				for m := togs[c][k]; m != 0; m &= m - 1 {
+					total += gateE[c*64+bits.TrailingZeros64(m)]
+				}
 			}
-			for gi, tg := range togs {
-				total += gateE[gi] * float64(tg>>uint(k)&1)
-			}
-		}
-		for i := range prev {
-			prev[i] = uint8(lanes[i]>>uint(n-1)) & 1
 		}
 		done += n
 	}

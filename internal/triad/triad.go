@@ -54,7 +54,8 @@ func (t Triad) OperatingPoint() fdsoi.OperatingPoint {
 
 // Validate rejects non-physical triads. The negated comparisons also
 // catch NaN, which would otherwise slip through every capture-boundary
-// comparison downstream.
+// comparison downstream; +Inf passes them and is rejected on its own
+// (it has no JSON encoding, so no cache key or result could carry it).
 func (t Triad) Validate() error {
 	switch {
 	case !(t.Tclk > 0):
@@ -63,6 +64,8 @@ func (t Triad) Validate() error {
 		return fmt.Errorf("triad: non-positive Vdd %v", t.Vdd)
 	case !(t.Vbb >= 0):
 		return fmt.Errorf("triad: negative Vbb magnitude %v", t.Vbb)
+	case math.IsInf(t.Tclk, 1), math.IsInf(t.Vdd, 1), math.IsInf(t.Vbb, 1):
+		return fmt.Errorf("triad: non-finite value in (Tclk %v, Vdd %v, Vbb %v)", t.Tclk, t.Vdd, t.Vbb)
 	}
 	return nil
 }

@@ -40,6 +40,9 @@ func TestValidate(t *testing.T) {
 		{Tclk: math.NaN(), Vdd: 1},
 		{Tclk: 0.5, Vdd: math.NaN()},
 		{Tclk: 0.5, Vdd: 1, Vbb: math.NaN()},
+		{Tclk: math.Inf(1), Vdd: 1},
+		{Tclk: 0.5, Vdd: math.Inf(1)},
+		{Tclk: 0.5, Vdd: 1, Vbb: math.Inf(1)},
 	}
 	for i, tr := range bad {
 		if err := tr.Validate(); err == nil {
