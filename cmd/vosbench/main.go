@@ -9,14 +9,15 @@
 //	vosbench [-bench REGEX] [-benchtime 1000x] [-out BENCH_sim.json]
 //	         [-pkg .] [-keep-going]
 //	         [-diff BASELINE.json]
-//	         [-diff-filter "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|ClusterWarmLookup|EngineWarmSweep)"]
+//	         [-diff-filter "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|ApproxAdd|ClusterWarmLookup|EngineWarmSweep)"]
 //	         [-diff-threshold 0.20] [-profile-regressed DIR]
 //
 // The default benchmark set covers the dense-state hot path: the per-step
 // (scalar and K-word wide) and cross-voltage retime/resample
 // micro-benchmarks, the input-binding and batch-evaluation costs, the
-// Fig. 8-class sweeps (engine-backed and grouped-charz), the Monte Carlo
-// point rate on the calibrated model backend, the write-ahead journal's
+// model adder's replay, the Fig. 8-class sweeps (engine-backed and
+// grouped-charz), the Monte Carlo point rate on the calibrated model
+// backend, the write-ahead journal's
 // append path (synced and unsynced), and the warm serving paths — one
 // cached point fetched through vos.Remote from a warm in-process cluster
 // and one warm engine sweep through vos.Local, each with a journaled
@@ -73,16 +74,19 @@ type File struct {
 	Benchmarks []Result `json:"benchmarks"`
 }
 
-// The default run has three groups: per-step micro-benchmarks at a fixed
-// iteration count, the Fig. 8-class sweep at exactly one iteration so
+// The default run has four groups: per-step micro-benchmarks at a fixed
+// iteration count; the Fig. 8-class sweeps at exactly one iteration, so
 // the recorded number is the cold (cache-empty) sweep cost rather than a
-// mostly-cache-warm average, and the cluster serving-path benchmark at a
-// small iteration count (each op is a full HTTP sweep lifecycle, so 100
-// iterations average the scheduler noise without multiplying the
-// in-process cluster setup).
+// mostly-cache-warm average; the Monte Carlo point at ten iterations,
+// since its reps are never cached and every iteration recomputes them
+// all; and the cluster serving-path benchmark at a small iteration count
+// (each op is a full HTTP sweep lifecycle, so 100 iterations average the
+// scheduler noise without multiplying the in-process cluster setup).
 const (
-	defaultMicroBench = "SimStep|CrossVddResample|InputBinding|EvaluateScalar|EvaluateBatch|RCSimStep|JournalAppend"
-	defaultSweepBench = "Fig8|MonteCarloPoint"
+	defaultMicroBench = "SimStep|CrossVddResample|InputBinding|EvaluateScalar|EvaluateBatch|RCSimStep|JournalAppend|ApproxAdd"
+	defaultSweepBench = "Fig8"
+	defaultMCBench    = "MonteCarloPoint"
+	mcBenchtime       = "10x"
 	defaultServeBench = "ClusterWarmLookup|EngineWarmSweep"
 	serveBenchtime    = "100x"
 )
@@ -113,7 +117,7 @@ func main() {
 		// runs of identical code. The journal's code cost is gated
 		// through the journaled EngineWarmSweep/ClusterWarmLookup
 		// twins instead, where it is one term of a realistic op.
-		diffRe    = flag.String("diff-filter", "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|ClusterWarmLookup|EngineWarmSweep)", "benchmarks the -diff gate applies to")
+		diffRe    = flag.String("diff-filter", "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|ApproxAdd|ClusterWarmLookup|EngineWarmSweep)", "benchmarks the -diff gate applies to")
 		threshold = flag.Float64("diff-threshold", 0.20, "fractional ns/op or allocs/op regression that fails the -diff gate")
 		profDir   = flag.String("profile-regressed", "", "directory to write one cpuprofile per regressed benchmark when the -diff gate fails (uploaded as a CI artifact)")
 	)
@@ -129,6 +133,7 @@ func main() {
 	groups := []group{
 		{defaultMicroBench, *benchtime, *count},
 		{defaultSweepBench, *sweeptime, *sweepCount},
+		{defaultMCBench, mcBenchtime, *sweepCount},
 		{defaultServeBench, serveBenchtime, *sweepCount},
 	}
 	if *bench != "" {

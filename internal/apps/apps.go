@@ -13,6 +13,7 @@ package apps
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 
 	"repro/internal/core"
@@ -28,8 +29,18 @@ const wordMask = uint64(1)<<Word - 1
 // it (subtraction and small-constant multiplication are add networks, so
 // their errors inherit the adder's behaviour — the circuit-level
 // approximation composes upward exactly as it would in hardware).
+//
+// NewArith resolves the adder once. On core.ExactAdder every operation is
+// native arithmetic mod 2^Word, which the add networks equal by ring
+// identity; a *core.ApproxAdder is called directly; any other adder is
+// called through the core.HardwareAdder interface. Each operation issues
+// its adds in a fixed order, and an approximate adder's k-th add consumes
+// its k-th draw, so changing the order or the number of adds an operation
+// issues changes the results.
 type Arith struct {
-	adder core.HardwareAdder
+	exact  bool
+	approx *core.ApproxAdder
+	adder  core.HardwareAdder
 }
 
 // NewArith wraps an adder; it must be Word bits wide.
@@ -37,11 +48,24 @@ func NewArith(a core.HardwareAdder) (*Arith, error) {
 	if a.Width() != Word {
 		return nil, fmt.Errorf("apps: adder width %d, need %d", a.Width(), Word)
 	}
-	return &Arith{adder: a}, nil
+	ar := &Arith{adder: a}
+	switch a := a.(type) {
+	case core.ExactAdder:
+		ar.exact = true
+	case *core.ApproxAdder:
+		ar.approx = a
+	}
+	return ar, nil
 }
 
 // Add returns (a + b) masked to the word width.
 func (ar *Arith) Add(a, b uint64) uint64 {
+	switch {
+	case ar.exact:
+		return (a + b) & wordMask
+	case ar.approx != nil:
+		return ar.approx.Add(a&wordMask, b&wordMask) & wordMask
+	}
 	return ar.adder.Add(a&wordMask, b&wordMask) & wordMask
 }
 
@@ -55,31 +79,43 @@ func (ar *Arith) MulPow2(v uint64, k int) uint64 {
 	return v << uint(k) & wordMask
 }
 
-// MulSmall multiplies by a small constant using shift-and-add through the
-// approximate adder.
+// MulSmall multiplies by a small non-negative constant using
+// shift-and-add through the approximate adder: the shifted terms of c's
+// set bits, from the lowest, each added to the running sum.
 func (ar *Arith) MulSmall(v uint64, c int) uint64 {
-	var acc uint64
-	first := true
-	for k := 0; c != 0; k++ {
-		if c&1 == 1 {
-			term := ar.MulPow2(v, k)
-			if first {
-				acc, first = term, false
-			} else {
-				acc = ar.Add(acc, term)
-			}
-		}
-		c >>= 1
+	if c < 0 {
+		panic(fmt.Sprintf("apps: MulSmall by negative constant %d", c))
+	}
+	if ar.exact {
+		return v * uint64(c) & wordMask
+	}
+	u := uint64(c)
+	if u == 0 {
+		return 0
+	}
+	acc := ar.MulPow2(v, bits.TrailingZeros64(u))
+	for u &= u - 1; u != 0; u &= u - 1 {
+		acc = ar.Add(acc, ar.MulPow2(v, bits.TrailingZeros64(u)))
 	}
 	return acc
 }
 
 // SumTree adds the values in a balanced tree (the natural hardware
-// reduction shape), level by level, left to right. The kernels' short
-// operand lists reduce in a stack buffer; vals is never modified.
+// reduction shape), level by level, left to right. A single value is
+// returned as given. The kernels' short operand lists reduce in a stack
+// buffer; vals is never modified.
 func (ar *Arith) SumTree(vals []uint64) uint64 {
-	if len(vals) == 0 {
+	switch {
+	case len(vals) == 0:
 		return 0
+	case len(vals) == 1:
+		return vals[0]
+	case ar.exact:
+		var sum uint64
+		for _, v := range vals {
+			sum += v
+		}
+		return sum & wordMask
 	}
 	var buf [16]uint64
 	work := append(buf[:0], vals...)

@@ -39,6 +39,11 @@ import (
 	"math/bits"
 )
 
+// MaxWidth is the widest adder LimitedAdd and the models built on it
+// accept: the sum of two MaxWidth-bit operands, carry out included,
+// fits one uint64.
+const MaxWidth = 63
+
 func mask(width int) uint64 {
 	if width >= 64 {
 		return ^uint64(0)
@@ -110,8 +115,8 @@ func MaxChains(a, b uint64, width int) []int {
 // suppresses all carries (a XOR b). The returned word includes the carry
 // out at bit position width.
 func LimitedAdd(a, b uint64, width, cmax int) uint64 {
-	if width < 1 || width > 63 {
-		panic(fmt.Sprintf("carry: width %d outside [1, 63]", width))
+	if width < 1 || width > MaxWidth {
+		panic(fmt.Sprintf("carry: width %d outside [1, %d]", width, MaxWidth))
 	}
 	p, c, _ := carries(a, b, width)
 	x := c

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"repro/internal/carry"
@@ -15,15 +16,23 @@ import (
 // draws the realized chain length Cmax from the trained probability table,
 // and (3) computes the sum with carries truncated at Cmax.
 //
+// Every Add takes exactly one draw from the adder's seeded PCG stream, so
+// the k-th add consumes the k-th draw: changing the order of the adds, or
+// the number of draws an add takes, changes the results.
+//
 // ApproxAdder itself satisfies HardwareAdder, so models can be stacked,
 // compared, or re-characterized like hardware.
 type ApproxAdder struct {
 	model *Model
-	rng   *rand.Rand
-	// cdf[l][k] is P(0|l) + … + P(k|l) for k < l, summed left to right
-	// as ProbTable.Sample sums it, so one draw u selects the same Cmax
-	// bit for bit. Draws at or above cdf[l][l-1] select l.
-	cdf [][]float64
+	mask  uint64
+	pcg   rand.PCG
+	// thresh[l][k] is ⌈(P(0|l) + … + P(k|l))·2⁵³⌉ for k < l, the running
+	// sum taken left to right as ProbTable.Sample takes it. A draw m, the
+	// low 53 bits of a PCG word, selects the first k with m < thresh[l][k],
+	// else l. Since m and the threshold are integers and c·2⁵³ is exact,
+	// m ≥ ⌈c·2⁵³⌉ exactly when m/2⁵³ ≥ c: m/2⁵³ is rand.Rand.Float64 of
+	// the same word, so this is the Cmax Sample selects for it.
+	thresh [][]uint64
 }
 
 // NewApproxAdder returns a sampling adder driven by the model with a
@@ -33,21 +42,19 @@ func NewApproxAdder(m *Model, seed uint64) (*ApproxAdder, error) {
 		return nil, err
 	}
 	n := m.Width
-	cdf := make([][]float64, n+1)
-	flat := make([]float64, n*(n+1)/2)
-	for l := range cdf {
-		cdf[l], flat = flat[:l:l], flat[l:]
+	thresh := make([][]uint64, n+1)
+	flat := make([]uint64, n*(n+1)/2)
+	for l := range thresh {
+		thresh[l], flat = flat[:l:l], flat[l:]
 		var cum float64
-		for k := range cdf[l] {
+		for k := range thresh[l] {
 			cum += m.Table.P[k][l]
-			cdf[l][k] = cum
+			thresh[l][k] = uint64(math.Ceil(cum * (1 << 53)))
 		}
 	}
-	return &ApproxAdder{
-		model: m,
-		rng:   rand.New(rand.NewPCG(seed, 0xa99feed)),
-		cdf:   cdf,
-	}, nil
+	a := &ApproxAdder{model: m, mask: 1<<uint(n) - 1, thresh: thresh}
+	a.pcg.Seed(seed, 0xa99feed)
+	return a, nil
 }
 
 // Width implements HardwareAdder.
@@ -57,21 +64,39 @@ func (a *ApproxAdder) Width() int { return a.model.Width }
 func (a *ApproxAdder) Model() *Model { return a.model }
 
 // Add implements HardwareAdder: one approximate addition with a freshly
-// sampled carry limit.
+// sampled carry limit. One walk of the carry words x_1 = c, x_{k+1} =
+// (x_k & p) << 1 (see package carry) counts Cthmax. A draw that keeps the
+// whole chain returns the exact sum; only a shorter Cmax walks again, to
+// truncate. Model widths stop at carry.MaxWidth, so the sum and its carry
+// out fit one word.
 func (a *ApproxAdder) Add(in1, in2 uint64) uint64 {
-	cth := carry.Cthmax(in1, in2, a.model.Width)
-	return carry.LimitedAdd(in1, in2, a.model.Width, a.drawC(cth))
+	in1, in2 = in1&a.mask, in2&a.mask
+	sum, p := in1+in2, in1^in2
+	c := sum ^ p
+	cth := 0
+	for x := c; x != 0; x = (x & p) << 1 {
+		cth++
+	}
+	cmax := a.selectC(cth, a.pcg.Uint64()<<11>>11)
+	if cmax == cth {
+		return sum
+	}
+	x := c
+	for range cmax {
+		x = (x & p) << 1
+	}
+	return p ^ c&^x
 }
 
-// drawC draws Cmax for Cthmax = l from one uniform, selecting what
-// ProbTable.Sample selects for the same draw.
-func (a *ApproxAdder) drawC(l int) int {
-	u, col := a.rng.Float64(), a.cdf[l]
-	if l == 0 || u >= col[l-1] {
+// selectC returns the Cmax the draw m, the low 53 bits of one PCG word,
+// selects for Cthmax = l.
+func (a *ApproxAdder) selectC(l int, m uint64) int {
+	col := a.thresh[l]
+	if l == 0 || m >= col[l-1] {
 		return l
 	}
 	k := 0
-	for u >= col[k] {
+	for m >= col[k] {
 		k++
 	}
 	return k

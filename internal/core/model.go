@@ -139,8 +139,8 @@ func (t *ProbTable) Validate() error {
 
 // Sample draws Cmax from the column for Cthmax = l: the first k whose
 // running sum P(0|l) + … + P(k|l) exceeds one uniform draw, else l. It
-// is the reference definition; ApproxAdder precomputes the running sums
-// and selects what Sample selects on every draw.
+// is the reference definition; ApproxAdder turns the running sums into
+// integer thresholds once and selects what Sample selects on every draw.
 func (t *ProbTable) Sample(l int, rng *rand.Rand) int {
 	if l < 0 {
 		l = 0

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/carry"
 	"repro/internal/patterns"
 )
 
@@ -56,8 +57,8 @@ func TrainModel(hw HardwareAdder, gen patterns.Generator, n int, metric Metric, 
 
 // Validate checks the model invariants.
 func (m *Model) Validate() error {
-	if m.Width < 1 {
-		return fmt.Errorf("core: model width %d", m.Width)
+	if m.Width < 1 || m.Width > carry.MaxWidth {
+		return fmt.Errorf("core: model width %d outside [1, %d]", m.Width, carry.MaxWidth)
 	}
 	if m.Metric >= numMetrics {
 		return fmt.Errorf("core: model metric %d unknown", m.Metric)
