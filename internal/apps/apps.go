@@ -32,15 +32,13 @@ const wordMask = uint64(1)<<Word - 1
 //
 // NewArith resolves the adder once. On core.ExactAdder every operation is
 // native arithmetic mod 2^Word, which the add networks equal by ring
-// identity; a *core.ApproxAdder is called directly; any other adder is
-// called through the core.HardwareAdder interface. Each operation issues
-// its adds in a fixed order, and an approximate adder's k-th add consumes
-// its k-th draw, so changing the order or the number of adds an operation
-// issues changes the results.
+// identity; any other adder is called through the core.HardwareAdder
+// interface. Each operation issues its adds in a fixed order, and an
+// approximate adder's k-th add consumes its k-th draw, so changing the
+// order or the number of adds an operation issues changes the results.
 type Arith struct {
-	exact  bool
-	approx *core.ApproxAdder
-	adder  core.HardwareAdder
+	exact bool
+	adder core.HardwareAdder
 }
 
 // NewArith wraps an adder; it must be Word bits wide.
@@ -48,23 +46,14 @@ func NewArith(a core.HardwareAdder) (*Arith, error) {
 	if a.Width() != Word {
 		return nil, fmt.Errorf("apps: adder width %d, need %d", a.Width(), Word)
 	}
-	ar := &Arith{adder: a}
-	switch a := a.(type) {
-	case core.ExactAdder:
-		ar.exact = true
-	case *core.ApproxAdder:
-		ar.approx = a
-	}
-	return ar, nil
+	_, exact := a.(core.ExactAdder)
+	return &Arith{exact: exact, adder: a}, nil
 }
 
 // Add returns (a + b) masked to the word width.
 func (ar *Arith) Add(a, b uint64) uint64 {
-	switch {
-	case ar.exact:
+	if ar.exact {
 		return (a + b) & wordMask
-	case ar.approx != nil:
-		return ar.approx.Add(a&wordMask, b&wordMask) & wordMask
 	}
 	return ar.adder.Add(a&wordMask, b&wordMask) & wordMask
 }

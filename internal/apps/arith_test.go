@@ -111,9 +111,9 @@ func checkDrawsInStep(t *testing.T, ra, ga core.HardwareAdder) {
 }
 
 // TestArithResolvedMatchesInterface: every Arith operation on the adder
-// NewArith resolves (native exact arithmetic, the direct ApproxAdder
-// call) returns what the interface path returns for an identical adder,
-// on operands wider than Word, and consumes the same draws.
+// NewArith resolves (native exact arithmetic for ExactAdder) returns what
+// the interface path returns for an identical adder, on operands wider
+// than Word, and consumes the same draws.
 func TestArithResolvedMatchesInterface(t *testing.T) {
 	for _, c := range arithCases(t) {
 		t.Run(c.name, func(t *testing.T) {

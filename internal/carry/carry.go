@@ -29,9 +29,12 @@
 //     p ⊕ (c &^ x_{cmax+1}).
 //
 // Each step is three word operations, and the loop runs once per unit of
-// chain length instead of once per bit. At N = 64 the carry out does not
-// fit in c; bits.Add64 supplies it and a single extra bit follows it
-// through the steps.
+// chain length instead of once per bit. Chains and Truncate are these two
+// walks; Cthmax and LimitedAdd are built on them. At N = 64 the carry out
+// does not fit in c. No carry enters position 0, so Cthmax counts there
+// one position down: bit i of c>>1 (with the carry out, from bits.Add64,
+// at bit 63) is the carry entering position i+1, and the same step
+// applies with the propagate word p>>1.
 package carry
 
 import (
@@ -69,16 +72,50 @@ func carries(a, b uint64, width int) (p, c, cout uint64) {
 	return p, sum ^ p, cout
 }
 
+// Chains returns the words of a width-bit addition of a and b, for width
+// in [0, MaxWidth] (unchecked): the sum of the masked operands with the
+// carry out at bit width, the propagate word p, the exact carry word c
+// and Cthmax, the number of non-zero words x_k. Truncate(p, c, cmax) then
+// gives the modified sum for any cmax, which is sum itself for cmax ≥
+// Cthmax.
+func Chains(a, b uint64, width int) (sum, p, c uint64, cth int) {
+	m := uint64(1)<<(uint(width)%64) - 1 // width < 64: %64 only drops the shift's range check
+	a, b = a&m, b&m
+	sum, p = a+b, a^b
+	c = sum ^ p
+	return sum, p, c, chainLen(p, c)
+}
+
+// chainLen returns the number of non-zero words x_1 = c, x_{k+1} =
+// (x_k & p) << 1.
+func chainLen(p, c uint64) int {
+	n := 0
+	for x := c; x != 0; x = (x & p) << 1 {
+		n++
+	}
+	return n
+}
+
+// Truncate returns the modified sum p ⊕ (c &^ x_{cmax+1}) of the
+// propagate word p and carry word c: every carry chain cut after
+// traveling cmax positions.
+func Truncate(p, c uint64, cmax int) uint64 {
+	x := c
+	for k := 0; k < cmax && x != 0; k++ {
+		x = (x & p) << 1
+	}
+	return p ^ c&^x
+}
+
 // Cthmax returns the theoretical maximal carry-chain length of a+b for a
 // width-bit adder (no carry-in): the farthest any generated carry travels.
 func Cthmax(a, b uint64, width int) int {
-	p, x, cout := carries(a, b, width)
-	n := 0
-	for x|cout != 0 {
-		n++
-		x, cout = (x&p)<<1, (x&p)>>63
+	if width <= MaxWidth {
+		_, _, _, n := Chains(a, b, width)
+		return n
 	}
-	return n
+	p, c, cout := carries(a, b, width)
+	return chainLen(p>>1, c>>1|cout<<63)
 }
 
 // MaxChains returns, for each bit position i, the length of the carry
@@ -119,11 +156,7 @@ func LimitedAdd(a, b uint64, width, cmax int) uint64 {
 		panic(fmt.Sprintf("carry: width %d outside [1, %d]", width, MaxWidth))
 	}
 	p, c, _ := carries(a, b, width)
-	x := c
-	for k := 0; k < cmax && x != 0; k++ {
-		x = (x & p) << 1
-	}
-	return p ^ c&^x
+	return Truncate(p, c, cmax)
 }
 
 // ExactAdd returns a+b masked to width bits plus the carry out at bit

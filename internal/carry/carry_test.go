@@ -77,13 +77,33 @@ func checkLimitedAdd(a, b uint64, width, cmax int) error {
 	return nil
 }
 
-// checkAgainstReference compares Cthmax at any width, and LimitedAdd at
-// the widths it accepts, against the chain-walk references.
+// checkChains compares Chains and Truncate against ExactAdd and the
+// chain-walk references.
+func checkChains(a, b uint64, width, cmax int) error {
+	sum, p, c, cth := Chains(a, b, width)
+	if want := ExactAdd(a, b, width); sum != want {
+		return fmt.Errorf("Chains(%#x, %#x, %d) sum = %#x, ExactAdd %#x", a, b, width, sum, want)
+	}
+	if want := refCthmax(a, b, width); cth != want {
+		return fmt.Errorf("Chains(%#x, %#x, %d) Cthmax = %d, reference %d", a, b, width, cth, want)
+	}
+	if got, want := Truncate(p, c, cmax), refLimitedAdd(a, b, width, cmax); got != want {
+		return fmt.Errorf("Truncate of Chains(%#x, %#x, %d) at %d = %#x, reference %#x", a, b, width, cmax, got, want)
+	}
+	return nil
+}
+
+// checkAgainstReference compares Cthmax at any width, and LimitedAdd,
+// Chains and Truncate at the widths they accept, against the chain-walk
+// references.
 func checkAgainstReference(a, b uint64, width, cmax int) error {
-	if err := checkCthmax(a, b, width); err != nil || width > 63 {
+	if err := checkCthmax(a, b, width); err != nil || width > MaxWidth {
 		return err
 	}
-	return checkLimitedAdd(a, b, width, cmax)
+	if err := checkLimitedAdd(a, b, width, cmax); err != nil {
+		return err
+	}
+	return checkChains(a, b, width, cmax)
 }
 
 func TestWordFormMatchesReferenceExhaustive(t *testing.T) {
@@ -96,6 +116,9 @@ func TestWordFormMatchesReferenceExhaustive(t *testing.T) {
 				}
 				for cmax := 0; cmax <= width+1; cmax++ {
 					if err := checkLimitedAdd(a, b, width, cmax); err != nil {
+						t.Fatal(err)
+					}
+					if err := checkChains(a, b, width, cmax); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -148,9 +171,10 @@ func TestCthmaxWidth64(t *testing.T) {
 	}
 }
 
-// FuzzCarryMatchesReference checks the word-level Cthmax and LimitedAdd
-// against the chain-walk references at every width from 1 to 64. Its
-// seed corpus is testdata/fuzz/FuzzCarryMatchesReference.
+// FuzzCarryMatchesReference checks the word-level Cthmax, LimitedAdd,
+// Chains and Truncate against the chain-walk references at every width
+// they accept from 1 to 64. Its seed corpus is
+// testdata/fuzz/FuzzCarryMatchesReference.
 func FuzzCarryMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b uint64, w, c uint8) {
 		width := int(w%64) + 1

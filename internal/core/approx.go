@@ -24,7 +24,7 @@ import (
 // compared, or re-characterized like hardware.
 type ApproxAdder struct {
 	model *Model
-	mask  uint64
+	width int
 	pcg   rand.PCG
 	// thresh[l][k] is ⌈(P(0|l) + … + P(k|l))·2⁵³⌉ for k < l, the running
 	// sum taken left to right as ProbTable.Sample takes it. A draw m, the
@@ -52,7 +52,7 @@ func NewApproxAdder(m *Model, seed uint64) (*ApproxAdder, error) {
 			thresh[l][k] = uint64(math.Ceil(cum * (1 << 53)))
 		}
 	}
-	a := &ApproxAdder{model: m, mask: 1<<uint(n) - 1, thresh: thresh}
+	a := &ApproxAdder{model: m, width: n, thresh: thresh}
 	a.pcg.Seed(seed, 0xa99feed)
 	return a, nil
 }
@@ -64,28 +64,17 @@ func (a *ApproxAdder) Width() int { return a.model.Width }
 func (a *ApproxAdder) Model() *Model { return a.model }
 
 // Add implements HardwareAdder: one approximate addition with a freshly
-// sampled carry limit. One walk of the carry words x_1 = c, x_{k+1} =
-// (x_k & p) << 1 (see package carry) counts Cthmax. A draw that keeps the
-// whole chain returns the exact sum; only a shorter Cmax walks again, to
-// truncate. Model widths stop at carry.MaxWidth, so the sum and its carry
-// out fit one word.
+// sampled carry limit. carry.Chains counts Cthmax in one walk of the carry
+// words. A draw that keeps the whole chain returns the exact sum; only a
+// shorter Cmax walks again, in carry.Truncate. Model widths stop at
+// carry.MaxWidth, which Chains needs.
 func (a *ApproxAdder) Add(in1, in2 uint64) uint64 {
-	in1, in2 = in1&a.mask, in2&a.mask
-	sum, p := in1+in2, in1^in2
-	c := sum ^ p
-	cth := 0
-	for x := c; x != 0; x = (x & p) << 1 {
-		cth++
-	}
+	sum, p, c, cth := carry.Chains(in1, in2, a.width)
 	cmax := a.selectC(cth, a.pcg.Uint64()<<11>>11)
 	if cmax == cth {
 		return sum
 	}
-	x := c
-	for range cmax {
-		x = (x & p) << 1
-	}
-	return p ^ c&^x
+	return carry.Truncate(p, c, cmax)
 }
 
 // selectC returns the Cmax the draw m, the low 53 bits of one PCG word,
