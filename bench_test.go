@@ -209,25 +209,31 @@ func BenchmarkFig7(b *testing.B) {
 
 // BenchmarkFig8 regenerates the BER vs energy/operation sweep across all
 // 43 triads for each adder. The sweep runs through the public vos SDK
-// (the same path voschar and vosd clients take): the first iteration
-// simulates all 43 points, every further iteration is served from the
-// engine's content-addressed cache, so per-op times collapse once b.N>1.
+// (the same path voschar and vosd clients take) on a fresh vos.Local
+// per iteration, so every iteration is a cold sweep that synthesizes the
+// operator and simulates all 43 points.
 func BenchmarkFig8(b *testing.B) {
 	for _, bd := range paperBenches {
 		bd := bd
 		b.Run(fmt.Sprintf("%s%d", bd.arch, bd.width), func(b *testing.B) {
-			cli, err := vos.NewLocal(vos.LocalOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cli.Close()
 			spec := vos.NewSpec().Arches(bd.arch.String()).Widths(bd.width).
 				Patterns(benchPatterns).Seed(1)
+			var executions uint64
 			for i := 0; i < b.N; i++ {
+				cli, err := vos.NewLocal(vos.LocalOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
 				res, err := cli.Run(context.Background(), spec)
 				if err != nil {
 					b.Fatal(err)
 				}
+				stats, err := cli.CacheStats(context.Background())
+				cli.Close()
+				if err != nil {
+					b.Fatal(err)
+				}
+				executions = stats.Executions
 				if i == 0 {
 					op := res.Operator(bd.arch.String(), bd.width)
 					var rows []string
@@ -239,9 +245,7 @@ func BenchmarkFig8(b *testing.B) {
 					b.ReportMetric(op.Nominal().EnergyPerOpFJ, "fJ/op@nominal")
 				}
 			}
-			if stats, err := cli.CacheStats(context.Background()); err == nil {
-				b.ReportMetric(float64(stats.Executions), "sim-points")
-			}
+			b.ReportMetric(float64(executions), "sim-points")
 		})
 	}
 }
@@ -253,8 +257,8 @@ func BenchmarkFig8(b *testing.B) {
 // cross-voltage super-groups, one per body-bias family: per K×64-pattern
 // chunk, one fresh trace anchors the family, each further electrical
 // point down its Vdd ladder retimes the anchor (or is traced afresh where
-// the retime's order check fails), and every clock is one O(trace)
-// resample.
+// the retime's order check fails), and each walk captures its point's
+// clocks.
 func BenchmarkFig8Grouped(b *testing.B) {
 	for _, bd := range paperBenches {
 		bd := bd
@@ -945,11 +949,12 @@ func BenchmarkSimStepWideBKA16(b *testing.B) {
 
 // benchCrossVddResample measures the cross-voltage reuse path in the
 // grouped sweep's steady-state shape: one wide trace recorded at a
-// higher supply serves a neighboring over-scaled point through an
-// order-checked RetimeTrace plus one Resample per clock period, no
-// fresh simulation. ns/pattern counts every (pattern, clock) experiment
-// answered from the retimed wave; any order-check fallback fails the
-// benchmark (the dithered delay grid keeps the grid order-stable).
+// higher supply serves a neighboring over-scaled point through one
+// order-checked RetimeTrace that captures every clock period in its
+// walk, no fresh simulation. ns/pattern counts every (pattern, clock)
+// experiment answered from the retimed wave; any order-check fallback
+// fails the benchmark (the dithered delay grid keeps the grid
+// order-stable).
 func benchCrossVddResample(b *testing.B, nl *netlist.Netlist, mask uint64, tclks []float64) {
 	const k = sim.MaxWideWords
 	lib := cell.Default28nmLVT()
@@ -966,32 +971,20 @@ func benchCrossVddResample(b *testing.B, nl *netlist.Netlist, mask uint64, tclks
 	psum, _ := nl.OutputPort(synth.PortSum)
 	pcout, _ := nl.OutputPort(synth.PortCout)
 	outNets := append(append([]netlist.NetID(nil), psum.Bits...), pcout.Bits...)
-	horizon := 0.0
-	for _, t := range tclks {
-		if t > horizon {
-			horizon = t
-		}
-	}
-	trace, err := srcEng.StepWideTrace(pairs[0][0], pairs[0][1], outNets, horizon)
+	samples := make([]sim.WideSample, len(tclks))
+	trace, err := srcEng.StepWideTrace(pairs[0][0], pairs[0][1], outNets, tclks, samples)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var retimed sim.WideTrace
-	var sample sim.WideSample
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok, err := eng.RetimeTrace(trace, horizon, &retimed)
+		ok, err := eng.RetimeTrace(trace, tclks, samples)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !ok {
 			b.Fatal("order-check fallback on the benchmark grid")
-		}
-		for _, tclk := range tclks {
-			if err := retimed.Resample(tclk, &sample); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tclks)*k*sim.WordLanes), "ns/pattern")
@@ -999,12 +992,12 @@ func benchCrossVddResample(b *testing.B, nl *netlist.Netlist, mask uint64, tclks
 
 func BenchmarkCrossVddResampleRCA8(b *testing.B) {
 	nl, _ := synth.RCA(synth.AdderConfig{Width: 8})
-	benchCrossVddResample(b, nl, 0xff, []float64{0.28, 0.19, 0.13})
+	benchCrossVddResample(b, nl, 0xff, []float64{0.13, 0.19, 0.28})
 }
 
 func BenchmarkCrossVddResampleBKA16(b *testing.B) {
 	nl, _ := synth.BKA(synth.AdderConfig{Width: 16})
-	benchCrossVddResample(b, nl, 0xffff, []float64{0.52, 0.42, 0.31})
+	benchCrossVddResample(b, nl, 0xffff, []float64{0.31, 0.42, 0.52})
 }
 
 // BenchmarkInputBindingDense isolates the per-vector input-binding cost:

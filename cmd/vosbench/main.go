@@ -75,16 +75,19 @@ type File struct {
 }
 
 // The default run has four groups: per-step micro-benchmarks at a fixed
-// iteration count; the Fig. 8-class sweeps at exactly one iteration, so
-// the recorded number is the cold (cache-empty) sweep cost rather than a
-// mostly-cache-warm average; the Monte Carlo point at ten iterations,
-// since its reps are never cached and every iteration recomputes them
-// all; and the cluster serving-path benchmark at a small iteration count
-// (each op is a full HTTP sweep lifecycle, so 100 iterations average the
-// scheduler noise without multiplying the in-process cluster setup).
+// iteration count; the Fig. 8-class sweeps and the Monte Carlo point at
+// ten iterations — every Fig. 8 iteration is a cold sweep (a fresh
+// engine, or charz with no cache) and MC reps are never cached, so each
+// iteration recomputes everything, and ten of them average out the
+// single-iteration spread that exceeded the -diff threshold between
+// runs of unchanged code; and the cluster serving-path benchmark at a
+// small iteration count (each op is a full HTTP sweep lifecycle, so 100
+// iterations average the scheduler noise without multiplying the
+// in-process cluster setup).
 const (
 	defaultMicroBench = "SimStep|CrossVddResample|InputBinding|EvaluateScalar|EvaluateBatch|RCSimStep|JournalAppend|ApproxAdd"
 	defaultSweepBench = "Fig8"
+	sweepBenchtime    = "10x"
 	defaultMCBench    = "MonteCarloPoint"
 	mcBenchtime       = "10x"
 	defaultServeBench = "ClusterWarmLookup|EngineWarmSweep"
@@ -97,7 +100,6 @@ func main() {
 	var (
 		bench     = flag.String("bench", "", "override: run only this selection regex at -benchtime")
 		benchtime = flag.String("benchtime", "1000x", "per-benchmark budget for the micro group (go test -benchtime)")
-		sweeptime = flag.String("sweeptime", "1x", "per-benchmark budget for the sweep group")
 		out       = flag.String("out", "BENCH_sim.json", "output JSON path")
 		pkg       = flag.String("pkg", ".", "package to bench")
 		keepGoing = flag.Bool("keep-going", false, "write whatever parsed even if go test failed")
@@ -132,7 +134,7 @@ func main() {
 	}
 	groups := []group{
 		{defaultMicroBench, *benchtime, *count},
-		{defaultSweepBench, *sweeptime, *sweepCount},
+		{defaultSweepBench, sweepBenchtime, *sweepCount},
 		{defaultMCBench, mcBenchtime, *sweepCount},
 		{defaultServeBench, serveBenchtime, *sweepCount},
 	}

@@ -36,9 +36,17 @@ const wordMask = uint64(1)<<Word - 1
 // interface. Each operation issues its adds in a fixed order, and an
 // approximate adder's k-th add consumes its k-th draw, so changing the
 // order or the number of adds an operation issues changes the results.
+//
+// An Arith serves one rep on one goroutine; it is not safe for
+// concurrent use.
 type Arith struct {
 	exact bool
 	adder core.HardwareAdder
+	// sumBuf is SumTree's reduction buffer. It starts on sumInline and
+	// grows once, to the longest operand list seen, so a rep's reductions
+	// allocate at most once.
+	sumBuf    []uint64
+	sumInline [16]uint64
 }
 
 // NewArith wraps an adder; it must be Word bits wide.
@@ -47,7 +55,9 @@ func NewArith(a core.HardwareAdder) (*Arith, error) {
 		return nil, fmt.Errorf("apps: adder width %d, need %d", a.Width(), Word)
 	}
 	_, exact := a.(core.ExactAdder)
-	return &Arith{exact: exact, adder: a}, nil
+	ar := &Arith{exact: exact, adder: a}
+	ar.sumBuf = ar.sumInline[:0]
+	return ar, nil
 }
 
 // Add returns (a + b) masked to the word width.
@@ -91,8 +101,8 @@ func (ar *Arith) MulSmall(v uint64, c int) uint64 {
 
 // SumTree adds the values in a balanced tree (the natural hardware
 // reduction shape), level by level, left to right. A single value is
-// returned as given. The kernels' short operand lists reduce in a stack
-// buffer; vals is never modified.
+// returned as given. The reduction runs in the Arith's own buffer; vals
+// is never modified.
 func (ar *Arith) SumTree(vals []uint64) uint64 {
 	switch {
 	case len(vals) == 0:
@@ -106,8 +116,8 @@ func (ar *Arith) SumTree(vals []uint64) uint64 {
 		}
 		return sum & wordMask
 	}
-	var buf [16]uint64
-	work := append(buf[:0], vals...)
+	work := append(ar.sumBuf[:0], vals...)
+	ar.sumBuf = work
 	for len(work) > 1 {
 		next := work[:0]
 		for i := 0; i+1 < len(work); i += 2 {

@@ -28,6 +28,7 @@ func (km KMeans) Clusters(points []uint64, ar *Arith, seed uint64) (centroids []
 		centroids[i] = points[rng.IntN(len(points))]
 	}
 	assign = make([]int, len(points))
+	members := make([]uint64, 0, len(points))
 	for iter := 0; iter < km.Iters; iter++ {
 		// Assign: nearest centroid under adder-based |x−c|.
 		for i, p := range points {
@@ -43,7 +44,7 @@ func (km KMeans) Clusters(points []uint64, ar *Arith, seed uint64) (centroids []
 		// Update: centroid = mean of members (sum via adder tree; the
 		// division is a scalar op, as it would be on a host CPU).
 		for c := range centroids {
-			var members []uint64
+			members = members[:0]
 			for i, p := range points {
 				if assign[i] == c {
 					members = append(members, p)

@@ -99,3 +99,22 @@ func TestRunRepExactIsLossless(t *testing.T) {
 		})
 	}
 }
+
+// TestKMeansRepAllocs bounds a kmeans rep's allocations: its Lloyd
+// iterations reuse one member buffer and the Arith's SumTree buffer
+// instead of regrowing a member list per centroid per iteration.
+func TestKMeansRepAllocs(t *testing.T) {
+	k, ok := MCKernelByName("kmeans")
+	if !ok {
+		t.Fatal("no kmeans kernel")
+	}
+	ar := noisyArith(t, 5)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := k.RunRep(7, ar); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 20 {
+		t.Fatalf("kmeans rep allocates %.0f times, want ≤ 20", allocs)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -197,13 +198,19 @@ type Prepared struct {
 }
 
 // stimulus is a sweep's triad-independent input side: the operand pairs,
-// their zero-delay reference words and the wide path's per-chunk lane
-// images.
+// their zero-delay reference words and lanes, and the wide path's
+// per-chunk lane images.
 type stimulus struct {
 	as, bs []uint64
 	// want holds one reference word per pattern: sum LSB-first, then
 	// carry-out (the packing of outNets).
 	want []uint64
+	// wantLanes holds the same references bit-sliced, len(outNets) lane
+	// words per 64-pattern chunk: bit k of wantLanes[c·len(outNets)+i] is
+	// output bit i of pattern c·64+k, with lanes past a ragged chunk's
+	// pattern count zero. The error folds diff captured lanes against
+	// them directly.
+	wantLanes []uint64
 	// inputs lists the netlist's input nets in port order. prev and cur
 	// are indexed by 64-pattern chunk (pattern base / sim.WordLanes) and
 	// stored compact: entry j of a chunk image is input net inputs[j]'s
@@ -231,11 +238,12 @@ func (p *Prepared) stimulusSet() (*stimulus, error) {
 // images and reference words one 64-pattern chunk at a time. One 64×64
 // bit transpose per operand turns the chunk's pattern-indexed words into
 // bit-indexed lane words; those feed one bit-sliced EvaluateBatch in
-// place, and one more transpose turns the output lanes back into
-// per-pattern reference words. Computing the reference through the
-// netlist rather than host arithmetic keeps it honest for any operator
-// wired to the adder ports. Ragged chunks leave lanes ≥ n zero in both
-// images (inert: no events, leakage-only energy, ignored by the folds).
+// place, whose output lanes are kept as the reference lanes, and one
+// more transpose turns them into per-pattern reference words. Computing
+// the reference through the netlist rather than host arithmetic keeps it
+// honest for any operator wired to the adder ports. Ragged chunks leave
+// lanes ≥ n zero in both images (inert: no events, leakage-only energy,
+// ignored by the folds) and in the reference lanes.
 func buildStimulus(nl *netlist.Netlist, cfg Config, outNets []netlist.NetID) (*stimulus, error) {
 	pa, ok := nl.InputPort(synth.PortA)
 	if !ok {
@@ -254,15 +262,17 @@ func buildStimulus(nl *netlist.Netlist, cfg Config, outNets []netlist.NetID) (*s
 	if err != nil {
 		return nil, err
 	}
+	no, chunks := len(outNets), (cfg.Patterns+sim.WordLanes-1)/sim.WordLanes
 	s := &stimulus{
-		as:   make([]uint64, cfg.Patterns),
-		bs:   make([]uint64, cfg.Patterns),
-		want: make([]uint64, cfg.Patterns),
+		as:        make([]uint64, cfg.Patterns),
+		bs:        make([]uint64, cfg.Patterns),
+		want:      make([]uint64, cfg.Patterns),
+		wantLanes: make([]uint64, 0, no*chunks),
 	}
 	for _, port := range nl.Inputs {
 		s.inputs = append(s.inputs, port.Bits...)
 	}
-	ni, chunks := len(s.inputs), (cfg.Patterns+sim.WordLanes-1)/sim.WordLanes
+	ni := len(s.inputs)
 	imgs := make([]uint64, 2*ni*chunks) // every chunk's prev then cur image
 	s.prev, s.cur = make([][]uint64, 0, chunks), make([][]uint64, 0, chunks)
 	lanes := make([]uint64, nl.NumNets())
@@ -286,14 +296,15 @@ func buildStimulus(nl *netlist.Netlist, cfg Config, outNets []netlist.NetID) (*s
 		if err := nl.EvaluateBatch(lanes); err != nil {
 			return nil, err
 		}
+		lm := laneMask(n)
 		for i, id := range outNets {
-			tw[i] = lanes[id]
+			tw[i] = lanes[id] & lm
 		}
+		s.wantLanes = append(s.wantLanes, tw[:no]...)
 		metrics.Transpose64(&tw) // tw[k]: pattern base+k's output word
 		copy(s.want[base:], tw[:n])
 		prev, cur := imgs[:ni:ni], imgs[ni:2*ni:2*ni]
 		imgs = imgs[2*ni:]
-		lm := laneMask(n)
 		for j, id := range s.inputs {
 			cw := lanes[id]
 			cur[j] = cw
@@ -365,14 +376,14 @@ var forceScalarReference bool
 // RunGroup simulates a set of triads forming one order-stable
 // super-group: the triads may span multiple electrical operating
 // points (typically one body-bias family across the Vdd ladder). Each
-// K×64-pattern chunk is simulated once at the group's first operating
-// point (sim.WideEngine, K picked from the sweep's pattern count) and
-// re-timed across the remaining points with the order-checked
+// K×64-pattern chunk is simulated once per body-bias family
+// (sim.WideEngine, K picked from the sweep's pattern count) and
+// re-timed across the family's other points with the order-checked
 // cross-voltage retime, falling back to fresh simulation at any point
-// whose event order is not preserved; every triad's Tclk is then
-// resampled off its point's trace. Every returned TriadResult is
-// bit-identical to an independent RunTriad of the same triad:
-// resamples and retimes reproduce StepWideChunk exactly, and both paths
+// whose event order is not preserved; each walk, fresh or retimed,
+// captures every clock its point's triads use. Every returned
+// TriadResult is bit-identical to an independent RunTriad of the same
+// triad: the captures reproduce StepWideChunk exactly, and both paths
 // fold each chunk through the same per-64-pattern-block accumulation
 // (triadFold.foldWide). Configurations that are not Groupable fall back
 // to per-triad simulation; results are positionally aligned with trs.
@@ -435,16 +446,15 @@ func scatterWideImage(full []uint64, inputs []netlist.NetID, k int, imgs [][]uin
 // sweepSuperGroup is the grouped counterpart of sweepTriad's wide path
 // at super-group scale: per K×64-pattern chunk, one fresh wide trace
 // per body-bias family plus one order-checked retime per further
-// electrical point, then one O(trace) resample per triad. Points are
-// visited in descending-Vdd order within each family and every retime
-// hops from the family's fresh anchor trace, and each point's trace
-// is capped at its own capture horizon (its largest Tclk) so deep-VOS
-// points skip nearly all per-lane energy attribution. Scratch lives for
-// one call: an engine per electrical point, and one image pair, one
-// retime destination and one sample shared by every point and chunk (a
-// retimed trace is read only by its own point's resamples), so the chunk
-// loop allocates nothing once the trace buffers have grown to steady
-// state.
+// electrical point, each walk capturing its point's distinct clocks.
+// Points are visited in descending-Vdd order within each family and
+// every retime hops from the family's fresh anchor trace. Each triad
+// folds its clock's capture; triads sharing a point and a clock share
+// the capture. Scratch lives for one call: an engine per electrical
+// point, and one image pair and one sample set shared by every point
+// and chunk (a point's captures are folded before the next point
+// walks), so the chunk loop allocates nothing once the trace buffers
+// have grown to steady state.
 func (p *Prepared) sweepSuperGroup(trs []triad.Triad) ([]*TriadResult, error) {
 	nl, cfg := p.Netlist, p.Config
 	st, err := p.stimulusSet()
@@ -458,30 +468,41 @@ func (p *Prepared) sweepSuperGroup(trs []triad.Triad) ([]*TriadResult, error) {
 		folds[i] = newTriadFold(len(outNets))
 	}
 	// Partition the group by electrical operating point, each point
-	// carrying its triads (in set order — accumulation into a triad's
-	// own counters is order-sensitive only per triad) and its capture
-	// horizon. Points are planned per body-bias family in descending
-	// Vdd, so the retime chain always hops between Vdd neighbors.
+	// carrying its distinct clocks ascending and, per clock, its triads
+	// (in set order — accumulation into a triad's own counters is
+	// order-sensitive only per triad). Points are planned per body-bias
+	// family in descending Vdd, so the retime chain always hops between
+	// Vdd neighbors.
 	type opPlan struct {
-		op      fdsoi.OperatingPoint
-		idx     []int
-		horizon float64
-		eng     *sim.WideEngine
+		op     fdsoi.OperatingPoint
+		clocks []float64
+		at     [][]int // per clock: the triads folded from its capture
+		eng    *sim.WideEngine
 	}
 	plans := []opPlan{}
 	where := map[fdsoi.OperatingPoint]int{}
-	for i, tr := range trs {
+	for _, tr := range trs {
 		op := tr.OperatingPoint()
-		pi, ok := where[op]
-		if !ok {
-			pi = len(plans)
-			where[op] = pi
+		if _, ok := where[op]; !ok {
+			where[op] = len(plans)
 			plans = append(plans, opPlan{op: op})
 		}
-		plans[pi].idx = append(plans[pi].idx, i)
-		if tr.Tclk > plans[pi].horizon {
-			plans[pi].horizon = tr.Tclk
+		pl := &plans[where[op]]
+		if !slices.Contains(pl.clocks, tr.Tclk) {
+			pl.clocks = append(pl.clocks, tr.Tclk)
 		}
+	}
+	maxClocks := 0
+	for pi := range plans {
+		pl := &plans[pi]
+		slices.Sort(pl.clocks)
+		pl.at = make([][]int, len(pl.clocks))
+		maxClocks = max(maxClocks, len(pl.clocks))
+	}
+	for i, tr := range trs {
+		pl := &plans[where[tr.OperatingPoint()]]
+		c, _ := slices.BinarySearch(pl.clocks, tr.Tclk)
+		pl.at[c] = append(pl.at[c], i)
 	}
 	sort.SliceStable(plans, func(a, b int) bool {
 		if plans[a].op.Vbb != plans[b].op.Vbb {
@@ -496,48 +517,41 @@ func (p *Prepared) sweepSuperGroup(trs []triad.Triad) ([]*TriadResult, error) {
 		}
 		plans[pi].eng = eng
 	}
-	var retimed sim.WideTrace
 	prevW := make([]uint64, nl.NumNets()*k)
 	curW := make([]uint64, nl.NumNets()*k)
-	var sample sim.WideSample
+	samples := make([]sim.WideSample, maxClocks)
 	wideStep := sim.WordLanes * k
 	for wbase := 0; wbase < cfg.Patterns; wbase += wideStep {
 		scatterWideImage(prevW, st.inputs, k, st.prev, wbase/sim.WordLanes)
 		scatterWideImage(curW, st.inputs, k, st.cur, wbase/sim.WordLanes)
-		// One chain of traces across the chunk's operating points: a
+		// One chain of walks across the chunk's operating points: a
 		// fresh simulation anchors each body-bias family (delay maps do
 		// not rescale uniformly across Vbb), every further point down
-		// the family's Vdd ladder retimes the anchor (retimed traces
-		// are resample-only, so chains hop anchor → point), and an
-		// order-check rejection falls back to a fresh simulation that
-		// becomes the new anchor.
+		// the family's Vdd ladder retimes the anchor, and an order-check
+		// rejection falls back to a fresh simulation that becomes the
+		// new anchor.
 		var anchor *sim.WideTrace
 		anchorVbb := 0.0
 		for pi := range plans {
 			pl := &plans[pi]
-			var tr *sim.WideTrace
+			smp := samples[:len(pl.clocks)]
+			ok := false
 			if anchor != nil && pl.op.Vbb == anchorVbb {
-				ok, err := pl.eng.RetimeTrace(anchor, pl.horizon, &retimed)
-				if err != nil {
+				if ok, err = pl.eng.RetimeTrace(anchor, pl.clocks, smp); err != nil {
 					return nil, err
-				}
-				if ok {
-					tr = &retimed
 				}
 			}
-			if tr == nil {
-				tr, err = pl.eng.StepWideTrace(prevW, curW, outNets, pl.horizon)
-				if err != nil {
+			if !ok {
+				if anchor, err = pl.eng.StepWideTrace(prevW, curW, outNets, pl.clocks, smp); err != nil {
 					return nil, err
 				}
-				anchor, anchorVbb = tr, pl.op.Vbb
+				anchorVbb = pl.op.Vbb
 			}
-			for _, ti := range pl.idx {
-				if err := tr.Resample(trs[ti].Tclk, &sample); err != nil {
-					return nil, err
-				}
-				if err := folds[ti].foldWide(st.want, wbase, k, sample.CapturedW, sample.EnergyFJ, sample.LateW); err != nil {
-					return nil, err
+			for c, idx := range pl.at {
+				for _, ti := range idx {
+					if err := folds[ti].foldWide(st, wbase, k, smp[c].CapturedW, smp[c].EnergyFJ, smp[c].LateW); err != nil {
+						return nil, err
+					}
 				}
 			}
 		}
@@ -575,22 +589,24 @@ func newTriadFold(outBits int) triadFold {
 // foldWide folds one K×64-pattern wide chunk starting at pattern wbase,
 // per 64-pattern block in ascending word order: exactly the per-chunk
 // accumulation sequence (and therefore the float sums) of the scalar
-// reference loop. want holds the whole sweep's reference words; captured
-// is in tracked-slot layout (captured[s·K+j] = output bit s, word j),
-// energy carries K·64 lanes and late K words. Lanes past the end of the
-// sweep are ignored.
-func (f *triadFold) foldWide(want []uint64, wbase, k int, captured []uint64, energy []float64, late []uint64) error {
+// reference loop. Each block's errors are diffed against the stimulus's
+// reference lanes for that block; captured is in tracked-slot layout
+// (captured[s·K+j] = output bit s, word j), energy carries K·64 lanes and
+// late K words. Lanes past the end of the sweep are ignored.
+func (f *triadFold) foldWide(st *stimulus, wbase, k int, captured []uint64, energy []float64, late []uint64) error {
+	w := f.acc.Width()
 	for j := 0; j < k; j++ {
 		base := wbase + j*sim.WordLanes
-		if base >= len(want) {
+		if base >= len(st.want) {
 			break
 		}
-		n := min(len(want)-base, sim.WordLanes)
+		n := min(len(st.want)-base, sim.WordLanes)
 		for b := 0; b < n; b++ {
 			f.energy.Add(energy[j*sim.WordLanes+b])
 		}
 		f.late += bits.OnesCount64(late[j] & laneMask(n))
-		if err := f.acc.AddLaneBlock(want[base:base+n], captured, k, j); err != nil {
+		c := base / sim.WordLanes
+		if err := f.acc.AddLaneBlock(st.want[base:base+n], st.wantLanes[c*w:c*w+w], captured, k, j); err != nil {
 			return err
 		}
 	}
@@ -744,7 +760,7 @@ func (p *Prepared) sweepTriadWide(tr triad.Triad) (*TriadResult, error) {
 		for s, id := range outNets {
 			copy(got[s*k:s*k+k], res.CapturedW[int(id)*k:int(id)*k+k])
 		}
-		if err := f.foldWide(st.want, wbase, k, got, res.EnergyFJ, res.LateW); err != nil {
+		if err := f.foldWide(st, wbase, k, got, res.EnergyFJ, res.LateW); err != nil {
 			return nil, err
 		}
 	}
@@ -798,7 +814,9 @@ func (p *Prepared) sweepTriadScalar(tr triad.Triad) (*TriadResult, error) {
 				f.late++
 			}
 		}
-		if err := f.acc.AddLanes(st.want[base:base+n], gotBits); err != nil {
+		w := len(outNets)
+		c := base / sim.WordLanes
+		if err := f.acc.AddLanes(st.want[base:base+n], st.wantLanes[c*w:c*w+w], gotBits); err != nil {
 			return nil, err
 		}
 	}

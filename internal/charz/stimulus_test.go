@@ -14,8 +14,9 @@ import (
 // referenceStimulus builds a sweep's stimulus the bit-at-a-time way
 // buildStimulus replaced: pairs from a plain generator loop, the
 // reference words from per-lane AssignPortLane scatters and
-// PortLaneValue gathers around each EvaluateBatch, and the lane images
-// from one transpose per operand into full per-net images.
+// PortLaneValue gathers around each EvaluateBatch (the reference lanes
+// are their per-chunk transpose), and the lane images from one
+// transpose per operand into full per-net images.
 func referenceStimulus(nl *netlist.Netlist, cfg Config) (*stimulus, error) {
 	gen, err := patterns.NewPropagateProfile(cfg.Width, cfg.PropagateP, cfg.Seed)
 	if err != nil {
@@ -44,6 +45,10 @@ func referenceStimulus(nl *netlist.Netlist, cfg Config) (*stimulus, error) {
 			s.want[base+k] = netlist.PortLaneValue(psum, lanes, uint(k)) |
 				netlist.PortLaneValue(pcout, lanes, uint(k))<<uint(cfg.Width)
 		}
+		var tw [64]uint64
+		copy(tw[:], s.want[base:base+n])
+		metrics.Transpose64(&tw)
+		s.wantLanes = append(s.wantLanes, tw[:cfg.Width+1]...)
 	}
 	for _, port := range nl.Inputs {
 		s.inputs = append(s.inputs, port.Bits...)
@@ -85,9 +90,10 @@ func equalStimulus(got, want *stimulus) error {
 	for _, f := range []struct {
 		name      string
 		got, want []uint64
-	}{{"a", got.as, want.as}, {"b", got.bs, want.bs}, {"reference", got.want, want.want}} {
+	}{{"a", got.as, want.as}, {"b", got.bs, want.bs}, {"reference", got.want, want.want},
+		{"reference lane", got.wantLanes, want.wantLanes}} {
 		if i := firstDiff(f.got, f.want); i >= 0 {
-			return fmt.Errorf("%s words differ first at pattern %d", f.name, i)
+			return fmt.Errorf("%s words differ first at index %d", f.name, i)
 		}
 	}
 	if !slices.Equal(got.inputs, want.inputs) {

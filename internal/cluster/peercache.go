@@ -160,6 +160,9 @@ func (pc *PeerCache) Get(ctx context.Context, key string) (*engine.Entry, bool) 
 	return nil, false
 }
 
+// Peek implements engine.CacheBackend: the local memory layer only.
+func (pc *PeerCache) Peek(key string) (*engine.Entry, bool) { return pc.local.Peek(key) }
+
 // Put implements engine.CacheBackend: store locally, then replicate to
 // the key's ring owner asynchronously (simulation results must never
 // wait on a peer's disk).

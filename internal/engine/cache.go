@@ -288,8 +288,10 @@ func (s CacheStats) Hits() uint64 { return s.MemHits + s.DiskHits + s.PeerHits }
 
 // Entry is one stored point result: its JSON encoding, which is its
 // form on disk, on /v1/cache/entries and in replication, and the result
-// decoded from that encoding once, when the entry was made. Every reader
-// of an entry shares the decoded result, so none may modify it.
+// that encoding decodes to — decoded once by NewEntry when the bytes
+// came from outside, or the very result the engine encoded when it
+// stored its own. Every reader of an entry shares the result, so none
+// may modify it.
 type Entry struct {
 	data []byte
 	res  *charz.TriadResult
@@ -327,15 +329,20 @@ func decodePoint(data []byte) (*charz.TriadResult, error) {
 // CacheBackend is the engine's pluggable result-store seam. The
 // in-process *Cache is the default implementation; the cluster layer's
 // PeerCache wraps one and fills misses from peer vosd nodes. Both keep
-// entries decoded (see Entry), so a hit costs a lookup: entries are
-// decoded when they are made — when the engine stores a result, or when a
-// backend fills one from disk or a peer and rejects what does not decode.
-// Get and Put must be safe for concurrent use. Get receives the
+// entries decoded (see Entry), so a hit costs a lookup: an entry the
+// engine stores carries the result it encoded, and a backend that fills
+// one from disk or a peer decodes it then and rejects what does not
+// decode. Get, Peek and Put must be safe for concurrent use. Get receives the
 // requesting sweep's context so network-backed implementations bound
 // their fetches by the sweep's deadline and abandon them on
 // cancellation; the in-process Cache ignores it.
+//
+// Peek looks key up in the in-process memory layer only — no disk read,
+// no peer fetch, no counters. The engine uses it to re-check points that
+// another caller may have stored while its own Get missed.
 type CacheBackend interface {
 	Get(ctx context.Context, key string) (*Entry, bool)
+	Peek(key string) (*Entry, bool)
 	Put(key string, e *Entry)
 	Stats() CacheStats
 }
@@ -478,6 +485,15 @@ func (c *Cache) Get(ctx context.Context, key string) (*Entry, bool) {
 	c.stats.Misses++
 	c.mu.Unlock()
 	return nil, false
+}
+
+// Peek returns key's entry if the memory layer holds it, counting
+// nothing.
+func (c *Cache) Peek(key string) (*Entry, bool) {
+	c.mu.Lock()
+	e, ok := c.mem[key]
+	c.mu.Unlock()
+	return e, ok
 }
 
 // Put stores the entry under key in both layers. Disk failures are

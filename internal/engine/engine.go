@@ -129,6 +129,12 @@ type Engine struct {
 	// repeated identical sweeps.
 	executions atomic.Uint64
 
+	// stores counts results this engine has put into the cache. A point
+	// group reads it before its cache pass; if it moved by the time the
+	// group claims its misses, another caller may have stored one of them
+	// meanwhile (see runPointGroup).
+	stores atomic.Uint64
+
 	// groupedPoints counts points simulated as members of a multi-point
 	// electrical group — one trace simulation serving several Tclk values
 	// — reported through CacheStats so the stats distinguish group
@@ -381,20 +387,21 @@ func (e *Engine) prepared(ctx context.Context, key string, cfg charz.Config) (*p
 	}
 }
 
-// store encodes a computed result and caches it. Callers are handed the
-// entry's decoded bytes rather than res itself, so they see
-// byte-identical results whether or not the cache was warm.
-func (e *Engine) store(key string, res *charz.TriadResult) (*Entry, error) {
+// store encodes a computed result and caches it, with res itself as the
+// entry's decoded value: decoding the bytes just encoded rebuilds a value
+// deeply equal to res (TestStoredPointsDecodeToThemselves pins this), so
+// callers see the same result whether or not the cache was warm. Entries
+// filled from outside the process go through NewEntry instead. The
+// stores count moves only after the Put, so a caller that sees it move
+// can find the entry.
+func (e *Engine) store(key string, res *charz.TriadResult) error {
 	data, err := json.Marshal(res)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ent, err := NewEntry(data)
-	if err != nil {
-		return nil, err
-	}
-	e.cache.Put(key, ent)
-	return ent, nil
+	e.cache.Put(key, &Entry{data: data, res: res})
+	e.stores.Add(1)
+	return nil
 }
 
 // runPointGroup serves or computes the group's points, keys[i] being the
@@ -408,6 +415,7 @@ func (e *Engine) runPointGroup(ctx context.Context, p *charz.Prepared, trs []tri
 	done := make([]bool, len(trs))
 	for {
 		// Cache pass over the unresolved points.
+		seen := e.stores.Load()
 		var missing []int
 		for i := range trs {
 			if done[i] {
@@ -440,6 +448,13 @@ func (e *Engine) runPointGroup(ctx context.Context, p *charz.Prepared, trs []tri
 			ownedFlights = append(ownedFlights, f)
 		}
 		e.flightMu.Unlock()
+		if len(owned) > 0 && e.stores.Load() != seen {
+			// Something was stored since the cache pass began: a point
+			// that missed then may have been computed, stored and
+			// retired by another caller before we claimed it. Serve those
+			// from the cache rather than simulate them again.
+			owned, ownedFlights = e.serveStored(keys, owned, ownedFlights, out, cached, done)
+		}
 		if len(owned) > 0 {
 			if err := e.ownGroup(ctx, p, trs, keys, owned, ownedFlights, out); err != nil {
 				return nil, nil, err
@@ -478,10 +493,35 @@ func (e *Engine) runPointGroup(ctx context.Context, p *charz.Prepared, trs []tri
 	}
 }
 
+// serveStored re-reads claimed points from the cache's in-process
+// memory layer, where every store lands, and serves those it finds: each
+// one's flight is published and retired as ownGroup would retire it.
+// It returns the points still to simulate and their flights.
+func (e *Engine) serveStored(keys []string, owned []int, flights []*flight,
+	out []*charz.TriadResult, cached, done []bool) ([]int, []*flight) {
+	n := 0
+	for j, i := range owned {
+		f := flights[j]
+		ent, ok := e.cache.Peek(keys[i])
+		if !ok {
+			owned[n], flights[n] = i, f
+			n++
+			continue
+		}
+		out[i], cached[i], done[i] = ent.Point(), true, true
+		f.res = out[i]
+		e.flightMu.Lock()
+		delete(e.inflight, keys[i])
+		e.flightMu.Unlock()
+		close(f.done)
+	}
+	return owned[:n], flights[:n]
+}
+
 // ownGroup simulates the owned subset of a group as one grouped run on
 // the pool and publishes every point — to its own cache entry, its
 // flight waiters, and the caller's result slice (the stored entry's
-// decoding; see store).
+// value; see store).
 func (e *Engine) ownGroup(ctx context.Context, p *charz.Prepared, trs []triad.Triad,
 	keys []string, owned []int, flights []*flight, out []*charz.TriadResult) error {
 	defer func() {
@@ -532,12 +572,11 @@ func (e *Engine) ownGroup(ctx context.Context, p *charz.Prepared, trs []triad.Tr
 		return publishErr(0, runErr)
 	}
 	for j, i := range owned {
-		ent, err := e.store(keys[i], results[j])
-		if err != nil {
+		if err := e.store(keys[i], results[j]); err != nil {
 			return publishErr(j, err)
 		}
-		flights[j].res = ent.Point()
-		out[i] = flights[j].res
+		flights[j].res = results[j]
+		out[i] = results[j]
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -578,6 +579,129 @@ func TestSingleflightExecutesEachPointOnce(t *testing.T) {
 	finish(second, StatusDone)
 	if got := e.Executions(); got != 3 {
 		t.Fatalf("after the canceled owner's point: %d executions, want 3", got)
+	}
+}
+
+// stallCache returns the first Get of one key only after release
+// closes, with the lookup made before the stall: a slow disk read or
+// peer fetch that ends in a miss after another caller stored the point.
+type stallCache struct {
+	*Cache
+	key              string
+	first            atomic.Bool
+	stalled, release chan struct{}
+}
+
+func (c *stallCache) Get(ctx context.Context, key string) (*Entry, bool) {
+	ent, ok := c.Cache.Get(ctx, key)
+	if key == c.key && c.first.CompareAndSwap(false, true) {
+		close(c.stalled)
+		<-c.release
+	}
+	return ent, ok
+}
+
+// TestStoredWhileMissingNotResimulated: a sweep whose cache miss returns
+// only after a second sweep has computed, stored and retired the same
+// point serves the stored point instead of simulating it again.
+func TestStoredWhileMissingNotResimulated(t *testing.T) {
+	cache, err := NewCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := triad.Triad{Tclk: 0.5, Vdd: 0.8}
+	key, err := PointKey(testConfig(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stall := &stallCache{Cache: cache, key: key, stalled: make(chan struct{}), release: make(chan struct{})}
+	e := newTestEngine(t, Options{Workers: 2, Backend: stall})
+	cfg := testConfig()
+	req := Request{Arches: []string{cfg.Arch.String()}, Widths: []int{cfg.Width},
+		Patterns: cfg.Patterns, Seed: cfg.Seed, Policy: PolicyExplicit, Triads: []triad.Triad{tr}}
+	run := func() (string, error) {
+		id, err := e.Submit(req)
+		if err != nil {
+			return "", err
+		}
+		s, err := e.Wait(t.Context(), id)
+		if err == nil && s.Status != StatusDone {
+			err = fmt.Errorf("sweep %s: status %s (%s)", id, s.Status, s.Error)
+		}
+		return id, err
+	}
+	firstErr := make(chan error, 1)
+	go func() {
+		_, err := run()
+		firstErr <- err
+	}()
+	<-stall.stalled
+	if _, err := run(); err != nil {
+		t.Fatal(err)
+	}
+	close(stall.release)
+	if err := <-firstErr; err != nil {
+		t.Fatal(err)
+	}
+	if got, stores := e.Executions(), cache.Stats().Stores; got != 1 || stores != 1 {
+		t.Fatalf("two sweeps of one point: %d executions, %d stores; want 1 and 1", got, stores)
+	}
+}
+
+// recordingCache keeps every entry the engine stores.
+type recordingCache struct {
+	*Cache
+	mu      sync.Mutex
+	entries []*Entry
+}
+
+func (c *recordingCache) Put(key string, e *Entry) {
+	c.mu.Lock()
+	c.entries = append(c.entries, e)
+	c.mu.Unlock()
+	c.Cache.Put(key, e)
+}
+
+// TestStoredPointsDecodeToThemselves: the engine keeps the result it
+// encoded as a stored entry's decoded value, so decoding the entry's
+// bytes must rebuild that value exactly — on gate sweeps (grouped and
+// solo points) and model sweeps (with fidelity reports).
+func TestStoredPointsDecodeToThemselves(t *testing.T) {
+	cache, err := NewCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingCache{Cache: cache}
+	e := newTestEngine(t, Options{Workers: 2, Backend: rec})
+	for _, req := range []Request{
+		{Arches: []string{"RCA", "BKA"}, Widths: []int{4}, Patterns: 70, Seed: 3},
+		{Arches: []string{"RCA"}, Widths: []int{4}, Patterns: 40, Seed: 3, Policy: PolicyExplicit,
+			Triads: []triad.Triad{{Tclk: 0.3, Vdd: 0.6, Vbb: 1}}},
+		{Arches: []string{"RCA"}, Widths: []int{8}, Patterns: 60, Seed: 1, Backend: "model"},
+	} {
+		id, err := e.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, err := e.Wait(t.Context(), id); err != nil || s.Status != StatusDone {
+			t.Fatalf("sweep %+v: %v %s", req, err, s.Status)
+		}
+	}
+	fidelity := 0
+	for _, ent := range rec.entries {
+		back, err := decodePoint(ent.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, ent.Point()) {
+			t.Fatalf("stored point %s: decoded %+v, stored value %+v", ent.Point().Triad.Label(), back, ent.Point())
+		}
+		if ent.Point().Fidelity != nil {
+			fidelity++
+		}
+	}
+	if len(rec.entries) != 2*43+1+43 || fidelity != 43 {
+		t.Fatalf("%d entries stored (%d with fidelity), want %d (43)", len(rec.entries), fidelity, 2*43+1+43)
 	}
 }
 

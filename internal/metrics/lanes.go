@@ -32,65 +32,40 @@ func Transpose64(x *[64]uint64) {
 	}
 }
 
-// AddLanes records up to Lanes observations held in bit-sliced form: refs
-// carries the golden words pattern by pattern (len(refs) = n ≤ 64), and
-// got carries the observed values as one lane word per output bit
-// position (bit k of got[i] = output bit i under pattern k — exactly the
-// layout of the word simulator's captured image, so a characterization
-// sweep feeds it without unpacking). len(got) must equal the
-// accumulator's width.
+// AddLanes records up to Lanes observations held in bit-sliced form:
+// refs carries the golden words pattern by pattern (len(refs) = n ≤ 64);
+// refLanes and got carry the golden and observed values as one lane word
+// per output bit position (bit k of got[i] = output bit i under pattern
+// k — exactly the layout of the word simulator's captured image, so a
+// characterization sweep feeds it without unpacking). refLanes is refs
+// transposed; lanes at or past n are ignored in both. len(refLanes) and
+// len(got) must equal the accumulator's width.
 //
 // The bit-counting statistics (BER, WER, per-bit error probabilities,
-// Hamming) are accumulated lane-parallel — one popcount per output bit
-// per 64 patterns. The value statistics (MSE, SNR, weighted Hamming) need
-// per-pattern words, recovered with one 64×64 bit transpose and summed in
-// ascending pattern order with the identical floating-point operations as
-// n scalar Add calls — AddLanes is bit-for-bit interchangeable with the
-// scalar loop it replaces (for widths ≤ 53, where a word's weighted
-// distance is exactly representable; the simulator's outputs are ≤ 33
-// bits).
-func (a *ErrorAccumulator) AddLanes(refs []uint64, got []uint64) error {
-	if len(refs) == 0 {
-		return nil
-	}
-	if len(got) != a.width {
-		return fmt.Errorf("metrics: %d lane words for width %d", len(got), a.width)
-	}
-	var gotW [64]uint64
-	copy(gotW[:], got)
-	return a.addLaneWords(refs, &gotW)
+// Hamming) are accumulated lane-parallel from the difference lanes — one
+// popcount per output bit per 64 patterns. The value statistics need
+// per-pattern difference words, recovered with one 64×64 bit transpose
+// only when some lane differs, and are summed over the differing
+// patterns in ascending order; every pattern's signal power is summed in
+// order from refs. An error-free pattern adds +0.0 to the error sums,
+// which start at +0 and only grow, so skipping it changes no bit:
+// AddLanes is bit-for-bit interchangeable with n scalar Add calls (for
+// widths ≤ 53, where a word's weighted distance is exactly
+// representable; the simulator's outputs are ≤ 33 bits).
+func (a *ErrorAccumulator) AddLanes(refs, refLanes, got []uint64) error {
+	return a.AddLaneBlock(refs, refLanes, got, 1, 0)
 }
 
 // AddLaneBlock is AddLanes over one word of a flat K-word lane-block
 // image: got carries K consecutive lane words per output bit position
 // (the wide simulator's captured layout, got[i·words+word] = bit i's
 // lane word for block word `word`), and the call records the ≤ 64
-// observations of that word. len(got) must equal width·words. A wide
-// characterization sweep folds each 64-pattern block in ascending word
-// order, which reproduces the per-64-chunk accumulation sequence — and
-// therefore the exact floats — of the non-wide path.
-func (a *ErrorAccumulator) AddLaneBlock(refs []uint64, got []uint64, words, word int) error {
-	if len(refs) == 0 {
-		return nil
-	}
-	if words < 1 || word < 0 || word >= words {
-		return fmt.Errorf("metrics: block word %d outside %d-word blocks", word, words)
-	}
-	if len(got) != a.width*words {
-		return fmt.Errorf("metrics: %d lane words for width %d × %d-word blocks",
-			len(got), a.width, words)
-	}
-	var gotW [64]uint64
-	for i := 0; i < a.width; i++ {
-		gotW[i] = got[i*words+word]
-	}
-	return a.addLaneWords(refs, &gotW)
-}
-
-// addLaneWords is the shared bit-sliced core: gotW holds one gathered
-// lane word per output bit position (rows past the width are ignored)
-// and is consumed in place by the transpose.
-func (a *ErrorAccumulator) addLaneWords(refs []uint64, gotW *[64]uint64) error {
+// observations of that word against their golden words and lanes.
+// len(got) must equal width·words. A wide characterization sweep folds
+// each 64-pattern block in ascending word order, which reproduces the
+// per-64-chunk accumulation sequence — and therefore the exact floats —
+// of the non-wide path.
+func (a *ErrorAccumulator) AddLaneBlock(refs, refLanes, got []uint64, words, word int) error {
 	n := len(refs)
 	if n == 0 {
 		return nil
@@ -101,19 +76,27 @@ func (a *ErrorAccumulator) addLaneWords(refs []uint64, gotW *[64]uint64) error {
 	if a.width > Lanes {
 		return fmt.Errorf("metrics: width %d exceeds the %d-bit lane transpose", a.width, Lanes)
 	}
+	if words < 1 || word < 0 || word >= words {
+		return fmt.Errorf("metrics: block word %d outside %d-word blocks", word, words)
+	}
+	if len(got) != a.width*words {
+		return fmt.Errorf("metrics: %d lane words for width %d × %d-word blocks",
+			len(got), a.width, words)
+	}
+	if len(refLanes) != a.width {
+		return fmt.Errorf("metrics: %d reference lane words for width %d", len(refLanes), a.width)
+	}
 	laneMask := ^uint64(0)
 	if n < Lanes {
 		laneMask = uint64(1)<<uint(n) - 1
 	}
-	// Bit-sliced counting: diff the reference lane words against the
-	// observed ones, one word per output bit position.
-	var ref [64]uint64
-	copy(ref[:], refs)
-	Transpose64(&ref) // ref[i] now holds bit i of every pattern
-	var any uint64
-	var faulty uint64
+	// Bit-sliced counting on the difference lanes, one word per output
+	// bit position.
+	var diff [64]uint64
+	var any, faulty uint64
 	for i := 0; i < a.width; i++ {
-		d := (ref[i] ^ gotW[i]) & laneMask
+		d := (refLanes[i] ^ got[i*words+word]) & laneMask
+		diff[i] = d
 		c := uint64(bits.OnesCount64(d))
 		a.perBit[i] += c
 		faulty += c
@@ -123,17 +106,23 @@ func (a *ErrorAccumulator) addLaneWords(refs []uint64, gotW *[64]uint64) error {
 	a.hamming += faulty
 	a.faultyWord += uint64(bits.OnesCount64(any))
 	a.words += uint64(n)
-	// Per-pattern value statistics, in pattern order: recover the observed
-	// words by transposing the captured lane image.
-	Transpose64(gotW) // gotW[k] now holds pattern k's observed word
+	// Per-pattern value statistics, in pattern order. Only the differing
+	// patterns contribute error; their difference words come from one
+	// transpose of the difference lanes (rows past the width are zero).
 	m := mask(a.width)
-	for k := 0; k < n; k++ {
-		r, g := refs[k]&m, gotW[k]&m
-		// float64(r^g) == WeightedHamming(r, g, width) exactly: the diff
-		// word is an integer below 2^width ≤ 2^53.
-		a.weighted += float64(r ^ g)
-		a.sumSqErr += SquaredError(r, g)
-		s := float64(r)
+	if any != 0 {
+		Transpose64(&diff) // diff[k] now holds pattern k's difference word
+		for p := any; p != 0; p &= p - 1 {
+			k := bits.TrailingZeros64(p)
+			r := refs[k] & m
+			// float64(d) == WeightedHamming(r, r^d, width) exactly: the
+			// difference word is an integer below 2^width ≤ 2^53.
+			a.weighted += float64(diff[k])
+			a.sumSqErr += SquaredError(r, r^diff[k])
+		}
+	}
+	for _, r := range refs {
+		s := float64(r & m)
 		a.sumSqSig += s * s
 	}
 	return nil

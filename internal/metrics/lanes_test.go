@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -63,21 +64,13 @@ func TestAddLanesMatchesAdd(t *testing.T) {
 		}
 
 		lanes := NewErrorAccumulator(tc.width)
-		got := make([]uint64, tc.width)
 		for base := 0; base < tc.n; base += Lanes {
 			n := tc.n - base
 			if n > Lanes {
 				n = Lanes
 			}
-			for i := range got {
-				got[i] = 0
-			}
-			for k := 0; k < n; k++ {
-				for i := 0; i < tc.width; i++ {
-					got[i] |= gots[base+k] >> uint(i) & 1 << uint(k)
-				}
-			}
-			if err := lanes.AddLanes(refs[base:base+n], got); err != nil {
+			got := lanesOf(gots[base:base+n], tc.width)
+			if err := lanes.AddLanes(refs[base:base+n], lanesOf(refs[base:base+n], tc.width), got); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -92,20 +85,100 @@ func TestAddLanesMatchesAdd(t *testing.T) {
 // TestAddLanesValidation pins the error behavior.
 func TestAddLanesValidation(t *testing.T) {
 	a := NewErrorAccumulator(4)
-	if err := a.AddLanes(nil, nil); err != nil {
+	four := make([]uint64, 4)
+	if err := a.AddLanes(nil, nil, nil); err != nil {
 		t.Fatalf("empty AddLanes: %v", err)
 	}
-	if err := a.AddLanes(make([]uint64, 65), make([]uint64, 4)); err == nil {
+	if err := a.AddLanes(make([]uint64, 65), four, four); err == nil {
 		t.Fatal("oversized chunk accepted")
 	}
-	if err := a.AddLanes(make([]uint64, 3), make([]uint64, 5)); err == nil {
+	if err := a.AddLanes(make([]uint64, 3), four, make([]uint64, 5)); err == nil {
 		t.Fatal("wrong lane-word count accepted")
 	}
+	if err := a.AddLanes(make([]uint64, 3), make([]uint64, 5), four); err == nil {
+		t.Fatal("wrong reference lane-word count accepted")
+	}
+	if err := a.AddLaneBlock(make([]uint64, 3), four, make([]uint64, 8), 2, 2); err == nil {
+		t.Fatal("block word outside the block accepted")
+	}
 	wide := NewErrorAccumulator(70)
-	if err := wide.AddLanes(make([]uint64, 3), make([]uint64, 70)); err == nil {
+	if err := wide.AddLanes(make([]uint64, 3), make([]uint64, 70), make([]uint64, 70)); err == nil {
 		t.Fatal("width beyond the 64-bit transpose accepted")
 	}
 	if a.Words() != 0 {
 		t.Fatal("failed AddLanes mutated the accumulator")
 	}
+}
+
+// lanesOf transposes up to 64 per-pattern words into width lane words:
+// bit k of lane i is bit i of words[k].
+func lanesOf(words []uint64, width int) []uint64 {
+	var x [64]uint64
+	copy(x[:], words)
+	Transpose64(&x)
+	return append([]uint64(nil), x[:width]...)
+}
+
+// sameSnapshot reports whether two snapshots agree bit for bit, floats
+// compared by their bits (reflect.DeepEqual would equate -0 and +0).
+func sameSnapshot(a, b ErrorStats) bool {
+	fa := []float64{a.SumSqErr, a.SumSqSig, a.Weighted}
+	fb := []float64{b.SumSqErr, b.SumSqSig, b.Weighted}
+	for i := range fa {
+		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
+			return false
+		}
+	}
+	a.SumSqErr, a.SumSqSig, a.Weighted = 0, 0, 0
+	b.SumSqErr, b.SumSqSig, b.Weighted = 0, 0, 0
+	return reflect.DeepEqual(a, b)
+}
+
+// FuzzLaneFoldMatchesScalar: folding one block word of a K-word lane
+// image from reference lanes must leave the accumulator's snapshot equal,
+// bit for bit, to n scalar Add calls of the same observations — on an
+// accumulator that already holds one observation, for widths 1–53,
+// 1–64 patterns and K 1–8. dirty selects the patterns whose observed
+// word differs from the reference; the other block words and the lanes
+// past n hold noise the fold must ignore.
+func FuzzLaneFoldMatchesScalar(f *testing.F) {
+	f.Fuzz(func(t *testing.T, width, n, k, word uint8, seed, dirty uint64) {
+		w, np, kw := 1+int(width)%53, 1+int(n)%64, 1+int(k)%8
+		wd := int(word) % kw
+		rng := rand.New(rand.NewPCG(seed, dirty))
+		m := mask(w)
+		var refs, gots [64]uint64
+		for p := range refs {
+			refs[p] = rng.Uint64() & m
+			gots[p] = rng.Uint64() & m // noise past n
+			if p < np {
+				gots[p] = refs[p]
+				if dirty>>uint(p)&1 == 1 {
+					gots[p] ^= (rng.Uint64() | 1) & m
+				}
+			}
+		}
+		refLanes, gotLanes := lanesOf(refs[:], w), lanesOf(gots[:], w)
+		block := make([]uint64, w*kw)
+		for i := range block {
+			block[i] = rng.Uint64()
+		}
+		for i := 0; i < w; i++ {
+			block[i*kw+wd] = gotLanes[i]
+		}
+		scalar, lanes := NewErrorAccumulator(w), NewErrorAccumulator(w)
+		r0, g0 := seed&m, (seed>>7)&m
+		scalar.Add(r0, g0)
+		lanes.Add(r0, g0)
+		for p := 0; p < np; p++ {
+			scalar.Add(refs[p], gots[p])
+		}
+		if err := lanes.AddLaneBlock(refs[:np], refLanes, block, kw, wd); err != nil {
+			t.Fatal(err)
+		}
+		if s, l := scalar.Snapshot(), lanes.Snapshot(); !sameSnapshot(s, l) {
+			t.Fatalf("width %d n %d k %d word %d: snapshots diverged\nscalar: %+v\nlanes:  %+v",
+				w, np, kw, wd, s, l)
+		}
+	})
 }

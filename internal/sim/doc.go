@@ -41,37 +41,43 @@
 // two-vector experiment only as the capture boundary and the
 // leakage·Tclk energy term — so one simulation per electrical (Vdd, Vbb)
 // point suffices for any number of clocks. StepWideTrace runs the
-// experiment to full quiescence and records the chronological event
-// history (time, changed-lane block, per-event switching energy, tracked
-// nets' new values); WideTrace.Resample(tclk) then reproduces what
-// StepWideChunk at that tclk would have returned, in one linear pass:
-// captured blocks are the tracked nets' last values at or before the
-// deadline (the calendar queue's pop boundary is inclusive, so an event
-// exactly at Tclk is captured), per-lane energy is the same-order prefix
-// sum of the recorded charges plus leakPower·Tclk, and the late mask ORs
-// every post-deadline changed-lane block — same floats, same addition
-// order. A capture horizon bounds the work: attribution and prefix
-// snapshots stop at the largest Tclk the trace will ever be asked for,
-// while the wave still runs to quiescence for the late masks. The
+// experiment to full quiescence and captures every clock of the point
+// in that one walk: given the clocks ascending, it fills one WideSample
+// per clock just before the first event past it, so each sample holds
+// exactly what StepWideChunk at that Tclk would have returned — the
+// tracked nets' blocks after every event at or before the clock (the
+// calendar queue's pop boundary is inclusive, so an event exactly at
+// Tclk is captured), the running per-lane energy plus leakPower·Tclk
+// (same floats, same addition order) and, from one backward OR pass
+// over the wave's changed-lane blocks, the late mask. Per-lane energy
+// attribution stops after the last clock, while the wave runs on to
+// quiescence for the late masks and the retime log. The
 // characterization flow rides this to simulate each distinct operating
 // point of the paper's 43-triad grid once per chunk (the grid holds only
-// ~14 electrical points; the clocks sharing each point are resamples);
-// a solo triad runs one StepWideChunk per K×64 patterns.
+// ~14 electrical points; the clocks sharing each point are captures of
+// one walk); a solo triad runs one StepWideChunk per K×64 patterns,
+// which stays the reference the captures are tested against.
 //
 // # Cross-voltage retiming
 //
-// A wide trace also records what makes it portable across operating
-// points: a retime log (per effective event, the gate that fired it and
-// its causal parent event) and the t = 0 input-toggle set.
+// The trace StepWideTrace returns is a retime log, the
+// operating-point-independent record of the wave: per effective event
+// the gate that fired it, its causal parent event and its changed-lane
+// block; the distinct event timestamps; the tracked nets' value changes;
+// and the t = 0 input-toggle set.
 //
-// RetimeTrace re-times a recorded wave at another operating point
+// RetimeTrace serves a neighboring operating point from that log
 // without re-simulating: each event's firing time is re-derived from
 // its parent's (exactly the floats a fresh simulation computes), the
 // recorded order is checked — non-decreasing overall, strictly
-// increasing across distinct source timestamps — and the trace's
-// op-dependent parts are rebuilt from the log, bit-identical to a fresh
-// StepWideTrace at the target point. A rejected check reports a
-// fallback (RetimeStats) and the caller re-simulates.
+// increasing across distinct source timestamps — and one walk of the
+// log captures the point's clocks exactly as StepWideTrace at that point
+// would: the input-toggle log against the point's pin energies, each
+// event's gate energy up to the last clock, the recorded tracked-net
+// changes, and one backward OR pass for the late masks. A rejected check
+// reports a fallback (RetimeStats) and the caller re-simulates. No
+// retimed trace is built: every point of a body-bias family retimes
+// the family's fresh anchor.
 //
 // Order stability across the Vdd ladder is engineered in compileTables:
 // gate delays are rounded to a dyadic grid (delayQuantum) so path sums

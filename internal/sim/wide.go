@@ -106,12 +106,13 @@ type WideEngine struct {
 
 	res WideResult
 
-	// trace and slotOf back StepWideTrace (widetrace.go); t2 and
-	// retimed back RetimeTrace/ResampleAt.
-	trace   WideTrace
-	slotOf  []int32
-	t2      []float64
-	retimed WideTrace
+	// trace and slotOf back StepWideTrace (widetrace.go); t2 and held
+	// back RetimeTrace; from holds both walks' per-clock event indices.
+	trace  WideTrace
+	slotOf []int32
+	t2     []float64
+	held   []uint64
+	from   []int32
 
 	stats                    Stats
 	retimeOK, retimeFallback uint64

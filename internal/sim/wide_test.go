@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/cell"
@@ -256,9 +257,9 @@ func TestWideChunkMatchesWordChunk(t *testing.T) {
 	}
 }
 
-// checkWideResampleMatchesChunk requires a wide trace's resample at tclk
-// to be bit-identical to a direct StepWideChunk at the same tclk.
-func checkWideResampleMatchesChunk(t *testing.T, direct *sim.WideEngine, sample *sim.WideSample,
+// checkSampleMatchesChunk requires a walk's capture at tclk to be
+// bit-identical to a direct StepWideChunk at the same tclk.
+func checkSampleMatchesChunk(t *testing.T, direct *sim.WideEngine, sample *sim.WideSample,
 	outNets []netlist.NetID, prev, cur []uint64, tclk float64) {
 	t.Helper()
 	k := direct.K()
@@ -269,29 +270,38 @@ func checkWideResampleMatchesChunk(t *testing.T, direct *sim.WideEngine, sample 
 	for s, id := range outNets {
 		for j := 0; j < k; j++ {
 			if sample.CapturedW[s*k+j] != wres.CapturedW[int(id)*k+j] {
-				t.Fatalf("tclk %v net %d word %d: resampled %x, direct %x",
+				t.Fatalf("tclk %v net %d word %d: captured %x, direct %x",
 					tclk, id, j, sample.CapturedW[s*k+j], wres.CapturedW[int(id)*k+j])
 			}
 		}
 	}
-	for l := range sample.EnergyFJ {
-		if math.Float64bits(sample.EnergyFJ[l]) != math.Float64bits(wres.EnergyFJ[l]) {
-			t.Fatalf("tclk %v lane %d: resampled energy %v, direct %v",
-				tclk, l, sample.EnergyFJ[l], wres.EnergyFJ[l])
+	checkSamplesEqual(t, "direct", tclk, sample, &sim.WideSample{EnergyFJ: wres.EnergyFJ, LateW: wres.LateW})
+}
+
+// checkSamplesEqual requires two captures of one clock to agree bit for
+// bit: energies always, captured blocks when want carries them.
+func checkSamplesEqual(t *testing.T, what string, tclk float64, got, want *sim.WideSample) {
+	t.Helper()
+	if len(want.CapturedW) > 0 && !slices.Equal(got.CapturedW, want.CapturedW) {
+		t.Fatalf("tclk %v: captured %x, %s %x", tclk, got.CapturedW, what, want.CapturedW)
+	}
+	if len(got.EnergyFJ) != len(want.EnergyFJ) {
+		t.Fatalf("tclk %v: %d lane energies, %s %d", tclk, len(got.EnergyFJ), what, len(want.EnergyFJ))
+	}
+	for l := range want.EnergyFJ {
+		if math.Float64bits(got.EnergyFJ[l]) != math.Float64bits(want.EnergyFJ[l]) {
+			t.Fatalf("tclk %v lane %d: energy %v, %s %v", tclk, l, got.EnergyFJ[l], what, want.EnergyFJ[l])
 		}
 	}
-	for j := 0; j < k; j++ {
-		if sample.LateW[j] != wres.LateW[j] {
-			t.Fatalf("tclk %v word %d: resampled late %x, direct %x",
-				tclk, j, sample.LateW[j], wres.LateW[j])
-		}
+	if !slices.Equal(got.LateW, want.LateW) {
+		t.Fatalf("tclk %v: late %x, %s %x", tclk, got.LateW, what, want.LateW)
 	}
 }
 
-// TestWideTraceResampleMatchesWideChunk: one horizon-capped
-// StepWideTrace, resampled at every clock of a grid, must be
-// bit-identical to direct StepWideChunk calls — and must reject
-// deadlines beyond the capture horizon.
+// TestWideTraceResampleMatchesWideChunk: one StepWideTrace capturing a
+// grid of clocks in its walk must match direct StepWideChunk calls at
+// every clock, bit for bit, on chained two-word chunks with a ragged
+// tail — including a repeated clock.
 func TestWideTraceResampleMatchesWideChunk(t *testing.T) {
 	lib, proc := cell.Default28nmLVT(), fdsoi.Default()
 	mm := fdsoi.NewMismatchSampler(0.03, 31)
@@ -303,8 +313,8 @@ func TestWideTraceResampleMatchesWideChunk(t *testing.T) {
 	chunks := traceChunks(nl, 0xff, 150, 7)
 	const k = 2
 	wide := packWideChunks(nl, chunks, k)
-	tclks := []float64{0.02, 0.1, 0.3, 0.45}
-	horizon := 0.45
+	clocks := []float64{0.02, 0.1, 0.3, 0.3, 0.45}
+	samples := make([]sim.WideSample, len(clocks))
 	for _, op := range []fdsoi.OperatingPoint{{Vdd: 1.0, Vbb: 0}, {Vdd: 0.5, Vbb: 2}} {
 		tracer, err := sim.NewWide(nl, lib, proc, op, k)
 		if err != nil {
@@ -314,32 +324,23 @@ func TestWideTraceResampleMatchesWideChunk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sample sim.WideSample
 		for _, c := range wide {
-			trace, err := tracer.StepWideTrace(c[0], c[1], outNets, horizon)
-			if err != nil {
+			if _, err := tracer.StepWideTrace(c[0], c[1], outNets, clocks, samples); err != nil {
 				t.Fatal(err)
 			}
-			for _, tclk := range tclks {
-				if err := trace.Resample(tclk, &sample); err != nil {
-					t.Fatal(err)
-				}
-				checkWideResampleMatchesChunk(t, direct, &sample, outNets, c[0], c[1], tclk)
-			}
-			if err := trace.Resample(math.Nextafter(horizon, math.Inf(1)), &sample); err == nil {
-				t.Fatal("deadline beyond the capture horizon accepted")
+			for i, tclk := range clocks {
+				checkSampleMatchesChunk(t, direct, &samples[i], outNets, c[0], c[1], tclk)
 			}
 		}
 	}
 }
 
-// TestTraceResampleMatchesWordChunk is the trace-path parity argument at
-// the one-word (K = 1) geometry with no capture horizon: one full-settle
-// StepWideTrace per 64-pattern chunk, resampled at every clock of a
-// (Vdd, Vbb) × Tclk grid, must be bit-identical to a direct one-word
-// StepWideChunk at each clock — across both adder architectures, chained
-// chunks including a ragged tail, and deadlines from "captures nothing"
-// to "captures everything".
+// TestTraceResampleMatchesWordChunk is the capture-walk parity argument
+// at the one-word (K = 1) geometry: one StepWideTrace per 64-pattern
+// chunk, capturing a clock grid from "captures nothing" to "captures
+// everything", must match a direct one-word StepWideChunk at each clock
+// across both adder architectures, a (Vdd, Vbb) grid and chained chunks
+// including a ragged tail.
 func TestTraceResampleMatchesWordChunk(t *testing.T) {
 	lib, proc := cell.Default28nmLVT(), fdsoi.Default()
 	archs := []struct {
@@ -356,7 +357,7 @@ func TestTraceResampleMatchesWordChunk(t *testing.T) {
 		{Vdd: 0.55, Vbb: 2},
 		{Vdd: 0.45, Vbb: 2},
 	}
-	tclks := []float64{0.02, 0.08, 0.15, 0.3, 0.9, 5.0}
+	clocks := []float64{0.02, 0.08, 0.15, 0.3, 0.9, 5.0}
 	for _, ad := range archs {
 		mm := fdsoi.NewMismatchSampler(0.03, 13)
 		nl, err := synth.NewAdder(ad.arch, synth.AdderConfig{Width: ad.width, Mismatch: mm})
@@ -375,17 +376,13 @@ func TestTraceResampleMatchesWordChunk(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var sample sim.WideSample
+				samples := make([]sim.WideSample, len(clocks))
 				for _, c := range chunks {
-					trace, err := tracer.StepWideTrace(c[0], c[1], outNets, math.Inf(1))
-					if err != nil {
+					if _, err := tracer.StepWideTrace(c[0], c[1], outNets, clocks, samples); err != nil {
 						t.Fatal(err)
 					}
-					for _, tclk := range tclks {
-						if err := trace.Resample(tclk, &sample); err != nil {
-							t.Fatal(err)
-						}
-						checkWideResampleMatchesChunk(t, direct, &sample, outNets, c[0], c[1], tclk)
+					for i, tclk := range clocks {
+						checkSampleMatchesChunk(t, direct, &samples[i], outNets, c[0], c[1], tclk)
 					}
 				}
 			})
@@ -393,12 +390,28 @@ func TestTraceResampleMatchesWordChunk(t *testing.T) {
 	}
 }
 
-// TestTraceResampleAtEventTimestamps pins the capture boundary: a Tclk
+// boundaryClocks returns every event timestamp of a trace together with
+// its float neighbors, ascending: clocks placed exactly on an event
+// (captured, the queue's pop is inclusive) and just either side of it.
+func boundaryClocks(trace *sim.WideTrace) []float64 {
+	var clocks []float64
+	for _, tt := range trace.EventTimes(nil) {
+		for _, c := range []float64{math.Nextafter(tt, 0), tt, math.Nextafter(tt, math.Inf(1))} {
+			if c > 0 && (len(clocks) == 0 || c > clocks[len(clocks)-1]) {
+				clocks = append(clocks, c)
+			}
+		}
+	}
+	return clocks
+}
+
+// TestTraceResampleAtEventTimestamps pins the capture boundary: a clock
 // placed exactly on an event's timestamp captures that event (the
 // calendar queue's pop boundary is inclusive), and the float just below
 // it does not. Every recorded event time of a deeply over-scaled
-// two-word chunk is tried as a deadline, bit-compared against the
-// direct path.
+// two-word chunk, and each float either side of it, is captured in one
+// walk and bit-compared against the direct path — and again in walks
+// whose last clock falls mid-wave, where energy attribution stops early.
 func TestTraceResampleAtEventTimestamps(t *testing.T) {
 	lib, proc := cell.Default28nmLVT(), fdsoi.Default()
 	mm := fdsoi.NewMismatchSampler(0.03, 17)
@@ -419,38 +432,32 @@ func TestTraceResampleAtEventTimestamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := tracer.StepWideTrace(c[0], c[1], outNets, math.Inf(1))
+	trace, err := tracer.StepWideTrace(c[0], c[1], outNets, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	times := trace.EventTimes(nil)
-	if len(times) == 0 {
-		t.Fatal("trace recorded no events")
+	all := boundaryClocks(trace)
+	if len(all) < 6 {
+		t.Fatalf("trace recorded %d boundary clocks, want a deep wave", len(all))
 	}
-	var sample sim.WideSample
-	tried := 0
-	for _, tt := range times {
-		for _, tclk := range []float64{tt, math.Nextafter(tt, 0), math.Nextafter(tt, math.Inf(1))} {
-			if tclk <= 0 {
-				continue
-			}
-			if err := trace.Resample(tclk, &sample); err != nil {
-				t.Fatal(err)
-			}
-			checkWideResampleMatchesChunk(t, direct, &sample, outNets, c[0], c[1], tclk)
-			tried++
+	samples := make([]sim.WideSample, len(all))
+	for _, clocks := range [][]float64{all, all[:len(all)/2], all[len(all)/3 : len(all)/3+1]} {
+		if _, err := tracer.StepWideTrace(c[0], c[1], outNets, clocks, samples[:len(clocks)]); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if tried == 0 {
-		t.Fatal("no boundary deadlines tried")
+		for i, tclk := range clocks {
+			checkSampleMatchesChunk(t, direct, &samples[i], outNets, c[0], c[1], tclk)
+		}
 	}
 }
 
 // TestCrossVddResampleMatchesFresh is the cross-voltage reuse parity
-// argument: over a (Vdd, Tclk) grid on both paper adders, every retime
-// ResampleAt accepts must be bit-identical to a fresh StepWideTrace +
-// Resample at the target operating point, and every rejection must be
-// a counted fallback. Without per-gate mismatch the delay map is
+// argument: over a Vdd ladder on both paper adders, every retime
+// RetimeTrace accepts must capture each clock bit-identically to a
+// fresh StepWideTrace at the target operating point and to a direct
+// StepWideChunk there — on a clock grid plus clocks placed exactly on
+// (and either side of) the target wave's own event times — and every
+// acceptance must be counted. Without per-gate mismatch the delay map is
 // uniform up to quantization, and the quantized+dithered delay grid
 // keeps even the Brent-Kung fabric's degenerate reconvergent paths
 // order-stable, so every retime on the grid must succeed for both
@@ -480,12 +487,12 @@ func TestCrossVddResampleMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		horizon := 8.0
-		srcTrace, err := src.StepWideTrace(c[0], c[1], outNets, horizon)
+		grid := []float64{0.05, 0.2, 0.5, 1.5, 6.0}
+		srcSamples := make([]sim.WideSample, len(grid))
+		srcTrace, err := src.StepWideTrace(c[0], c[1], outNets, grid, srcSamples)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tclks := []float64{0.05, 0.2, 0.5, 1.5, 6.0}
 		var okTotal, fbTotal uint64
 		for _, vdd := range []float64{0.9, 0.7, 0.5, 0.4} {
 			op := fdsoi.OperatingPoint{Vdd: vdd, Vbb: vbb}
@@ -498,53 +505,54 @@ func TestCrossVddResampleMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				freshTrace, err := fresh.StepWideTrace(c[0], c[1], outNets, horizon)
+				direct, err := sim.NewWide(nl, lib, proc, op, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var got, want sim.WideSample
-				for _, tclk := range tclks {
-					okBefore, fbBefore := target.RetimeStats()
-					ok, err := target.ResampleAt(srcTrace, tclk, &got)
-					if err != nil {
-						t.Fatal(err)
-					}
-					okAfter, fbAfter := target.RetimeStats()
-					if !ok {
-						t.Fatalf("tclk %v: uniform-delay retime rejected", tclk)
-					}
-					if okAfter != okBefore+1 || fbAfter != fbBefore {
-						t.Fatalf("tclk %v: accepted retime not counted (ok %d→%d, fb %d→%d)",
-							tclk, okBefore, okAfter, fbBefore, fbAfter)
-					}
-					if err := freshTrace.Resample(tclk, &want); err != nil {
-						t.Fatal(err)
-					}
-					for i := range want.CapturedW {
-						if got.CapturedW[i] != want.CapturedW[i] {
-							t.Fatalf("tclk %v slot word %d: retimed %x, fresh %x",
-								tclk, i, got.CapturedW[i], want.CapturedW[i])
-						}
-					}
-					for l := range want.EnergyFJ {
-						if math.Float64bits(got.EnergyFJ[l]) != math.Float64bits(want.EnergyFJ[l]) {
-							t.Fatalf("tclk %v lane %d: retimed energy %v, fresh %v",
-								tclk, l, got.EnergyFJ[l], want.EnergyFJ[l])
-						}
-					}
-					for j := range want.LateW {
-						if got.LateW[j] != want.LateW[j] {
-							t.Fatalf("tclk %v word %d: retimed late %x, fresh %x",
-								tclk, j, got.LateW[j], want.LateW[j])
-						}
-					}
+				freshTrace, err := fresh.StepWideTrace(c[0], c[1], outNets, nil, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				ok, fb := target.RetimeStats()
-				okTotal += ok
-				fbTotal += fb
-				if ok == 0 || fb != 0 {
-					t.Fatalf("retime stats ok=%d fallbacks=%d, want all-ok", ok, fb)
+				onEvents := boundaryClocks(freshTrace)
+				var clocks []float64
+				for i := 0; i < len(onEvents); i += 7 {
+					clocks = append(clocks, onEvents[i])
 				}
+				clocks = append(clocks, grid...)
+				slices.Sort(clocks)
+				got := make([]sim.WideSample, len(clocks))
+				want := make([]sim.WideSample, len(clocks))
+				if _, err := fresh.StepWideTrace(c[0], c[1], outNets, clocks, want); err != nil {
+					t.Fatal(err)
+				}
+				okBefore, fbBefore := target.RetimeStats()
+				ok, err := target.RetimeTrace(srcTrace, clocks, got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				okAfter, fbAfter := target.RetimeStats()
+				if !ok {
+					t.Fatal("uniform-delay retime rejected")
+				}
+				if okAfter != okBefore+1 || fbAfter != fbBefore {
+					t.Fatalf("accepted retime not counted (ok %d→%d, fb %d→%d)", okBefore, okAfter, fbBefore, fbAfter)
+				}
+				for i, tclk := range clocks {
+					checkSamplesEqual(t, "fresh", tclk, &got[i], &want[i])
+					checkSampleMatchesChunk(t, direct, &got[i], outNets, c[0], c[1], tclk)
+				}
+				// A retime whose last clock falls mid-wave stops its
+				// energy attribution there.
+				half := clocks[:len(clocks)/2]
+				if ok, err := target.RetimeTrace(srcTrace, half, got[:len(half)]); err != nil || !ok {
+					t.Fatalf("mid-wave retime: ok=%v err=%v", ok, err)
+				}
+				for i, tclk := range half {
+					checkSamplesEqual(t, "fresh", tclk, &got[i], &want[i])
+				}
+				okAfter, fbAfter = target.RetimeStats()
+				okTotal += okAfter
+				fbTotal += fbAfter
 			})
 		}
 		if okTotal == 0 || fbTotal != 0 {
@@ -574,7 +582,9 @@ func TestRetimeOrderFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := src.StepWideTrace(c[0], c[1], outNets, 8.0)
+	clocks := []float64{8.0}
+	samples := make([]sim.WideSample, 1)
+	trace, err := src.StepWideTrace(c[0], c[1], outNets, clocks, samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,8 +594,7 @@ func TestRetimeOrderFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var dst sim.WideTrace
-		if _, err := eng.RetimeTrace(trace, 8.0, &dst); err != nil {
+		if _, err := eng.RetimeTrace(trace, clocks, samples); err != nil {
 			t.Fatal(err)
 		}
 		_, fb := eng.RetimeStats()
@@ -628,52 +637,51 @@ func TestWideValidation(t *testing.T) {
 	if _, err := eng.StepWideChunk(lanes, lanes, math.NaN()); err == nil {
 		t.Fatal("NaN tclk accepted")
 	}
-	if _, err := eng.StepWideTrace(lanes, lanes, nil, 0); err == nil {
-		t.Fatal("non-positive horizon accepted")
+	one := []float64{1.0}
+	samples := make([]sim.WideSample, 2)
+	for name, clocks := range map[string][]float64{
+		"non-positive clock": {0},
+		"NaN clock":          {math.NaN()},
+		"descending clocks":  {1.0, 0.5},
+	} {
+		if _, err := eng.StepWideTrace(lanes, lanes, nil, clocks, samples[:len(clocks)]); err == nil {
+			t.Fatalf("trace: %s accepted", name)
+		}
 	}
-	if _, err := eng.StepWideTrace(lanes[:1], lanes, nil, 1.0); err == nil {
+	if _, err := eng.StepWideTrace(lanes, lanes, nil, one, samples); err == nil {
+		t.Fatal("trace: sample count mismatch accepted")
+	}
+	if _, err := eng.StepWideTrace(lanes[:1], lanes, nil, one, samples[:1]); err == nil {
 		t.Fatal("short prev image accepted by the trace")
 	}
-	if _, err := eng.StepWideTrace(lanes, lanes[:1], nil, 1.0); err == nil {
+	if _, err := eng.StepWideTrace(lanes, lanes[:1], nil, one, samples[:1]); err == nil {
 		t.Fatal("short cur image accepted by the trace")
 	}
-	if _, err := eng.StepWideTrace(lanes, lanes, []netlist.NetID{netlist.NetID(nl.NumNets())}, 1.0); err == nil {
+	if _, err := eng.StepWideTrace(lanes, lanes, []netlist.NetID{netlist.NetID(nl.NumNets())}, one, samples[:1]); err == nil {
 		t.Fatal("out-of-range tracked net accepted")
 	}
-	if _, err := eng.StepWideTrace(lanes, lanes, []netlist.NetID{1, 1}, 1.0); err == nil {
+	if _, err := eng.StepWideTrace(lanes, lanes, []netlist.NetID{1, 1}, one, samples[:1]); err == nil {
 		t.Fatal("duplicate tracked net accepted")
 	}
-	trace, err := eng.StepWideTrace(lanes, lanes, []netlist.NetID{1, 2}, 1.0)
+	trace, err := eng.StepWideTrace(lanes, lanes, []netlist.NetID{1, 2}, one, samples[:1])
 	if err != nil {
 		t.Fatal("tracked set rejected after duplicate error:", err)
 	}
-	var sample sim.WideSample
-	if err := trace.Resample(0, &sample); err == nil {
-		t.Fatal("non-positive tclk accepted")
-	}
-	if err := trace.Resample(math.NaN(), &sample); err == nil {
-		t.Fatal("NaN resample tclk accepted")
-	}
-	if err := trace.Resample(2.0, &sample); err == nil {
-		t.Fatal("deadline beyond the horizon accepted")
-	}
-	var dst sim.WideTrace
 	k1 := e2Trace(t, nl, lib, proc)
-	if _, err := eng.RetimeTrace(&k1, 1.0, &dst); err == nil {
+	if _, err := eng.RetimeTrace(&k1, one, samples[:1]); err == nil {
 		t.Fatal("retime across lane widths accepted")
 	}
-	if _, err := eng.RetimeTrace(trace, 1.0, trace); err == nil {
-		t.Fatal("retime into its own source accepted")
+	if _, err := eng.RetimeTrace(trace, []float64{math.NaN()}, samples[:1]); err == nil {
+		t.Fatal("NaN retime clock accepted")
 	}
-	if _, err := eng.RetimeTrace(trace, math.NaN(), &dst); err == nil {
-		t.Fatal("NaN retime horizon accepted")
+	if _, err := eng.RetimeTrace(trace, []float64{1.0, 0.5}, samples); err == nil {
+		t.Fatal("descending retime clocks accepted")
 	}
-	if ok, err := eng.RetimeTrace(trace, 1.0, &dst); err != nil || !ok {
+	if _, err := eng.RetimeTrace(trace, one, samples); err == nil {
+		t.Fatal("retime sample count mismatch accepted")
+	}
+	if ok, err := eng.RetimeTrace(trace, one, samples[:1]); err != nil || !ok {
 		t.Fatalf("same-op retime rejected: ok=%v err=%v", ok, err)
-	}
-	var dst2 sim.WideTrace
-	if _, err := eng.RetimeTrace(&dst, 1.0, &dst2); err == nil {
-		t.Fatal("retimed (resample-only) trace accepted as a retime source")
 	}
 }
 
@@ -686,19 +694,19 @@ func e2Trace(t *testing.T, nl *netlist.Netlist, lib *cell.Library, proc fdsoi.Pa
 		t.Fatal(err)
 	}
 	lanes := make([]uint64, nl.NumNets())
-	tr, err := eng.StepWideTrace(lanes, lanes, nil, 1.0)
+	tr, err := eng.StepWideTrace(lanes, lanes, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return *tr
 }
 
-// TestWideSteadyStateAllocs: after warm-up, a wide trace step, its
-// resamples, a cross-voltage retime and the retimed resample must not
+// TestWideSteadyStateAllocs: after warm-up, a wide trace step capturing
+// its clocks and a cross-voltage retime capturing the target's must not
 // allocate — the engines own the trace and retime buffers, the caller
-// owns the sample. The RCA is used because its retimes are
-// order-stable (the retime must succeed for the retimed-resample leg
-// to be exercised).
+// owns the samples. The RCA is used because its retimes are
+// order-stable (the retime must succeed for its capture walk to be
+// exercised).
 func TestWideSteadyStateAllocs(t *testing.T) {
 	lib, proc := cell.Default28nmLVT(), fdsoi.Default()
 	nl, err := synth.RCA(synth.AdderConfig{Width: 16})
@@ -717,27 +725,19 @@ func TestWideSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sample sim.WideSample
-	var retimed sim.WideTrace
+	srcClocks, targetClocks := []float64{0.2, 0.45, 0.6}, []float64{0.3, 0.6}
+	samples := make([]sim.WideSample, len(srcClocks))
 	step := func(c [2][]uint64) {
-		trace, err := src.StepWideTrace(c[0], c[1], outNets, 0.6)
+		trace, err := src.StepWideTrace(c[0], c[1], outNets, srcClocks, samples)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tclk := range []float64{0.2, 0.45} {
-			if err := trace.Resample(tclk, &sample); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ok, err := target.RetimeTrace(trace, 0.6, &retimed)
+		ok, err := target.RetimeTrace(trace, targetClocks, samples[:len(targetClocks)])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			t.Fatal("uniform-delay retime rejected")
-		}
-		if err := retimed.Resample(0.3, &sample); err != nil {
-			t.Fatal(err)
 		}
 	}
 	for _, c := range wide {
