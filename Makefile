@@ -35,7 +35,7 @@ bench-smoke:
 # against the committed BENCH_sim.json baseline, failing on a >20% ns/op
 # or allocs/op regression of any gated benchmark (see vosbench -diff-filter; the
 # journaled EngineWarmSweep/ClusterWarmLookup twins gate the durability
-# tax). The iteration budget and sample counts match `make bench`
+# tax, ClusterWarmSweep the warm declarative sweep through a cluster). The iteration budget and sample counts match `make bench`
 # — comparing a
 # short warm-up-dominated run against a full baseline reads as a phantom
 # regression — so a contended-scheduler outlier cannot fail the gate on

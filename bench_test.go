@@ -348,7 +348,7 @@ func benchEngineWarmSweep(b *testing.B, opts vos.LocalOptions) {
 
 // BenchmarkClusterWarmLookup measures the cluster serving path: one
 // cached point fetched through vos.Remote from a node of a warm 3-node
-// cluster (submit, poll, results — the full HTTP lifecycle, no
+// cluster (submit, event stream, results — the full HTTP lifecycle, no
 // simulation). This is the latency floor every warm shard lookup and
 // peer-cache fill pays, gated in CI alongside the sim kernels.
 func BenchmarkClusterWarmLookup(b *testing.B) {
@@ -365,6 +365,40 @@ func BenchmarkClusterWarmLookupJournal(b *testing.B) {
 }
 
 func benchClusterWarmLookup(b *testing.B, opts cluster.LocalOptions) {
+	// One explicit triad: each iteration is a single cached point fetch.
+	benchClusterWarm(b, opts, func(warm *vos.Result) (touch, timed *vos.Spec) {
+		spec := rca8Spec().Triads(warm.Operators[0].Points[0].Triad)
+		return spec, spec
+	})
+}
+
+// BenchmarkClusterWarmSweep measures a warm one-operator Fig. 8 sweep
+// through the cluster: a declarative 43-triad RCA8 sweep through
+// vos.Remote, submitted to a node whose memory tier holds every point —
+// as on a warm fleet, where an explicit sweep of the same triads has
+// filled the coordinator (perfbench serve_warm's set-up does the same).
+// No point is simulated, and the coordinator serves the held groups
+// itself instead of sending them to their ring owners.
+func BenchmarkClusterWarmSweep(b *testing.B) {
+	benchClusterWarm(b, cluster.LocalOptions{Workers: 2}, func(warm *vos.Result) (touch, timed *vos.Spec) {
+		var trs []vos.Triad
+		for _, p := range warm.Operators[0].Points {
+			trs = append(trs, p.Triad)
+		}
+		return rca8Spec().Triads(trs...), rca8Spec()
+	})
+}
+
+func rca8Spec() *vos.Spec {
+	return vos.NewSpec().Arches("RCA").Widths(8).Patterns(benchPatterns).Seed(1)
+}
+
+// benchClusterWarm boots a 3-node cluster, fills it cold with a
+// declarative RCA8 sweep through node 0 (sharded to the ring owners),
+// runs the touch spec once on node 0 (settling its peer-cache fills),
+// and times the timed spec through vos.Remote against node 0, failing if
+// any iteration simulated a point.
+func benchClusterWarm(b *testing.B, opts cluster.LocalOptions, specs func(warm *vos.Result) (touch, timed *vos.Spec)) {
 	lc, err := cluster.StartLocal(3, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -377,15 +411,13 @@ func benchClusterWarmLookup(b *testing.B, opts cluster.LocalOptions) {
 	defer cli.Close()
 
 	ctx := context.Background()
-	warm, err := cli.Run(ctx, vos.NewSpec().Arches("RCA").Widths(8).Patterns(benchPatterns).Seed(1))
+	warm, err := cli.Run(ctx, rca8Spec())
 	if err != nil {
 		b.Fatal(err)
 	}
-	// One explicit triad: each iteration is a single cached point fetch.
-	spec := vos.NewSpec().Arches("RCA").Widths(8).Patterns(benchPatterns).Seed(1).
-		Triads(warm.Operators[0].Points[0].Triad)
-	if _, err := cli.Run(ctx, spec); err != nil {
-		b.Fatal(err) // settle any cross-node peer fill before timing
+	touch, spec := specs(warm)
+	if _, err := cli.Run(ctx, touch); err != nil {
+		b.Fatal(err)
 	}
 	executions := func() uint64 {
 		var n uint64
@@ -403,7 +435,7 @@ func benchClusterWarmLookup(b *testing.B, opts cluster.LocalOptions) {
 	}
 	b.StopTimer()
 	if n := executions(); n != warmed {
-		b.Fatalf("warm lookup simulated %d extra points", n-warmed)
+		b.Fatalf("warm run simulated %d extra points", n-warmed)
 	}
 }
 

@@ -9,7 +9,7 @@
 //	vosbench [-bench REGEX] [-benchtime 1000x] [-out BENCH_sim.json]
 //	         [-pkg .] [-keep-going]
 //	         [-diff BASELINE.json]
-//	         [-diff-filter "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|ApproxAdd|ClusterWarmLookup|EngineWarmSweep)"]
+//	         [-diff-filter "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|ApproxAdd|ClusterWarmLookup|ClusterWarmSweep|EngineWarmSweep)"]
 //	         [-diff-threshold 0.20] [-profile-regressed DIR]
 //
 // The default benchmark set covers the dense-state hot path: the per-step
@@ -21,7 +21,8 @@
 // append path (synced and unsynced), and the warm serving paths — one
 // cached point fetched through vos.Remote from a warm in-process cluster
 // and one warm engine sweep through vos.Local, each with a journaled
-// twin so the durability tax is tracked commit over commit.
+// twin so the durability tax is tracked commit over commit, and one warm
+// declarative sweep through vos.Remote from the cluster.
 //
 // With -diff, the fresh run is compared against a committed baseline file
 // and the command exits non-zero when any benchmark matched by
@@ -80,8 +81,8 @@ type File struct {
 // engine, or charz with no cache) and MC reps are never cached, so each
 // iteration recomputes everything, and ten of them average out the
 // single-iteration spread that exceeded the -diff threshold between
-// runs of unchanged code; and the cluster serving-path benchmark at a
-// small iteration count (each op is a full HTTP sweep lifecycle, so 100
+// runs of unchanged code; and the serving-path benchmarks at a
+// small iteration count (each op is a full sweep lifecycle, so 100
 // iterations average the scheduler noise without multiplying the
 // in-process cluster setup).
 const (
@@ -90,7 +91,7 @@ const (
 	sweepBenchtime    = "10x"
 	defaultMCBench    = "MonteCarloPoint"
 	mcBenchtime       = "10x"
-	defaultServeBench = "ClusterWarmLookup|EngineWarmSweep"
+	defaultServeBench = "ClusterWarmLookup|ClusterWarmSweep|EngineWarmSweep"
 	serveBenchtime    = "100x"
 )
 
@@ -119,7 +120,7 @@ func main() {
 		// runs of identical code. The journal's code cost is gated
 		// through the journaled EngineWarmSweep/ClusterWarmLookup
 		// twins instead, where it is one term of a realistic op.
-		diffRe    = flag.String("diff-filter", "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|ApproxAdd|ClusterWarmLookup|EngineWarmSweep)", "benchmarks the -diff gate applies to")
+		diffRe    = flag.String("diff-filter", "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|ApproxAdd|ClusterWarmLookup|ClusterWarmSweep|EngineWarmSweep)", "benchmarks the -diff gate applies to")
 		threshold = flag.Float64("diff-threshold", 0.20, "fractional ns/op or allocs/op regression that fails the -diff gate")
 		profDir   = flag.String("profile-regressed", "", "directory to write one cpuprofile per regressed benchmark when the -diff gate fails (uploaded as a CI artifact)")
 	)

@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
+	"repro/internal/triad"
 	"repro/vos"
 )
 
@@ -110,11 +114,99 @@ func TestClusterShardedSweepMatchesLocal(t *testing.T) {
 		t.Fatalf("fleet executed %d points; want exactly 43 (no duplicate simulation)", total)
 	}
 
-	// Cross-node cache tier: wait for owner replication to drain, then
-	// run the same 43 triads as an explicit sweep pinned to node 0. It
-	// executes locally (explicit sweeps never re-shard), so every group
-	// another node simulated must be filled from a peer, not recomputed.
+	// Once owner replication has drained, node 0's memory tier holds
+	// its own groups and the points pushed to it as their owner: only
+	// part of the operator. Fill one more group by an explicit sweep of
+	// its triads (explicit sweeps run where they are sent and fill their
+	// misses from the peers), so a group another node owns is held too.
+	// A declarative re-sweep then sends out exactly the groups node 0
+	// does not hold in full.
 	waitForPushes(t, lc)
+	norm := func(ops []vos.Operator) []vos.Operator {
+		out := append([]vos.Operator(nil), ops...)
+		for i := range out {
+			out[i].Points = append([]vos.Point(nil), out[i].Points...)
+			for j := range out[i].Points {
+				out[i].Points[j].FromCache = false
+			}
+		}
+		return out
+	}
+	coord := lc.Members()[0].Node
+	plans, err := coord.Engine().Plan(ctx, &engine.Request{Arches: []string{"BKA"}, Widths: []int{16}, Patterns: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &plans[0]
+	// missing lists the triads of each group node 0 does not hold in full.
+	missing := func() (groups [][]triad.Triad) {
+		for _, g := range triad.GroupByOperatingPoint(plan.Triads) {
+			if slices.ContainsFunc(g, func(ti int) bool {
+				_, ok := coord.pc.Peek(plan.Keys[ti])
+				return !ok
+			}) {
+				var trs []triad.Triad
+				for _, ti := range g {
+					trs = append(trs, plan.Triads[ti])
+				}
+				groups = append(groups, trs)
+			}
+		}
+		return groups
+	}
+	cold := missing()
+	if len(cold) < 2 {
+		t.Fatalf("node 0 lacks %d electrical groups after the cold sweep; want at least 2", len(cold))
+	}
+	var touch []vos.Triad
+	for _, tr := range cold[0] {
+		touch = append(touch, vos.Triad(tr))
+	}
+	if _, err := client.Run(ctx, vos.NewSpec().Arches("BKA").Widths(16).Patterns(2000).Seed(1).Triads(touch...)); err != nil {
+		t.Fatal(err)
+	}
+	sent := slices.Concat(missing()...)
+	peerSweeps := func() (n []int) {
+		for _, m := range lc.Members()[1:] {
+			n = append(n, len(m.Node.Engine().List()))
+		}
+		return n
+	}
+	before := peerSweeps()
+	res, err := client.Run(ctx, fig8Spec(2000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(norm(res.Operators), norm(want.Operators)) {
+		t.Fatal("declarative re-sweep of a partly held operator changed result values")
+	}
+	var dispatched []triad.Triad
+	for i, m := range lc.Members()[1:] {
+		for _, sw := range m.Node.Engine().List()[before[i]:] {
+			dispatched = append(dispatched, sw.Request.Triads...)
+		}
+	}
+	sortTriads := func(trs []triad.Triad) []triad.Triad {
+		trs = append([]triad.Triad(nil), trs...)
+		slices.SortFunc(trs, func(a, b triad.Triad) int {
+			return cmp.Or(cmp.Compare(a.Tclk, b.Tclk), cmp.Compare(a.Vdd, b.Vdd), cmp.Compare(a.Vbb, b.Vbb))
+		})
+		return trs
+	}
+	if got, want := sortTriads(dispatched), sortTriads(sent); !reflect.DeepEqual(got, want) {
+		t.Fatalf("declarative re-sweep sent %d triads to the peers %v; want the %d of the groups node 0 does not hold %v",
+			len(got), got, len(want), want)
+	}
+
+	// Cross-node cache tier: run the same 43 triads as an explicit sweep
+	// pinned to node 0. It executes locally (explicit sweeps never
+	// re-shard), so every group another node simulated must be filled
+	// from a peer, not recomputed.
+	stats, err := client.CacheStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerHits := stats.PeerHits
 	var trs []vos.Triad
 	for _, p := range want.Operators[0].Points {
 		trs = append(trs, p.Triad)
@@ -128,25 +220,28 @@ func TestClusterShardedSweepMatchesLocal(t *testing.T) {
 		t.Fatalf("explicit re-sweep executed %d points; want all 43 served from the cache tier",
 			res2.Progress.Executed)
 	}
-	norm := func(ops []vos.Operator) []vos.Operator {
-		out := append([]vos.Operator(nil), ops...)
-		for i := range out {
-			out[i].Points = append([]vos.Point(nil), out[i].Points...)
-			for j := range out[i].Points {
-				out[i].Points[j].FromCache = false
-			}
-		}
-		return out
-	}
 	if !reflect.DeepEqual(norm(res2.Operators), norm(want.Operators)) {
 		t.Fatal("explicit re-sweep over the cache tier changed result values")
 	}
-	stats, err := client.CacheStats(ctx)
+	if stats, err = client.CacheStats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if stats.PeerHits == peerHits {
+		t.Fatalf("node 0 stats = %+v; want at least one cross-node peer-cache fill", stats)
+	}
+
+	// Node 0 now holds every point: a declarative re-sweep is served
+	// where it lands and starts no sub-sweep on the peers.
+	before = peerSweeps()
+	res3, err := client.Run(ctx, fig8Spec(2000, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.PeerHits == 0 {
-		t.Fatalf("node 0 stats = %+v; want at least one cross-node peer-cache fill", stats)
+	if after := peerSweeps(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("warm declarative re-sweep started sub-sweeps on the peers: sweeps %v -> %v", before, after)
+	}
+	if !reflect.DeepEqual(norm(res3.Operators), norm(want.Operators)) {
+		t.Fatal("warm declarative re-sweep changed result values")
 	}
 }
 

@@ -25,7 +25,9 @@ import (
 // sub-sweep through the vos SDK, and folds the shard event streams back
 // into the coordinating sweep's yield funnel. Groups the local node
 // owns — or inherits because every remote candidate is dead — run on
-// the local engine via the runLocal callback.
+// the local engine via the runLocal callback. It sees only the groups
+// the coordinator does not hold: the engine serves the ones whose every
+// point its memory tier holds itself.
 //
 // The shard key of a group hashes the canonical cache keys of its
 // points, so every member routes the same group to the same owner with
@@ -83,9 +85,9 @@ type shardGroup struct {
 }
 
 // RunOperator implements engine.Sharder. It runs rounds until every
-// point is yielded: each round routes the outstanding groups (first
-// untried live member of each group's ownership sequence; the local
-// engine for our own share), runs all shards and local groups
+// point of the groups is yielded: each round routes the outstanding
+// groups (first untried live member of each group's ownership sequence;
+// the local engine for our own share), runs all shards and local groups
 // concurrently, and carries whatever a failed shard left un-yielded
 // into the next round — re-routed to the next candidate, with the local
 // engine as the final fallback. Local execution errors are terminal:

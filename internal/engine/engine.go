@@ -68,8 +68,9 @@ type Options struct {
 	Backend CacheBackend
 	// Sharder, when set, distributes declarative sweeps' point groups
 	// across a cluster instead of running every group on the local pool
-	// (see the Sharder interface for the contract). Explicit-triad
-	// sweeps are never offered to it.
+	// (see the Sharder interface for the contract). Groups the memory
+	// tier holds in full and explicit-triad sweeps are never offered to
+	// it.
 	Sharder Sharder
 	// ModelDir, when set, persists every model the calibrator trains
 	// (model-backend points, Monte Carlo jobs) as JSON artifacts in the

@@ -328,19 +328,34 @@ func pointGroups(p *OperatorPlan, super bool) [][]int {
 	return groups
 }
 
+// holds reports whether the cache's memory layer holds every point of
+// the group (idxs into plan.Triads). It reads with Peek, so it costs no
+// disk read, peer fetch or counter.
+func (e *Engine) holds(plan *OperatorPlan, idxs []int) bool {
+	for _, ti := range idxs {
+		if _, ok := e.cache.Peek(plan.Keys[ti]); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // Sharder distributes work across a cluster of engines.
 //
 // RunOperator distributes the point groups of one planned operator. The
-// engine consults it for every declarative sweep; explicit-triad sweeps
-// always run where they were submitted, which is what terminates shard
-// recursion — a shard sub-sweep is explicit by construction, so the
-// receiving node never re-shards it. RunOperator must arrange for every
-// triad index of the plan to be yielded exactly once: remotely computed
-// points through yield, local shares through runLocal (which executes
-// one electrical group — one groups element — on the local engine's
+// engine consults it for every declarative sweep, with only the
+// electrical groups this node does not hold: a group whose every point
+// is in the local memory tier is served on the local engine and never
+// reaches the sharder. Explicit-triad sweeps always run where they were
+// submitted, which is what terminates shard recursion — a shard
+// sub-sweep is explicit by construction, so the receiving node never
+// re-shards it. RunOperator must arrange for every triad index of the
+// given groups to be yielded exactly once: remotely computed points
+// through yield, local shares through runLocal (which executes one
+// electrical group — one groups element — on the local engine's
 // cache/singleflight/pool path and yields its points itself). It returns
-// once every point has been yielded, or with the first error; runLocal
-// and yield are safe for concurrent use.
+// once every point of the groups has been yielded, or with the first
+// error; runLocal and yield are safe for concurrent use.
 //
 // RunMCPoint distributes one Monte Carlo point's rep range. The engine
 // offers every full-range point of a job; the implementation splits
@@ -501,8 +516,9 @@ func (e *Engine) Subscribe(ctx context.Context, id string) (iter.Seq2[SweepEvent
 	return e.sweeps.subscribe(ctx, id)
 }
 
-// runSweep executes one sweep: plan, fan the points out over the pool,
-// fold the results.
+// runSweep executes one sweep: plan, fan the points out over the pool
+// (in cluster mode, the electrical groups the memory tier does not hold
+// in full over the Sharder), fold the results.
 func (e *Engine) runSweep(ctx context.Context, j *sweepJob) ([]OperatorResult, error) {
 	req := j.req
 	plans, err := e.Plan(ctx, &req)
@@ -538,17 +554,34 @@ func (e *Engine) runSweep(ctx context.Context, j *sweepJob) ([]OperatorResult, e
 				ev.Point = &ps
 			})
 		}
-		// Cluster mode: hand the whole operator to the sharder, which
-		// routes each electrical group to its ring owner and falls back
-		// to runLocal for the groups this node owns (or inherits from
-		// dead peers). Explicit-triad sweeps skip the sharder — they ARE
-		// the shard sub-sweeps. Sharding stays at electrical-point
-		// granularity (ring keys, balance); local planning collapses
-		// further into cross-voltage super-groups.
+		// Cluster mode: serve the electrical groups this node's memory
+		// tier already holds in full as one local task, and hand the
+		// rest to the sharder, which routes each to its ring owner and
+		// falls back to runLocal for the groups this node owns (or
+		// inherits from dead peers). Entries are content-addressed, so a
+		// held point is the point its owner would send back; ring
+		// ownership still coalesces every miss. Explicit-triad sweeps
+		// skip the sharder — they ARE the shard sub-sweeps. Sharding
+		// stays at electrical-point granularity (ring keys, balance);
+		// local planning collapses further into cross-voltage
+		// super-groups.
 		if e.sharder != nil && req.Policy != PolicyExplicit {
-			groups := pointGroups(p, false)
-			runLocal := func(idxs []int) error { return e.runGroupYield(ctx, p, idxs, yield) }
-			tasks = append(tasks, func() error { return e.sharder.RunOperator(ctx, p, groups, runLocal, yield) })
+			var held []int
+			var missing [][]int
+			for _, g := range pointGroups(p, false) {
+				if e.holds(p, g) {
+					held = append(held, g...)
+				} else {
+					missing = append(missing, g)
+				}
+			}
+			if len(held) > 0 {
+				tasks = append(tasks, func() error { return e.runGroupYield(ctx, p, held, yield) })
+			}
+			if len(missing) > 0 {
+				runLocal := func(idxs []int) error { return e.runGroupYield(ctx, p, idxs, yield) }
+				tasks = append(tasks, func() error { return e.sharder.RunOperator(ctx, p, missing, runLocal, yield) })
+			}
 			continue
 		}
 		// One pool job per cross-voltage super-group when the trace path

@@ -85,9 +85,7 @@ type Event struct {
 }
 
 // Terminal reports whether this event ends its stream.
-func (e Event) Terminal() bool {
-	return e.Type == EventDone || e.Type == EventFailed || e.Type == EventCanceled
-}
+func (e Event) Terminal() bool { return terminal(e.Type) }
 
 func (e Event) pointKey() string {
 	if e.Type != EventPoint || e.Point == nil {

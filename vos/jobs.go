@@ -203,9 +203,11 @@ func (k remoteJobs[S, E]) wait(ctx context.Context, id string) (*S, error) {
 
 // follow reads the job's event stream until it ends, reporting whether
 // it delivered the terminal event. It fails only on an unknown id: any
-// other stream that cannot open leaves the caller to poll.
+// other stream that cannot open leaves the caller to poll. It reads each
+// event's type alone (eventType), since its callers fetch the points
+// from the results or the status.
 func (k remoteJobs[S, E]) follow(ctx context.Context, id string) (bool, error) {
-	ch, err := k.events(ctx, id)
+	ch, err := openEvents[eventType](ctx, k.c, k.eventsPath(id))
 	if errors.Is(err, ErrNotFound) {
 		return false, err
 	} else if err != nil {
@@ -217,6 +219,21 @@ func (k remoteJobs[S, E]) follow(ctx context.Context, id string) (bool, error) {
 		}
 	}
 	return false, nil
+}
+
+// eventType is the event a follower reads: its type alone. Its point
+// events carry no key, so a replayed stream drops them (forwardEvents).
+type eventType struct {
+	Type string `json:"type"`
+}
+
+func (e eventType) Terminal() bool { return terminal(e.Type) }
+
+func (eventType) pointKey() string { return "" }
+
+// terminal reports whether an event of type typ ends its stream.
+func terminal(typ string) bool {
+	return typ == EventDone || typ == EventFailed || typ == EventCanceled
 }
 
 // poll polls the job's status until it is final. In Reconnect mode it
@@ -257,23 +274,33 @@ func (k remoteJobs[S, E]) results(ctx context.Context, id string) (*S, error) {
 	return &r, nil
 }
 
-// events implements Remote.Events and Remote.MCEvents: a reconnected
-// stream is forwarded past what was already delivered (forwardEvents).
+// events implements Remote.Events and Remote.MCEvents.
 func (k remoteJobs[S, E]) events(ctx context.Context, id string) (<-chan E, error) {
-	path := k.base + "/" + url.PathEscape(id) + "/events"
-	resp, err := k.c.openStream(ctx, path)
+	return openEvents[E](ctx, k.c, k.eventsPath(id))
+}
+
+func (k remoteJobs[S, E]) eventsPath(id string) string {
+	return k.base + "/" + url.PathEscape(id) + "/events"
+}
+
+// openEvents opens the event stream at path and forwards its events,
+// read as T, on the returned channel: a reconnected stream is forwarded
+// past what was already delivered (forwardEvents).
+func openEvents[T jobEvent](ctx context.Context, c *Remote, path string) (<-chan T, error) {
+	resp, err := c.openStream(ctx, path)
 	if err != nil {
 		return nil, err
 	}
-	out := make(chan E, 16)
+	out := make(chan T, 16)
 	go func() {
 		defer close(out)
 		delivered := make(map[string]int)
 		for replay := false; ; replay = true {
-			if forwardEvents(ctx, resp, out, delivered, replay) || !k.c.reconnect {
+			if forwardEvents(ctx, resp, out, delivered, replay) || !c.reconnect {
 				return
 			}
-			if resp = k.c.reopenStream(ctx, path); resp == nil {
+			var ok bool
+			if resp, ok = c.reopenStream(ctx, path); !ok {
 				return
 			}
 		}
@@ -287,10 +314,11 @@ func (k remoteJobs[S, E]) events(ctx context.Context, id string) (<-chan E, erro
 // (replay) starts over with the job's whole history: of its point
 // events, the first delivered[key] with each point key were delivered
 // before and are skipped — so a job that lists one point twice still
-// streams it twice — and its bare progress events are dropped.
-func forwardEvents[E jobEvent](ctx context.Context, resp *http.Response, out chan<- E,
+// streams it twice — and its bare progress events are dropped. After
+// the terminal event the rest of the body is drained (reply.close), so
+// the connection goes back to the pool.
+func forwardEvents[E jobEvent](ctx context.Context, resp reply, out chan<- E,
 	delivered map[string]int, replay bool) bool {
-	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(nil, 16<<20)
 	seen := make(map[string]int)
@@ -305,7 +333,9 @@ func forwardEvents[E jobEvent](ctx context.Context, resp *http.Response, out cha
 			// the connection delivered: a drop, reopened like any other.
 			// A malformed line with more after it ends the stream, so a
 			// bad peer cannot keep the client reconnecting.
-			return sc.Scan()
+			more := sc.Scan()
+			resp.abort()
+			return more
 		}
 		if key := ev.pointKey(); key != "" {
 			if seen[key]++; seen[key] <= delivered[key] {
@@ -318,12 +348,15 @@ func forwardEvents[E jobEvent](ctx context.Context, resp *http.Response, out cha
 		select {
 		case out <- ev:
 		case <-ctx.Done():
+			resp.abort()
 			return true
 		}
 		if ev.Terminal() {
+			resp.close()
 			return true
 		}
 	}
+	resp.abort()
 	return false
 }
 

@@ -200,9 +200,7 @@ type MCEvent struct {
 }
 
 // Terminal reports whether this event ends its stream.
-func (e MCEvent) Terminal() bool {
-	return e.Type == EventDone || e.Type == EventFailed || e.Type == EventCanceled
-}
+func (e MCEvent) Terminal() bool { return terminal(e.Type) }
 
 func (e MCEvent) pointKey() string {
 	if e.Type != EventPoint || e.Point == nil {

@@ -172,7 +172,9 @@ func (c *Remote) Close() error {
 
 // Run implements Client. It makes three calls — submit, the event
 // stream to its terminal event, the results — and polls the status only
-// when the stream ends early.
+// when the stream ends early. It reads only each event's type: the
+// points come from the results. Each response is read to its end, so
+// the transport keeps the connection for the next call.
 func (c *Remote) Run(ctx context.Context, spec *Spec) (*Result, error) {
 	id, err := c.Submit(ctx, spec)
 	return c.sweeps.run(ctx, id, err)
@@ -188,11 +190,12 @@ func (c *Remote) Status(ctx context.Context, id string) (*Result, error) {
 	return c.sweeps.status(ctx, id)
 }
 
-// Wait implements Client. It follows the event stream when available and
-// falls back to polling the status endpoint. In Reconnect mode the
-// polling loop also retries transient Status failures — everything but a
-// 404, which a journaled daemon only sends once replay has finished and
-// the id is authoritatively unknown.
+// Wait implements Client. It follows the event stream when available,
+// reading only each event's type, and then reads the final state from
+// the status endpoint, which it keeps polling if the stream drops. In
+// Reconnect mode the polling loop also retries transient Status
+// failures — everything but a 404, which a journaled daemon only sends
+// once replay has finished and the id is authoritatively unknown.
 func (c *Remote) Wait(ctx context.Context, id string) (*Result, error) {
 	return c.sweeps.wait(ctx, id)
 }
@@ -204,21 +207,14 @@ func (c *Remote) Results(ctx context.Context, id string) (*Result, error) {
 
 // openStream opens one NDJSON event stream, returning the live response
 // or a decoded envelope error.
-func (c *Remote) openStream(ctx context.Context, path string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base.JoinPath(path).String(), nil)
+func (c *Remote) openStream(ctx context.Context, path string) (reply, error) {
+	resp, err := c.send(ctx, http.MethodGet, path, nil)
 	if err != nil {
-		return nil, err
-	}
-	if c.tenant != "" {
-		req.Header.Set("X-Vos-Tenant", c.tenant)
-	}
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("vos: events stream: %w", err)
+		return reply{}, fmt.Errorf("vos: events stream: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		return nil, decodeError(resp)
+		defer resp.close()
+		return reply{}, decodeError(resp.Response)
 	}
 	return resp, nil
 }
@@ -226,19 +222,19 @@ func (c *Remote) openStream(ctx context.Context, path string) (*http.Response, e
 // reopenStream retries openStream with the client's backoff until it
 // succeeds, the id is authoritatively unknown (404 — give up), or the
 // context dies. Only used in Reconnect mode.
-func (c *Remote) reopenStream(ctx context.Context, path string) *http.Response {
+func (c *Remote) reopenStream(ctx context.Context, path string) (reply, bool) {
 	for attempt := 1; ; attempt++ {
 		select {
 		case <-time.After(c.retryDelay(attempt)):
 		case <-ctx.Done():
-			return nil
+			return reply{}, false
 		}
 		resp, err := c.openStream(ctx, path)
 		if err == nil {
-			return resp
+			return resp, true
 		}
 		if errors.Is(err, ErrNotFound) || ctx.Err() != nil {
-			return nil
+			return reply{}, false
 		}
 	}
 }
@@ -282,21 +278,7 @@ func (c *Remote) call(ctx context.Context, method, path string, body []byte, wan
 				return ctx.Err()
 			}
 		}
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.base.JoinPath(path).String(), rd)
-		if err != nil {
-			return err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		if c.tenant != "" {
-			req.Header.Set("X-Vos-Tenant", c.tenant)
-		}
-		resp, err := c.httpc.Do(req)
+		resp, err := c.send(ctx, method, path, body)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -308,8 +290,8 @@ func (c *Remote) call(ctx context.Context, method, path string, body []byte, wan
 			continue
 		}
 		if resp.StatusCode >= 500 {
-			lastErr = decodeError(resp)
-			resp.Body.Close()
+			lastErr = decodeError(resp.Response)
+			resp.close()
 			if !idempotent {
 				// The daemon checks readiness before it accepts a job, so
 				// only a not_ready refusal is safe to send again.
@@ -322,23 +304,79 @@ func (c *Remote) call(ctx context.Context, method, path string, body []byte, wan
 			}
 			continue
 		}
+		defer resp.close()
 		if resp.StatusCode != wantStatus {
-			defer resp.Body.Close()
-			return decodeError(resp)
+			return decodeError(resp.Response)
 		}
 		if out != nil {
-			err = json.NewDecoder(resp.Body).Decode(out)
-			resp.Body.Close()
-			if err != nil {
+			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 				return fmt.Errorf("vos: %s %s: decode response: %w", method, path, err)
 			}
-			return nil
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 		return nil
 	}
 	return lastErr
+}
+
+// send issues one request under a context of its own, which the reply's
+// close or abort ends.
+func (c *Remote) send(ctx context.Context, method, path string, body []byte) (reply, error) {
+	rctx, cancel := context.WithCancel(ctx)
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(rctx, method, c.base.JoinPath(path).String(), rd)
+	if err != nil {
+		cancel()
+		return reply{}, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if c.tenant != "" {
+		req.Header.Set("X-Vos-Tenant", c.tenant)
+	}
+	resp, err := c.httpc.Do(req)
+	if err != nil {
+		cancel()
+		return reply{}, err
+	}
+	return reply{resp, cancel}, nil
+}
+
+// Bounds on what reply.close reads past the part of a body its reader
+// used: a well-formed reply has only a newline and the chunked
+// encoding's terminator left.
+const (
+	maxDrain  = 4 << 10
+	drainWait = time.Second
+)
+
+// reply is one response with the cancel of the context it was requested
+// under.
+type reply struct {
+	*http.Response
+	cancel context.CancelFunc
+}
+
+// close drains what is left of the body and closes it: net/http returns
+// a keep-alive connection to its pool only once the body reached EOF. The
+// drain stops after maxDrain bytes, and after drainWait the request is
+// canceled, so a server that keeps sending or holds the response open
+// costs the connection, never a stall.
+func (r reply) close() {
+	t := time.AfterFunc(drainWait, r.cancel)
+	io.CopyN(io.Discard, r.Body, maxDrain)
+	t.Stop()
+	r.Body.Close()
+	r.cancel()
+}
+
+// abort closes the body without reading on and ends the request.
+func (r reply) abort() {
+	r.Body.Close()
+	r.cancel()
 }
 
 // decodeError turns a non-2xx response into a typed error: *SweepError

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -254,5 +255,94 @@ func TestRemoteRunReconnectRetriesResults(t *testing.T) {
 		if err != nil || res.Status != vos.StatusDone || len(res.Operators) != 1 {
 			t.Fatalf("Reconnect Run across a results outage: %v %+v", err, res)
 		}
+	}
+}
+
+// TestRemoteRunReadsEventTypes: Run and RunMC follow the event stream
+// only for its terminal event, so a point event whose point they could
+// not decode does not cut the stream short — the job is fetched in three
+// requests (submit, events, results), with no status poll.
+func TestRemoteRunReadsEventTypes(t *testing.T) {
+	for _, base := range []string{"/v1/sweeps", "/v1/mc"} {
+		log := &callLog{base: http.DefaultTransport}
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST "+base, func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprint(w, `{"id":"j-1"}`)
+		})
+		mux.HandleFunc("GET "+base+"/j-1/events", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			fmt.Fprintln(w, `{"type":"point","status":"running","point":"not a point"}`)
+			fmt.Fprintln(w, `{"type":"done","status":"done"}`)
+		})
+		mux.HandleFunc("GET "+base+"/j-1", func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprint(w, `{"id":"j-1","status":"done"}`)
+		})
+		mux.HandleFunc("GET "+base+"/j-1/results", func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprint(w, `{"id":"j-1","status":"done","results":[{"arch":"RCA","width":4}],"points":[{"kernel":"fir"}]}`)
+		})
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		client, err := vos.NewRemote(ts.URL, vos.RemoteOptions{HTTPClient: &http.Client{Transport: log},
+			PollInterval: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { client.Close() })
+		ctx := context.Background()
+		if base == "/v1/sweeps" {
+			res, err := client.Run(ctx, vos.NewSpec().Widths(4))
+			if err != nil || res.Status != vos.StatusDone || len(res.Operators) != 1 {
+				t.Fatalf("Run: %v %+v", err, res)
+			}
+		} else {
+			res, err := client.RunMC(ctx, testMCSpec())
+			if err != nil || res.Status != vos.StatusDone || len(res.Points) != 1 {
+				t.Fatalf("RunMC: %v %+v", err, res)
+			}
+		}
+		want := []string{"POST " + base, "GET " + base + "/j-1/events", "GET " + base + "/j-1/results"}
+		if !reflect.DeepEqual(log.calls, want) {
+			t.Fatalf("calls %q, want %q", log.calls, want)
+		}
+	}
+}
+
+// TestRemoteDrainIsBounded: a daemon that holds its responses open after
+// the last byte a reader needs — the results body, the event stream past
+// its terminal event — costs the client its connection, not a stall.
+func TestRemoteDrainIsBounded(t *testing.T) {
+	release := make(chan struct{})
+	hold := func(w http.ResponseWriter, r *http.Request) {
+		w.(http.Flusher).Flush()
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		fmt.Fprint(w, `{"id":"s-1"}`)
+	})
+	mux.HandleFunc("GET /v1/sweeps/s-1/events", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		fmt.Fprintln(w, `{"type":"done","sweepId":"s-1","status":"done"}`)
+		hold(w, r)
+	})
+	mux.HandleFunc("GET /v1/sweeps/s-1/results", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"id":"s-1","status":"done","results":[{"arch":"RCA","width":4}]}`)
+		hold(w, r)
+	})
+	client := newFaultClient(t, mux)
+	t.Cleanup(func() { close(release) })
+
+	start := time.Now()
+	res, err := client.Run(context.Background(), vos.NewSpec().Widths(4))
+	if err != nil || res.Status != vos.StatusDone || len(res.Operators) != 1 {
+		t.Fatalf("Run: %v %+v", err, res)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("Run took %v against responses held open", d)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -416,6 +417,44 @@ func TestRemoteRunThreeCalls(t *testing.T) {
 		t.Fatalf("RunMC: %v %+v", err, mres)
 	}
 	check("/v1/mc", mres.ID)
+}
+
+// TestRemoteReusesConnections: warm multi-point Runs against a daemon
+// read every response to its end, so the transport pools the connection
+// and the calls share it instead of dialing anew.
+func TestRemoteReusesConnections(t *testing.T) {
+	eng, err := engine.New(engine.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	ts := httptest.NewServer(httpapi.New(eng))
+	t.Cleanup(ts.Close)
+	var dials atomic.Int64
+	var d net.Dialer
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return d.DialContext(ctx, network, addr)
+	}}
+	t.Cleanup(tr.CloseIdleConnections)
+	cli, err := vos.NewRemote(ts.URL, vos.RemoteOptions{HTTPClient: &http.Client{Transport: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := cli.Run(ctx, testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	dials.Store(0)
+	for range 20 {
+		res, err := cli.Run(ctx, testSpec())
+		if err != nil || len(res.Operators) != 1 || len(res.Operators[0].Points) != 43 {
+			t.Fatalf("warm Run: %v %+v", err, res)
+		}
+	}
+	if n := dials.Load(); n > 1 {
+		t.Fatalf("20 warm Runs dialed %d connections; want at most 1", n)
+	}
 }
 
 // TestLocalAdder builds the hardware oracle at the characterized nominal
