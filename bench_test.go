@@ -909,7 +909,7 @@ func BenchmarkSimStepDenseBKA16(b *testing.B) {
 // benchWideChunks prepares alternating (prev, cur) K-word wide images
 // from a chained random pattern stream, the steady-state shape of the
 // characterization sweep's chunk loop, laid out block-major (net*k+j)
-// as StepWideChunk expects.
+// as the wide engine's walks expect.
 func benchWideChunks(nl *netlist.Netlist, mask uint64, k int) [2][2][]uint64 {
 	pa, _ := nl.InputPort(synth.PortA)
 	pb, _ := nl.InputPort(synth.PortB)
@@ -940,10 +940,11 @@ func benchWideChunks(nl *netlist.Netlist, mask uint64, k int) [2][2][]uint64 {
 	return pairs
 }
 
-// benchSimStepWide measures the K-word wide engine's cost per K×64-pattern
-// chunk at the same over-scaled operating point as the scalar SimStep
-// benches; the ns/pattern metric is the figure to compare against one
-// scalar StepDense.
+// benchSimStepWide measures the K-word wide engine's fresh walk
+// (StepWide: one clock, the output nets tracked, no retime log) per
+// K×64-pattern chunk at the same over-scaled operating point as the
+// scalar SimStep benches; the ns/pattern metric is the figure to compare
+// against one scalar StepDense.
 // ReportAllocs pins the pooled-scratch contract: zero steady-state
 // allocations per chunk.
 func benchSimStepWide(b *testing.B, nl *netlist.Netlist, mask uint64, tclk float64) {
@@ -955,14 +956,19 @@ func benchSimStepWide(b *testing.B, nl *netlist.Netlist, mask uint64, tclk float
 		b.Fatal(err)
 	}
 	pairs := benchWideChunks(nl, mask, k)
-	if _, err := eng.StepWideChunk(pairs[0][0], pairs[0][1], tclk); err != nil {
+	psum, _ := nl.OutputPort(synth.PortSum)
+	pcout, _ := nl.OutputPort(synth.PortCout)
+	outNets := append(append([]netlist.NetID(nil), psum.Bits...), pcout.Bits...)
+	clocks := []float64{tclk}
+	samples := make([]sim.WideSample, 1)
+	if err := eng.StepWide(pairs[0][0], pairs[0][1], outNets, clocks, samples); err != nil {
 		b.Fatal(err) // warm the pooled scratch before counting allocs
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i&1]
-		if _, err := eng.StepWideChunk(p[0], p[1], tclk); err != nil {
+		if err := eng.StepWide(p[0], p[1], outNets, clocks, samples); err != nil {
 			b.Fatal(err)
 		}
 	}

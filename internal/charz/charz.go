@@ -352,9 +352,14 @@ func (p *Prepared) TriadSet() []triad.Triad {
 	return triad.Set(triad.DefaultSweep(ratios.Clocks(p.Report.CriticalPath)))
 }
 
-// RunTriad simulates one operating point against the prepared operator.
+// RunTriad simulates one operating point against the prepared operator:
+// RunGroup of that one triad.
 func (p *Prepared) RunTriad(tr triad.Triad) (*TriadResult, error) {
-	return p.sweepTriad(tr)
+	out, err := p.RunGroup([]triad.Triad{tr})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
 // Groupable reports whether this configuration's sweeps run on the
@@ -373,20 +378,16 @@ func (p *Prepared) Groupable() bool {
 // changes nothing but speed.
 var forceScalarReference bool
 
-// RunGroup simulates a set of triads forming one order-stable
-// super-group: the triads may span multiple electrical operating
-// points (typically one body-bias family across the Vdd ladder). Each
-// K×64-pattern chunk is simulated once per body-bias family
-// (sim.WideEngine, K picked from the sweep's pattern count) and
-// re-timed across the family's other points with the order-checked
-// cross-voltage retime, falling back to fresh simulation at any point
-// whose event order is not preserved; each walk, fresh or retimed,
-// captures every clock its point's triads use. Every returned
-// TriadResult is bit-identical to an independent RunTriad of the same
-// triad: the captures reproduce StepWideChunk exactly, and both paths
-// fold each chunk through the same per-64-pattern-block accumulation
-// (triadFold.foldWide). Configurations that are not Groupable fall back
-// to per-triad simulation; results are positionally aligned with trs.
+// RunGroup simulates a set of triads, typically one body-bias family
+// across the Vdd ladder or a single triad; results are positionally
+// aligned with trs. A Groupable configuration runs the whole group
+// through sweepSuperGroup, one wide walk or retime per electrical point
+// and K×64-pattern chunk, whatever the group's size. Other
+// configurations run the scalar loop once per triad. Every returned
+// TriadResult is bit-identical to the scalar loop's for the same triad
+// (the wide engine's lanes reproduce scalar StepDense exactly, and both
+// paths fold per 64-pattern block in the same order), so it does not
+// depend on which group the triad rode in.
 func (p *Prepared) RunGroup(trs []triad.Triad) ([]*TriadResult, error) {
 	if len(trs) == 0 {
 		return nil, nil
@@ -396,7 +397,7 @@ func (p *Prepared) RunGroup(trs []triad.Triad) ([]*TriadResult, error) {
 			return nil, err
 		}
 	}
-	if p.Groupable() && len(trs) > 1 {
+	if p.Groupable() {
 		return p.sweepSuperGroup(trs)
 	}
 	out := make([]*TriadResult, len(trs))
@@ -443,18 +444,19 @@ func scatterWideImage(full []uint64, inputs []netlist.NetID, k int, imgs [][]uin
 	}
 }
 
-// sweepSuperGroup is the grouped counterpart of sweepTriad's wide path
-// at super-group scale: per K×64-pattern chunk, one fresh wide trace
-// per body-bias family plus one order-checked retime per further
+// sweepSuperGroup is the wide path: per K×64-pattern chunk, one fresh
+// walk per body-bias family plus one order-checked retime per further
 // electrical point, each walk capturing its point's distinct clocks.
 // Points are visited in descending-Vdd order within each family and
-// every retime hops from the family's fresh anchor trace. Each triad
-// folds its clock's capture; triads sharing a point and a clock share
-// the capture. Scratch lives for one call: an engine per electrical
-// point, and one image pair and one sample set shared by every point
-// and chunk (a point's captures are folded before the next point
-// walks), so the chunk loop allocates nothing once the trace buffers
-// have grown to steady state.
+// every retime hops from the family's fresh anchor. A fresh walk records
+// the retime log only when a later point of its family will retime from
+// it; a one-point group never does. Each triad folds its clock's
+// capture; triads sharing a point and a clock share the capture.
+// Scratch lives for one call: an engine per electrical point, and one
+// image pair and one sample set shared by every point and chunk (a
+// point's captures are folded before the next point walks), so the
+// chunk loop allocates nothing once the buffers have grown to steady
+// state.
 func (p *Prepared) sweepSuperGroup(trs []triad.Triad) ([]*TriadResult, error) {
 	nl, cfg := p.Netlist, p.Config
 	st, err := p.stimulusSet()
@@ -529,7 +531,8 @@ func (p *Prepared) sweepSuperGroup(trs []triad.Triad) ([]*TriadResult, error) {
 		// not rescale uniformly across Vbb), every further point down
 		// the family's Vdd ladder retimes the anchor, and an order-check
 		// rejection falls back to a fresh simulation that becomes the
-		// new anchor.
+		// new anchor. A fresh walk with no later point in its family
+		// records no log and leaves no anchor.
 		var anchor *sim.WideTrace
 		anchorVbb := 0.0
 		for pi := range plans {
@@ -542,10 +545,15 @@ func (p *Prepared) sweepSuperGroup(trs []triad.Triad) ([]*TriadResult, error) {
 				}
 			}
 			if !ok {
-				if anchor, err = pl.eng.StepWideTrace(prevW, curW, outNets, pl.clocks, smp); err != nil {
+				if pi+1 < len(plans) && plans[pi+1].op.Vbb == pl.op.Vbb {
+					anchor, err = pl.eng.StepWideTrace(prevW, curW, outNets, pl.clocks, smp)
+					anchorVbb = pl.op.Vbb
+				} else {
+					anchor, err = nil, pl.eng.StepWide(prevW, curW, outNets, pl.clocks, smp)
+				}
+				if err != nil {
 					return nil, err
 				}
-				anchorVbb = pl.op.Vbb
 			}
 			for c, idx := range pl.at {
 				for _, ti := range idx {
@@ -688,7 +696,7 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// newStepper builds sweepTriadScalar's engine for one operating point
+// newStepper builds sweepTriad's engine for one operating point
 // behind the sim.Stepper seam: the gate-level engine or the switch-level
 // RC engine, both driven through the same dense pattern loop.
 func newStepper(nl *netlist.Netlist, cfg Config, tr triad.Triad) (sim.Stepper, error) {
@@ -707,68 +715,14 @@ func newStepper(nl *netlist.Netlist, cfg Config, tr triad.Triad) (sim.Stepper, e
 	}
 }
 
-// sweepTriad runs the stimulus set through one triad. Groupable
-// configurations ride the wide engine: one StepWideChunk per K×64
-// patterns (K from the pattern count, as the grouped path picks it),
-// folded per 64-pattern block through the same accumulation as the
-// grouped path. Streaming capture and the RC backend step a scalar
-// engine pattern by pattern in 64-pattern chunks whose captured outputs
-// land in bit-sliced lane words, the reference the wide path is
-// cross-checked against. Either way the error statistics are folded
-// with the bit-sliced metrics.ErrorAccumulator lane calls, without
-// unpacking to per-pattern scalars.
-//
-// Everything per-vector is hoisted out of the pattern loop — or out of
-// the sweep entirely: the stimulus pairs, their bit-sliced batch
-// references and the lane images are shared across all triads, and both
-// step paths reuse the engine's result buffers, so the loop itself
-// allocates nothing.
+// sweepTriad is the scalar reference loop for one triad, the path of
+// streaming capture and the RC backend: it steps a scalar engine pattern
+// by pattern in 64-pattern chunks whose captured outputs land in
+// bit-sliced lane words, folded with the same metrics.ErrorAccumulator
+// lane calls as the wide path. The stimulus pairs and their references
+// are shared across all triads and the engine reuses its result
+// buffers, so the pattern loop allocates nothing.
 func (p *Prepared) sweepTriad(tr triad.Triad) (*TriadResult, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	if p.Groupable() {
-		return p.sweepTriadWide(tr)
-	}
-	return p.sweepTriadScalar(tr)
-}
-
-// sweepTriadWide is sweepTriad's wide-engine loop.
-func (p *Prepared) sweepTriadWide(tr triad.Triad) (*TriadResult, error) {
-	nl, cfg := p.Netlist, p.Config
-	st, err := p.stimulusSet()
-	if err != nil {
-		return nil, err
-	}
-	k := p.wideK()
-	eng, err := sim.NewWide(nl, cfg.Lib, *cfg.Proc, tr.OperatingPoint(), k)
-	if err != nil {
-		return nil, err
-	}
-	outNets := p.outNets()
-	f := newTriadFold(len(outNets))
-	prevW := make([]uint64, nl.NumNets()*k)
-	curW := make([]uint64, nl.NumNets()*k)
-	got := make([]uint64, len(outNets)*k)
-	for wbase := 0; wbase < cfg.Patterns; wbase += sim.WordLanes * k {
-		scatterWideImage(prevW, st.inputs, k, st.prev, wbase/sim.WordLanes)
-		scatterWideImage(curW, st.inputs, k, st.cur, wbase/sim.WordLanes)
-		res, err := eng.StepWideChunk(prevW, curW, tr.Tclk)
-		if err != nil {
-			return nil, err
-		}
-		for s, id := range outNets {
-			copy(got[s*k:s*k+k], res.CapturedW[int(id)*k:int(id)*k+k])
-		}
-		if err := f.foldWide(st, wbase, k, got, res.EnergyFJ, res.LateW); err != nil {
-			return nil, err
-		}
-	}
-	return f.result(tr, cfg.Patterns), nil
-}
-
-// sweepTriadScalar is sweepTriad's scalar reference loop.
-func (p *Prepared) sweepTriadScalar(tr triad.Triad) (*TriadResult, error) {
 	nl, cfg := p.Netlist, p.Config
 	st, err := p.stimulusSet()
 	if err != nil {

@@ -12,9 +12,10 @@ import (
 // runBothPaths characterizes cfg on the default wide path and again
 // with the scalar reference loop forced, and requires bit-identical
 // triad results: same error-statistics snapshots, same energy bits, same
-// late fractions. Run super-groups a multi-triad set (sweepSuperGroup),
-// so every triad is also run solo through RunTriad (sweepTriad's wide
-// loop) and held to the same reference.
+// late fractions. Run super-groups a multi-triad set, whose fresh walks
+// record retime logs, so every triad is also run solo through RunTriad
+// (a one-triad group, walked without the log) and held to the same
+// reference.
 func runBothPaths(t *testing.T, cfg Config) {
 	t.Helper()
 	if forceScalarReference {

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -115,8 +116,11 @@ type Engine struct {
 	// for full quiescence, not just the worker pool.
 	jobWg sync.WaitGroup
 
-	// preps memoizes synthesized operators by prepKey.
-	preps sync.Map // string -> *prepEntry
+	// preps memoizes synthesized operators by prepKey, prepOrder holding
+	// its keys in insertion order for FIFO eviction (rememberPrep).
+	prepMu    sync.Mutex
+	preps     map[string]*prepEntry
+	prepOrder []string
 
 	// inflight deduplicates concurrent executions of the same point, so a
 	// sweep whose plan visits one triad twice (e.g. Fig. 5 sharing a grid
@@ -167,6 +171,13 @@ type Engine struct {
 	// when every cell was journal-satisfied.
 	mcRepsExecuted atomic.Uint64
 }
+
+// maxPrepEntries bounds the synthesis memo behind Prepare, whose key
+// includes the seed, so a daemon serving many seeds keeps its memory
+// flat: beyond it the oldest finished syntheses are dropped and an
+// operator asked for again synthesizes again, to the same netlist and
+// report. Sweeps hold their Prepared values, so a drop never stalls one.
+const maxPrepEntries = 64
 
 // prepEntry is one operator's synthesis: done closes once prep and err
 // are final, or once its owner withdrew it unsynthesized.
@@ -223,6 +234,7 @@ func New(opts Options) (*Engine, error) {
 		ctx:      ctx,
 		cancel:   cancel,
 		jobs:     make(chan func()),
+		preps:    make(map[string]*prepEntry),
 		inflight: make(map[string]*flight),
 		readyCh:  make(chan struct{}),
 	}
@@ -363,15 +375,20 @@ func (e *Engine) Prepare(ctx context.Context, cfg charz.Config) (*charz.Prepared
 // withdraws the entry, and whoever waited on it tries again.
 func (e *Engine) prepared(ctx context.Context, key string, cfg charz.Config) (*prepEntry, error) {
 	for {
-		v, loaded := e.preps.Load(key)
+		e.prepMu.Lock()
+		entry, loaded := e.preps[key]
 		if !loaded {
-			v, loaded = e.preps.LoadOrStore(key, &prepEntry{done: make(chan struct{})})
+			entry = &prepEntry{done: make(chan struct{})}
+			e.rememberPrep(key, entry)
 		}
-		entry := v.(*prepEntry)
+		e.prepMu.Unlock()
 		if !loaded {
 			err := e.exec(ctx, func() { entry.prep, entry.err = synthesize(cfg) })
 			if err != nil {
-				e.preps.Delete(key)
+				e.prepMu.Lock()
+				delete(e.preps, key)
+				e.prepOrder = slices.DeleteFunc(e.prepOrder, func(k string) bool { return k == key })
+				e.prepMu.Unlock()
 				entry.withdrawn = true
 			}
 			close(entry.done)
@@ -384,6 +401,24 @@ func (e *Engine) prepared(ctx context.Context, key string, cfg charz.Config) (*p
 		}
 		if !entry.withdrawn {
 			return entry, nil
+		}
+	}
+}
+
+// rememberPrep adds a synthesis to the memo and drops the oldest
+// finished entries beyond maxPrepEntries. An entry still synthesizing
+// stays whatever its age: its waiters and owner share it. Callers hold
+// prepMu.
+func (e *Engine) rememberPrep(key string, entry *prepEntry) {
+	e.preps[key] = entry
+	e.prepOrder = append(e.prepOrder, key)
+	for i := 0; len(e.preps) > maxPrepEntries && i < len(e.prepOrder); {
+		select {
+		case <-e.preps[e.prepOrder[i]].done:
+			delete(e.preps, e.prepOrder[i])
+			e.prepOrder = slices.Delete(e.prepOrder, i, i+1)
+		default:
+			i++
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -191,10 +192,7 @@ func TestPrepareWaiterOutlivesWithdrawnOwner(t *testing.T) {
 		_, err := e.Prepare(ownerCtx, cfg)
 		ownerErr <- err
 	}()
-	for {
-		if _, ok := e.preps.Load(key); ok {
-			break
-		}
+	for !e.memoHolds(key) {
 		runtime.Gosched()
 	}
 	impatient, cancelImpatient := context.WithCancel(context.Background())
@@ -220,5 +218,94 @@ func TestPrepareWaiterOutlivesWithdrawnOwner(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("%d syntheses, want 1", calls.Load())
+	}
+}
+
+// memoHolds reports whether the synthesis memo has an entry under key.
+func (e *Engine) memoHolds(key string) bool {
+	e.prepMu.Lock()
+	defer e.prepMu.Unlock()
+	_, ok := e.preps[key]
+	return ok
+}
+
+// TestPrepMemoBounded: preparing more distinct seeds than maxPrepEntries
+// leaves at most that many syntheses memoized, FIFO, and never drops
+// one still in flight; an evicted operator prepares again, to an equal
+// netlist and report. Seeds are prepared from several goroutines so the
+// race detector sees the memo shared.
+func TestPrepMemoBounded(t *testing.T) {
+	gate := make(chan struct{})
+	var calls atomic.Int32
+	hookSynthesis(t, func(cfg charz.Config) error {
+		calls.Add(1)
+		if cfg.Seed == 0 {
+			<-gate // the one synthesis kept in flight past the bound
+		}
+		return nil
+	})
+	e := newTestEngine(t, Options{Workers: 2})
+	cfgOf := func(seed uint64) charz.Config {
+		return charz.Config{Arch: mustArch("RCA"), Width: 4, Patterns: 10, Seed: seed}
+	}
+	held := make(chan *charz.Prepared, 1)
+	go func() {
+		p, err := e.Prepare(context.Background(), cfgOf(0))
+		if err != nil {
+			t.Error(err)
+		}
+		held <- p
+	}()
+	key0, err := prepKey(cfgOf(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !e.memoHolds(key0) {
+		runtime.Gosched()
+	}
+	first, err := e.Prepare(context.Background(), cfgOf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seeds = maxPrepEntries + 20
+	var wg sync.WaitGroup
+	for g := uint64(0); g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seed := 2 + g; seed <= seeds; seed += 4 {
+				if _, err := e.Prepare(context.Background(), cfgOf(seed)); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	e.prepMu.Lock()
+	n, order := len(e.preps), len(e.prepOrder)
+	e.prepMu.Unlock()
+	if n > maxPrepEntries || order != n {
+		t.Fatalf("memo holds %d entries (%d ordered) after %d seeds, want at most %d", n, order, seeds+1, maxPrepEntries)
+	}
+	if !e.memoHolds(key0) {
+		t.Fatal("a synthesis in flight was evicted")
+	}
+	close(gate)
+	if p := <-held; p == nil || p.Netlist == nil {
+		t.Fatal("held synthesis did not finish")
+	}
+	before := calls.Load()
+	again, err := e.Prepare(context.Background(), cfgOf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != before+1 {
+		t.Fatalf("evicted operator: %d syntheses, want 1", calls.Load()-before)
+	}
+	if again.Netlist == first.Netlist {
+		t.Fatal("evicted operator served its old netlist")
+	}
+	if !reflect.DeepEqual(again.Netlist, first.Netlist) || !reflect.DeepEqual(again.Report, first.Report) {
+		t.Fatal("evicted operator prepared again to a different netlist or report")
 	}
 }

@@ -27,8 +27,8 @@
 // MaxWideWords; bit b of word j belongs to pattern j·64+b) through the
 // same event schedule. A gate is re-evaluated with one cell.Kind.EvalWord
 // call per changed word, an event fires when any lane of any word
-// changes (old ^ new != 0), and per-lane energy, late flags and
-// transition counts are attributed from the changed-lane masks. Lane L's
+// changes (old ^ new != 0), and per-lane energy and late flags are
+// attributed from the changed-lane masks. Lane L's
 // event times, captured values and energy sums are bit-identical to a
 // scalar run of pattern L at every K (the golden parity suite and the
 // randomized wide-vs-scalar cross-checks enforce this): lanes only ever
@@ -40,23 +40,27 @@
 // The clock period never influences the event wave — Tclk enters a
 // two-vector experiment only as the capture boundary and the
 // leakage·Tclk energy term — so one simulation per electrical (Vdd, Vbb)
-// point suffices for any number of clocks. StepWideTrace runs the
+// point suffices for any number of clocks. The wide engine has one
+// fresh event loop behind two entry points. StepWide runs the
 // experiment to full quiescence and captures every clock of the point
 // in that one walk: given the clocks ascending, it fills one WideSample
-// per clock just before the first event past it, so each sample holds
-// exactly what StepWideChunk at that Tclk would have returned — the
-// tracked nets' blocks after every event at or before the clock (the
-// calendar queue's pop boundary is inclusive, so an event exactly at
-// Tclk is captured), the running per-lane energy plus leakPower·Tclk
-// (same floats, same addition order) and, from one backward OR pass
-// over the wave's changed-lane blocks, the late mask. Per-lane energy
-// attribution stops after the last clock, while the wave runs on to
-// quiescence for the late masks and the retime log. The
+// per clock just before the first event past it, so each lane of a
+// sample holds exactly what a scalar StepDense of that lane's pattern
+// at that Tclk reports — the tracked nets' blocks after every event at
+// or before the clock (the calendar queue's pop boundary is inclusive,
+// so an event exactly at Tclk is captured), the running per-lane energy
+// plus leakPower·Tclk (same floats, same addition order) and the late
+// mask. The late masks are built in the walk: each event ORs its
+// changed lanes into the mask of the last clock captured before it, and
+// one suffix OR at the end makes each mask "any transition after this
+// clock". Per-lane energy attribution stops after the last clock, while
+// the wave runs on to quiescence for the late masks. StepWideTrace is
+// the same walk that also records the retime log below. The
 // characterization flow rides this to simulate each distinct operating
 // point of the paper's 43-triad grid once per chunk (the grid holds only
 // ~14 electrical points; the clocks sharing each point are captures of
-// one walk); a solo triad runs one StepWideChunk per K×64 patterns,
-// which stays the reference the captures are tested against.
+// one walk), a one-triad group included; the scalar engine is the
+// reference the walks are tested and fuzzed against.
 //
 // # Cross-voltage retiming
 //

@@ -56,9 +56,7 @@ func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 
 // Stats accumulates simulation activity.
 type Stats struct {
-	// Transitions is the number of net value changes that fired. The wide
-	// engine counts per-lane changes, so one fired lane-block event
-	// contributes one transition per changed lane.
+	// Transitions is the number of net value changes that fired.
 	Transitions uint64
 	// LateTransitions is the subset that fired after the capture instant
 	// of their step (energy spent in the next cycle).
@@ -69,11 +67,7 @@ type Stats struct {
 	// LeakageEnergy is the integrated leakage (fJ) over the stepped clock
 	// periods.
 	LeakageEnergy float64
-	// Steps counts StepDense/StreamStepDense calls; the wide engine counts K·WordLanes
-	// steps per chunk — including the inert tail lanes of a ragged final
-	// chunk, whose pure-leakage energy is likewise booked. Transition
-	// counts are exact per lane; Steps and LeakageEnergy are exact only
-	// for chunk-aligned sweeps.
+	// Steps counts StepDense/StreamStepDense calls.
 	Steps uint64
 }
 

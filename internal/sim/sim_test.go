@@ -375,3 +375,87 @@ func TestCapturedErrorsAreTimingConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// logicDepth is the largest number of gates on any input-to-net path.
+func logicDepth(nl *netlist.Netlist) int {
+	level := make([]int, nl.NumNets())
+	depth := 0
+	for _, gi := range nl.Topological() {
+		g := &nl.Gates[gi]
+		l := 0
+		for _, in := range g.Inputs {
+			l = max(l, level[in])
+		}
+		level[g.Output] = l + 1
+		depth = max(depth, l+1)
+	}
+	return depth
+}
+
+// TestWideWalkMeetsStaticTiming is the timing invariant behind every
+// error-free triad, on the wide engine: across the four paper operators
+// with random per-gate mismatch and the Table III Vdd × Vbb grid, a
+// StepWide clocked at the point's STA critical delay plus the delay
+// grid's bound — under 1e-6 ns per gate level of quantization and
+// dither (tables.go) — must capture the zero-delay evaluation of every
+// net in every lane and flag no lane late. A simulated transition past
+// that clock would be a path the static model missed.
+func TestWideWalkMeetsStaticTiming(t *testing.T) {
+	lib, proc := cell.Default28nmLVT(), fdsoi.Default()
+	rng := rand.New(rand.NewPCG(2017, 5))
+	const k = 2
+	samples := make([]sim.WideSample, 1)
+	for _, ad := range []struct {
+		arch  synth.Arch
+		width int
+	}{
+		{synth.ArchRCA, 8},
+		{synth.ArchBKA, 8},
+		{synth.ArchRCA, 16},
+		{synth.ArchBKA, 16},
+	} {
+		mm := fdsoi.NewMismatchSampler(0.03, rng.Uint64())
+		nl, err := synth.NewAdder(ad.arch, synth.AdderConfig{Width: ad.width, Mismatch: mm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := float64(logicDepth(nl)) * 1e-6
+		tracked := allNets(nl)
+		// Three 64-pattern chunks: one full two-word block and one whose
+		// second word is zero-filled.
+		chunks := packWideChunks(nl, traceChunks(nl, uint64(1)<<ad.width-1, 3*sim.WordLanes, rng.Uint64()), k)
+		for _, vbb := range []float64{0, 2} {
+			for _, vdd := range []float64{1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4} {
+				op := fdsoi.OperatingPoint{Vdd: vdd, Vbb: vbb}
+				tclk := sta.Analyze(nl, lib, proc, op).CriticalDelay + bound
+				eng, err := sim.NewWide(nl, lib, proc, op, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ci, c := range chunks {
+					if err := eng.StepWide(c[0], c[1], tracked, []float64{tclk}, samples); err != nil {
+						t.Fatal(err)
+					}
+					want := append([]uint64(nil), c[1]...)
+					if err := nl.EvaluateWide(want, k); err != nil {
+						t.Fatal(err)
+					}
+					for id := range tracked {
+						for j := 0; j < k; j++ {
+							if got := samples[0].CapturedW[id*k+j]; got != want[id*k+j] {
+								t.Fatalf("%s%d %.1fV/%gbb chunk %d net %d word %d: captured %x at tclk %v, zero-delay %x",
+									ad.arch, ad.width, vdd, vbb, ci, id, j, got, tclk, want[id*k+j])
+							}
+						}
+					}
+					for j, w := range samples[0].LateW {
+						if w != 0 {
+							t.Fatalf("%s%d %.1fV/%gbb chunk %d word %d: late lanes %x at tclk %v",
+								ad.arch, ad.width, vdd, vbb, ci, j, w, tclk)
+						}
+					}
+				}
+			}
+		}
+	}
+}

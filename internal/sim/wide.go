@@ -41,24 +41,6 @@ type wideRef struct {
 	parent int32
 }
 
-// WideResult is the outcome of one K×64-lane two-vector chunk. It is
-// owned by the engine and valid until the next StepWideChunk call.
-// Lane L = word j, bit b addresses pattern j·64+b of the chunk.
-type WideResult struct {
-	// CapturedW holds the per-net lane blocks sampled at the capture
-	// instant: K consecutive words per net, CapturedW[id·K+j] bit b =
-	// net id's value under pattern j·64+b.
-	CapturedW []uint64
-	// EnergyFJ is the per-lane energy of the chunk (length K·64):
-	// lane L's switching before capture plus leakage over Tclk,
-	// bit-identical to the EnergyFJ a scalar StepDense of pattern L
-	// reports.
-	EnergyFJ []float64
-	// LateW flags lanes with at least one post-capture transition,
-	// one word per lane word (length K).
-	LateW []uint64
-}
-
 // WideEngine is the K×64-lane bit-sliced variant of Engine: net state
 // is a flat block of K consecutive uint64 words per net
 // (valueW[id·K+j] bit b = net id's value under pattern j·64+b), one
@@ -104,17 +86,15 @@ type WideEngine struct {
 
 	laneEnergy []float64 // K·64
 
-	res WideResult
-
-	// trace and slotOf back StepWideTrace (widetrace.go); t2 and held
-	// back RetimeTrace; from holds both walks' per-clock event indices.
-	trace  WideTrace
+	// slotOf maps a tracked net to its slot during a walk (-1 = not
+	// tracked); trace is StepWideTrace's retime log; t2, held and from
+	// are RetimeTrace's scratch (widetrace.go).
 	slotOf []int32
+	trace  WideTrace
 	t2     []float64
 	held   []uint64
 	from   []int32
 
-	stats                    Stats
 	retimeOK, retimeFallback uint64
 }
 
@@ -140,18 +120,6 @@ func NewWide(nl *netlist.Netlist, lib *cell.Library, proc fdsoi.Params, op fdsoi
 
 // K returns the engine's lane-block width in words.
 func (e *WideEngine) K() int { return e.k }
-
-// Stats returns the accumulated statistics. Counts are per-lane: one
-// fired event contributes one transition per changed lane, so a
-// chunk-aligned sweep's totals equal the scalar engine's. Every chunk
-// books K·64 steps and lane-leakage terms, so the inert tail lanes of a
-// ragged final chunk are included in Steps and LeakageEnergy (results
-// ignore those lanes; the diagnostics deliberately count what was
-// simulated, which is always full blocks).
-func (e *WideEngine) Stats() Stats { return e.stats }
-
-// ResetStats zeroes the accumulated statistics.
-func (e *WideEngine) ResetStats() { e.stats = Stats{} }
 
 // RetimeStats reports the cross-voltage reuse outcomes since the last
 // reset: ok counts order-stable retimes served from a recorded trace,
@@ -197,8 +165,7 @@ func (e *WideEngine) touch(gi netlist.GateID, words uint64) {
 }
 
 // settle instantly settles every lane on its predecessor block and
-// seeds the scheduled blocks, the shared preamble of StepWideChunk and
-// StepWideTrace.
+// seeds the scheduled blocks.
 func (e *WideEngine) settle(prev []uint64) error {
 	k := e.k
 	for _, id := range e.inputNets {
@@ -220,137 +187,246 @@ func (e *WideEngine) settle(prev []uint64) error {
 	return nil
 }
 
-// StepWideChunk runs K·64 independent two-vector timing experiments
-// through one event wave: lane L settles instantly on prev's lane-L
-// input bits, switches to cur's at t = 0, is captured at t = tclk, and
-// then settles to quiescence. prev and cur are flat per-net lane-block
-// images (K consecutive words per net, indexed id·K+j). A ragged final
-// chunk leaves its unused lanes equal in both images — they launch no
-// events and are ignored in the result.
+// WideSample is one clock period's capture of a StepWide,
+// StepWideTrace or RetimeTrace walk. Per lane it holds exactly what a
+// scalar StepDense of that lane's pattern at the clock reports for the
+// tracked nets. The struct is caller-owned; the walks reuse its
+// buffers, so a steady-state sweep allocates nothing here.
+type WideSample struct {
+	// CapturedW holds the tracked nets' lane blocks at the capture
+	// instant, in the order of the walk's tracked argument: bit b of
+	// CapturedW[s·K+j] is tracked net s's value under pattern j·64+b.
+	CapturedW []uint64
+	// EnergyFJ is the K·64 per-lane energy at this clock: the lane's
+	// switching before capture plus leakage over the clock.
+	EnergyFJ []float64
+	// LateW flags lanes with at least one post-capture transition, one
+	// word per lane word.
+	LateW []uint64
+}
+
+// checkClocks validates a walk's capture request: positive clocks in
+// ascending order, one sample each.
+func checkClocks(clocks []float64, samples []WideSample) error {
+	if len(samples) != len(clocks) {
+		return fmt.Errorf("sim: %d samples for %d clocks", len(samples), len(clocks))
+	}
+	prev := 0.0
+	for _, c := range clocks {
+		if !(c > 0) { // negated to catch NaN
+			return fmt.Errorf("sim: non-positive tclk %v", c)
+		}
+		if c < prev {
+			return fmt.Errorf("sim: clocks not ascending (%v after %v)", c, prev)
+		}
+		prev = c
+	}
+	return nil
+}
+
+// setEnergy fills the sample's lane energies: the running per-lane
+// switching energy plus leakage over the clock, the one addition per
+// lane the scalar engine makes.
+func (s *WideSample) setEnergy(lane []float64, leak float64) {
+	s.EnergyFJ = s.EnergyFJ[:0]
+	for _, le := range lane {
+		s.EnergyFJ = append(s.EnergyFJ, le+leak)
+	}
+}
+
+// StepWide runs K·64 independent two-vector timing experiments through
+// one event wave and captures every clock of the operating point in the
+// same walk. Lane L settles instantly on prev's lane-L input bits,
+// switches to cur's at t = 0 and settles to quiescence; samples[c]
+// receives the tracked nets' blocks after every event at or before
+// clocks[c] (the calendar queue's pop is inclusive, so an event exactly
+// at a clock is captured), the per-lane energy switched by then plus
+// leakage over clocks[c], and the lanes with a transition after it.
+// Lane L of every sample is bit-identical to a scalar StepDense of
+// pattern L at that clock, at every K.
 //
-// The returned WideResult is owned by the engine and valid until the
-// next call; a steady-state sweep allocates nothing here.
-func (e *WideEngine) StepWideChunk(prev, cur []uint64, tclk float64) (*WideResult, error) {
-	if !(tclk > 0) { // negated to catch NaN, which popIfBefore would misread
-		return nil, fmt.Errorf("sim: non-positive tclk %v", tclk)
+// prev and cur are flat per-net lane-block images (K consecutive words
+// per net, indexed id·K+j). A ragged final chunk leaves its unused
+// lanes equal in both images: they launch no events. clocks must be
+// positive and ascending, one sample each; tracked nets must be
+// distinct. Per-lane energy attribution stops once the last clock is
+// captured, while the wave runs on for the late masks.
+func (e *WideEngine) StepWide(prev, cur []uint64, tracked []netlist.NetID, clocks []float64, samples []WideSample) error {
+	return e.walk(prev, cur, tracked, clocks, samples, nil)
+}
+
+// StepWideTrace is StepWide that also records the wave's retime log,
+// from which RetimeTrace serves neighboring operating points; with no
+// clocks it records only the log. The returned trace is owned by the
+// engine and valid until its next StepWideTrace call.
+func (e *WideEngine) StepWideTrace(prev, cur []uint64, tracked []netlist.NetID, clocks []float64, samples []WideSample) (*WideTrace, error) {
+	if err := e.walk(prev, cur, tracked, clocks, samples, &e.trace); err != nil {
+		return nil, err
+	}
+	return &e.trace, nil
+}
+
+// walk is the one fresh event loop behind StepWide and StepWideTrace;
+// it records the retime log into tr unless tr is nil. The late masks
+// are built during the walk: each effective event ORs its changed
+// lanes into the mask of the last clock captured before it, and one
+// suffix OR at the end turns those segments into "any transition after
+// this clock".
+func (e *WideEngine) walk(prev, cur []uint64, tracked []netlist.NetID, clocks []float64, samples []WideSample, tr *WideTrace) error {
+	if err := checkClocks(clocks, samples); err != nil {
+		return err
 	}
 	k := e.k
 	if len(prev) != len(e.valueW) || len(cur) != len(e.valueW) {
-		return nil, fmt.Errorf("sim: lane images have %d/%d entries, want %d",
+		return fmt.Errorf("sim: lane images have %d/%d entries, want %d",
 			len(prev), len(cur), len(e.valueW))
 	}
+	if e.slotOf == nil {
+		e.slotOf = make([]int32, e.nl.NumNets())
+		for i := range e.slotOf {
+			e.slotOf[i] = -1
+		}
+	}
+	for _, id := range tracked {
+		if int(id) < 0 || int(id) >= len(e.slotOf) {
+			return fmt.Errorf("sim: tracked net %d outside netlist", id)
+		}
+	}
+	// Untrack on every exit so a failed call cannot poison the next one.
+	defer func() {
+		for _, id := range tracked {
+			e.slotOf[id] = -1
+		}
+	}()
+	for s, id := range tracked {
+		if e.slotOf[id] >= 0 {
+			return fmt.Errorf("sim: net %d tracked twice", id)
+		}
+		e.slotOf[id] = int32(s)
+	}
 	if err := e.settle(prev); err != nil {
-		return nil, err
+		return err
 	}
-	res := &e.res
-	if cap(res.LateW) < k {
-		res.LateW = make([]uint64, k)
-	}
-	res.LateW = res.LateW[:k]
-	for j := range res.LateW {
-		res.LateW[j] = 0
+	if tr != nil {
+		tr.reset(k)
 	}
 	// Switch the inputs to the current vectors and seed the wave; nets
 	// are visited in the scalar applyInputs order and words ascending,
 	// so each lane's input-energy accumulation order matches the scalar
-	// path exactly.
+	// engine's, and a retime replaying the logged toggle set against
+	// another op's pin energies matches that op's.
+	var dblk [MaxWideWords]uint64
 	for _, id := range e.inputNets {
 		base := int(id) * k
 		var words uint64
+		for j := 0; j < k; j++ {
+			d := e.valueW[base+j] ^ cur[base+j]
+			dblk[j] = d
+			if d != 0 {
+				words |= 1 << uint(j)
+			}
+		}
+		if words == 0 {
+			continue
+		}
 		ie := e.inputEnergy[id]
 		for j := 0; j < k; j++ {
-			nv := cur[base+j]
-			d := e.valueW[base+j] ^ nv
+			d := dblk[j]
 			if d == 0 {
 				continue
 			}
-			e.valueW[base+j] = nv
-			words |= 1 << uint(j)
+			e.valueW[base+j] = cur[base+j]
 			lb := j * WordLanes
 			for ; d != 0; d &= d - 1 {
 				e.laneEnergy[lb+bits.TrailingZeros64(d)] += ie
 			}
 		}
-		if words == 0 {
-			continue
+		if tr != nil {
+			tr.inTogIDs = append(tr.inTogIDs, id)
+			tr.inTogDiffs = append(tr.inTogDiffs, dblk[:k]...)
 		}
 		for _, fo := range e.foList[e.foOff[id]:e.foOff[id+1]] {
 			e.touch(fo, words)
 		}
 	}
-	// Phase 1: events up to the capture edge.
-	for {
-		ev, ok := e.queue.popIfBefore(tclk)
-		if !ok {
-			break
-		}
-		e.now = ev.time
-		gi := ev.payload.gate
-		out := int(e.gateOut[gi]) * k
-		pay := e.arena[int(ev.payload.slot)*k : int(ev.payload.slot)*k+k]
-		var words uint64
-		ge := e.gateEnergy[gi]
-		for j := 0; j < k; j++ {
-			d := e.valueW[out+j] ^ pay[j]
-			if d == 0 {
-				continue
-			}
-			e.valueW[out+j] = pay[j]
-			words |= 1 << uint(j)
-			e.stats.Transitions += uint64(bits.OnesCount64(d))
-			lb := j * WordLanes
-			for ; d != 0; d &= d - 1 {
-				e.laneEnergy[lb+bits.TrailingZeros64(d)] += ge
-			}
-		}
-		if words == 0 {
-			continue
-		}
-		for _, fo := range e.foList[e.foOff[out/k]:e.foOff[out/k+1]] {
-			e.touch(fo, words)
+	if tr != nil {
+		for _, id := range tracked {
+			tr.start = append(tr.start, e.valueW[int(id)*k:int(id)*k+k]...)
 		}
 	}
-	res.CapturedW = append(res.CapturedW[:0], e.valueW...)
-	// Phase 2: post-capture settling; transitions here are late.
+	// capture records clock c from the live state (every event at or
+	// before it has fired, none after it has) and returns its late
+	// segment, zeroed.
+	capture := func(c int) []uint64 {
+		s := &samples[c]
+		s.CapturedW = s.CapturedW[:0]
+		for _, id := range tracked {
+			s.CapturedW = append(s.CapturedW, e.valueW[int(id)*k:int(id)*k+k]...)
+		}
+		s.setEnergy(e.laneEnergy, e.leakPower*clocks[c])
+		var zero [MaxWideWords]uint64
+		s.LateW = append(s.LateW[:0], zero[:k]...)
+		return s.LateW
+	}
+	// Run the wave dry in (time, seq) order, capturing each clock just
+	// before the first event past it. Events before the first clock OR
+	// into a segment nobody reads. Attribution (per-lane energy adds)
+	// stops after the last clock; the wave and the log never do.
+	var early [MaxWideWords]uint64
+	late := early[:k]
+	ci := 0
 	for {
 		ev, ok := e.queue.popMin()
 		if !ok {
 			break
 		}
+		for ci < len(clocks) && ev.time > clocks[ci] {
+			late = capture(ci)
+			ci++
+		}
 		e.now = ev.time
 		gi := ev.payload.gate
-		out := int(e.gateOut[gi]) * k
+		outNet := int(e.gateOut[gi])
+		out := outNet * k
 		pay := e.arena[int(ev.payload.slot)*k : int(ev.payload.slot)*k+k]
+		attribute := ci < len(clocks)
+		ge := e.gateEnergy[gi]
 		var words uint64
 		for j := 0; j < k; j++ {
 			d := e.valueW[out+j] ^ pay[j]
+			dblk[j] = d
 			if d == 0 {
 				continue
 			}
 			e.valueW[out+j] = pay[j]
 			words |= 1 << uint(j)
-			n := uint64(bits.OnesCount64(d))
-			e.stats.Transitions += n
-			e.stats.LateTransitions += n
-			res.LateW[j] |= d
+			late[j] |= d
+			if attribute {
+				lb := j * WordLanes
+				for ; d != 0; d &= d - 1 {
+					e.laneEnergy[lb+bits.TrailingZeros64(d)] += ge
+				}
+			}
 		}
 		if words == 0 {
-			continue
+			continue // squashed: inert at every operating point
 		}
-		for _, fo := range e.foList[e.foOff[out/k]:e.foOff[out/k+1]] {
+		if tr != nil {
+			e.curParent = tr.add(ev.time, gi, ev.payload.parent, dblk[:k], e.slotOf[outNet], pay)
+		}
+		for _, fo := range e.foList[e.foOff[outNet]:e.foOff[outNet+1]] {
 			e.touch(fo, words)
 		}
 	}
-	leak := e.leakPower * tclk
-	res.EnergyFJ = res.EnergyFJ[:0]
-	var dyn float64
-	for _, le := range e.laneEnergy {
-		res.EnergyFJ = append(res.EnergyFJ, le+leak)
-		dyn += le
+	for ; ci < len(clocks); ci++ {
+		capture(ci)
 	}
-	e.stats.DynamicEnergy += dyn
-	e.stats.LeakageEnergy += leak * float64(WordLanes*k)
-	e.stats.Steps += uint64(WordLanes * k)
+	for c := len(samples) - 2; c >= 0; c-- {
+		for j, w := range samples[c+1].LateW {
+			samples[c].LateW[j] |= w
+		}
+	}
+	e.curParent = -1
 	e.now = 0
-	return res, nil
+	return nil
 }

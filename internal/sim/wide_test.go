@@ -73,13 +73,64 @@ func packWideChunks(nl *netlist.Netlist, chunks [][2][]uint64, k int) (wide [][2
 	return wide
 }
 
+// allNets tracks every net of nl, in net order.
+func allNets(nl *netlist.Netlist) []netlist.NetID {
+	ids := make([]netlist.NetID, nl.NumNets())
+	for i := range ids {
+		ids[i] = netlist.NetID(i)
+	}
+	return ids
+}
+
+// scalarStep is one pattern's scalar StepDense outcome.
+type scalarStep struct {
+	captured []uint8
+	energy   float64
+	late     bool
+}
+
+// checkLane requires lane l of a walk's sample to match a scalar step
+// bit for bit: every tracked net's captured value, the energy bits and
+// the late flag.
+func checkLane(t *testing.T, what string, sample *sim.WideSample, k int, tracked []netlist.NetID, l int, ref scalarStep) {
+	t.Helper()
+	bit := func(ws []uint64, i int) uint64 {
+		return ws[i*k+l/sim.WordLanes] >> uint(l%sim.WordLanes) & 1
+	}
+	for s, id := range tracked {
+		if got := uint8(bit(sample.CapturedW, s)); got != ref.captured[id] {
+			t.Fatalf("%s lane %d net %d: wide captured %d, scalar %d", what, l, id, got, ref.captured[id])
+		}
+	}
+	if got := sample.EnergyFJ[l]; math.Float64bits(got) != math.Float64bits(ref.energy) {
+		t.Fatalf("%s lane %d: wide energy %v (bits %x), scalar %v (bits %x)",
+			what, l, got, math.Float64bits(got), ref.energy, math.Float64bits(ref.energy))
+	}
+	if got := bit(sample.LateW, 0) == 1; got != ref.late {
+		t.Fatalf("%s lane %d: wide late %v, scalar %v", what, l, got, ref.late)
+	}
+}
+
+// walkBoth runs one chunk through both fresh walks, StepWide and
+// StepWideTrace, into two sample sets.
+func walkBoth(t *testing.T, eng *sim.WideEngine, prev, cur []uint64, tracked []netlist.NetID, clocks []float64, plain, logged []sim.WideSample) {
+	t.Helper()
+	if err := eng.StepWide(prev, cur, tracked, clocks, plain); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.StepWideTrace(prev, cur, tracked, clocks, logged); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // wideCrossCheck drives the identical pattern stream through the scalar
-// dense engine (one StepDense per pattern) and a K-word wide engine (one
-// StepWideChunk per K×64 patterns) and requires bit-identical captured
-// values, energies and late flags per pattern, inert lanes past a ragged
-// end, and equal per-lane transition totals — the parity property the
-// wide path of the characterization flow rests on.
-func wideCrossCheck(t *testing.T, nl *netlist.Netlist, op fdsoi.OperatingPoint, tclk float64, patterns, k int, seed uint64) {
+// dense engine (one chained StepDense per pattern and clock) and a
+// K-word wide engine (one StepWide and one StepWideTrace per K×64
+// patterns, every net tracked, all clocks captured in the walk) and
+// requires bit-identical captured values, energies and late flags per
+// pattern and clock, and inert lanes past a ragged end — the parity
+// property the wide path of the characterization flow rests on.
+func wideCrossCheck(t *testing.T, nl *netlist.Netlist, op fdsoi.OperatingPoint, clocks []float64, patterns, k int, seed uint64) {
 	t.Helper()
 	lib, proc := cell.Default28nmLVT(), fdsoi.Default()
 	scalar := sim.New(nl, lib, proc, op)
@@ -90,9 +141,6 @@ func wideCrossCheck(t *testing.T, nl *netlist.Netlist, op fdsoi.OperatingPoint, 
 
 	stim := netlist.CompileStimulus(nl)
 	slotA, slotB := stim.MustSlot(synth.PortA), stim.MustSlot(synth.PortB)
-	if err := scalar.ResetDense(stim.Values()); err != nil {
-		t.Fatal(err)
-	}
 	pa, _ := nl.InputPort(synth.PortA)
 	pb, _ := nl.InputPort(synth.PortB)
 	mask := uint64(1)<<uint(len(pa.Bits)) - 1
@@ -104,24 +152,27 @@ func wideCrossCheck(t *testing.T, nl *netlist.Netlist, op fdsoi.OperatingPoint, 
 		as[i], bs[i] = rng.Uint64()&mask, rng.Uint64()&mask
 	}
 
-	// Scalar reference results, pattern by pattern.
-	type scalarStep struct {
-		captured []uint8
-		energy   float64
-		late     bool
-	}
-	refs := make([]scalarStep, patterns)
-	for i := range refs {
-		stim.SetSlot(slotA, as[i])
-		stim.SetSlot(slotB, bs[i])
-		res, err := scalar.StepDense(stim.Values(), tclk)
-		if err != nil {
+	// Scalar reference results, per clock and pattern.
+	refs := make([][]scalarStep, len(clocks))
+	for c, tclk := range clocks {
+		stim.SetSlot(slotA, 0)
+		stim.SetSlot(slotB, 0)
+		if err := scalar.ResetDense(stim.Values()); err != nil {
 			t.Fatal(err)
 		}
-		refs[i] = scalarStep{
-			captured: append([]uint8(nil), res.Captured...),
-			energy:   res.EnergyFJ,
-			late:     res.Late,
+		refs[c] = make([]scalarStep, patterns)
+		for i := range refs[c] {
+			stim.SetSlot(slotA, as[i])
+			stim.SetSlot(slotB, bs[i])
+			res, err := scalar.StepDense(stim.Values(), tclk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs[c][i] = scalarStep{
+				captured: append([]uint8(nil), res.Captured...),
+				energy:   res.EnergyFJ,
+				late:     res.Late,
+			}
 		}
 	}
 
@@ -129,16 +180,16 @@ func wideCrossCheck(t *testing.T, nl *netlist.Netlist, op fdsoi.OperatingPoint, 
 	// patterns is not a multiple of K·64). Lane l of a chunk is bit l%64
 	// of word l/64 in each net's block.
 	lanes := k * sim.WordLanes
-	bit := func(blk []uint64, id, l int) uint64 {
-		return blk[id*k+l/sim.WordLanes] >> uint(l%sim.WordLanes) & 1
-	}
 	setLane := func(img []uint64, port netlist.Port, l int, v uint64) {
 		for i, id := range port.Bits {
 			img[int(id)*k+l/sim.WordLanes] |= (v >> uint(i) & 1) << uint(l%sim.WordLanes)
 		}
 	}
+	tracked := allNets(nl)
 	prevW := make([]uint64, nl.NumNets()*k)
 	curW := make([]uint64, nl.NumNets()*k)
+	plain := make([]sim.WideSample, len(clocks))
+	logged := make([]sim.WideSample, len(clocks))
 	for base := 0; base < patterns; base += lanes {
 		n := min(patterns-base, lanes)
 		clear(prevW)
@@ -153,52 +204,37 @@ func wideCrossCheck(t *testing.T, nl *netlist.Netlist, op fdsoi.OperatingPoint, 
 			setLane(curW, pa, l, as[base+l])
 			setLane(curW, pb, l, bs[base+l])
 		}
-		res, err := wide.StepWideChunk(prevW, curW, tclk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for l := 0; l < n; l++ {
-			ref := refs[base+l]
-			for id := range ref.captured {
-				if got := uint8(bit(res.CapturedW, id, l)); got != ref.captured[id] {
-					t.Fatalf("k %d pattern %d net %d: wide captured %d, scalar %d",
-						k, base+l, id, got, ref.captured[id])
+		walkBoth(t, wide, prevW, curW, tracked, clocks, plain, logged)
+		for c, tclk := range clocks {
+			for _, smp := range []struct {
+				what   string
+				sample *sim.WideSample
+			}{{"StepWide", &plain[c]}, {"StepWideTrace", &logged[c]}} {
+				what := fmt.Sprintf("k %d tclk %v %s pattern base %d", k, tclk, smp.what, base)
+				for l := 0; l < n; l++ {
+					checkLane(t, what, smp.sample, k, tracked, l, refs[c][base+l])
+				}
+				// Lanes past a ragged end must stay inert: equal prev/cur
+				// inputs mean pure-leakage energy and no late flag.
+				leak := smp.sample.EnergyFJ[lanes-1]
+				for l := n; l < lanes; l++ {
+					if smp.sample.LateW[l/sim.WordLanes]>>uint(l%sim.WordLanes)&1 == 1 {
+						t.Fatalf("%s: inert lane %d flagged late", what, l)
+					}
+					if smp.sample.EnergyFJ[l] != leak {
+						t.Fatalf("%s: inert lane %d energy %v, want leakage-only %v", what, l, smp.sample.EnergyFJ[l], leak)
+					}
 				}
 			}
-			if got := res.EnergyFJ[l]; math.Float64bits(got) != math.Float64bits(ref.energy) {
-				t.Fatalf("k %d pattern %d: wide energy %v (bits %x), scalar %v (bits %x)",
-					k, base+l, got, math.Float64bits(got), ref.energy, math.Float64bits(ref.energy))
-			}
-			if got := bit(res.LateW, 0, l) == 1; got != ref.late {
-				t.Fatalf("k %d pattern %d: wide late %v, scalar %v", k, base+l, got, ref.late)
-			}
 		}
-		// Lanes past a ragged end must stay inert: equal prev/cur inputs
-		// mean pure-leakage energy and no late flag.
-		leak := res.EnergyFJ[lanes-1]
-		for l := n; l < lanes; l++ {
-			if bit(res.LateW, 0, l) == 1 {
-				t.Fatalf("k %d: inert lane %d flagged late", k, l)
-			}
-			if res.EnergyFJ[l] != leak {
-				t.Fatalf("k %d: inert lane %d energy %v, want leakage-only %v", k, l, res.EnergyFJ[l], leak)
-			}
-		}
-	}
-
-	// The wide engine's per-lane transition totals must equal the scalar
-	// stream's.
-	ss, ws := scalar.Stats(), wide.Stats()
-	if ss.Transitions != ws.Transitions || ss.LateTransitions != ws.LateTransitions {
-		t.Fatalf("k %d: stats diverged: scalar %+v wide %+v", k, ss, ws)
 	}
 }
 
-// TestWordStepMatchesScalarDense checks the one-word (K = 1) wide step
-// against the scalar reference over a (Vdd, Tclk) grid from safely
-// settled to deeply over-scaled (every capture mid-wave, plenty of late
-// events) for both adder architectures, with per-gate mismatch so no two
-// gate delays coincide exactly.
+// TestWordStepMatchesScalarDense checks the one-word (K = 1) walks at
+// one clock against the scalar reference over a (Vdd, Tclk) grid from
+// safely settled to deeply over-scaled (every capture mid-wave, plenty
+// of late events) for both adder architectures, with per-gate mismatch
+// so no two gate delays coincide exactly.
 func TestWordStepMatchesScalarDense(t *testing.T) {
 	archs := []struct {
 		arch  synth.Arch
@@ -220,7 +256,7 @@ func TestWordStepMatchesScalarDense(t *testing.T) {
 				name := fmt.Sprintf("%s%d/%.2fV/%.2fns", ad.arch, ad.width, vdd, tclk)
 				t.Run(name, func(t *testing.T) {
 					// 130 patterns: two full chunks plus a ragged tail.
-					wideCrossCheck(t, nl, fdsoi.OperatingPoint{Vdd: vdd, Vbb: 0}, tclk, 130, 1, 11)
+					wideCrossCheck(t, nl, fdsoi.OperatingPoint{Vdd: vdd, Vbb: 0}, []float64{tclk}, 130, 1, 11)
 				})
 			}
 		}
@@ -228,10 +264,11 @@ func TestWordStepMatchesScalarDense(t *testing.T) {
 }
 
 // TestWideChunkMatchesWordChunk is the wide-lane parity argument: for
-// every K, each 64-pattern word chunk of a K-word StepWideChunk must be
-// bit-identical to the scalar StepDense reference pattern for pattern —
-// captured nets, per-lane energy bits, late flags, transition totals —
-// including a ragged final block whose trailing words are zero-filled.
+// every K, each 64-pattern word of a K-word walk capturing several
+// clocks must be bit-identical to the scalar StepDense reference pattern
+// for pattern and clock — captured nets, per-lane energy bits, late
+// flags — including a ragged final block whose trailing words are
+// zero-filled.
 func TestWideChunkMatchesWordChunk(t *testing.T) {
 	mm := fdsoi.NewMismatchSampler(0.03, 23)
 	nl, err := synth.NewAdder(synth.ArchBKA, synth.AdderConfig{Width: 16, Mismatch: mm})
@@ -249,33 +286,37 @@ func TestWideChunkMatchesWordChunk(t *testing.T) {
 	for _, k := range []int{1, 2, 4, 8} {
 		for _, op := range ops {
 			t.Run(fmt.Sprintf("k%d/%.2fV/%.0fbb", k, op.Vdd, op.Vbb), func(t *testing.T) {
-				for _, tclk := range tclks {
-					wideCrossCheck(t, nl, op, tclk, 150, k, 41)
-				}
+				wideCrossCheck(t, nl, op, tclks, 150, k, 41)
 			})
 		}
 	}
 }
 
-// checkSampleMatchesChunk requires a walk's capture at tclk to be
-// bit-identical to a direct StepWideChunk at the same tclk.
-func checkSampleMatchesChunk(t *testing.T, direct *sim.WideEngine, sample *sim.WideSample,
-	outNets []netlist.NetID, prev, cur []uint64, tclk float64) {
+// checkSampleMatchesScalar requires every lane of a walk's capture at
+// tclk to be bit-identical to a scalar StepDense of that lane's pattern,
+// the scalar engine settled on the lane's predecessor first. Lanes a
+// ragged chunk leaves inert compare too: their equal prev and cur make
+// the scalar step pure leakage.
+func checkSampleMatchesScalar(t *testing.T, scalar *sim.Engine, sample *sim.WideSample,
+	tracked []netlist.NetID, k int, prev, cur []uint64, tclk float64) {
 	t.Helper()
-	k := direct.K()
-	wres, err := direct.StepWideChunk(prev, cur, tclk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s, id := range outNets {
-		for j := 0; j < k; j++ {
-			if sample.CapturedW[s*k+j] != wres.CapturedW[int(id)*k+j] {
-				t.Fatalf("tclk %v net %d word %d: captured %x, direct %x",
-					tclk, id, j, sample.CapturedW[s*k+j], wres.CapturedW[int(id)*k+j])
-			}
+	nets := len(prev) / k
+	pv, cv := make([]uint8, nets), make([]uint8, nets)
+	what := fmt.Sprintf("tclk %v", tclk)
+	for l := 0; l < k*sim.WordLanes; l++ {
+		for id := 0; id < nets; id++ {
+			pv[id] = uint8(prev[id*k+l/sim.WordLanes] >> uint(l%sim.WordLanes) & 1)
+			cv[id] = uint8(cur[id*k+l/sim.WordLanes] >> uint(l%sim.WordLanes) & 1)
 		}
+		if err := scalar.ResetDense(pv); err != nil {
+			t.Fatal(err)
+		}
+		res, err := scalar.StepDense(cv, tclk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLane(t, what, sample, k, tracked, l, scalarStep{captured: res.Captured, energy: res.EnergyFJ, late: res.Late})
 	}
-	checkSamplesEqual(t, "direct", tclk, sample, &sim.WideSample{EnergyFJ: wres.EnergyFJ, LateW: wres.LateW})
 }
 
 // checkSamplesEqual requires two captures of one clock to agree bit for
@@ -298,10 +339,11 @@ func checkSamplesEqual(t *testing.T, what string, tclk float64, got, want *sim.W
 	}
 }
 
-// TestWideTraceResampleMatchesWideChunk: one StepWideTrace capturing a
-// grid of clocks in its walk must match direct StepWideChunk calls at
-// every clock, bit for bit, on chained two-word chunks with a ragged
-// tail — including a repeated clock.
+// TestWideTraceResampleMatchesWideChunk: one StepWide and one
+// StepWideTrace capturing a grid of clocks in their walks must agree
+// with each other and with the scalar engine at every clock, bit for
+// bit, on chained two-word chunks with a ragged tail — including a
+// repeated clock.
 func TestWideTraceResampleMatchesWideChunk(t *testing.T) {
 	lib, proc := cell.Default28nmLVT(), fdsoi.Default()
 	mm := fdsoi.NewMismatchSampler(0.03, 31)
@@ -314,31 +356,28 @@ func TestWideTraceResampleMatchesWideChunk(t *testing.T) {
 	const k = 2
 	wide := packWideChunks(nl, chunks, k)
 	clocks := []float64{0.02, 0.1, 0.3, 0.3, 0.45}
-	samples := make([]sim.WideSample, len(clocks))
+	plain := make([]sim.WideSample, len(clocks))
+	logged := make([]sim.WideSample, len(clocks))
 	for _, op := range []fdsoi.OperatingPoint{{Vdd: 1.0, Vbb: 0}, {Vdd: 0.5, Vbb: 2}} {
-		tracer, err := sim.NewWide(nl, lib, proc, op, k)
+		eng, err := sim.NewWide(nl, lib, proc, op, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := sim.NewWide(nl, lib, proc, op, k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		scalar := sim.New(nl, lib, proc, op)
 		for _, c := range wide {
-			if _, err := tracer.StepWideTrace(c[0], c[1], outNets, clocks, samples); err != nil {
-				t.Fatal(err)
-			}
+			walkBoth(t, eng, c[0], c[1], outNets, clocks, plain, logged)
 			for i, tclk := range clocks {
-				checkSampleMatchesChunk(t, direct, &samples[i], outNets, c[0], c[1], tclk)
+				checkSamplesEqual(t, "StepWideTrace", tclk, &plain[i], &logged[i])
+				checkSampleMatchesScalar(t, scalar, &plain[i], outNets, k, c[0], c[1], tclk)
 			}
 		}
 	}
 }
 
 // TestTraceResampleMatchesWordChunk is the capture-walk parity argument
-// at the one-word (K = 1) geometry: one StepWideTrace per 64-pattern
-// chunk, capturing a clock grid from "captures nothing" to "captures
-// everything", must match a direct one-word StepWideChunk at each clock
+// at the one-word (K = 1) geometry: one walk per 64-pattern chunk, in
+// both modes, capturing a clock grid from "captures nothing" to
+// "captures everything", must match the scalar engine at each clock
 // across both adder architectures, a (Vdd, Vbb) grid and chained chunks
 // including a ragged tail.
 func TestTraceResampleMatchesWordChunk(t *testing.T) {
@@ -368,21 +407,18 @@ func TestTraceResampleMatchesWordChunk(t *testing.T) {
 		chunks := traceChunks(nl, ad.mask, 150, 41) // 2 full chunks + ragged 22-lane tail
 		for _, op := range ops {
 			t.Run(fmt.Sprintf("%s%d/%.2fV/%.0fbb", ad.arch, ad.width, op.Vdd, op.Vbb), func(t *testing.T) {
-				tracer, err := sim.NewWide(nl, lib, proc, op, 1)
+				eng, err := sim.NewWide(nl, lib, proc, op, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				direct, err := sim.NewWide(nl, lib, proc, op, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				samples := make([]sim.WideSample, len(clocks))
+				scalar := sim.New(nl, lib, proc, op)
+				plain := make([]sim.WideSample, len(clocks))
+				logged := make([]sim.WideSample, len(clocks))
 				for _, c := range chunks {
-					if _, err := tracer.StepWideTrace(c[0], c[1], outNets, clocks, samples); err != nil {
-						t.Fatal(err)
-					}
+					walkBoth(t, eng, c[0], c[1], outNets, clocks, plain, logged)
 					for i, tclk := range clocks {
-						checkSampleMatchesChunk(t, direct, &samples[i], outNets, c[0], c[1], tclk)
+						checkSamplesEqual(t, "StepWideTrace", tclk, &plain[i], &logged[i])
+						checkSampleMatchesScalar(t, scalar, &plain[i], outNets, 1, c[0], c[1], tclk)
 					}
 				}
 			})
@@ -410,8 +446,9 @@ func boundaryClocks(trace *sim.WideTrace) []float64 {
 // calendar queue's pop boundary is inclusive), and the float just below
 // it does not. Every recorded event time of a deeply over-scaled
 // two-word chunk, and each float either side of it, is captured in one
-// walk and bit-compared against the direct path — and again in walks
-// whose last clock falls mid-wave, where energy attribution stops early.
+// walk and bit-compared against the scalar engine — and again, in both
+// walk modes, in walks whose last clock falls mid-wave, where energy
+// attribution stops early.
 func TestTraceResampleAtEventTimestamps(t *testing.T) {
 	lib, proc := cell.Default28nmLVT(), fdsoi.Default()
 	mm := fdsoi.NewMismatchSampler(0.03, 17)
@@ -424,15 +461,12 @@ func TestTraceResampleAtEventTimestamps(t *testing.T) {
 	chunks := traceChunks(nl, 0xff, k*sim.WordLanes, 3)
 	c := packWideChunks(nl, chunks, k)[0]
 	op := fdsoi.OperatingPoint{Vdd: 0.6, Vbb: 0}
-	tracer, err := sim.NewWide(nl, lib, proc, op, k)
+	eng, err := sim.NewWide(nl, lib, proc, op, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := sim.NewWide(nl, lib, proc, op, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, err := tracer.StepWideTrace(c[0], c[1], outNets, nil, nil)
+	scalar := sim.New(nl, lib, proc, op)
+	trace, err := eng.StepWideTrace(c[0], c[1], outNets, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,22 +474,31 @@ func TestTraceResampleAtEventTimestamps(t *testing.T) {
 	if len(all) < 6 {
 		t.Fatalf("trace recorded %d boundary clocks, want a deep wave", len(all))
 	}
-	samples := make([]sim.WideSample, len(all))
-	for _, clocks := range [][]float64{all, all[:len(all)/2], all[len(all)/3 : len(all)/3+1]} {
-		if _, err := tracer.StepWideTrace(c[0], c[1], outNets, clocks, samples[:len(clocks)]); err != nil {
-			t.Fatal(err)
-		}
+	want := make([]sim.WideSample, len(all))
+	if err := eng.StepWide(c[0], c[1], outNets, all, want); err != nil {
+		t.Fatal(err)
+	}
+	for i, tclk := range all {
+		checkSampleMatchesScalar(t, scalar, &want[i], outNets, k, c[0], c[1], tclk)
+	}
+	plain := make([]sim.WideSample, len(all))
+	logged := make([]sim.WideSample, len(all))
+	for _, sub := range [][2]int{{0, len(all)}, {0, len(all) / 2}, {len(all) / 3, len(all)/3 + 1}} {
+		clocks := all[sub[0]:sub[1]]
+		n := len(clocks)
+		walkBoth(t, eng, c[0], c[1], outNets, clocks, plain[:n], logged[:n])
 		for i, tclk := range clocks {
-			checkSampleMatchesChunk(t, direct, &samples[i], outNets, c[0], c[1], tclk)
+			checkSamplesEqual(t, "full StepWide", tclk, &plain[i], &want[sub[0]+i])
+			checkSamplesEqual(t, "full StepWide", tclk, &logged[i], &want[sub[0]+i])
 		}
 	}
 }
 
 // TestCrossVddResampleMatchesFresh is the cross-voltage reuse parity
 // argument: over a Vdd ladder on both paper adders, every retime
-// RetimeTrace accepts must capture each clock bit-identically to a
-// fresh StepWideTrace at the target operating point and to a direct
-// StepWideChunk there — on a clock grid plus clocks placed exactly on
+// RetimeTrace accepts must capture each clock bit-identically to fresh
+// StepWideTrace and StepWide walks at the target operating point and to
+// the scalar engine there — on a clock grid plus clocks placed exactly on
 // (and either side of) the target wave's own event times — and every
 // acceptance must be counted. Without per-gate mismatch the delay map is
 // uniform up to quantization, and the quantized+dithered delay grid
@@ -505,10 +548,7 @@ func TestCrossVddResampleMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				direct, err := sim.NewWide(nl, lib, proc, op, k)
-				if err != nil {
-					t.Fatal(err)
-				}
+				scalar := sim.New(nl, lib, proc, op)
 				freshTrace, err := fresh.StepWideTrace(c[0], c[1], outNets, nil, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -522,9 +562,8 @@ func TestCrossVddResampleMatchesFresh(t *testing.T) {
 				slices.Sort(clocks)
 				got := make([]sim.WideSample, len(clocks))
 				want := make([]sim.WideSample, len(clocks))
-				if _, err := fresh.StepWideTrace(c[0], c[1], outNets, clocks, want); err != nil {
-					t.Fatal(err)
-				}
+				plain := make([]sim.WideSample, len(clocks))
+				walkBoth(t, fresh, c[0], c[1], outNets, clocks, plain, want)
 				okBefore, fbBefore := target.RetimeStats()
 				ok, err := target.RetimeTrace(srcTrace, clocks, got)
 				if err != nil {
@@ -539,7 +578,8 @@ func TestCrossVddResampleMatchesFresh(t *testing.T) {
 				}
 				for i, tclk := range clocks {
 					checkSamplesEqual(t, "fresh", tclk, &got[i], &want[i])
-					checkSampleMatchesChunk(t, direct, &got[i], outNets, c[0], c[1], tclk)
+					checkSamplesEqual(t, "StepWide", tclk, &got[i], &plain[i])
+					checkSampleMatchesScalar(t, scalar, &got[i], outNets, k, c[0], c[1], tclk)
 				}
 				// A retime whose last clock falls mid-wave stops its
 				// energy attribution there.
@@ -625,47 +665,55 @@ func TestWideValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	lanes := make([]uint64, nl.NumNets()*k)
-	if _, err := eng.StepWideChunk(lanes[:1], lanes, 0.5); err == nil {
-		t.Fatal("short prev image accepted")
-	}
-	if _, err := eng.StepWideChunk(lanes, lanes[:1], 0.5); err == nil {
-		t.Fatal("short cur image accepted")
-	}
-	if _, err := eng.StepWideChunk(lanes, lanes, 0); err == nil {
-		t.Fatal("non-positive tclk accepted")
-	}
-	if _, err := eng.StepWideChunk(lanes, lanes, math.NaN()); err == nil {
-		t.Fatal("NaN tclk accepted")
-	}
 	one := []float64{1.0}
 	samples := make([]sim.WideSample, 2)
-	for name, clocks := range map[string][]float64{
-		"non-positive clock": {0},
-		"NaN clock":          {math.NaN()},
-		"descending clocks":  {1.0, 0.5},
+	scalar := sim.New(nl, lib, proc, op)
+	for _, walk := range []struct {
+		name string
+		step func(prev, cur []uint64, tracked []netlist.NetID, clocks []float64, samples []sim.WideSample) error
+	}{
+		{"StepWide", eng.StepWide},
+		{"StepWideTrace", func(prev, cur []uint64, tracked []netlist.NetID, clocks []float64, samples []sim.WideSample) error {
+			_, err := eng.StepWideTrace(prev, cur, tracked, clocks, samples)
+			return err
+		}},
 	} {
-		if _, err := eng.StepWideTrace(lanes, lanes, nil, clocks, samples[:len(clocks)]); err == nil {
-			t.Fatalf("trace: %s accepted", name)
+		for name, clocks := range map[string][]float64{
+			"non-positive clock": {0},
+			"NaN clock":          {math.NaN()},
+			"descending clocks":  {1.0, 0.5},
+		} {
+			if err := walk.step(lanes, lanes, nil, clocks, samples[:len(clocks)]); err == nil {
+				t.Fatalf("%s: %s accepted", walk.name, name)
+			}
 		}
-	}
-	if _, err := eng.StepWideTrace(lanes, lanes, nil, one, samples); err == nil {
-		t.Fatal("trace: sample count mismatch accepted")
-	}
-	if _, err := eng.StepWideTrace(lanes[:1], lanes, nil, one, samples[:1]); err == nil {
-		t.Fatal("short prev image accepted by the trace")
-	}
-	if _, err := eng.StepWideTrace(lanes, lanes[:1], nil, one, samples[:1]); err == nil {
-		t.Fatal("short cur image accepted by the trace")
-	}
-	if _, err := eng.StepWideTrace(lanes, lanes, []netlist.NetID{netlist.NetID(nl.NumNets())}, one, samples[:1]); err == nil {
-		t.Fatal("out-of-range tracked net accepted")
-	}
-	if _, err := eng.StepWideTrace(lanes, lanes, []netlist.NetID{1, 1}, one, samples[:1]); err == nil {
-		t.Fatal("duplicate tracked net accepted")
+		for name, args := range map[string]struct {
+			prev, cur []uint64
+			tracked   []netlist.NetID
+			samples   []sim.WideSample
+		}{
+			"sample count mismatch": {lanes, lanes, nil, samples},
+			"short prev image":      {lanes[:1], lanes, nil, samples[:1]},
+			"short cur image":       {lanes, lanes[:1], nil, samples[:1]},
+			"out-of-range net":      {lanes, lanes, []netlist.NetID{netlist.NetID(nl.NumNets())}, samples[:1]},
+			"duplicate tracked net": {lanes, lanes, []netlist.NetID{1, 1}, samples[:1]},
+			"negative tracked net":  {lanes, lanes, []netlist.NetID{-1}, samples[:1]},
+		} {
+			if err := walk.step(args.prev, args.cur, args.tracked, one, args.samples); err == nil {
+				t.Fatalf("%s: %s accepted", walk.name, name)
+			}
+		}
+		// A rejected call leaves nothing tracked: the same set walks
+		// cleanly and matches the scalar engine.
+		tracked := []netlist.NetID{1, 2}
+		if err := walk.step(lanes, lanes, tracked, one, samples[:1]); err != nil {
+			t.Fatalf("%s: tracked set rejected after duplicate error: %v", walk.name, err)
+		}
+		checkSampleMatchesScalar(t, scalar, &samples[0], tracked, k, lanes, lanes, one[0])
 	}
 	trace, err := eng.StepWideTrace(lanes, lanes, []netlist.NetID{1, 2}, one, samples[:1])
 	if err != nil {
-		t.Fatal("tracked set rejected after duplicate error:", err)
+		t.Fatal(err)
 	}
 	k1 := e2Trace(t, nl, lib, proc)
 	if _, err := eng.RetimeTrace(&k1, one, samples[:1]); err == nil {
@@ -701,10 +749,10 @@ func e2Trace(t *testing.T, nl *netlist.Netlist, lib *cell.Library, proc fdsoi.Pa
 	return *tr
 }
 
-// TestWideSteadyStateAllocs: after warm-up, a wide trace step capturing
-// its clocks and a cross-voltage retime capturing the target's must not
-// allocate — the engines own the trace and retime buffers, the caller
-// owns the samples. The RCA is used because its retimes are
+// TestWideSteadyStateAllocs: after warm-up, a wide walk without the log,
+// one recording it and a cross-voltage retime, each capturing its
+// clocks, must not allocate — the engines own the trace and retime
+// buffers, the caller owns the samples. The RCA is used because its retimes are
 // order-stable (the retime must succeed for its capture walk to be
 // exercised).
 func TestWideSteadyStateAllocs(t *testing.T) {
@@ -728,6 +776,9 @@ func TestWideSteadyStateAllocs(t *testing.T) {
 	srcClocks, targetClocks := []float64{0.2, 0.45, 0.6}, []float64{0.3, 0.6}
 	samples := make([]sim.WideSample, len(srcClocks))
 	step := func(c [2][]uint64) {
+		if err := target.StepWide(c[0], c[1], outNets, targetClocks, samples[:len(targetClocks)]); err != nil {
+			t.Fatal(err)
+		}
 		trace, err := src.StepWideTrace(c[0], c[1], outNets, srcClocks, samples)
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"repro/internal/netlist"
@@ -61,61 +60,49 @@ type WideTrace struct {
 	inTogDiffs []uint64
 }
 
+// reset empties the log for a new wave of k-word lane blocks.
+func (t *WideTrace) reset(k int) {
+	t.k = k
+	t.start = t.start[:0]
+	t.times = t.times[:0]
+	t.evEnd = t.evEnd[:0]
+	t.gates = t.gates[:0]
+	t.parent = t.parent[:0]
+	t.diffs = t.diffs[:0]
+	t.outs = t.outs[:0]
+	t.outWords = t.outWords[:0]
+	t.inTogIDs = t.inTogIDs[:0]
+	t.inTogDiffs = t.inTogDiffs[:0]
+}
+
+// add logs one effective event — its firing time, gate, causal parent
+// and changed-lane block, and the new block when it drives tracked
+// slot slot (≥ 0) — and returns its index, the parent of the events
+// its processing pushes.
+func (t *WideTrace) add(time float64, gi netlist.GateID, parent int32, diff []uint64, slot int32, block []uint64) int32 {
+	ev := int32(len(t.gates))
+	if n := len(t.times); n > 0 && t.times[n-1] == time {
+		t.evEnd[n-1] = ev + 1
+	} else {
+		t.times = append(t.times, time)
+		t.evEnd = append(t.evEnd, ev+1)
+	}
+	t.gates = append(t.gates, gi)
+	t.parent = append(t.parent, parent)
+	t.diffs = append(t.diffs, diff...)
+	if slot >= 0 {
+		t.outs = append(t.outs, wideOut{slot: slot, ev: ev})
+		t.outWords = append(t.outWords, block...)
+	}
+	return ev
+}
+
 // EventTimes appends the trace's distinct event timestamps to buf and
 // returns it. Exposed for tests and diagnostics (a clock placed exactly
 // on an event timestamp captures that event, matching the queue's
 // inclusive pop).
 func (t *WideTrace) EventTimes(buf []float64) []float64 {
 	return append(buf, t.times...)
-}
-
-// WideSample is one clock period's capture of a StepWideTrace or
-// RetimeTrace walk: exactly what StepWideChunk at that Tclk returns for
-// the tracked nets. CapturedW is indexed by tracked slot times K (the
-// order of the tracked argument to StepWideTrace). The struct is
-// caller-owned; the walks reuse its buffers, so a steady-state sweep
-// allocates nothing here.
-type WideSample struct {
-	// CapturedW holds the tracked nets' lane blocks at the capture
-	// instant: bit b of CapturedW[s·K+j] is tracked net s's value under
-	// pattern j·64+b.
-	CapturedW []uint64
-	// EnergyFJ is the K·64 per-lane energy at this clock, bit-identical
-	// to a StepWideChunk (and therefore to a scalar StepDense) at the
-	// same Tclk.
-	EnergyFJ []float64
-	// LateW flags lanes with at least one post-capture transition, one
-	// word per lane word.
-	LateW []uint64
-}
-
-// checkClocks validates a walk's capture request: positive clocks in
-// ascending order, one sample each.
-func checkClocks(clocks []float64, samples []WideSample) error {
-	if len(samples) != len(clocks) {
-		return fmt.Errorf("sim: %d samples for %d clocks", len(samples), len(clocks))
-	}
-	prev := 0.0
-	for _, c := range clocks {
-		if !(c > 0) { // negated to catch NaN
-			return fmt.Errorf("sim: non-positive tclk %v", c)
-		}
-		if c < prev {
-			return fmt.Errorf("sim: clocks not ascending (%v after %v)", c, prev)
-		}
-		prev = c
-	}
-	return nil
-}
-
-// setEnergy fills the sample's lane energies: the running per-lane
-// switching energy plus leakage over the clock, the one addition per
-// lane StepWideChunk makes.
-func (s *WideSample) setEnergy(lane []float64, leak float64) {
-	s.EnergyFJ = s.EnergyFJ[:0]
-	for _, le := range lane {
-		s.EnergyFJ = append(s.EnergyFJ, le+leak)
-	}
 }
 
 // fillLateMasks gives each sample its late mask in one backward OR pass
@@ -135,201 +122,6 @@ func fillLateMasks(diffs []uint64, k int, from []int32, samples []WideSample) {
 		}
 		samples[c].LateW = append(samples[c].LateW[:0], acc[:k]...)
 	}
-}
-
-// StepWideTrace runs the K×64-lane two-vector experiment of
-// StepWideChunk to full quiescence and captures every clock of the
-// operating point in the same walk: samples[c] receives exactly what
-// StepWideChunk at clocks[c] returns for the tracked nets. clocks must
-// be positive and ascending, one sample each; none at all records only
-// the trace. Per-lane energy attribution stops once the last clock is
-// captured, while the wave and its retime log run on to quiescence, so
-// the returned trace can serve neighboring operating points through
-// RetimeTrace.
-//
-// The returned trace is owned by the engine and valid until the next
-// call; a steady-state sweep allocates nothing here. The engine's Stats
-// book the run's Transitions and Steps; the Tclk-dependent split
-// (DynamicEnergy, LeakageEnergy, LateTransitions) belongs to the
-// clocks and is not booked.
-func (e *WideEngine) StepWideTrace(prev, cur []uint64, tracked []netlist.NetID, clocks []float64, samples []WideSample) (*WideTrace, error) {
-	if err := checkClocks(clocks, samples); err != nil {
-		return nil, err
-	}
-	k := e.k
-	if len(prev) != len(e.valueW) || len(cur) != len(e.valueW) {
-		return nil, fmt.Errorf("sim: lane images have %d/%d entries, want %d",
-			len(prev), len(cur), len(e.valueW))
-	}
-	if e.slotOf == nil {
-		e.slotOf = make([]int32, e.nl.NumNets())
-		for i := range e.slotOf {
-			e.slotOf[i] = -1
-		}
-	}
-	for _, id := range tracked {
-		if int(id) < 0 || int(id) >= len(e.slotOf) {
-			return nil, fmt.Errorf("sim: tracked net %d outside netlist", id)
-		}
-	}
-	// Untrack on every exit so a failed call cannot poison the next one.
-	defer func() {
-		for _, id := range tracked {
-			e.slotOf[id] = -1
-		}
-	}()
-	for s, id := range tracked {
-		if e.slotOf[id] >= 0 {
-			return nil, fmt.Errorf("sim: net %d tracked twice", id)
-		}
-		e.slotOf[id] = int32(s)
-	}
-	if err := e.settle(prev); err != nil {
-		return nil, err
-	}
-	tr := &e.trace
-	tr.k = k
-	tr.times = tr.times[:0]
-	tr.evEnd = tr.evEnd[:0]
-	tr.gates = tr.gates[:0]
-	tr.parent = tr.parent[:0]
-	tr.diffs = tr.diffs[:0]
-	tr.outs = tr.outs[:0]
-	tr.outWords = tr.outWords[:0]
-	tr.inTogIDs = tr.inTogIDs[:0]
-	tr.inTogDiffs = tr.inTogDiffs[:0]
-	// Switch the inputs to the current vectors and seed the wave,
-	// logging the toggle set; nets are visited in the scalar applyInputs
-	// order and words ascending, so per-lane input-energy accumulation
-	// order matches StepWideChunk — and a retime replaying the same log
-	// against another op's pin energies matches that op's.
-	var dblk [MaxWideWords]uint64
-	for _, id := range e.inputNets {
-		base := int(id) * k
-		var words uint64
-		for j := 0; j < k; j++ {
-			d := e.valueW[base+j] ^ cur[base+j]
-			dblk[j] = d
-			if d != 0 {
-				words |= 1 << uint(j)
-			}
-		}
-		if words == 0 {
-			continue
-		}
-		ie := e.inputEnergy[id]
-		for j := 0; j < k; j++ {
-			d := dblk[j]
-			if d == 0 {
-				continue
-			}
-			e.valueW[base+j] = cur[base+j]
-			lb := j * WordLanes
-			for ; d != 0; d &= d - 1 {
-				e.laneEnergy[lb+bits.TrailingZeros64(d)] += ie
-			}
-		}
-		tr.inTogIDs = append(tr.inTogIDs, id)
-		tr.inTogDiffs = append(tr.inTogDiffs, dblk[:k]...)
-		for _, fo := range e.foList[e.foOff[id]:e.foOff[id+1]] {
-			e.touch(fo, words)
-		}
-	}
-	// Snapshot the tracked nets after the input switch.
-	tr.start = tr.start[:0]
-	for _, id := range tracked {
-		tr.start = append(tr.start, e.valueW[int(id)*k:int(id)*k+k]...)
-	}
-	from := e.clockScratch(len(clocks))
-	// capture records clock c from the live state: every event at or
-	// before it has fired, none after it has.
-	capture := func(c int) {
-		s := &samples[c]
-		s.CapturedW = s.CapturedW[:0]
-		for _, id := range tracked {
-			s.CapturedW = append(s.CapturedW, e.valueW[int(id)*k:int(id)*k+k]...)
-		}
-		s.setEnergy(e.laneEnergy, e.leakPower*clocks[c])
-		from[c] = int32(len(tr.gates))
-	}
-	// Run the wave dry in (time, seq) order, capturing each clock just
-	// before the first event past it, one boundary per distinct event
-	// time. Attribution (per-lane energy adds) stops after the last
-	// clock; the event log never does.
-	ci := 0
-	curTime := math.Inf(-1)
-	for {
-		ev, ok := e.queue.popMin()
-		if !ok {
-			break
-		}
-		for ci < len(clocks) && ev.time > clocks[ci] {
-			capture(ci)
-			ci++
-		}
-		e.now = ev.time
-		gi := ev.payload.gate
-		outNet := int(e.gateOut[gi])
-		out := outNet * k
-		pay := e.arena[int(ev.payload.slot)*k : int(ev.payload.slot)*k+k]
-		var words uint64
-		for j := 0; j < k; j++ {
-			d := e.valueW[out+j] ^ pay[j]
-			dblk[j] = d
-			if d != 0 {
-				words |= 1 << uint(j)
-			}
-		}
-		if words == 0 {
-			continue // squashed: inert at every operating point
-		}
-		evIdx := int32(len(tr.gates))
-		if ev.time != curTime {
-			if len(tr.times) > 0 {
-				tr.evEnd = append(tr.evEnd, evIdx)
-			}
-			tr.times = append(tr.times, ev.time)
-			curTime = ev.time
-		}
-		attribute := ci < len(clocks)
-		ge := e.gateEnergy[gi]
-		for j := 0; j < k; j++ {
-			d := dblk[j]
-			if d == 0 {
-				continue
-			}
-			e.valueW[out+j] = pay[j]
-			e.stats.Transitions += uint64(bits.OnesCount64(d))
-			if attribute {
-				lb := j * WordLanes
-				for ; d != 0; d &= d - 1 {
-					e.laneEnergy[lb+bits.TrailingZeros64(d)] += ge
-				}
-			}
-		}
-		tr.gates = append(tr.gates, gi)
-		tr.parent = append(tr.parent, ev.payload.parent)
-		tr.diffs = append(tr.diffs, dblk[:k]...)
-		if slot := e.slotOf[outNet]; slot >= 0 {
-			tr.outs = append(tr.outs, wideOut{slot: slot, ev: evIdx})
-			tr.outWords = append(tr.outWords, pay...)
-		}
-		e.curParent = evIdx
-		for _, fo := range e.foList[e.foOff[outNet]:e.foOff[outNet+1]] {
-			e.touch(fo, words)
-		}
-	}
-	if len(tr.times) > 0 {
-		tr.evEnd = append(tr.evEnd, int32(len(tr.gates)))
-	}
-	for ; ci < len(clocks); ci++ {
-		capture(ci)
-	}
-	fillLateMasks(tr.diffs, k, from, samples)
-	e.curParent = -1
-	e.stats.Steps += uint64(WordLanes * k)
-	e.now = 0
-	return tr, nil
 }
 
 // clockScratch returns the engine's per-clock event-index buffer, grown
