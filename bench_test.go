@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/apps"
@@ -24,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine/journal"
 	"repro/internal/fdsoi"
+	"repro/internal/model"
 	"repro/internal/netlist"
 	"repro/internal/patterns"
 	"repro/internal/rcsim"
@@ -506,6 +508,67 @@ func BenchmarkMonteCarloPoint(b *testing.B) {
 	pt := last.Points[0]
 	b.ReportMetric(float64(pt.Samples)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 	b.ReportMetric(pt.Mean, "dB")
+}
+
+// mcRepBatchSamples is the input samples one BenchmarkMCRep iteration
+// replays, in whole reps: 16 fir, blur or sobel reps, or 128 kmeans
+// reps. A sample of the mc group's ten iterations then spans about
+// 70–250 ms of reps on 2 vCPUs, however cheap a kernel's rep is.
+const mcRepBatchSamples = 1 << 15
+
+// mcRepModel calibrates BenchmarkMonteCarloPoint's operating point once
+// per process, as a /v1/mc job's engine does: RCA16 at (0.262 ns, 0.9 V,
+// 0 V) under the job's default operator configuration.
+var mcRepModel = sync.OnceValues(func() (*core.Model, error) {
+	prep, err := charz.Prepare(charz.Config{Arch: synth.ArchRCA, Width: apps.Word, Patterns: 2000, Seed: 1, Backend: charz.BackendModel})
+	if err != nil {
+		return nil, err
+	}
+	cal, err := model.NewCalibrator(model.DefaultSpec(), nil)
+	if err != nil {
+		return nil, err
+	}
+	t, err := cal.Point(prep, triad.Triad{Tclk: 0.262, Vdd: 0.9})
+	if err != nil {
+		return nil, err
+	}
+	return t.Model, nil
+})
+
+// BenchmarkMCRep times one kernel's Monte Carlo reps the way a pool
+// worker runs them (apps.MCKernel.RunRep on a fresh model adder and
+// Arith per rep) at BenchmarkMonteCarloPoint's calibrated point, with
+// no engine, HTTP or merge around them. Calibration runs before timing.
+// Each iteration replays the same rep seeds, mcRepBatchSamples input
+// samples' worth; ns/sample is per input sample of the kernel.
+func BenchmarkMCRep(b *testing.B) {
+	m, err := mcRepModel()
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := model.PointSeed(1, 0.262, 0.9, 0)
+	for _, k := range apps.MCKernels() {
+		batch := mcRepBatchSamples / k.RepSize
+		b.Run(k.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for rep := range batch {
+					seed := model.RepSeed(base, rep)
+					approx, err := core.NewApproxAdder(m, seed)
+					if err != nil {
+						b.Fatal(err)
+					}
+					ar, err := apps.NewArith(approx)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := k.RunRep(seed, ar); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*mcRepBatchSamples), "ns/sample")
+		})
+	}
 }
 
 // BenchmarkTableIV regenerates the efficiency-per-BER-band summary for all

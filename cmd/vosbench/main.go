@@ -9,7 +9,7 @@
 //	vosbench [-bench REGEX] [-benchtime 1000x] [-out BENCH_sim.json]
 //	         [-pkg .] [-keep-going]
 //	         [-diff BASELINE.json]
-//	         [-diff-filter "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|ApproxAdd|ClusterWarmLookup|ClusterWarmSweep|EngineWarmSweep)"]
+//	         [-diff-filter "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|MCRep|ApproxAdd|ClusterWarmLookup|ClusterWarmSweep|EngineWarmSweep)"]
 //	         [-diff-threshold 0.20] [-profile-regressed DIR]
 //
 // The default benchmark set covers the dense-state hot path: the per-step
@@ -17,7 +17,8 @@
 // micro-benchmarks, the input-binding and batch-evaluation costs, the
 // model adder's replay, the Fig. 8-class sweeps (engine-backed and
 // grouped-charz), the Monte Carlo point rate on the calibrated model
-// backend, the write-ahead journal's
+// backend and each kernel's rep replay there (MCRep), the write-ahead
+// journal's
 // append path (synced and unsynced), and the warm serving paths — one
 // cached point fetched through vos.Remote from a warm in-process cluster
 // and one warm engine sweep through vos.Local, each with a journaled
@@ -76,7 +77,7 @@ type File struct {
 }
 
 // The default run has four groups: per-step micro-benchmarks at a fixed
-// iteration count; the Fig. 8-class sweeps and the Monte Carlo point at
+// iteration count; the Fig. 8-class sweeps and the Monte Carlo benches at
 // ten iterations — every Fig. 8 iteration is a cold sweep (a fresh
 // engine, or charz with no cache) and MC reps are never cached, so each
 // iteration recomputes everything, and ten of them average out the
@@ -89,7 +90,7 @@ const (
 	defaultMicroBench = "SimStep|CrossVddResample|InputBinding|EvaluateScalar|EvaluateBatch|RCSimStep|JournalAppend|ApproxAdd"
 	defaultSweepBench = "Fig8"
 	sweepBenchtime    = "10x"
-	defaultMCBench    = "MonteCarloPoint"
+	defaultMCBench    = "MonteCarloPoint|MCRep"
 	mcBenchtime       = "10x"
 	defaultServeBench = "ClusterWarmLookup|ClusterWarmSweep|EngineWarmSweep"
 	serveBenchtime    = "100x"
@@ -120,7 +121,7 @@ func main() {
 		// runs of identical code. The journal's code cost is gated
 		// through the journaled EngineWarmSweep/ClusterWarmLookup
 		// twins instead, where it is one term of a realistic op.
-		diffRe    = flag.String("diff-filter", "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|ApproxAdd|ClusterWarmLookup|ClusterWarmSweep|EngineWarmSweep)", "benchmarks the -diff gate applies to")
+		diffRe    = flag.String("diff-filter", "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|MCRep|ApproxAdd|ClusterWarmLookup|ClusterWarmSweep|EngineWarmSweep)", "benchmarks the -diff gate applies to")
 		threshold = flag.Float64("diff-threshold", 0.20, "fractional ns/op or allocs/op regression that fails the -diff gate")
 		profDir   = flag.String("profile-regressed", "", "directory to write one cpuprofile per regressed benchmark when the -diff gate fails (uploaded as a CI artifact)")
 	)

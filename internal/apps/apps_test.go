@@ -1,8 +1,11 @@
 package apps
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/carry"
@@ -220,6 +223,90 @@ func TestFIRRejectsFastTone(t *testing.T) {
 	}
 	if tv(y) >= tv(x)*0.7 {
 		t.Fatalf("filter did not smooth: tv in %v out %v", tv(x), tv(y))
+	}
+}
+
+// toneBaseFormula is the seed-free part of sample i of TwoTone,
+// summed left to right as the per-sample formula sums it.
+func toneBaseFormula(i int) float64 {
+	slow := 60 * math.Sin(2*math.Pi*float64(i)/64)
+	fast := 25 * math.Sin(2*math.Pi*float64(i)/4)
+	return 128 + slow + fast
+}
+
+// twoToneFormula is TwoTone computed sample by sample with no memo: the
+// oracle the memoized signal must equal bit for bit.
+func twoToneFormula(n int, seed uint64) []uint64 {
+	rng := rand.New(rand.NewPCG(seed, 0x70e5))
+	out := make([]uint64, n)
+	for i := range out {
+		slow := 60 * math.Sin(2*math.Pi*float64(i)/64)
+		fast := 25 * math.Sin(2*math.Pi*float64(i)/4)
+		noise := float64(rng.Uint64()%5) - 2
+		v := 128 + slow + fast + noise
+		if v < 0 {
+			v = 0
+		}
+		if v > 255 {
+			v = 255
+		}
+		out[i] = uint64(v)
+	}
+	return out
+}
+
+// checkTwoTone compares TwoTone(n, seed) and the memo's first n bases
+// with the per-sample formula, bit for bit.
+func checkTwoTone(n int, seed uint64) error {
+	if got, want := TwoTone(n, seed), twoToneFormula(n, seed); !slices.Equal(got, want) {
+		i := 0
+		for got[i] == want[i] {
+			i++
+		}
+		return fmt.Errorf("TwoTone(%d, %d)[%d] = %d, formula %d", n, seed, i, got[i], want[i])
+	}
+	for i, b := range twoToneBase(n) {
+		if want := toneBaseFormula(i); math.Float64bits(b) != math.Float64bits(want) {
+			return fmt.Errorf("memoized base %d = %v, formula %v", i, b, want)
+		}
+	}
+	return nil
+}
+
+// TestTwoToneMatchesFormula grows the tone memo from empty through
+// lengths 1, 2048, 4096 and 5000, then reads shorter prefixes, checking
+// every signal and base against the per-sample formula.
+func TestTwoToneMatchesFormula(t *testing.T) {
+	toneBase.Store(nil)
+	for _, n := range []int{1, 2048, 4096, 5000, 0, 3000} {
+		for _, seed := range []uint64{1, 6, 12345} {
+			if err := checkTwoTone(n, seed); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestTwoToneConcurrentFirstUse starts from an empty memo and asks for
+// signals of several lengths from many goroutines at once, as the reps
+// of a Monte Carlo job do; run it under -race.
+func TestTwoToneConcurrentFirstUse(t *testing.T) {
+	toneBase.Store(nil)
+	lengths := []int{1, 2048, 4096, 5000, 64, 5000, 2048, 4097}
+	errs := make([]error, len(lengths))
+	var wg sync.WaitGroup
+	for i, n := range lengths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = checkTwoTone(n, uint64(i)+1)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
 

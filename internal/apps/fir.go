@@ -3,6 +3,8 @@ package apps
 import (
 	"math"
 	"math/rand/v2"
+	"sync"
+	"sync/atomic"
 )
 
 // FIR is a low-pass filter with small integer taps (power-of-two-friendly,
@@ -40,15 +42,15 @@ func (f FIR) Apply(x []uint64, ar *Arith) []uint64 {
 
 // TwoTone synthesizes a deterministic test signal: a slow sine (the band
 // to keep) plus a fast sine (the band to reject) plus mild noise, offset
-// into the unsigned range.
+// into the unsigned range. Sample i is 128 + slow(i) + fast(i) + noise,
+// summed left to right; the first three terms do not depend on the seed
+// and come from a process-wide memo, so a call computes only its noise.
 func TwoTone(n int, seed uint64) []uint64 {
-	rng := rand.New(rand.NewPCG(seed, 0x70e5))
+	var pcg rand.PCG
+	pcg.Seed(seed, 0x70e5)
 	out := make([]uint64, n)
-	for i := range out {
-		slow := 60 * math.Sin(2*math.Pi*float64(i)/64)
-		fast := 25 * math.Sin(2*math.Pi*float64(i)/4)
-		noise := float64(rng.Uint64()%5) - 2
-		v := 128 + slow + fast + noise
+	for i, base := range twoToneBase(n) {
+		v := base + (float64(pcg.Uint64()%5) - 2)
 		if v < 0 {
 			v = 0
 		}
@@ -58,6 +60,41 @@ func TwoTone(n int, seed uint64) []uint64 {
 		out[i] = uint64(v)
 	}
 	return out
+}
+
+// toneBase holds the seed-free part of TwoTone, 128 + slow(i) + fast(i),
+// for i below its length. It only grows, under toneMu, by the indices
+// past its old length, so each index is computed once per process, and
+// readers load it without the lock.
+var (
+	toneMu   sync.Mutex
+	toneBase atomic.Pointer[[]float64]
+)
+
+// twoToneBase returns the seed-free part of TwoTone's first n samples.
+// The slice is shared: callers must not modify it.
+func twoToneBase(n int) []float64 {
+	if b := toneBase.Load(); b != nil && len(*b) >= n {
+		return (*b)[:n]
+	}
+	toneMu.Lock()
+	defer toneMu.Unlock()
+	var old []float64
+	if b := toneBase.Load(); b != nil {
+		old = *b
+	}
+	if len(old) >= n {
+		return old[:n]
+	}
+	base := make([]float64, n)
+	copy(base, old)
+	for i := len(old); i < n; i++ {
+		slow := 60 * math.Sin(2*math.Pi*float64(i)/64)
+		fast := 25 * math.Sin(2*math.Pi*float64(i)/4)
+		base[i] = 128 + slow + fast
+	}
+	toneBase.Store(&base)
+	return base
 }
 
 // SignalSNR returns the ratio (dB) of reference signal power to the power

@@ -61,6 +61,35 @@ func refLimitedAdd(a, b uint64, width, cmax int) uint64 {
 	return sum
 }
 
+// maxChains returns, for each bit position i, the length of the carry
+// chain arriving into position i in the exact addition (0 when no carry
+// arrives). Index width holds the chain arriving at the carry output. It
+// is the per-position oracle TestCthmaxEqualsMaxOfChains takes the
+// maximum of.
+func maxChains(a, b uint64, width int) []int {
+	g, p := GenProp(a, b, width)
+	arr := make([]int, width+1)
+	live := false
+	dist := 0
+	for i := 0; i <= width; i++ {
+		if live {
+			arr[i] = dist
+		}
+		if i == width {
+			break
+		}
+		switch {
+		case g>>uint(i)&1 == 1:
+			live, dist = true, 1
+		case p>>uint(i)&1 == 1 && live:
+			dist++
+		default:
+			live, dist = false, 0
+		}
+	}
+	return arr
+}
+
 // checkCthmax compares Cthmax against the chain-walk reference.
 func checkCthmax(a, b uint64, width int) error {
 	if got, want := Cthmax(a, b, width), refCthmax(a, b, width); got != want {
@@ -230,7 +259,7 @@ func TestCthmaxRange(t *testing.T) {
 func TestCthmaxEqualsMaxOfChains(t *testing.T) {
 	f := func(a, b uint64) bool {
 		width := 12
-		chains := MaxChains(a, b, width)
+		chains := maxChains(a, b, width)
 		max := 0
 		for _, c := range chains {
 			if c > max {
@@ -350,7 +379,7 @@ func TestLimitedAddErrorShrinksWithC(t *testing.T) {
 func TestMaxChainsHandCase(t *testing.T) {
 	// a=0x0F, b=0x01: g at 0, p at 1..3. Chains into: bit1 ← 1, bit2 ← 2,
 	// bit3 ← 3, bit4 ← 4 then dies (p4=0).
-	chains := MaxChains(0x0F, 0x01, 8)
+	chains := maxChains(0x0F, 0x01, 8)
 	want := []int{0, 1, 2, 3, 4, 0, 0, 0, 0}
 	for i, w := range want {
 		if chains[i] != w {

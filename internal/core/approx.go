@@ -33,6 +33,11 @@ type ApproxAdder struct {
 	// m ≥ ⌈c·2⁵³⌉ exactly when m/2⁵³ ≥ c: m/2⁵³ is rand.Rand.Float64 of
 	// the same word, so this is the Cmax Sample selects for it.
 	thresh [][]uint64
+	// keep[l] is column l's keep threshold, thresh[l][l−1] (0 for l = 0):
+	// a draw m ≥ keep[l] keeps the whole chain, so Add returns the exact
+	// sum after this one compare. It is a fixed array indexed by Cthmax ≤
+	// carry.MaxWidth, so the common exit reads no slice header.
+	keep [carry.MaxWidth + 1]uint64
 }
 
 // NewApproxAdder returns a sampling adder driven by the model with a
@@ -53,6 +58,9 @@ func NewApproxAdder(m *Model, seed uint64) (*ApproxAdder, error) {
 		}
 	}
 	a := &ApproxAdder{model: m, width: n, thresh: thresh}
+	for l := 1; l <= n; l++ {
+		a.keep[l] = thresh[l][l-1]
+	}
 	a.pcg.Seed(seed, 0xa99feed)
 	return a, nil
 }
@@ -64,38 +72,36 @@ func (a *ApproxAdder) Width() int { return a.model.Width }
 func (a *ApproxAdder) Model() *Model { return a.model }
 
 // Add implements HardwareAdder: one approximate addition with a freshly
-// sampled carry limit. carry.Chains counts Cthmax in one walk of the carry
-// words. A draw that keeps the whole chain returns the exact sum; only a
-// shorter Cmax walks again, in carry.Truncate. Model widths stop at
-// carry.MaxWidth, which Chains needs.
+// sampled carry limit, the next draw of the adder's stream.
 func (a *ApproxAdder) Add(in1, in2 uint64) uint64 {
-	sum, p, c, cth := carry.Chains(in1, in2, a.width)
-	cmax := a.selectC(cth, a.pcg.Uint64()<<11>>11)
-	if cmax == cth {
-		return sum
-	}
-	return carry.Truncate(p, c, cmax)
+	return a.addDraw(in1, in2, a.pcg.Uint64()<<11>>11)
 }
 
-// selectC returns the Cmax the draw m, the low 53 bits of one PCG word,
-// selects for Cthmax = l.
+// addDraw adds in1 and in2 at the Cmax the draw m, the low 53 bits of
+// one PCG word, selects. carry.Chains counts Cthmax in one walk of the
+// carry words. A draw that keeps the whole chain returns the exact sum
+// after one compare; only a truncating draw selects its Cmax and walks
+// again, in carry.Truncate. Model widths stop at carry.MaxWidth, which
+// Chains and keep need.
+func (a *ApproxAdder) addDraw(in1, in2, m uint64) uint64 {
+	sum, p, c, cth := carry.Chains(in1, in2, a.width)
+	if m >= a.keep[cth] {
+		return sum
+	}
+	return carry.Truncate(p, c, a.selectC(cth, m))
+}
+
+// selectC returns the Cmax the draw m selects for Cthmax = l.
 func (a *ApproxAdder) selectC(l int, m uint64) int {
-	col := a.thresh[l]
-	if l == 0 || m >= col[l-1] {
+	if m >= a.keep[l] {
 		return l
 	}
+	col := a.thresh[l]
 	k := 0
 	for m >= col[k] {
 		k++
 	}
 	return k
-}
-
-// AddWithC performs the modified addition with an explicit carry limit,
-// bypassing the table (step 3 of the paper's usage recipe, exposed for
-// analysis).
-func (a *ApproxAdder) AddWithC(in1, in2 uint64, cmax int) uint64 {
-	return carry.LimitedAdd(in1, in2, a.model.Width, cmax)
 }
 
 // ExactAdder is the golden reference in HardwareAdder form.

@@ -104,6 +104,21 @@ type wordSource uint64
 
 func (w wordSource) Uint64() uint64 { return uint64(w) }
 
+// dyadicTable returns an n-bit table whose entries are multiples of
+// 1/den, so every running sum of a column is exact.
+func dyadicTable(n, den int, rng *rand.Rand) *ProbTable {
+	t := NewProbTable(n)
+	for l := 0; l <= n; l++ {
+		left := den
+		for k := 0; k < l; k++ {
+			w := rng.IntN(left/2 + 1)
+			t.P[k][l], left = float64(w)/float64(den), left-w
+		}
+		t.P[l][l] = float64(left) / float64(den)
+	}
+	return t
+}
+
 // TestApproxAdderDrawsLikeSampleAtBoundaries aims draws exactly at every
 // cumulative boundary of a dyadic table, and one ulp below it, where a
 // wrong comparison would pick a neighbouring Cmax; and at every integer
@@ -132,16 +147,7 @@ func TestApproxAdderDrawsLikeSampleAtBoundaries(t *testing.T) {
 			}
 		}
 	}
-	dyadic := NewProbTable(n)
-	for l := 0; l <= n; l++ {
-		left := den
-		for k := 0; k < l; k++ {
-			w := rng.IntN(left/2 + 1)
-			dyadic.P[k][l], left = float64(w)/den, left-w
-		}
-		dyadic.P[l][l] = float64(left) / den
-	}
-	check(dyadic, func(_ *ApproxAdder, _ int) []uint64 {
+	check(dyadicTable(n, den, rng), func(_ *ApproxAdder, _ int) []uint64 {
 		var words []uint64
 		for j := uint64(0); j < den; j++ {
 			// Float64 returns the low 53 bits over 2^53: j<<47 is j/64.
@@ -156,6 +162,40 @@ func TestApproxAdderDrawsLikeSampleAtBoundaries(t *testing.T) {
 		}
 		return words
 	})
+}
+
+// TestApproxAdderKeepExit aims the draw of one add at each column's keep
+// threshold and one either side of it, for a dyadic and a non-dyadic
+// table, on an operand pair whose Cthmax is that column. The add equals
+// LimitedAdd at the Cmax ProbTable.Sample picks for the same word: the
+// exact sum at and above the threshold, a truncated one below it.
+func TestApproxAdderKeepExit(t *testing.T) {
+	const n = 12
+	rng := rand.New(rand.NewPCG(23, 29))
+	for _, tb := range []*ProbTable{dyadicTable(n, 64, rng), randomTable(n, rng)} {
+		adder, err := NewApproxAdder(&Model{Width: n, Metric: MetricMSE, Table: tb}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := 0; l <= n; l++ {
+			// A carry born at bit 0 rides bits 1 … l−1 and enters bit l,
+			// where neither operand is set: Cthmax l (0 for l = 0).
+			a, b := uint64(1)<<l-1, uint64(min(l, 1))
+			if cth := carry.Cthmax(a, b, n); cth != l {
+				t.Fatalf("Cthmax(%#x, %#x) = %d, want %d", a, b, cth, l)
+			}
+			keep := adder.keep[l]
+			for _, m := range []uint64{keep - 1, keep, keep + 1} {
+				if m >= 1<<53 {
+					continue // one below zero wraps
+				}
+				cmax := tb.Sample(l, rand.New(wordSource(m)))
+				if got, want := adder.addDraw(a, b, m), carry.LimitedAdd(a, b, n, cmax); got != want {
+					t.Fatalf("Cthmax %d, draw %d (keep %d): add = %#x, LimitedAdd at Sample's Cmax %d = %#x", l, m, keep, got, cmax, want)
+				}
+			}
+		}
+	}
 }
 
 // checkAdderAgainstReference runs n adds of operand pairs derived from

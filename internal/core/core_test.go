@@ -246,17 +246,6 @@ func TestApproxAdderDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestAddWithC(t *testing.T) {
-	model := &Model{Width: 8, Metric: MetricMSE, Table: Identity(8)}
-	a, _ := NewApproxAdder(model, 1)
-	if got := a.AddWithC(0xFF, 0x01, 0); got != 0xFE {
-		t.Fatalf("AddWithC(0xFF,1,0) = %#x, want 0xFE (xor)", got)
-	}
-	if got := a.AddWithC(0xFF, 0x01, 8); got != 0x100 {
-		t.Fatalf("AddWithC(0xFF,1,8) = %#x, want 0x100", got)
-	}
-}
-
 func TestEvaluatePerfectModel(t *testing.T) {
 	hw := flakyAdder{width: 8, limit: 3}
 	gen, _ := patterns.NewUniform(8, 21)

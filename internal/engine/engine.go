@@ -342,6 +342,32 @@ func (e *Engine) exec(ctx context.Context, f func()) error {
 	return nil
 }
 
+// parallelFor calls f(i) for every i in [0, n) on at most workers
+// goroutines, the caller's among them, which take the indices in order
+// from one atomic counter. It returns once every call has returned.
+func parallelFor(n, workers int, f func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			f(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(n, workers) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
 // Prepare returns the synthesized operator for cfg. Operators are
 // memoized by content key, so a sweep over 43 triads (or two sweeps over
 // the same configuration) synthesizes once. Prepare must not be called

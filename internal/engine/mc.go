@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"iter"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/apps"
@@ -309,11 +308,31 @@ func mcPointSeed(req *MCRequest, kernel string, tr triad.Triad) uint64 {
 	return model.PointSeed(kernelSeed(req.Seed, kernel), tr.Tclk, tr.Vdd, tr.Vbb)
 }
 
-// mcChunkReps is the rep-range granularity of local execution: one pool
-// job computes up to this many reps, so a single point parallelizes
-// across the pool. Chunking never changes results — partials merge in
-// rep order.
+// mcChunkReps is the most reps one pool job computes in local
+// execution, so a single point parallelizes across the pool. Chunking
+// never changes results: partials merge in rep order.
 const mcChunkReps = 32
+
+// mcChunks cuts the rep range [lo, hi) into local execution's chunks, in
+// rep order: a multiple of workers chunks (one per rep when the range
+// has fewer reps than workers), each of at most mcChunkReps reps, whose
+// sizes differ by at most one, larger first. Workers taking the chunks
+// in order thus finish within about one rep of each other.
+func mcChunks(lo, hi, workers int) [][2]int {
+	n := hi - lo
+	per := mcChunkReps * workers
+	out := make([][2]int, min(n, (n+per-1)/per*workers))
+	size, extra := n/len(out), n%len(out)
+	for i := range out {
+		end := lo + size
+		if i < extra {
+			end++
+		}
+		out[i] = [2]int{lo, end}
+		lo = end
+	}
+	return out
+}
 
 // runMC executes one job: prepare the operator, expand the (kernel ×
 // triad) grid, fan cells out (to the cluster when sharded, the local
@@ -411,47 +430,31 @@ func mustArch(name string) synth.Arch {
 }
 
 // runMCRange computes the rep range [lo, hi) of one cell on the local
-// pool: calibrate (memoized), then fan the reps out in fixed chunks and
-// merge the partials in rep order.
+// pool: calibrate (memoized), then feed the range's chunks (mcChunks) to
+// the pool from at most Workers goroutines and merge the partials in rep
+// order.
 func (e *Engine) runMCRange(ctx context.Context, prep *charz.Prepared, req *MCRequest,
 	k apps.MCKernel, tr triad.Triad, lo, hi int) (*MCPoint, error) {
 	if lo < 0 || hi <= lo {
 		return nil, fmt.Errorf("engine: mc rep range [%d, %d) invalid", lo, hi)
 	}
 	base := mcPointSeed(req, k.Name, tr)
-	type chunk struct {
-		lo, hi int
-		part   *MCPoint
-		err    error
-	}
-	var chunks []*chunk
-	for at := lo; at < hi; at += mcChunkReps {
-		end := at + mcChunkReps
-		if end > hi {
-			end = hi
-		}
-		chunks = append(chunks, &chunk{lo: at, hi: end})
-	}
-	var wg sync.WaitGroup
-	for _, ch := range chunks {
-		wg.Add(1)
-		go func(ch *chunk) {
-			defer wg.Done()
-			err := e.exec(ctx, func() {
-				ch.part, ch.err = e.mcChunk(prep, req, k, tr, base, ch.lo, ch.hi)
-			})
-			if err != nil {
-				ch.err = err
-			}
-		}(ch)
-	}
-	wg.Wait()
+	chunks := mcChunks(lo, hi, e.workers)
 	parts := make([]*MCPoint, len(chunks))
-	for i, ch := range chunks {
-		if ch.err != nil {
-			return nil, ch.err
+	errs := make([]error, len(chunks))
+	parallelFor(len(chunks), e.workers, func(i int) {
+		ch := chunks[i]
+		err := e.exec(ctx, func() {
+			parts[i], errs[i] = e.mcChunk(prep, req, k, tr, base, ch[0], ch[1])
+		})
+		if err != nil {
+			errs[i] = err
 		}
-		parts[i] = ch.part
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	pt := MergeMCPartials(parts)
 	if pt == nil {

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -132,6 +134,89 @@ func TestMCRangePartialsMergeToFullPoint(t *testing.T) {
 		jm, _ := json.Marshal(merged)
 		jf, _ := json.Marshal(full.Points[0])
 		t.Fatalf("merged partials differ from full run:\n%s\n%s", jm, jf)
+	}
+}
+
+// TestMCChunksBalanced checks local execution's partition of a rep
+// range: the chunks tile it in rep order, each holds 1 to mcChunkReps
+// reps, sizes differ by at most one (larger first), and their count is
+// the least multiple of workers that fits, or one chunk per rep when the
+// range is shorter than workers.
+func TestMCChunksBalanced(t *testing.T) {
+	for workers := 1; workers <= 5; workers++ {
+		for n := 1; n <= 700; n++ {
+			const lo = 7
+			chunks := mcChunks(lo, lo+n, workers)
+			per := mcChunkReps * workers
+			if want := min(n, (n+per-1)/per*workers); len(chunks) != want {
+				t.Fatalf("%d reps, %d workers: %d chunks, want %d", n, workers, len(chunks), want)
+			}
+			at := lo
+			for i, ch := range chunks {
+				size := ch[1] - ch[0]
+				if ch[0] != at || size < 1 || size > mcChunkReps {
+					t.Fatalf("%d reps, %d workers: chunk %d is %v after rep %d", n, workers, i, ch, at)
+				}
+				if first := chunks[0][1] - chunks[0][0]; size != first && size != first-1 {
+					t.Fatalf("%d reps, %d workers: chunk sizes %d and %d", n, workers, first, size)
+				}
+				at = ch[1]
+			}
+			if at != lo+n {
+				t.Fatalf("%d reps, %d workers: chunks end at %d, want %d", n, workers, at, lo+n)
+			}
+		}
+	}
+	// The 489-rep fir cell of a 1e6-sample job on two workers: 16 chunks,
+	// nine of 31 reps and seven of 30, so each worker runs about 244.5.
+	chunks := mcChunks(0, 489, 2)
+	if len(chunks) != 16 || chunks[8] != [2]int{248, 279} || chunks[9] != [2]int{279, 309} {
+		t.Fatalf("489 reps on 2 workers: %v", chunks)
+	}
+}
+
+// TestMCRangeGoroutinesBounded runs a one-cell job cut into 20 chunks
+// and samples every goroutine's stack while it runs: besides the pool
+// workers, at most Workers goroutines are ever inside runMCRange (the
+// cell's own and Workers−1 feeders), never one per chunk.
+func TestMCRangeGoroutinesBounded(t *testing.T) {
+	const workers = 2
+	e := newTestEngine(t, Options{Workers: workers})
+	req := MCRequest{
+		Kernels: []string{"kmeans"},
+		Seed:    13,
+		Samples: 20 * mcChunkReps * 256, // 640 reps of 256: 20 chunks of 32
+		Policy:  PolicyExplicit,
+		Triads:  []triad.Triad{{Tclk: 3.5, Vdd: 0.85, Vbb: 0}},
+	}
+	stop, peak := make(chan struct{}), make(chan int, 1)
+	go func() {
+		buf := make([]byte, 1<<20)
+		most := 0
+		for {
+			n := 0
+			for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+				// Pool workers (New's goroutines) run the chunks; the
+				// goroutines feeding them are the ones bounded.
+				if bytes.Contains(g, []byte("(*Engine).runMCRange")) && !bytes.Contains(g, []byte("engine.New.func")) {
+					n++
+				}
+			}
+			most = max(most, n)
+			select {
+			case <-stop:
+				peak <- most
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+	func() {
+		defer close(stop) // also when runMCJob fails the test
+		runMCJob(t, e, req)
+	}()
+	if most := <-peak; most < 1 || most > workers {
+		t.Fatalf("%d goroutines inside runMCRange at once, want 1 to %d", most, workers)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/charz"
@@ -240,27 +238,10 @@ func (e *Engine) Plan(ctx context.Context, req *Request) ([]OperatorPlan, error)
 	n := len(req.Arches) * len(req.Widths)
 	plans := make([]OperatorPlan, n)
 	errs := make([]error, n)
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			name, width := req.Arches[i/len(req.Widths)], req.Widths[i%len(req.Widths)]
-			plans[i], errs[i] = e.planOperator(ctx, req, name, width)
-		}
-	}
-	var wg sync.WaitGroup
-	for range min(n, e.workers) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	parallelFor(n, e.workers, func(i int) {
+		name, width := req.Arches[i/len(req.Widths)], req.Widths[i%len(req.Widths)]
+		plans[i], errs[i] = e.planOperator(ctx, req, name, width)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
