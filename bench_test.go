@@ -513,7 +513,7 @@ func BenchmarkMonteCarloPoint(b *testing.B) {
 // mcRepBatchSamples is the input samples one BenchmarkMCRep iteration
 // replays, in whole reps: 16 fir, blur or sobel reps, or 128 kmeans
 // reps. A sample of the mc group's ten iterations then spans about
-// 70–250 ms of reps on 2 vCPUs, however cheap a kernel's rep is.
+// 75–310 ms of reps on 2 vCPUs, however cheap a kernel's rep is.
 const mcRepBatchSamples = 1 << 15
 
 // mcRepModel calibrates BenchmarkMonteCarloPoint's operating point once

@@ -9,7 +9,7 @@
 //	vosbench [-bench REGEX] [-benchtime 1000x] [-out BENCH_sim.json]
 //	         [-pkg .] [-keep-going]
 //	         [-diff BASELINE.json]
-//	         [-diff-filter "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|MCRep|ApproxAdd|ClusterWarmLookup|ClusterWarmSweep|EngineWarmSweep)"]
+//	         [-diff-filter "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|ApproxAdd|ClusterWarmLookup|ClusterWarmSweep|EngineWarmSweep)"]
 //	         [-diff-threshold 0.20] [-profile-regressed DIR]
 //
 // The default benchmark set covers the dense-state hot path: the per-step
@@ -121,7 +121,11 @@ func main() {
 		// runs of identical code. The journal's code cost is gated
 		// through the journaled EngineWarmSweep/ClusterWarmLookup
 		// twins instead, where it is one term of a realistic op.
-		diffRe    = flag.String("diff-filter", "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|MCRep|ApproxAdd|ClusterWarmLookup|ClusterWarmSweep|EngineWarmSweep)", "benchmarks the -diff gate applies to")
+		// MCRep is recorded but ungated too: on a shared 2-vCPU host
+		// four back-to-back runs of identical code spread its entries
+		// by 13–82%, past the threshold; the replay it times is gated
+		// through MonteCarloPoint and ApproxAdd.
+		diffRe    = flag.String("diff-filter", "^(SimStep|CrossVddResample|Fig8|MonteCarloPoint|ApproxAdd|ClusterWarmLookup|ClusterWarmSweep|EngineWarmSweep)", "benchmarks the -diff gate applies to")
 		threshold = flag.Float64("diff-threshold", 0.20, "fractional ns/op or allocs/op regression that fails the -diff gate")
 		profDir   = flag.String("profile-regressed", "", "directory to write one cpuprofile per regressed benchmark when the -diff gate fails (uploaded as a CI artifact)")
 	)

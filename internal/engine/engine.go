@@ -324,8 +324,17 @@ func (e *Engine) Executions() uint64 { return e.executions.Load() }
 // exec runs f on a pool worker and waits for it, honoring both the
 // caller's context and engine shutdown while queued. Once a worker took
 // f, exec waits for it to return even through shutdown: callers read
-// what f wrote, and Close waits for the worker anyway.
+// what f wrote, and Close waits for the worker anyway. A context that
+// is already done returns before the select, which would otherwise hand
+// f to an idle worker half the time, so a caller feeding many tasks
+// stops at the first one after a cancel.
 func (e *Engine) exec(ctx context.Context, f func()) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if e.ctx.Err() != nil {
+		return ErrClosed
+	}
 	done := make(chan struct{})
 	job := func() {
 		defer close(done)
@@ -344,8 +353,9 @@ func (e *Engine) exec(ctx context.Context, f func()) error {
 
 // parallelFor calls f(i) for every i in [0, n) on at most workers
 // goroutines, the caller's among them, which take the indices in order
-// from one atomic counter. It returns once every call has returned.
-func parallelFor(n, workers int, f func(i int)) {
+// from one atomic counter. It returns once every call has returned. It
+// is a variable so tests can watch the goroutines inside f.
+var parallelFor = func(n, workers int, f func(i int)) {
 	var next atomic.Int64
 	work := func() {
 		for {

@@ -1,12 +1,11 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"reflect"
-	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -176,47 +175,40 @@ func TestMCChunksBalanced(t *testing.T) {
 }
 
 // TestMCRangeGoroutinesBounded runs a one-cell job cut into 20 chunks
-// and samples every goroutine's stack while it runs: besides the pool
-// workers, at most Workers goroutines are ever inside runMCRange (the
-// cell's own and Workers−1 feeders), never one per chunk.
+// and wraps the function parallelFor feeds: every chunk passes through
+// it, and at most Workers goroutines (the cell's own and Workers−1
+// feeders) are ever inside it, never one per chunk.
 func TestMCRangeGoroutinesBounded(t *testing.T) {
 	const workers = 2
+	var mu sync.Mutex
+	calls, inside, most := 0, 0, 0
+	orig := parallelFor
+	parallelFor = func(n, w int, f func(i int)) {
+		orig(n, w, func(i int) {
+			mu.Lock()
+			calls, inside = calls+1, inside+1
+			most = max(most, inside)
+			mu.Unlock()
+			f(i)
+			mu.Lock()
+			inside--
+			mu.Unlock()
+		})
+	}
+	t.Cleanup(func() { parallelFor = orig })
 	e := newTestEngine(t, Options{Workers: workers})
-	req := MCRequest{
+	runMCJob(t, e, MCRequest{
 		Kernels: []string{"kmeans"},
 		Seed:    13,
 		Samples: 20 * mcChunkReps * 256, // 640 reps of 256: 20 chunks of 32
 		Policy:  PolicyExplicit,
 		Triads:  []triad.Triad{{Tclk: 3.5, Vdd: 0.85, Vbb: 0}},
+	})
+	if calls != 20 {
+		t.Fatalf("%d chunks fed through parallelFor, want 20", calls)
 	}
-	stop, peak := make(chan struct{}), make(chan int, 1)
-	go func() {
-		buf := make([]byte, 1<<20)
-		most := 0
-		for {
-			n := 0
-			for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
-				// Pool workers (New's goroutines) run the chunks; the
-				// goroutines feeding them are the ones bounded.
-				if bytes.Contains(g, []byte("(*Engine).runMCRange")) && !bytes.Contains(g, []byte("engine.New.func")) {
-					n++
-				}
-			}
-			most = max(most, n)
-			select {
-			case <-stop:
-				peak <- most
-				return
-			case <-time.After(time.Millisecond):
-			}
-		}
-	}()
-	func() {
-		defer close(stop) // also when runMCJob fails the test
-		runMCJob(t, e, req)
-	}()
-	if most := <-peak; most < 1 || most > workers {
-		t.Fatalf("%d goroutines inside runMCRange at once, want 1 to %d", most, workers)
+	if most < 1 || most > workers {
+		t.Fatalf("%d goroutines feeding chunks at once, want 1 to %d", most, workers)
 	}
 }
 
@@ -287,6 +279,43 @@ func TestMCCancel(t *testing.T) {
 	}
 	if job.Status != StatusCanceled && job.Status != StatusDone {
 		t.Fatalf("status %s after cancel", job.Status)
+	}
+}
+
+// TestMCCancelStopsChunks cancels a 200-chunk cell once its first chunk
+// has run: the feeders must stop dispatching, so only the chunks already
+// on a worker finish and the executed reps stay far below the cell's.
+// One cell on two workers makes each feeder find its worker idle when it
+// reaches its next chunk, where a select between the pool send and
+// ctx.Done would still pick the send half the time.
+func TestMCCancelStopsChunks(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: 2})
+	const reps = 200 * mcChunkReps
+	id, err := e.SubmitMC(MCRequest{
+		Kernels: []string{"kmeans"},
+		Seed:    17,
+		Samples: reps * 256,
+		Policy:  PolicyExplicit,
+		Triads:  []triad.Triad{{Tclk: 3.5, Vdd: 0.85, Vbb: 0}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.MCRepsExecuted() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := e.CancelMC(id); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	job, err := e.WaitMC(t.Context(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.Status != StatusCanceled {
+		t.Fatalf("status %s after cancel", job.Status)
+	}
+	if n := e.MCRepsExecuted(); n > reps/10 {
+		t.Fatalf("%d of %d reps executed after cancel, want at most %d", n, reps, reps/10)
 	}
 }
 
